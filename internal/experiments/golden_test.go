@@ -22,12 +22,16 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // (guarding the host-tier verify marks — starved-point hit rate, warm
 // tail TTFT, token identity), and the outage drills (guarding the
 // recovery verify marks — retry+health beating abandonment on served
-// and hit rate at every fault point, with exact conservation).
+// and hit rate at every fault point, with exact conservation). The
+// paper tables table3, batchsweep, fig10 and verify pin the engine's
+// closed-batch (Run), parallel-fan-out (RunParallel) and batch-1
+// (Generate) paths, including chunk-dependent DVFS power and cost.
 // Regenerate intentionally with
 //
 //	go test ./internal/experiments -run TestGoldenReports -update
 func TestGoldenReports(t *testing.T) {
-	for _, id := range []string{"sched", "fleet", "sessions", "tiering", "autoscale", "saturate", "drills", "breakdown"} {
+	for _, id := range []string{"sched", "fleet", "sessions", "tiering", "autoscale", "saturate", "drills", "breakdown",
+		"table3", "batchsweep", "fig10", "verify"} {
 		t.Run(id, func(t *testing.T) {
 			tables, err := Run(id, Options{Seed: 7, Quick: true})
 			if err != nil {
