@@ -74,10 +74,10 @@ type Config struct {
 	// used to price promotions (default kvcache.DefaultHostLinkBandwidth).
 	HostLinkBandwidth float64
 	// Trace, when non-nil, records per-request phase spans and sampled
-	// gauges (KV occupancy, active batch, power) from every serve run
-	// into the given telemetry track. Nil is the default and costs
-	// nothing: every producer site is a nil check, the serve loop's
-	// timing and metrics are byte-identical either way.
+	// gauges (KV occupancy, active batch, power) from every scheduler run
+	// (Serve, Run, RunParallel) into the given telemetry track. Nil is
+	// the default and costs nothing: every producer site is a nil check,
+	// the scheduler's timing and metrics are byte-identical either way.
 	Trace telemetry.Tracer
 }
 
@@ -95,9 +95,13 @@ type Metrics struct {
 	ID           string
 	PromptTokens int
 	OutputTokens int
-	QueueTime    float64 // seconds waiting for admission
-	PrefillTime  float64
-	DecodeTime   float64
+	// QueueTime is latency minus service time (restore + prefill +
+	// decode): the wait for admission plus any time the request, once
+	// admitted, sat stalled behind co-batched prefills or fault stall
+	// windows.
+	QueueTime   float64
+	PrefillTime float64
+	DecodeTime  float64
 	// RestoreTime is the host-link transfer time spent promoting this
 	// request's host-resident prefix blocks back to the device (0 without
 	// a host tier or on a device-only hit). It lands before prefill, so
@@ -296,10 +300,10 @@ func (c Config) MemReserveFrac() float64 {
 // overhead.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (e *Engine) prefill(tokens int) (gpusim.Result, error) {
+func (e *Engine) prefill(tokens int) gpusim.Result {
 	res := e.sim.Prefill(e.cfg.Spec.Arch, e.cfg.Spec.DType, tokens, 1)
 	res.Time *= e.cfg.Framework.PrefillFactor
-	return res, nil
+	return res
 }
 
 // decodeChunk advances the active contexts n steps and charges framework
@@ -312,6 +316,17 @@ func (e *Engine) decodeChunk(ctxs []int, n int) gpusim.Result {
 	return res
 }
 
+// blocksFor mirrors the cache's page arithmetic: the KV blocks a
+// sequence of tokens occupies.
+//
+//edgereasoning:hotpath bench=BenchmarkServeHotLoop
+func (e *Engine) blocksFor(tokens int) int {
+	if tokens <= 0 {
+		return 0
+	}
+	return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
+}
+
 // Generate executes one request in isolation (batch 1).
 func (e *Engine) Generate(req Request) (Metrics, error) {
 	b, err := e.Run([]Request{req}, 1)
@@ -321,219 +336,25 @@ func (e *Engine) Generate(req Request) (Metrics, error) {
 	return b.Requests[0], nil
 }
 
-// activeSeq is a request mid-decode. The KV handle is resolved once at
-// admission so the decode loop never touches the cache's sequence map;
-// arrival/deadline ride along here instead of in side maps.
-type activeSeq struct {
-	req       Request
-	handle    kvcache.Handle
-	ctx       int // prompt + generated so far
-	remaining int
-	metrics   Metrics
-	arrival   float64
-	deadline  float64
-	// slot is the arena index this sequence occupies, so the streaming
-	// serve loop can return it to the free list on completion (Run's
-	// one-shot arena leaves it zero).
-	slot int
-	// admitAt is the clock at the admission decision (the request span's
-	// start when tracing); session carries the request's session tag for
-	// span attribution. Both are plain copies — no tracing cost when off.
-	admitAt float64
-	session string
-	// promptSyms/outputSyms carry the request's token identities so the
-	// finished sequence can be retained in the prefix index (nil when the
-	// engine has no prefix cache or the request carried none).
-	promptSyms []uint64
-	outputSyms []uint64
-}
-
-// reap records every completed sequence (remaining <= 0) through finish —
-// in descending index order, matching the historical deletion loop so
-// completion-ordered outputs are unchanged — then compacts the active
-// set in one order-preserving, allocation-free pass.
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func reap(active []*activeSeq, finish func(*activeSeq) error) ([]*activeSeq, error) {
-	done := 0
-	for i := len(active) - 1; i >= 0; i-- {
-		if active[i].remaining <= 0 {
-			if err := finish(active[i]); err != nil {
-				return active, err
-			}
-			done++
-		}
-	}
-	if done == 0 {
-		return active, nil
-	}
-	kept := active[:0]
-	for _, s := range active {
-		if s.remaining > 0 {
-			kept = append(kept, s)
-		}
-	}
-	for i := len(kept); i < len(active); i++ {
-		active[i] = nil // no stale pointers past the compacted tail
-	}
-	return kept, nil
-}
-
-// Run executes requests FCFS with continuous batching up to maxBatch
-// concurrent decoders. Prefill is unbatched (the paper's configuration);
-// decode advances in closed-form chunks between admission and completion
-// events, with chunk energy attributed to active sequences equally. The
-// loop is O(events), not O(tokens): KV accounting advances whole chunks
-// through resolved handles and admission headroom is an incrementally
-// maintained counter.
+// Run executes a closed batch FCFS with continuous batching up to
+// maxBatch concurrent decoders: every request has arrived at the current
+// clock, so the scheduler starts from a full ready queue — the state an
+// all-arrive-now FCFS source reaches on its first promotion.
 func (e *Engine) Run(reqs []Request, maxBatch int) (BatchMetrics, error) {
-	if maxBatch <= 0 {
-		maxBatch = 1
+	s := e.newScheduler(nil, maxBatch, FCFS, ServeOpts{SizeHint: len(reqs)})
+	s.ready.buf = make([]TimedRequest, len(reqs))
+	for i, r := range reqs {
+		s.ready.buf[i] = TimedRequest{Request: r, Arrival: e.clock}
 	}
-	queue := reqs // only re-sliced, never mutated
-	active := make([]*activeSeq, 0, maxBatch)
-	// One arena allocation covers every sequence's bookkeeping; slots are
-	// handed out at admission and the backing array never reallocates, so
-	// the *activeSeq pointers in the active set stay stable.
-	arena := make([]activeSeq, len(reqs))
-	admitted := 0
-	var out BatchMetrics
-	out.Requests = make([]Metrics, 0, len(reqs))
-	start := e.clock
-
-	finish := func(s *activeSeq) error {
-		if err := e.cache.FreeH(s.handle); err != nil {
-			return err
-		}
-		out.Requests = append(out.Requests, s.metrics)
-		out.TotalTokens += s.req.PromptTokens + s.req.OutputTokens
-		return nil
-	}
-
-	// blocksFor mirrors the cache's page arithmetic for admission control.
-	blocksFor := func(tokens int) int {
-		if tokens <= 0 {
-			return 0
-		}
-		return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
-	}
-	// futureGrowth is the worst-case block demand of the active set's
-	// remaining decode. Admission reserves against it so a request can
-	// never exhaust the cache mid-decode (the simulator's stand-in for
-	// vLLM's preemption machinery). It is adjusted on admit and append —
-	// a sequence's contribution is blocksFor(total) − blocksFor(ctx),
-	// which reaches zero exactly when it finishes — instead of rescanned
-	// per admission attempt.
-	futureGrowth := 0
-	ctxs := make([]int, 0, maxBatch) // scratch, reused every decode event
-
-	for len(queue) > 0 || len(active) > 0 {
-		// Admit while there is room.
-		for len(queue) > 0 && len(active) < maxBatch {
-			req := queue[0]
-			if req.PromptTokens <= 0 {
-				return out, fmt.Errorf("engine: request %q has no prompt", req.ID)
-			}
-			worstCase := blocksFor(req.PromptTokens + req.OutputTokens)
-			if worstCase+futureGrowth > e.cache.FreeBlocks() {
-				if len(active) > 0 {
-					break // drain the active set to free capacity first
-				}
-				return out, fmt.Errorf("engine: request %q (%d tokens) exceeds KV capacity even alone",
-					req.ID, req.PromptTokens+req.OutputTokens)
-			}
-			if err := e.cache.AllocateReserve(req.ID, req.PromptTokens,
-				req.PromptTokens+req.OutputTokens); err != nil {
-				return out, fmt.Errorf("engine: admit %q: %w", req.ID, err)
-			}
-			queue = queue[1:]
-			s := &arena[admitted]
-			admitted++
-			*s = activeSeq{req: req, ctx: req.PromptTokens, remaining: req.OutputTokens}
-			h, err := e.cache.Lookup(req.ID)
-			if err != nil {
-				return out, fmt.Errorf("engine: admit %q: %w", req.ID, err)
-			}
-			s.handle = h
-			// The final length is known up front; reserving the block
-			// table now keeps the whole decode allocation-free.
-			if err := e.cache.ReserveH(h, req.PromptTokens+req.OutputTokens); err != nil {
-				return out, fmt.Errorf("engine: admit %q: %w", req.ID, err)
-			}
-			futureGrowth += worstCase - blocksFor(req.PromptTokens)
-			s.metrics = Metrics{ID: req.ID, PromptTokens: req.PromptTokens, OutputTokens: req.OutputTokens}
-			s.metrics.QueueTime = e.clock - start
-			res, err := e.prefill(req.PromptTokens)
-			if err != nil {
-				return out, err
-			}
-			e.clock += res.Time
-			s.metrics.PrefillTime = res.Time
-			s.metrics.PrefillEnergy = e.meter.Energy(res)
-			out.TotalEnergy += e.meter.Energy(res)
-			active = append(active, s)
-		}
-		if len(active) == 0 {
-			break
-		}
-		// Decode until the next event: shortest remaining completes, or a
-		// queued request wants admission (chunk at most admitGrain steps
-		// so admission latency stays bounded).
-		chunk := active[0].remaining
-		for _, s := range active {
-			if s.remaining < chunk {
-				chunk = s.remaining
-			}
-		}
-		if chunk <= 0 {
-			// Zero-output request(s): finish immediately.
-			var err error
-			if active, err = reap(active, finish); err != nil {
-				return out, err
-			}
-			continue
-		}
-		if len(queue) > 0 && len(active) < maxBatch {
-			const admitGrain = 32
-			if chunk > admitGrain {
-				chunk = admitGrain
-			}
-		}
-		ctxs = ctxs[:0]
-		for _, s := range active {
-			ctxs = append(ctxs, s.ctx)
-		}
-		res := e.decodeChunk(ctxs, chunk)
-		energy := e.meter.Energy(res)
-		e.clock += res.Time
-		out.TotalEnergy += energy
-		perSeqTime := res.Time
-		perSeqEnergy := energy / float64(len(active))
-		for _, s := range active {
-			if err := e.cache.AppendTokensH(s.handle, chunk); err != nil {
-				return out, fmt.Errorf("engine: decode %q: %w", s.req.ID, err)
-			}
-			futureGrowth -= blocksFor(s.ctx+chunk) - blocksFor(s.ctx)
-			s.ctx += chunk
-			s.remaining -= chunk
-			s.metrics.DecodeTime += perSeqTime
-			s.metrics.DecodeEnergy += perSeqEnergy
-		}
-		var err error
-		if active, err = reap(active, finish); err != nil {
-			return out, err
-		}
-	}
-	out.WallTime = e.clock - start
-	out.PeakKVBlocks = e.cache.PeakUsed()
-	return out, nil
+	err := s.run()
+	return s.out.BatchMetrics, err
 }
 
 // RunParallel implements parallel test-time scaling (§V-E): one prefill
 // at batch 1, then the prompt KV is forked copy-on-write to `factor`
 // decoders which run as one batch. outputs gives each branch's generated
-// length. The returned metrics hold one entry per branch; branch 0 owns
-// the prefill cost.
+// length. The returned metrics hold one entry per branch, in completion
+// order; branch 0 owns the prefill cost.
 func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, error) {
 	if promptTokens <= 0 {
 		return BatchMetrics{}, fmt.Errorf("engine: empty prompt")
@@ -541,122 +362,58 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 	if len(outputs) == 0 {
 		return BatchMetrics{}, fmt.Errorf("engine: no branches")
 	}
-	var out BatchMetrics
-	start := e.clock
-
 	// Capacity precheck: the shared prompt plus every branch's private
 	// decode growth must fit, or the fan-out would die mid-decode.
-	blocksFor := func(tokens int) int {
-		if tokens <= 0 {
-			return 0
-		}
-		return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
-	}
-	need := blocksFor(promptTokens)
+	need := e.blocksFor(promptTokens)
 	for _, o := range outputs {
 		// Each branch copies the shared tail block on first write and
 		// then grows privately.
-		need += blocksFor(promptTokens+o) - blocksFor(promptTokens) + 1
+		need += e.blocksFor(promptTokens+o) - e.blocksFor(promptTokens) + 1
 	}
 	if need > e.cache.FreeBlocks() {
-		return out, fmt.Errorf("engine: parallel fan-out of %d branches needs %d KV blocks, %d free",
+		return BatchMetrics{}, fmt.Errorf("engine: parallel fan-out of %d branches needs %d KV blocks, %d free",
 			len(outputs), need, e.cache.FreeBlocks())
 	}
 
+	s := e.newScheduler(nil, len(outputs), FCFS, ServeOpts{SizeHint: len(outputs)})
 	root := "par-0"
 	if err := e.cache.Allocate(root, promptTokens); err != nil {
-		return out, err
+		return s.out.BatchMetrics, err
 	}
-	res, err := e.prefill(promptTokens)
-	if err != nil {
-		return out, err
-	}
+	res := e.prefill(promptTokens)
 	e.clock += res.Time
+	s.out.Events++
 	prefillEnergy := e.meter.Energy(res)
-	out.TotalEnergy += prefillEnergy
+	s.out.TotalEnergy += prefillEnergy
 
-	type branch struct {
-		id        string
-		handle    kvcache.Handle
-		ctx       int
-		remaining int
-		m         Metrics
-	}
-	branches := make([]*branch, len(outputs))
-	for i := range outputs {
+	// Seed the active set with the branches, in slot order, as if each
+	// had been admitted at the start of the run.
+	for i, o := range outputs {
 		id := fmt.Sprintf("par-%d", i)
 		if i > 0 {
 			if err := e.cache.Fork(root, id); err != nil {
-				return out, err
+				return s.out.BatchMetrics, err
 			}
 		}
 		h, err := e.cache.Lookup(id)
 		if err != nil {
-			return out, err
+			return s.out.BatchMetrics, err
 		}
-		if err := e.cache.ReserveH(h, promptTokens+outputs[i]); err != nil {
-			return out, err
+		if err := e.cache.ReserveH(h, promptTokens+o); err != nil {
+			return s.out.BatchMetrics, err
 		}
-		branches[i] = &branch{id: id, handle: h, ctx: promptTokens, remaining: outputs[i]}
-		branches[i].m = Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: outputs[i]}
+		slot := s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+		s.arena[slot] = activeSeq{req: Request{ID: id, PromptTokens: promptTokens, OutputTokens: o},
+			handle: h, ctx: promptTokens, remaining: o, arrival: s.start, admitAt: s.start,
+			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}
+		s.futureGrowth += e.blocksFor(promptTokens+o) - e.blocksFor(promptTokens)
+		s.active = append(s.active, slot)
 	}
-	branches[0].m.PrefillTime = res.Time
-	branches[0].m.PrefillEnergy = prefillEnergy
-
-	activeIdx := make([]int, 0, len(branches))
-	for i := range branches {
-		if branches[i].remaining > 0 {
-			activeIdx = append(activeIdx, i)
-		} else {
-			out.Requests = append(out.Requests, branches[i].m)
-			out.TotalTokens += promptTokens + branches[i].m.OutputTokens
-			if err := e.cache.FreeH(branches[i].handle); err != nil {
-				return out, err
-			}
-		}
-	}
-	ctxs := make([]int, 0, len(activeIdx)) // scratch, reused every decode event
-	for len(activeIdx) > 0 {
-		chunk := branches[activeIdx[0]].remaining
-		for _, i := range activeIdx {
-			if branches[i].remaining < chunk {
-				chunk = branches[i].remaining
-			}
-		}
-		ctxs = ctxs[:0]
-		for _, i := range activeIdx {
-			ctxs = append(ctxs, branches[i].ctx)
-		}
-		dres := e.decodeChunk(ctxs, chunk)
-		energy := e.meter.Energy(dres)
-		e.clock += dres.Time
-		out.TotalEnergy += energy
-		perSeqEnergy := energy / float64(len(activeIdx))
-		next := activeIdx[:0]
-		for _, i := range activeIdx {
-			b := branches[i]
-			if err := e.cache.AppendTokensH(b.handle, chunk); err != nil {
-				return out, err
-			}
-			b.ctx += chunk
-			b.remaining -= chunk
-			b.m.DecodeTime += dres.Time
-			b.m.DecodeEnergy += perSeqEnergy
-			if b.remaining <= 0 {
-				out.Requests = append(out.Requests, b.m)
-				out.TotalTokens += promptTokens + b.m.OutputTokens
-				if err := e.cache.FreeH(b.handle); err != nil {
-					return out, err
-				}
-			} else {
-				next = append(next, i)
-			}
-		}
-		activeIdx = next
-	}
-	out.WallTime = e.clock - start
-	out.PeakKVBlocks = e.cache.PeakUsed()
-	return out, nil
+	s.arena[s.active[0]].metrics.PrefillTime = res.Time
+	s.arena[s.active[0]].metrics.PrefillEnergy = prefillEnergy
+	err := s.run()
+	return s.out.BatchMetrics, err
 }
 
 // CacheStats exposes KV occupancy for tests and examples.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"edgereasoning/internal/stats"
-	"edgereasoning/internal/telemetry"
 )
 
 // TimedRequest is a request with an arrival time and an optional absolute
@@ -198,20 +197,16 @@ type readyQueue struct {
 func (q *readyQueue) len() int            { return len(q.buf) - q.head }
 func (q *readyQueue) front() TimedRequest { return q.buf[q.head] }
 
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) pushBack(tr TimedRequest) {
-	q.reserve()
-	q.buf = append(q.buf, tr)
-}
-
-// reserve seeds the backing array at a 16-slot floor on first use so a
-// short backlog never pays the early append-growth doublings.
+// pushBack appends tr, seeding the backing array at a 16-slot floor on
+// first use so a short backlog never pays the early append-growth
+// doublings.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) reserve() {
+func (q *readyQueue) pushBack(tr TimedRequest) {
 	if q.buf == nil {
 		q.buf = make([]TimedRequest, 0, 16) //edgereasoning:allow hotpath -- one-time 16-slot floor, paid once per queue
 	}
+	q.buf = append(q.buf, tr)
 }
 
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
@@ -245,8 +240,7 @@ func edfKey(d float64) float64 {
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (q *readyQueue) insertEDF(tr TimedRequest) {
 	key := edfKey(tr.Deadline)
-	q.reserve()
-	q.buf = append(q.buf, tr)
+	q.pushBack(tr)
 	j := len(q.buf) - 1
 	for j > q.head && edfKey(q.buf[j-1].Deadline) > key {
 		q.buf[j] = q.buf[j-1]
@@ -257,8 +251,8 @@ func (q *readyQueue) insertEDF(tr TimedRequest) {
 
 // Serve executes an open-loop workload: requests become visible at their
 // arrival times, are admitted per the scheduling policy up to maxBatch
-// concurrent decoders, and complete under the same continuous-batching
-// loop as Run. The engine clock must be at or before the earliest
+// concurrent decoders, and complete under the same scheduler loop as
+// Run. The engine clock must be at or before the earliest
 // arrival. It is a thin collector over ServeSource; results are
 // element-identical to the historical slice implementation.
 func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (ServeMetrics, error) {
@@ -271,368 +265,19 @@ func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (S
 // ServeSource is the streaming serve loop: requests are pulled from src
 // (non-decreasing Arrival order) as simulated time reaches them, so live
 // memory scales with the in-flight set — ready backlog plus maxBatch
-// active decoders — not the stream length. Per-run bookkeeping (sequence
-// arena, ready queue, decode scratch) is sized by maxBatch and recycled,
-// keeping the steady-state loop allocation-free.
+// active decoders — not the stream length. It runs the engine's one
+// scheduler loop (see scheduler) and adds latency percentiles.
 func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts ServeOpts) (ServeMetrics, error) {
-	if maxBatch <= 0 {
-		maxBatch = 1
-	}
-	in := NewPeekable(src)
-	if tr, ok := in.Peek(); ok && e.clock > tr.Arrival {
+	s := e.newScheduler(src, maxBatch, policy, opts)
+	if tr, ok := s.in.Peek(); ok && e.clock > tr.Arrival {
 		return ServeMetrics{}, fmt.Errorf("engine: clock %.3f already past first arrival %.3f", e.clock, tr.Arrival)
 	}
-	fx := opts.Faults
-	// Tracing is resolved once per run; every producer site below guards
-	// on tra so a nil tracer pays exactly one pointer compare and the
-	// run's timing and metrics stay byte-identical with tracing off.
-	tra := e.cfg.Trace
-	var (
-		kvGauge, actGauge, powGauge *telemetry.Series
-		ttftHist, rateHist          *stats.Histogram
-	)
-	if tra != nil {
-		kvGauge = tra.Gauge("kv_used_blocks")
-		actGauge = tra.Gauge("active_requests")
-		powGauge = tra.Gauge("power_watts")
-		ttftHist = tra.Histogram("ttft_seconds", telemetry.TTFTBuckets)
-		rateHist = tra.Histogram("decode_tokens_per_sec", telemetry.DecodeRateBuckets)
+	err := s.run()
+	if err == nil && len(s.out.Latencies) > 0 {
+		s.out.MeanLatency = stats.Mean(s.out.Latencies)
+		s.out.P50Latency, s.out.P95Latency, s.out.P99Latency = stats.Percentiles3(s.out.Latencies)
 	}
-
-	var ready readyQueue
-	active := make([]*activeSeq, 0, maxBatch)
-	// Arena of sequence bookkeeping: at most maxBatch sequences are ever
-	// live, so maxBatch slots recycled through a free list cover any
-	// stream length. Slot pointers are stable for the run's lifetime.
-	arena := make([]activeSeq, maxBatch)
-	freeSlots := make([]int, maxBatch)
-	for i := range freeSlots {
-		freeSlots[i] = maxBatch - 1 - i
-	}
-	var out ServeMetrics
-	if !opts.LeanMetrics {
-		out.Requests = make([]Metrics, 0, opts.SizeHint)
-	}
-	out.Latencies = make([]float64, 0, opts.SizeHint)
-
-	blocksFor := func(tokens int) int {
-		if tokens <= 0 {
-			return 0
-		}
-		return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
-	}
-	// futureGrowth reserves the active set's worst-case remaining block
-	// demand, maintained incrementally (admit adds, append subtracts)
-	// instead of rescanned per admission attempt.
-	futureGrowth := 0
-	ctxs := make([]int, 0, maxBatch) // scratch, reused every decode event
-	promote := func() {
-		for {
-			tr, ok := in.Peek()
-			if !ok || tr.Arrival > e.clock+1e-12 {
-				break
-			}
-			in.Next()
-			if policy == EDF {
-				ready.insertEDF(tr)
-			} else {
-				ready.pushBack(tr)
-			}
-		}
-	}
-	finish := func(s *activeSeq) error {
-		if e.prefix != nil && len(s.promptSyms) >= s.req.PromptTokens {
-			// Retain the finished history (prompt + known output identities)
-			// for the session's next turn instead of dropping the blocks.
-			outSyms := s.outputSyms
-			if len(outSyms) > s.req.OutputTokens {
-				outSyms = outSyms[:s.req.OutputTokens]
-			}
-			if err := e.prefix.Release(s.handle, s.promptSyms[:s.req.PromptTokens], outSyms); err != nil {
-				return err
-			}
-		} else if err := e.cache.FreeH(s.handle); err != nil {
-			return err
-		}
-		lat := e.clock - s.arrival
-		out.Latencies = append(out.Latencies, lat)
-		out.Served++
-		if s.deadline > 0 {
-			out.DeadlinesTotal++
-			if e.clock <= s.deadline {
-				out.DeadlinesMet++
-			}
-		}
-		if !opts.LeanMetrics {
-			s.metrics.QueueTime = lat - s.metrics.TotalTime()
-			out.Requests = append(out.Requests, s.metrics)
-		}
-		if tra != nil {
-			tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindRequest,
-				Lane: s.slot, Start: s.admitAt, End: e.clock, Session: s.session,
-				Wait:   s.admitAt - s.arrival,
-				Tokens: s.req.PromptTokens + s.req.OutputTokens,
-				Cached: s.metrics.CachedPromptTokens})
-			if s.metrics.DecodeTime > 0 {
-				rateHist.Observe(float64(s.req.OutputTokens) / s.metrics.DecodeTime)
-			}
-		}
-		out.TotalTokens += s.req.PromptTokens + s.req.OutputTokens
-		s.promptSyms, s.outputSyms = nil, nil
-		freeSlots = append(freeSlots, s.slot)
-		return nil
-	}
-
-	start := e.clock
-	for in.More() || ready.len() > 0 || len(active) > 0 {
-		promote()
-		// Idle: jump to the next arrival.
-		if len(active) == 0 && ready.len() == 0 {
-			tr, ok := in.Peek()
-			if !ok {
-				break
-			}
-			e.clock = tr.Arrival
-			continue
-		}
-		// Admit from the ready queue.
-		for ready.len() > 0 && len(active) < maxBatch {
-			tr := ready.front()
-			if tr.PromptTokens <= 0 {
-				return out, fmt.Errorf("engine: request %q has no prompt", tr.ID)
-			}
-			// A crash boundary: the dispatcher marked this request as the
-			// first one routed after the replica's crash restart, so the
-			// prefix cache is wiped before admission even probes it.
-			if fx != nil && e.prefix != nil && len(fx.CrashWipes) > 0 {
-				if keep, ok := fx.CrashWipes[tr.ID]; ok {
-					e.prefix.CrashReset(keep)
-					delete(fx.CrashWipes, tr.ID)
-				}
-			}
-			worstCase := blocksFor(tr.PromptTokens + tr.OutputTokens)
-			// With a prefix cache, retained blocks are reclaimable
-			// capacity. Probe first — touching the matched chain makes it
-			// MRU, so eviction spares it — then evict cold prefixes until
-			// the unmatched demand fits. Under extreme pressure eviction
-			// can still trim the probed chain itself (growing the demand),
-			// so re-probe and repeat until the demand fits or nothing is
-			// left to evict; the final probe is exactly what Acquire finds.
-			var syms []uint64
-			probedBlocks := 0
-			if e.prefix != nil {
-				if len(tr.PromptSyms) >= tr.PromptTokens {
-					syms = tr.PromptSyms[:tr.PromptTokens]
-					probedBlocks = e.prefix.Probe(syms)
-				}
-				for worstCase-probedBlocks+futureGrowth > e.cache.FreeBlocks() {
-					// Progress is measured in reclaimed capacity, not eviction
-					// counts: EnsureFree stops on a zero-reclaim round (shared
-					// leaves), and with a host tier demotions free blocks
-					// without bumping Evictions at all.
-					before := e.cache.FreeBlocks()
-					e.prefix.EnsureFree(worstCase - probedBlocks + futureGrowth)
-					if e.cache.FreeBlocks() == before {
-						break
-					}
-					if syms != nil {
-						probedBlocks = e.prefix.Probe(syms)
-					}
-				}
-			}
-			if worstCase-probedBlocks+futureGrowth > e.cache.FreeBlocks() {
-				if len(active) > 0 {
-					break
-				}
-				return out, fmt.Errorf("engine: request %q exceeds KV capacity even alone", tr.ID)
-			}
-			ready.popFront()
-			matched := 0
-			restore := 0.0
-			if syms != nil {
-				restoreBefore := e.prefix.Metrics().RestoreSeconds
-				m, err := e.prefix.Acquire(tr.ID, syms)
-				if err != nil {
-					return out, err
-				}
-				matched = m
-				out.PrefixLookups++
-				out.PrefixLookupTokens += tr.PromptTokens
-				if matched > 0 {
-					out.PrefixHits++
-					out.SavedPrefillTokens += matched
-				}
-				// A matched chain segment that had been demoted to host DRAM
-				// was just promoted back; its transfer time lands on this
-				// request's clock, ahead of prefill (part of TTFT).
-				if restore = e.prefix.Metrics().RestoreSeconds - restoreBefore; restore > 0 {
-					out.HostHits++
-					out.RestoreSeconds += restore
-				}
-			} else if err := e.cache.AllocateReserve(tr.ID, tr.PromptTokens,
-				tr.PromptTokens+tr.OutputTokens); err != nil {
-				return out, err
-			}
-			slot := freeSlots[len(freeSlots)-1]
-			freeSlots = freeSlots[:len(freeSlots)-1]
-			s := &arena[slot]
-			*s = activeSeq{req: tr.Request, ctx: tr.PromptTokens, remaining: tr.OutputTokens,
-				arrival: tr.Arrival, deadline: tr.Deadline, slot: slot,
-				admitAt: e.clock, session: tr.SessionID}
-			if e.prefix != nil {
-				s.promptSyms, s.outputSyms = tr.PromptSyms, tr.OutputSyms
-			}
-			h, err := e.cache.Lookup(tr.ID)
-			if err != nil {
-				return out, err
-			}
-			s.handle = h
-			if err := e.cache.ReserveH(h, tr.PromptTokens+tr.OutputTokens); err != nil {
-				return out, err
-			}
-			if syms != nil {
-				// Acquire seeded only the matched blocks; append the
-				// suffix the prefill below computes (the whole prompt on a
-				// cold start).
-				if err := e.cache.AppendTokensH(h, tr.PromptTokens-matched); err != nil {
-					return out, err
-				}
-			}
-			futureGrowth += worstCase - blocksFor(tr.PromptTokens)
-			s.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
-				OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
-				RestoreTime: restore}
-			if fx != nil {
-				// A stalled device starts the restore+prefill at the
-				// window's end; the wait lands in this request's TTFT.
-				if st := fx.stallEnd(e.clock); st > e.clock {
-					if tra != nil {
-						tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindStall,
-							Lane: slot, Start: e.clock, End: st})
-					}
-					e.clock = st
-				}
-			}
-			if tra != nil && restore > 0 {
-				tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindRestore,
-					Lane: slot, Start: e.clock, End: e.clock + restore})
-			}
-			e.clock += restore
-			res, err := e.prefill(tr.PromptTokens - matched)
-			if err != nil {
-				return out, err
-			}
-			if tra != nil {
-				tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindPrefill,
-					Lane: slot, Start: e.clock, End: e.clock + res.Time,
-					Tokens: tr.PromptTokens - matched, Cached: matched})
-				ttftHist.Observe(e.clock + res.Time - tr.Arrival)
-			}
-			e.clock += res.Time
-			out.Events++
-			s.metrics.PrefillTime = res.Time
-			s.metrics.PrefillEnergy = e.meter.Energy(res)
-			out.TotalEnergy += s.metrics.PrefillEnergy
-			active = append(active, s)
-			if tra != nil {
-				kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
-				actGauge.Sample(e.clock, float64(len(active)))
-			}
-			promote()
-		}
-		if len(active) == 0 {
-			continue
-		}
-		// Decode until the next event: completion, arrival, or the
-		// admission grain.
-		chunk := active[0].remaining
-		for _, s := range active {
-			if s.remaining < chunk {
-				chunk = s.remaining
-			}
-		}
-		if chunk <= 0 {
-			var err error
-			if active, err = reap(active, finish); err != nil {
-				return out, err
-			}
-			continue
-		}
-		const admitGrain = 16
-		if (in.More() || ready.len() > 0) && chunk > admitGrain {
-			chunk = admitGrain
-		}
-		ctxs = ctxs[:0]
-		for _, s := range active {
-			ctxs = append(ctxs, s.ctx)
-		}
-		if fx != nil {
-			// No decode progress inside a stall window.
-			if st := fx.stallEnd(e.clock); st > e.clock {
-				if tra != nil {
-					for _, s := range active {
-						tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindStall,
-							Lane: s.slot, Start: e.clock, End: st})
-					}
-				}
-				e.clock = st
-			}
-		}
-		res := e.decodeChunk(ctxs, chunk)
-		energy := e.meter.Energy(res)
-		throttleF := 1.0
-		if fx != nil {
-			// Thermal throttle: the chunk's tokens take Factor times as
-			// long (energy is computed from the unstretched result — the
-			// same work, spread over more seconds at lower power).
-			if f := fx.throttleAt(e.clock); f > 1 {
-				res.Time *= f
-				throttleF = f
-			}
-		}
-		decodeFrom := e.clock
-		e.clock += res.Time
-		out.Events++
-		out.TotalEnergy += energy
-		perSeqEnergy := energy / float64(len(active))
-		for _, s := range active {
-			if err := e.cache.AppendTokensH(s.handle, chunk); err != nil {
-				return out, err
-			}
-			futureGrowth -= blocksFor(s.ctx+chunk) - blocksFor(s.ctx)
-			s.ctx += chunk
-			s.remaining -= chunk
-			s.metrics.DecodeTime += res.Time
-			s.metrics.DecodeEnergy += perSeqEnergy
-		}
-		if tra != nil {
-			cause := ""
-			if throttleF > 1 {
-				cause = "throttle"
-			}
-			for _, s := range active {
-				tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindDecode,
-					Lane: s.slot, Start: decodeFrom, End: e.clock,
-					Tokens: chunk, Cause: cause, Factor: throttleF})
-			}
-			kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
-			actGauge.Sample(e.clock, float64(len(active)))
-			if res.Time > 0 {
-				powGauge.Sample(e.clock, energy/res.Time)
-			}
-		}
-		var err error
-		if active, err = reap(active, finish); err != nil {
-			return out, err
-		}
-	}
-	out.WallTime = e.clock - start
-	out.PeakKVBlocks = e.cache.PeakUsed()
-	if len(out.Latencies) > 0 {
-		out.MeanLatency = stats.Mean(out.Latencies)
-		out.P50Latency, out.P95Latency, out.P99Latency = stats.Percentiles3(out.Latencies)
-	}
-	return out, nil
+	return s.out, err
 }
 
 // CalibrationRates returns the engine's per-token prefill and decode
@@ -641,10 +286,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 // numbers a one-request probe run produces, at zero allocation. The
 // fleet's router uses them to estimate service times for shed decisions.
 func (e *Engine) CalibrationRates() (prefillPerTok, decodePerTok float64, err error) {
-	res, err := e.prefill(256)
-	if err != nil {
-		return 0, 0, err
-	}
+	p := e.prefill(256)
 	d := e.decodeChunk([]int{256}, 128)
-	return res.Time / 256, d.Time / 128, nil
+	return p.Time / 256, d.Time / 128, nil
 }

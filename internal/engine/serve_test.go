@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"edgereasoning/internal/model"
@@ -279,6 +280,106 @@ func TestServeEdgeCases(t *testing.T) {
 				t.Errorf("leaked blocks: %+v", st)
 			}
 		})
+	}
+}
+
+// TestServeAdmissionGrain pins the decode-chunk grain rule through the
+// event count (one event per prefill and per decode chunk): a chunk is
+// capped at admitGrain steps only while admission waits on it — a later
+// arrival is pending, or a ready request has a free batch slot. A backlog
+// behind a full batch decodes straight to the next completion, since
+// chunk length moves DVFS power and energy.
+func TestServeAdmissionGrain(t *testing.T) {
+	cases := []struct {
+		name     string
+		reqs     []TimedRequest
+		maxBatch int
+		want     int
+	}{
+		{
+			// 3 prefills + 3 whole-request decodes.
+			name: "closed batch at batch 1 decodes to completion",
+			reqs: []TimedRequest{
+				timed("a", 0, 64, 100, 0), timed("b", 0, 64, 60, 0), timed("c", 0, 64, 40, 0),
+			},
+			maxBatch: 1, want: 6,
+		},
+		{
+			// 3 prefills; decode 40 (a completes), then 60 (b and c).
+			name: "backlog behind a full batch decodes to the next completion",
+			reqs: []TimedRequest{
+				timed("a", 0, 64, 40, 0), timed("b", 0, 64, 100, 0), timed("c", 0, 64, 60, 0),
+			},
+			maxBatch: 2, want: 5,
+		},
+		{
+			// a: prefill + ceil(100/16) = 7 capped chunks while b is
+			// pending; b: prefill + one uncapped 20-step chunk.
+			name: "pending arrival caps chunks at the grain",
+			reqs: []TimedRequest{
+				timed("a", 0, 64, 100, 0), timed("b", 1000, 64, 20, 0),
+			},
+			maxBatch: 1, want: 10,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newOrinEngine(t, model.DSR1Qwen1_5B)
+			m, err := e.Serve(tc.reqs, tc.maxBatch, FCFS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Served != len(tc.reqs) {
+				t.Fatalf("served %d of %d", m.Served, len(tc.reqs))
+			}
+			if m.Events != tc.want {
+				t.Errorf("events = %d, want %d", m.Events, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunMatchesServeAtClock pins Run as the scheduler over a closed
+// batch: the same requests all arriving at the clock, served FCFS,
+// produce identical per-request metrics, wall time, energy and KV peak.
+func TestRunMatchesServeAtClock(t *testing.T) {
+	var reqs []Request
+	var timedReqs []TimedRequest
+	for i := 0; i < 12; i++ {
+		r := Request{ID: fmt.Sprintf("q%d", i), PromptTokens: 64 + 32*i, OutputTokens: 40 + 37*i}
+		reqs = append(reqs, r)
+		timedReqs = append(timedReqs, TimedRequest{Request: r})
+	}
+	for _, maxBatch := range []int{1, 4, 12} {
+		run, err := newOrinEngine(t, model.DSR1Llama8B).Run(reqs, maxBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve, err := newOrinEngine(t, model.DSR1Llama8B).Serve(timedReqs, maxBatch, FCFS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(run.Requests, serve.Requests) || run.WallTime != serve.WallTime ||
+			run.TotalEnergy != serve.TotalEnergy || run.TotalTokens != serve.TotalTokens ||
+			run.PeakKVBlocks != serve.PeakKVBlocks {
+			t.Errorf("maxBatch %d: Run and Serve at the clock disagree:\nrun   %+v\nserve %+v",
+				maxBatch, run, serve.BatchMetrics)
+		}
+	}
+}
+
+// TestOversizedErrorCarriesTokens pins the one KV-capacity error shared
+// by every entry point: it names the request and its token demand.
+func TestOversizedErrorCarriesTokens(t *testing.T) {
+	e := newOrinEngine(t, model.DSR1Qwen14B)
+	total := e.CacheStats().TotalBlocks * 16
+	want := fmt.Sprintf(`engine: request "huge" (%d tokens) exceeds KV capacity even alone`, 2*total)
+	_, errServe := e.Serve([]TimedRequest{timed("huge", 0, total, total, 0)}, 1, FCFS)
+	_, errRun := e.Run([]Request{{ID: "huge", PromptTokens: total, OutputTokens: total}}, 1)
+	for _, err := range []error{errServe, errRun} {
+		if err == nil || err.Error() != want {
+			t.Errorf("error = %v, want %q", err, want)
+		}
 	}
 }
 
