@@ -341,7 +341,9 @@ func (e *Engine) Generate(req Request) (Metrics, error) {
 // clock, so the scheduler starts from a full ready queue — the state an
 // all-arrive-now FCFS source reaches on its first promotion.
 func (e *Engine) Run(reqs []Request, maxBatch int) (BatchMetrics, error) {
-	s := e.newScheduler(nil, maxBatch, FCFS, ServeOpts{SizeHint: len(reqs)})
+	// No more than len(reqs) can ever be active; sizing by it keeps a
+	// wide maxBatch on a small batch from allocating idle slots.
+	s := e.newScheduler(nil, min(maxBatch, len(reqs)), FCFS, ServeOpts{SizeHint: len(reqs)})
 	s.ready.buf = make([]TimedRequest, len(reqs))
 	for i, r := range reqs {
 		s.ready.buf[i] = TimedRequest{Request: r, Arrival: e.clock}
