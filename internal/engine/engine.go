@@ -383,13 +383,18 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 		return s.out.BatchMetrics, err
 	}
 	res := e.prefill(promptTokens)
+	if s.tra != nil {
+		// The shared prefill sits on branch 0's lane, which owns its cost.
+		s.tra.Record(telemetry.Span{ID: root, Kind: telemetry.KindPrefill,
+			Start: e.clock, End: e.clock + res.Time, Tokens: promptTokens})
+		s.ttftHist.Observe(res.Time)
+	}
 	e.clock += res.Time
-	s.out.Events++
 	prefillEnergy := e.meter.Energy(res)
 	s.out.TotalEnergy += prefillEnergy
 
 	// Seed the active set with the branches, in slot order, as if each
-	// had been admitted at the start of the run.
+	// had been admitted at the start of the run. Branch 0 takes slot 0.
 	for i, o := range outputs {
 		id := fmt.Sprintf("par-%d", i)
 		if i > 0 {
@@ -404,13 +409,9 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 		if err := e.cache.ReserveH(h, promptTokens+o); err != nil {
 			return s.out.BatchMetrics, err
 		}
-		slot := s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		s.arena[slot] = activeSeq{req: Request{ID: id, PromptTokens: promptTokens, OutputTokens: o},
+		s.seat(activeSeq{req: Request{ID: id, PromptTokens: promptTokens, OutputTokens: o},
 			handle: h, ctx: promptTokens, remaining: o, arrival: s.start, admitAt: s.start,
-			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}
-		s.futureGrowth += e.blocksFor(promptTokens+o) - e.blocksFor(promptTokens)
-		s.active = append(s.active, slot)
+			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}})
 	}
 	s.arena[s.active[0]].metrics.PrefillTime = res.Time
 	s.arena[s.active[0]].metrics.PrefillEnergy = prefillEnergy

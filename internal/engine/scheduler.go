@@ -271,20 +271,10 @@ func (s *scheduler) admit() error {
 			tr.PromptTokens+tr.OutputTokens); err != nil {
 			return seqError("admit", tr.ID, err)
 		}
-		slot := s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		a := &s.arena[slot]
-		*a = activeSeq{req: tr.Request, ctx: tr.PromptTokens, remaining: tr.OutputTokens,
-			arrival: tr.Arrival, deadline: tr.Deadline,
-			admitAt: e.clock, session: tr.SessionID}
-		if e.prefix != nil {
-			a.promptSyms, a.outputSyms = tr.PromptSyms, tr.OutputSyms
-		}
 		h, err := e.cache.Lookup(tr.ID)
 		if err != nil {
 			return seqError("admit", tr.ID, err)
 		}
-		a.handle = h
 		// The final length is known up front; reserving the block table
 		// now keeps the whole decode allocation-free.
 		if err := e.cache.ReserveH(h, tr.PromptTokens+tr.OutputTokens); err != nil {
@@ -298,10 +288,17 @@ func (s *scheduler) admit() error {
 				return seqError("admit", tr.ID, err)
 			}
 		}
-		s.futureGrowth += worstCase - e.blocksFor(tr.PromptTokens)
-		a.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
-			OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
-			RestoreTime: restore}
+		seq := activeSeq{req: tr.Request, handle: h, ctx: tr.PromptTokens,
+			remaining: tr.OutputTokens, arrival: tr.Arrival, deadline: tr.Deadline,
+			admitAt: e.clock, session: tr.SessionID,
+			metrics: Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
+				OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
+				RestoreTime: restore}}
+		if e.prefix != nil {
+			seq.promptSyms, seq.outputSyms = tr.PromptSyms, tr.OutputSyms
+		}
+		slot := s.seat(seq)
+		a := &s.arena[slot]
 		if fx != nil {
 			// A stalled device starts the restore+prefill at the window's
 			// end; the wait lands in this request's TTFT.
@@ -330,7 +327,6 @@ func (s *scheduler) admit() error {
 		a.metrics.PrefillTime = res.Time
 		a.metrics.PrefillEnergy = e.meter.Energy(res)
 		s.out.TotalEnergy += a.metrics.PrefillEnergy
-		s.active = append(s.active, slot)
 		if tra != nil {
 			s.kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
 			s.actGauge.Sample(e.clock, float64(len(s.active)))
@@ -338,6 +334,21 @@ func (s *scheduler) admit() error {
 		s.promote()
 	}
 	return nil
+}
+
+// seat places an admitted sequence in a free arena slot at the end of
+// the active set and reserves its remaining decode growth in
+// futureGrowth. It returns the slot, which is also the sequence's trace
+// lane.
+//
+//edgereasoning:hotpath bench=BenchmarkServeHotLoop
+func (s *scheduler) seat(seq activeSeq) int {
+	slot := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	s.arena[slot] = seq
+	s.futureGrowth += s.e.blocksFor(seq.ctx+seq.remaining) - s.e.blocksFor(seq.ctx)
+	s.active = append(s.active, slot)
+	return slot
 }
 
 // decodeStep advances the active set to its next event — the shortest

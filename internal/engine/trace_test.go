@@ -104,3 +104,67 @@ func benchTracedServe(b *testing.B, on bool) {
 		}
 	}
 }
+
+// TestClosedRunTraceTransparency extends the contract to the closed-batch
+// entry points: a traced Run or RunParallel returns BatchMetrics
+// deep-equal to the untraced call, its spans nest cleanly inside the
+// run's clock span, and the ledger holds one request span per request or
+// branch plus one prefill span per prefill (RunParallel prefills once).
+func TestClosedRunTraceTransparency(t *testing.T) {
+	batch := []Request{
+		{ID: "a", PromptTokens: 128, OutputTokens: 160},
+		{ID: "b", PromptTokens: 96, OutputTokens: 40},
+		{ID: "c", PromptTokens: 200, OutputTokens: 80},
+	}
+	branches := []int{120, 64, 200, 90}
+	cases := []struct {
+		name               string
+		run                func(*Engine) (BatchMetrics, error)
+		requests, prefills int
+	}{
+		{"run", func(e *Engine) (BatchMetrics, error) { return e.Run(batch, 2) }, len(batch), len(batch)},
+		{"parallel", func(e *Engine) (BatchMetrics, error) { return e.RunParallel(256, branches) }, len(branches), 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plainEng := newOrinEngine(t, model.DSR1Qwen1_5B)
+			plain, err := tc.run(plainEng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tra := telemetry.New(telemetry.Config{})
+			tracedEng := newOrinEngine(t, model.DSR1Qwen1_5B)
+			tracedEng.cfg.Trace = tra.Track("r0")
+			traced, err := tc.run(tracedEng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, traced) {
+				t.Errorf("tracing perturbed BatchMetrics:\n plain %+v\ntraced %+v", plain, traced)
+			}
+			if plainEng.Clock() != tracedEng.Clock() {
+				t.Errorf("tracing perturbed the clock: %v vs %v", plainEng.Clock(), tracedEng.Clock())
+			}
+			if err := telemetry.ValidateSpans(tra); err != nil {
+				t.Errorf("recorded spans malformed: %v", err)
+			}
+			requests, prefills := 0, 0
+			for _, s := range tra.Tracks()[0].Spans() {
+				if s.Start < 0 || s.End > tracedEng.Clock() {
+					t.Errorf("span %s/%s [%v, %v] escapes the run's clock span [0, %v]",
+						s.Kind, s.ID, s.Start, s.End, tracedEng.Clock())
+				}
+				switch s.Kind {
+				case telemetry.KindRequest:
+					requests++
+				case telemetry.KindPrefill:
+					prefills++
+				}
+			}
+			if requests != tc.requests || prefills != tc.prefills {
+				t.Errorf("span ledger: %d request spans, %d prefill spans, want %d and %d",
+					requests, prefills, tc.requests, tc.prefills)
+			}
+		})
+	}
+}
