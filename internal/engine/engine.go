@@ -402,16 +402,11 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 				return s.out.BatchMetrics, err
 			}
 		}
-		h, err := e.cache.Lookup(id)
-		if err != nil {
+		if _, err := s.seat(activeSeq{req: Request{ID: id, PromptTokens: promptTokens, OutputTokens: o},
+			ctx: promptTokens, remaining: o, arrival: s.start, admitAt: s.start,
+			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}); err != nil {
 			return s.out.BatchMetrics, err
 		}
-		if err := e.cache.ReserveH(h, promptTokens+o); err != nil {
-			return s.out.BatchMetrics, err
-		}
-		s.seat(activeSeq{req: Request{ID: id, PromptTokens: promptTokens, OutputTokens: o},
-			handle: h, ctx: promptTokens, remaining: o, arrival: s.start, admitAt: s.start,
-			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}})
 	}
 	s.arena[s.active[0]].metrics.PrefillTime = res.Time
 	s.arena[s.active[0]].metrics.PrefillEnergy = prefillEnergy

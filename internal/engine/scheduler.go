@@ -271,24 +271,7 @@ func (s *scheduler) admit() error {
 			tr.PromptTokens+tr.OutputTokens); err != nil {
 			return seqError("admit", tr.ID, err)
 		}
-		h, err := e.cache.Lookup(tr.ID)
-		if err != nil {
-			return seqError("admit", tr.ID, err)
-		}
-		// The final length is known up front; reserving the block table
-		// now keeps the whole decode allocation-free.
-		if err := e.cache.ReserveH(h, tr.PromptTokens+tr.OutputTokens); err != nil {
-			return seqError("admit", tr.ID, err)
-		}
-		if syms != nil {
-			// Acquire seeded only the matched blocks; append the suffix
-			// the prefill below computes (the whole prompt on a cold
-			// start).
-			if err := e.cache.AppendTokensH(h, tr.PromptTokens-matched); err != nil {
-				return seqError("admit", tr.ID, err)
-			}
-		}
-		seq := activeSeq{req: tr.Request, handle: h, ctx: tr.PromptTokens,
+		seq := activeSeq{req: tr.Request, ctx: tr.PromptTokens,
 			remaining: tr.OutputTokens, arrival: tr.Arrival, deadline: tr.Deadline,
 			admitAt: e.clock, session: tr.SessionID,
 			metrics: Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
@@ -297,8 +280,19 @@ func (s *scheduler) admit() error {
 		if e.prefix != nil {
 			seq.promptSyms, seq.outputSyms = tr.PromptSyms, tr.OutputSyms
 		}
-		slot := s.seat(seq)
+		slot, err := s.seat(seq)
+		if err != nil {
+			return seqError("admit", tr.ID, err)
+		}
 		a := &s.arena[slot]
+		if syms != nil {
+			// Acquire seeded only the matched blocks; append the suffix
+			// the prefill below computes (the whole prompt on a cold
+			// start).
+			if err := e.cache.AppendTokensH(a.handle, tr.PromptTokens-matched); err != nil {
+				return seqError("admit", tr.ID, err)
+			}
+		}
 		if fx != nil {
 			// A stalled device starts the restore+prefill at the window's
 			// end; the wait lands in this request's TTFT.
@@ -336,19 +330,28 @@ func (s *scheduler) admit() error {
 	return nil
 }
 
-// seat places an admitted sequence in a free arena slot at the end of
-// the active set and reserves its remaining decode growth in
-// futureGrowth. It returns the slot, which is also the sequence's trace
-// lane.
+// seat resolves an admitted sequence's KV handle, reserves its block
+// table to the final length — known up front, so the whole decode stays
+// allocation-free — and places it in a free arena slot at the end of the
+// active set, adding its remaining decode growth to futureGrowth. It
+// returns the slot, which is also the sequence's trace lane.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (s *scheduler) seat(seq activeSeq) int {
+func (s *scheduler) seat(seq activeSeq) (int, error) {
+	h, err := s.e.cache.Lookup(seq.req.ID)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.e.cache.ReserveH(h, seq.ctx+seq.remaining); err != nil {
+		return 0, err
+	}
+	seq.handle = h
 	slot := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
 	s.arena[slot] = seq
 	s.futureGrowth += s.e.blocksFor(seq.ctx+seq.remaining) - s.e.blocksFor(seq.ctx)
 	s.active = append(s.active, slot)
-	return slot
+	return slot, nil
 }
 
 // decodeStep advances the active set to its next event — the shortest
