@@ -247,6 +247,67 @@ func TestHelp(t *testing.T) {
 	if err := run([]string{"help"}); err != nil {
 		t.Error("help must succeed")
 	}
+	// -h on a command (fleet, trace, ...) prints its flags and succeeds.
+	for _, c := range commands {
+		args := []string{c.name, "-h"}
+		if c.id {
+			args = []string{c.name, "saturation", "-h"}
+		}
+		if err := run(args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+}
+
+// TestCommandTable runs every command that simulates at a tiny size with
+// both profile flags, and checks that each rejects a flag another
+// command owns.
+func TestCommandTable(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		args    []string
+		foreign string
+	}{
+		{[]string{"run", "saturation", "-quick"}, "-replicas"},
+		{[]string{"all", "-quick"}, "-seeds"},
+		{[]string{"fleet", "-quick", "-replicas", "2", "-policy", "rr"}, "-turns"},
+		{[]string{"sessions", "-quick", "-sessions", "2", "-turns", "2", "-branch", "1", "-policy", "sa"}, "-max"},
+		{[]string{"tiering", "-quick", "-sessions", "2", "-turns", "2", "-branch", "1"}, "-policy"},
+		{[]string{"autoscale", "-quick", "-max", "2"}, "-metric"},
+		{[]string{"saturate", "-quick", "-requests", "40"}, "-restart"},
+		{[]string{"drills", "-quick", "-replicas", "2"}, "-admission"},
+		{[]string{"soak", "-requests", "200", "-qps", "2"}, "-quick"},
+		{[]string{"trace", "-requests", "60", "-out", filepath.Join(dir, "trace.json")}, "-csv"},
+		{[]string{"sweep", "saturation", "-quick", "-seeds", "3"}, "-seed"},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		name := tc.args[0]
+		covered[name] = true
+		cpu := filepath.Join(dir, name+".cpu")
+		mem := filepath.Join(dir, name+".mem")
+		if err := run(append(tc.args, "-cpuprofile", cpu, "-memprofile", mem)); err != nil {
+			t.Errorf("%v: %v", tc.args, err)
+			continue
+		}
+		for _, p := range []string{cpu, mem} {
+			if info, err := os.Stat(p); err != nil || info.Size() == 0 {
+				t.Errorf("%s: profile %s missing or empty (%v)", name, p, err)
+			}
+		}
+		err := run(append(tc.args, tc.foreign, "1"))
+		if err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s must reject %s as undefined, got %v", name, tc.foreign, err)
+		}
+	}
+	for _, c := range commands {
+		if c.flags&profileFlags != 0 && !covered[c.name] {
+			t.Errorf("command %s has no case here", c.name)
+		}
+	}
+	if err := run([]string{"list", "-cpuprofile", filepath.Join(dir, "list.cpu")}); err == nil {
+		t.Error("list simulates nothing and must not take profile flags")
+	}
 }
 
 func TestRunWithRunnerFlags(t *testing.T) {

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"os"
 
-	"edgereasoning/internal/engine"
-	"edgereasoning/internal/faults"
-	"edgereasoning/internal/fleet"
-	"edgereasoning/internal/model"
+	"edgereasoning/internal/experiments"
 	"edgereasoning/internal/telemetry"
-	"edgereasoning/internal/workload"
 )
 
 // traceCmd serves a faulted, autoscaled open-loop run with telemetry on
@@ -20,124 +16,53 @@ import (
 // an optional Prometheus text-format snapshot of the run's final
 // series and histograms. The emitted JSON is validated before it is
 // written, so a reported success is loadable by construction.
-func traceCmd(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+func traceCmd(fs *flag.FlagSet, cfg *config) func(string) error {
 	out := fs.String("out", "trace.json", "Chrome trace-event JSON output path")
 	metricsOut := fs.String("metrics-out", "", "Prometheus snapshot output path (empty = skip)")
-	requests := fs.Int("requests", 400, "requests to stream")
-	qps := fs.Float64("qps", 2.2, "offered load in requests/s")
-	replicas := fs.Int("replicas", 2, "initial pool size")
-	maxReplicas := fs.Int("max", 4, "autoscale pool ceiling")
-	seed := fs.Uint64("seed", 7, "random seed")
-	crashRate := fs.Float64("crash-rate", 1.5, "expected crashes per configured replica")
-	throttle := fs.Float64("throttle", 2, "thermal-throttle slowdown factor (1 = none)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("trace: unexpected arguments %q", fs.Args())
-	}
-	switch {
-	case *requests <= 0:
-		return fmt.Errorf("trace: -requests must be positive")
-	case *qps <= 0:
-		return fmt.Errorf("trace: -qps must be positive")
-	case *replicas <= 0:
-		return fmt.Errorf("trace: -replicas must be positive")
-	case *maxReplicas < *replicas:
-		return fmt.Errorf("trace: -max %d below -replicas %d", *maxReplicas, *replicas)
-	case *crashRate < 0 || *throttle < 0:
-		return fmt.Errorf("trace: -crash-rate and -throttle must be non-negative")
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer stopProfiles()
-
-	spec := model.MustLookup(model.Qwen25_1_5Bit)
-	devices := fleet.DefaultDevices()
-	profile := workload.InteractiveAssistant(*qps, *requests)
-	profile.DeadlineSlack = 3
-	profile.DeadlineSlackMax = 9
-	reqs, err := workload.Generate(profile, *seed)
-	if err != nil {
-		return err
-	}
-	horizon := float64(*requests) / *qps
-	sched, err := faults.Generate(faults.GenConfig{
-		Replicas: *replicas, Horizon: horizon,
-		CrashRate: *crashRate, RestartDelay: 6,
-		StallRate: 1, StallDuration: 2,
-		ThrottleRate: 1, ThrottleDuration: horizon / 8, ThrottleFactor: *throttle,
-	}, *seed)
-	if err != nil {
-		return err
-	}
-	trace := telemetry.New(telemetry.Config{SpanCap: 1 << 17})
-	m, err := fleet.ServeSource(fleet.Config{
-		Replicas: fleet.HeterogeneousReplicas(*replicas, devices, spec),
-		Policy:   fleet.DeadlineAware,
-		Autoscale: &fleet.AutoscaleConfig{
-			Min: 1, Max: *maxReplicas, Spec: spec, Devices: devices,
-		},
-		Faults: &sched,
-		Retry:  &fleet.RetryPolicy{Hedge: true},
-		Health: &fleet.HealthConfig{FailureThreshold: 2, ProbeAfter: 1},
-		Trace:  trace,
-	}, engine.NewSliceSource(reqs))
-	if err != nil {
-		return err
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(*out)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.ValidateChromeTrace(data); err != nil {
-		return fmt.Errorf("trace: emitted JSON failed validation: %w", err)
-	}
-	spans := 0
-	for _, tr := range trace.Tracks() {
-		spans += len(tr.Spans())
-		if d := tr.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: track %s dropped %d spans (raise SpanCap)\n", tr.Name(), d)
-		}
-	}
-	fmt.Printf("trace: served %d/%d requests over %.0fs sim (%d crashes, %d aborted, %d retried, %d scale-ups)\n",
-		m.Served, m.Offered, m.WallTime, m.Crashes, m.Aborted, m.Retried, m.ScaleUps)
-	fmt.Printf("  wrote %s (%d tracks, %d spans) — open at ui.perfetto.dev\n",
-		*out, len(trace.Tracks()), spans)
-	if *metricsOut != "" {
-		mf, err := os.Create(*metricsOut)
+	tc := experiments.TraceConfig{}
+	fs.IntVar(&tc.Requests, "requests", 400, "requests to stream")
+	fs.Float64Var(&tc.QPS, "qps", 2.2, "offered load in requests/s")
+	fs.IntVar(&tc.Replicas, "replicas", 2, "initial pool size")
+	fs.IntVar(&tc.Max, "max", 4, "autoscale pool ceiling")
+	fs.Float64Var(&tc.CrashRate, "crash-rate", 1.5, "expected crashes per configured replica")
+	fs.Float64Var(&tc.Throttle, "throttle", 2, "thermal-throttle slowdown factor (1 = none)")
+	return func(string) error {
+		tc.Seed = cfg.opts.Seed
+		m, trace, err := experiments.TraceRun(tc)
 		if err != nil {
 			return err
 		}
-		if err := trace.WritePrometheus(mf); err != nil {
-			mf.Close()
+		if err := writeFile(*out, trace.WriteChromeTrace); err != nil {
 			return err
 		}
-		if err := mf.Close(); err != nil {
+		data, err := os.ReadFile(*out)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("  wrote %s (Prometheus text format)\n", *metricsOut)
+		if err := telemetry.ValidateChromeTrace(data); err != nil {
+			return fmt.Errorf("trace: emitted JSON failed validation: %w", err)
+		}
+		spans := 0
+		for _, tr := range trace.Tracks() {
+			spans += len(tr.Spans())
+			if d := tr.Dropped(); d > 0 {
+				fmt.Fprintf(os.Stderr, "trace: track %s dropped %d spans (raise SpanCap)\n", tr.Name(), d)
+			}
+		}
+		fmt.Printf("trace: served %d/%d requests over %.0fs sim (%d crashes, %d aborted, %d retried, %d scale-ups)\n",
+			m.Served, m.Offered, m.WallTime, m.Crashes, m.Aborted, m.Retried, m.ScaleUps)
+		fmt.Printf("  wrote %s (%d tracks, %d spans) — open at ui.perfetto.dev\n",
+			*out, len(trace.Tracks()), spans)
+		if *metricsOut != "" {
+			if err := writeFile(*metricsOut, trace.WritePrometheus); err != nil {
+				return err
+			}
+			fmt.Printf("  wrote %s (Prometheus text format)\n", *metricsOut)
+		}
+		fmt.Printf("  %-16s %8s %8s %8s\n", "replica", "served", "busy_s", "crashes")
+		for _, rb := range m.PerReplica() {
+			fmt.Printf("  %-16s %8d %8.1f %8d\n", rb.Name, rb.Served, rb.BusySeconds, rb.Crashes)
+		}
+		return nil
 	}
-	fmt.Printf("  %-16s %8s %8s %8s\n", "replica", "served", "busy_s", "crashes")
-	for _, rb := range m.PerReplica() {
-		fmt.Printf("  %-16s %8d %8.1f %8d\n", rb.Name, rb.Served, rb.BusySeconds, rb.Crashes)
-	}
-	return nil
 }

@@ -25,12 +25,16 @@ func init() {
 // admission must strictly beat blocking FIFO on hit rate under
 // overload.
 func autoscaleStudy(opts Options) ([]Table, error) {
+	if err := nonNegative("autoscale", knob{"-min", float64(opts.AutoMin)},
+		knob{"-max", float64(opts.AutoMax)}, knob{"-qps", opts.FleetQPS}); err != nil {
+		return nil, err
+	}
 	min := opts.AutoMin
-	if min <= 0 {
+	if min == 0 {
 		min = 1
 	}
 	max := opts.AutoMax
-	if max <= 0 {
+	if max == 0 {
 		max = 6
 	}
 	if max < min {
@@ -58,7 +62,7 @@ func autoscaleStudy(opts Options) ([]Table, error) {
 	// sized for the background drowns in the spike; one sized for the
 	// spike idles away most of its replica-seconds.
 	baseQPS := opts.FleetQPS
-	if baseQPS <= 0 {
+	if baseQPS == 0 {
 		baseQPS = 0.2
 	}
 	spikeQPS := baseQPS * 100

@@ -26,12 +26,16 @@ func init() {
 // work exactly — a request lost between a crash and its re-admission is
 // precisely the bug this drill exists to catch.
 func drillsStudy(opts Options) ([]Table, error) {
+	if err := nonNegative("drills", knob{"-replicas", float64(opts.DrillReplicas)},
+		knob{"-restart", opts.DrillRestart}); err != nil {
+		return nil, err
+	}
 	replicas := opts.DrillReplicas
-	if replicas <= 0 {
+	if replicas == 0 {
 		replicas = 3
 	}
 	restart := opts.DrillRestart
-	if restart <= 0 {
+	if restart == 0 {
 		restart = 5
 	}
 	devices, err := fleet.ParseDevices(opts.FleetDevices)

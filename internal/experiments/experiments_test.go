@@ -238,3 +238,37 @@ func TestOptionsSample(t *testing.T) {
 		t.Errorf("quick sample of small bank = %d, want 100", got)
 	}
 }
+
+// TestDriversRejectBadOptions checks that every driver with numeric
+// knobs rejects a negative one, and saturate a hit-rate SLO above 1,
+// with an error instead of falling back to its default.
+func TestDriversRejectBadOptions(t *testing.T) {
+	cases := []struct {
+		id   string
+		opts Options
+	}{
+		{"fleet", Options{FleetReplicas: -1}},
+		{"fleet", Options{FleetQPS: -1}},
+		{"sessions", Options{SessionCount: -1}},
+		{"sessions", Options{SessionTurns: -1}},
+		{"sessions", Options{SessionBranch: -1}},
+		{"tiering", Options{SessionTurns: -1}},
+		{"tiering", Options{TierHostBlocks: -1}},
+		{"tiering", Options{TierLinkBW: -1}},
+		{"autoscale", Options{AutoMin: -1}},
+		{"autoscale", Options{AutoMax: -1}},
+		{"autoscale", Options{FleetQPS: -1}},
+		{"saturate", Options{SatSLO: -1}},
+		{"saturate", Options{SatRequests: -1}},
+		{"saturate", Options{SatMetric: "hitrate", SatSLO: 1.5}},
+		{"drills", Options{DrillReplicas: -1}},
+		{"drills", Options{DrillRestart: -1}},
+	}
+	for _, c := range cases {
+		c.opts.Seed, c.opts.Quick = 7, true
+		_, err := Run(c.id, c.opts)
+		if err == nil || !(strings.Contains(err.Error(), "non-negative") || strings.Contains(err.Error(), "[0,1]")) {
+			t.Errorf("%s with %+v: err = %v, want a range error", c.id, c.opts, err)
+		}
+	}
+}

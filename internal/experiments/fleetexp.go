@@ -20,12 +20,16 @@ func init() {
 // routing against the round-robin baseline on tail latency and deadline
 // hit rate — the fleet-level version of the paper's SLA takeaway.
 func fleetSweep(opts Options) ([]Table, error) {
+	if err := nonNegative("fleet", knob{"-replicas", float64(opts.FleetReplicas)},
+		knob{"-qps", opts.FleetQPS}); err != nil {
+		return nil, err
+	}
 	size := opts.FleetReplicas
-	if size <= 0 {
+	if size == 0 {
 		size = 4
 	}
 	qps := opts.FleetQPS
-	if qps <= 0 {
+	if qps == 0 {
 		// Saturating-but-stable load for the default 4-replica Orin mix:
 		// round-robin visibly misses deadlines while deadline-aware
 		// routing still wins on both the tail and the SLA, across seeds.

@@ -59,7 +59,7 @@ type Options struct {
 	// defaults and other drivers ignore them. The driver also honors
 	// FleetDevices (replica provision cycle).
 	DrillReplicas int     // pool size under fault injection (default 3)
-	DrillRestart  float64 // crash restart delay in seconds (default 10)
+	DrillRestart  float64 // crash restart delay in seconds (default 5)
 
 	// Sat* parameterize the "saturate" driver (the CLI's saturate
 	// subcommand threads them through); zero values select the driver's
@@ -72,6 +72,53 @@ type Options struct {
 
 // DefaultOptions is the standard full-fidelity configuration.
 func DefaultOptions() Options { return Options{Seed: 7} }
+
+// knob names one numeric Options value for nonNegative, spelled as the
+// CLI flag that sets it.
+type knob struct {
+	flag string
+	v    float64
+}
+
+// nonNegative rejects the first negative knob. Zero still selects the
+// driver's default, so drivers call it before defaulting and before
+// building their first engine.
+func nonNegative(driver string, knobs ...knob) error {
+	for _, k := range knobs {
+		if k.v < 0 {
+			return fmt.Errorf("%s: %s must be non-negative, got %g", driver, k.flag, k.v)
+		}
+	}
+	return nil
+}
+
+// sessionShape resolves the agentic workload knobs shared by the
+// sessions and tiering drivers: a zero count selects the default of 10
+// sessions x 5 turns (6 x 3 under Quick) at branch 2, and a negative one
+// is an error.
+func (o Options) sessionShape(driver string) (sessions, turns, branch int, err error) {
+	if err := nonNegative(driver, knob{"-sessions", float64(o.SessionCount)},
+		knob{"-turns", float64(o.SessionTurns)}, knob{"-branch", float64(o.SessionBranch)}); err != nil {
+		return 0, 0, 0, err
+	}
+	sessions, turns, branch = o.SessionCount, o.SessionTurns, o.SessionBranch
+	if sessions == 0 {
+		sessions = 10
+		if o.Quick {
+			sessions = 6
+		}
+	}
+	if turns == 0 {
+		turns = 5
+		if o.Quick {
+			turns = 3
+		}
+	}
+	if branch == 0 {
+		branch = 2
+	}
+	return sessions, turns, branch, nil
+}
 
 // sample returns the bank subsample size for a nominal full size.
 func (o Options) sample(full int) int {

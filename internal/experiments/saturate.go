@@ -32,8 +32,15 @@ func saturateStudy(opts Options) ([]Table, error) {
 	if metric != "p99" && metric != "hitrate" {
 		return nil, fmt.Errorf("saturate: unknown metric %q (want p99 or hitrate)", metric)
 	}
+	if err := nonNegative("saturate", knob{"-slo", opts.SatSLO},
+		knob{"-requests", float64(opts.SatRequests)}); err != nil {
+		return nil, err
+	}
+	if metric == "hitrate" && opts.SatSLO > 1 {
+		return nil, fmt.Errorf("saturate: hitrate -slo is a fraction in [0,1], got %g", opts.SatSLO)
+	}
 	slo := opts.SatSLO
-	if slo <= 0 {
+	if slo == 0 {
 		if metric == "p99" {
 			// The interactive-assistant tail is heavy: even an unloaded
 			// replica shows ~2.5s p99 (one long-form response). The default
@@ -45,7 +52,7 @@ func saturateStudy(opts Options) ([]Table, error) {
 		}
 	}
 	n := opts.SatRequests
-	if n <= 0 {
+	if n == 0 {
 		n = 240
 		if opts.Quick {
 			n = 120

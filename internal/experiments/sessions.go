@@ -26,23 +26,17 @@ func init() {
 // saved prefill tokens must strictly beat the cold baseline, and
 // affinity must beat round-robin on hit rate.
 func sessionStudy(opts Options) ([]Table, error) {
-	sessions := opts.SessionCount
-	turns := opts.SessionTurns
-	branch := opts.SessionBranch
-	if sessions <= 0 {
-		sessions = 10
-		if opts.Quick {
-			sessions = 6
-		}
+	sessions, turns, branch, err := opts.sessionShape("sessions")
+	if err != nil {
+		return nil, err
 	}
-	if turns <= 0 {
-		turns = 5
-		if opts.Quick {
-			turns = 3
+	policies := []fleet.Policy{fleet.RoundRobin, fleet.LeastQueue, fleet.SessionAffinity}
+	if opts.SessionPolicy != "" && opts.SessionPolicy != "all" {
+		p, err := fleet.ParsePolicy(opts.SessionPolicy)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if branch <= 0 {
-		branch = 2
+		policies = []fleet.Policy{p}
 	}
 	profile := session.AgentLoop(sessions, turns, branch)
 	reqs, err := session.Generate(profile, opts.Seed)
@@ -90,14 +84,6 @@ func sessionStudy(opts Options) ([]Table, error) {
 	// Fleet leg: the same stream across three Orin power modes, prefix
 	// caches on everywhere, so the only variable is where a session's
 	// turns land relative to their history.
-	policies := []fleet.Policy{fleet.RoundRobin, fleet.LeastQueue, fleet.SessionAffinity}
-	if opts.SessionPolicy != "" && opts.SessionPolicy != "all" {
-		p, err := fleet.ParsePolicy(opts.SessionPolicy)
-		if err != nil {
-			return nil, err
-		}
-		policies = []fleet.Policy{p}
-	}
 	cache := map[fleet.Policy]fleet.Metrics{}
 	fleetRun := func(p fleet.Policy) (fleet.Metrics, error) {
 		if m, ok := cache[p]; ok {

@@ -23,10 +23,9 @@ func init() {
 // resident and shows the tier costing nothing when idle.
 var defaultTierDeviceBlocks = []int{192, 384, 768}
 
-// ParseDeviceBlocks resolves the tiering sweep's comma-separated
-// device-cache sizes; an empty spelling selects the default sweep. The
-// CLI calls it to reject a typo before engines spin up.
-func ParseDeviceBlocks(csv string) ([]int, error) {
+// parseDeviceBlocks resolves the tiering sweep's comma-separated
+// device-cache sizes; an empty spelling selects the default sweep.
+func parseDeviceBlocks(csv string) ([]int, error) {
 	if strings.TrimSpace(csv) == "" {
 		return append([]int(nil), defaultTierDeviceBlocks...), nil
 	}
@@ -54,34 +53,24 @@ func ParseDeviceBlocks(csv string) ([]int, error) {
 // tier moves blocks, never tokens. A verify table locks those claims at
 // the most starved sweep point.
 func tieringStudy(opts Options) ([]Table, error) {
-	sessions := opts.SessionCount
-	turns := opts.SessionTurns
-	branch := opts.SessionBranch
-	if sessions <= 0 {
-		sessions = 10
-		if opts.Quick {
-			sessions = 6
-		}
+	sessions, turns, branch, err := opts.sessionShape("tiering")
+	if err != nil {
+		return nil, err
 	}
-	if turns <= 0 {
-		turns = 5
-		if opts.Quick {
-			turns = 3
-		}
+	if err := nonNegative("tiering", knob{"-host-blocks", float64(opts.TierHostBlocks)},
+		knob{"-bw", opts.TierLinkBW}); err != nil {
+		return nil, err
 	}
-	if branch <= 0 {
-		branch = 2
-	}
-	deviceSizes, err := ParseDeviceBlocks(opts.TierDeviceBlocks)
+	deviceSizes, err := parseDeviceBlocks(opts.TierDeviceBlocks)
 	if err != nil {
 		return nil, err
 	}
 	hostBlocks := opts.TierHostBlocks
-	if hostBlocks <= 0 {
+	if hostBlocks == 0 {
 		hostBlocks = 1024
 	}
 	bw := opts.TierLinkBW
-	if bw <= 0 {
+	if bw == 0 {
 		bw = kvcache.DefaultHostLinkBandwidth
 	}
 

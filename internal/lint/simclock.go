@@ -10,7 +10,7 @@ import (
 // time.Now() (or a timer) silently couples results to machine speed and
 // breaks byte-stable goldens.
 //
-// Exempt: packages under a cmd/ or examples/ path segment (driver UX
+// Exempt: packages under a cmd/ path segment (driver UX
 // legitimately reports host wall time), _test.go files, and functions
 // annotated //edgereasoning:wallclock (the experiment runner's
 // host-side timeout/profiling machinery).
@@ -30,7 +30,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runSimClock(pass *Pass) error {
-	if pathHasSegment(pass.Pkg.Path(), "cmd") || pathHasSegment(pass.Pkg.Path(), "examples") {
+	if pathHasSegment(pass.Pkg.Path(), "cmd") {
 		return nil
 	}
 	for _, file := range pass.Files {
