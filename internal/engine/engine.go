@@ -288,14 +288,6 @@ func (e *Engine) Reset() error {
 	return nil
 }
 
-// MemReserveFrac exposes the configured reserve fraction.
-func (c Config) MemReserveFrac() float64 {
-	if c.MemReserve <= 0 {
-		return 0.10
-	}
-	return c.MemReserve
-}
-
 // prefill runs a prompt through the simulator and charges framework
 // overhead.
 //
@@ -343,13 +335,13 @@ func (e *Engine) Generate(req Request) (Metrics, error) {
 func (e *Engine) Run(reqs []Request, maxBatch int) (BatchMetrics, error) {
 	// No more than len(reqs) can ever be active; sizing by it keeps a
 	// wide maxBatch on a small batch from allocating idle slots.
-	s := e.newScheduler(nil, min(maxBatch, len(reqs)), FCFS, ServeOpts{SizeHint: len(reqs)})
-	s.ready.buf = make([]TimedRequest, len(reqs))
+	s := e.newScheduler(min(maxBatch, len(reqs)), FCFS, ServeOpts{SizeHint: len(reqs)}, true)
+	s.ready.buf = make([]queued, len(reqs))
 	for i, r := range reqs {
-		s.ready.buf[i] = TimedRequest{Request: r, Arrival: e.clock}
+		s.ready.buf[i] = queued{TimedRequest: TimedRequest{Request: r, Arrival: e.clock}, at: e.clock}
 	}
-	err := s.run()
-	return s.out.BatchMetrics, err
+	out, err := s.Close()
+	return out.BatchMetrics, err
 }
 
 // RunParallel implements parallel test-time scaling (§V-E): one prefill
@@ -377,7 +369,7 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 			len(outputs), need, e.cache.FreeBlocks())
 	}
 
-	s := e.newScheduler(nil, len(outputs), FCFS, ServeOpts{SizeHint: len(outputs)})
+	s := e.newScheduler(len(outputs), FCFS, ServeOpts{SizeHint: len(outputs)}, true)
 	root := "par-0"
 	if err := e.cache.Allocate(root, promptTokens); err != nil {
 		return s.out.BatchMetrics, err
@@ -402,16 +394,17 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 				return s.out.BatchMetrics, err
 			}
 		}
-		if _, err := s.seat(activeSeq{req: Request{ID: id, PromptTokens: promptTokens, OutputTokens: o},
-			ctx: promptTokens, remaining: o, arrival: s.start, admitAt: s.start,
+		req := Request{ID: id, PromptTokens: promptTokens, OutputTokens: o}
+		if _, err := s.seat(activeSeq{tr: TimedRequest{Request: req, Arrival: s.start}, at: s.start,
+			ctx: promptTokens, remaining: o, admitAt: s.start,
 			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}); err != nil {
 			return s.out.BatchMetrics, err
 		}
 	}
 	s.arena[s.active[0]].metrics.PrefillTime = res.Time
 	s.arena[s.active[0]].metrics.PrefillEnergy = prefillEnergy
-	err := s.run()
-	return s.out.BatchMetrics, err
+	out, err := s.Close()
+	return out.BatchMetrics, err
 }
 
 // CacheStats exposes KV occupancy for tests and examples.
@@ -435,18 +428,6 @@ func (e *Engine) PeekPrefix(syms []uint64) (deviceBlocks, hostBlocks int) {
 		return 0, 0
 	}
 	return e.prefix.Peek(syms)
-}
-
-// CrashResetPrefix crash-wipes the engine's prefix index (a no-op
-// without one): device-resident entries are dropped — HBM does not
-// survive a power loss — and keepHost preserves fully host-resident
-// chains, modeling persistent host DRAM. Exposed for serving layers
-// that model replica crashes outside a serve run; during a run the
-// wipe is driven by ServeOpts.Faults crash markers instead.
-func (e *Engine) CrashResetPrefix(keepHost bool) {
-	if e.prefix != nil {
-		e.prefix.CrashReset(keepHost)
-	}
 }
 
 // SimDecodeProbe returns the raw simulator result of a representative

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -123,11 +124,11 @@ func TestServeThrottleStretchesDecodeNotEnergy(t *testing.T) {
 	}
 }
 
-// TestServeCrashWipeFiresBeforeMarkedRequest pins the crash-boundary
-// contract: the prefix cache is wiped immediately before the marked
-// request is admitted, so pre-crash history gives it no hit, and the
-// fired marker is consumed.
-func TestServeCrashWipeFiresBeforeMarkedRequest(t *testing.T) {
+// TestServeCrashWipesPrefixAtCrashInstant pins the crash's cache side:
+// a crash on an idle engine wipes the prefix index at its instant, so
+// the next turn over pre-crash history gets no hit, and the wiped cache
+// rebuilds afterwards.
+func TestServeCrashWipesPrefixAtCrashInstant(t *testing.T) {
 	e := newPrefixEngine(t, model.DSR1Qwen1_5B)
 	history := make([]uint64, 256)
 	for i := range history {
@@ -141,21 +142,20 @@ func TestServeCrashWipeFiresBeforeMarkedRequest(t *testing.T) {
 		t.Fatalf("warm-up consulted the cache %d times, want 1", warm.PrefixLookups)
 	}
 
-	// Same prefix again, but marked as the replica's post-crash boundary.
+	// Same prefix again, arriving just after a crash on the idle engine.
+	crash := e.Clock() + 0.5
 	next := sessTimed("t2", e.Clock()+1, history, 192, 64)
-	fx := &FaultInjection{CrashWipes: map[string]bool{"t2": false}}
+	fx := &FaultInjection{Crashes: []float64{crash}}
 	m, err := e.ServeSource(NewSliceSource([]TimedRequest{next}), 1, FCFS, ServeOpts{Faults: fx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SavedPrefillTokens != 0 {
-		t.Errorf("marked request saved %d prefill tokens, want 0 (cache wiped first)", m.SavedPrefillTokens)
+	if m.Served != 1 || m.SavedPrefillTokens != 0 {
+		t.Errorf("post-crash request served %d, saved %d prefill tokens, want 1 and 0 (cache wiped)",
+			m.Served, m.SavedPrefillTokens)
 	}
 	if pm := e.PrefixMetrics(); pm.CrashWipes != 1 || pm.CrashDropped == 0 {
 		t.Errorf("prefix metrics wipes %d dropped %d, want 1 wipe with drops", pm.CrashWipes, pm.CrashDropped)
-	}
-	if len(fx.CrashWipes) != 0 {
-		t.Errorf("fired wipe marker not consumed: %v", fx.CrashWipes)
 	}
 
 	// The wiped cache rebuilds: the next turn over the same history hits.
@@ -165,5 +165,57 @@ func TestServeCrashWipeFiresBeforeMarkedRequest(t *testing.T) {
 	}
 	if again.SavedPrefillTokens == 0 {
 		t.Error("post-crash traffic must rebuild the cache and hit again")
+	}
+}
+
+// TestServingCrashAbortsWhatTheEngineHolds drives an open run into a
+// crash mid-decode: the active set and the ready queue are aborted —
+// active requests with the service they had received, queued ones with
+// none — no event straddles the crash, every KV block is freed, and the
+// run serves later offers normally.
+func TestServingCrashAbortsWhatTheEngineHolds(t *testing.T) {
+	e := newOrinEngine(t, model.Qwen25_1_5Bit)
+	probe := newOrinEngine(t, model.Qwen25_1_5Bit)
+	one, err := probe.Generate(Request{ID: "p", PromptTokens: 128, OutputTokens: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := one.TotalTime() / 2 // mid-decode for the first request
+	sv := e.Open(1, FCFS, ServeOpts{Faults: &FaultInjection{Crashes: []float64{crash}}})
+	for i := 0; i < 3; i++ {
+		sv.Offer(TimedRequest{Request: Request{ID: fmt.Sprintf("r%d", i), PromptTokens: 128, OutputTokens: 256}}, 0)
+	}
+	if err := sv.AdvanceTo(crash / 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := sv.Aborted(); len(got) != 0 {
+		t.Fatalf("%d aborts before the crash instant", len(got))
+	}
+	if err := sv.AdvanceTo(crash); err != nil {
+		t.Fatal(err)
+	}
+	got := sv.Aborted()
+	if len(got) != 3 || got[0].ID != "r0" || got[1].ID != "r1" || got[2].ID != "r2" {
+		t.Fatalf("aborted %+v, want r0 (active) then r1, r2 (queued)", got)
+	}
+	if math.Abs(got[0].Lost-crash) > 1e-9 || got[1].Lost != 0 || got[2].Lost != 0 {
+		t.Errorf("lost work %v/%v/%v, want %v/0/0", got[0].Lost, got[1].Lost, got[2].Lost, crash)
+	}
+	if e.Clock() != crash {
+		t.Errorf("clock %v after the crash, want it stopped at %v", e.Clock(), crash)
+	}
+	if used := e.CacheStats().UsedBlocks; used != 0 {
+		t.Errorf("%d KV blocks still held after the crash", used)
+	}
+	sv.Offer(TimedRequest{Request: Request{ID: "late", PromptTokens: 128, OutputTokens: 256}, Arrival: 1}, crash+1)
+	m, err := sv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Served != 1 || m.Requests[0].ID != "late" {
+		t.Fatalf("served %d %+v, want only the post-crash offer", m.Served, m.Requests)
+	}
+	if want := e.Clock() - 1; math.Abs(m.Latencies[0]-want) > 1e-9 {
+		t.Errorf("latency %v, want %v (counted from the true arrival)", m.Latencies[0], want)
 	}
 }

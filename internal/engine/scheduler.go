@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"edgereasoning/internal/kvcache"
 	"edgereasoning/internal/stats"
@@ -9,8 +10,9 @@ import (
 )
 
 // admitGrain caps a decode chunk, in steps, while admission is waiting
-// on it: a request has yet to arrive, or one is ready and the batch has
-// a free slot but the KV cache has no room. A closed batch at full width
+// on it: the run is not closed (more offers may come) or holds offers
+// not yet promoted, or a request is ready and the batch has a free slot
+// but the KV cache has no room. A closed batch at full width
 // decodes straight to its next completion instead. The grain is not
 // just a latency bound: the power meter raises DVFS residency with each
 // chunk's token count, so chunk lengths set reported power and energy,
@@ -25,50 +27,65 @@ func seqError(op, id string, err error) error {
 	return fmt.Errorf("engine: %s %q: %w", op, id, err)
 }
 
+// queued is a request the scheduler holds with the instant it was
+// offered: its arrival in a standalone stream, its dispatch instant
+// under a fleet.
+type queued struct {
+	TimedRequest
+	at float64
+}
+
 // activeSeq is a request mid-decode. The KV handle is resolved once at
 // admission so the decode loop never touches the cache's sequence map;
-// arrival/deadline ride along here instead of in side maps.
+// the request itself (arrival, deadline, session tag, token identities)
+// rides along instead of in side maps.
 type activeSeq struct {
-	req       Request
+	tr        TimedRequest
+	at        float64 // offer instant
 	handle    kvcache.Handle
 	ctx       int // prompt + generated so far
 	remaining int
 	metrics   Metrics
-	arrival   float64
-	deadline  float64
 	// admitAt is the clock at the admission decision (the request span's
-	// start when tracing); session carries the request's session tag for
-	// span attribution. Both are plain copies — no tracing cost when off.
+	// start when tracing).
 	admitAt float64
-	session string
-	// promptSyms/outputSyms carry the request's token identities so the
-	// finished sequence can be retained in the prefix index (nil when the
-	// engine has no prefix cache or the request carried none).
-	promptSyms []uint64
-	outputSyms []uint64
 }
 
 // scheduler is the engine's one admission/decode loop: continuous
 // batching up to maxBatch concurrent decoders over the paged KV cache,
 // with unbatched prefill (the paper's configuration) and decode advanced
 // in closed-form chunks between arrival, admission and completion
-// events. ServeSource streams timed requests into it, Run hands it a
-// closed batch that has all arrived at the clock, and RunParallel seeds
-// its active set with forked branches. The loop is O(events), not
-// O(tokens), and allocation-free in steady state: per-run bookkeeping is
-// sized by maxBatch and recycled.
+// events. The loop is resumable: requests are offered at their arrival
+// (or dispatch) instants, AdvanceTo runs it up to a horizon and yields
+// at the loop top or after a prefill, and Close drains it. ServeSource
+// and Serving offer timed requests, Run hands it a closed batch that has
+// all arrived at the clock, and RunParallel seeds its active set with
+// forked branches. The loop is O(events), not O(tokens), and
+// allocation-free in steady state: per-run bookkeeping is sized by
+// maxBatch and recycled.
 type scheduler struct {
-	e        *Engine
-	in       Peekable
+	e *Engine
+	// pending holds offers the clock has not reached yet, in offer order;
+	// ready is the admission queue they are promoted into.
+	pending  readyQueue
 	ready    readyQueue
 	policy   SchedPolicy
 	maxBatch int
 	lean     bool
-	// closed marks a run with no source (Run, RunParallel): it reports
+	// batch marks a closed-batch run (Run, RunParallel): it reports
 	// BatchMetrics only, so no per-request latency ledger is kept.
+	batch bool
+	// closed marks a run that takes no more offers: it drains instead of
+	// yielding at its horizon.
 	closed bool
 	fx     *FaultInjection
 	start  float64
+	// crashAt is the next unfired crash instant (+Inf when none) and
+	// crashes counts those fired; aborted collects what they destroyed
+	// until the caller takes it.
+	crashAt float64
+	crashes int
+	aborted []Abort
 
 	// arena holds sequence bookkeeping: at most maxBatch sequences are
 	// ever live, so maxBatch slots recycled through the free list cover
@@ -97,18 +114,20 @@ type scheduler struct {
 	ttftHist, rateHist          *stats.Histogram
 }
 
-// newScheduler prepares a run from the engine's current clock. A nil src
-// is a closed batch: the caller fills the ready queue or seeds the
-// active set before calling run.
-func (e *Engine) newScheduler(src Source, maxBatch int, policy SchedPolicy, opts ServeOpts) scheduler {
+// newScheduler prepares a run from the engine's current clock. A batch
+// run fills the ready queue or seeds the active set before calling
+// Close; an open one takes offers.
+func (e *Engine) newScheduler(maxBatch int, policy SchedPolicy, opts ServeOpts, batch bool) scheduler {
 	if maxBatch <= 0 {
 		maxBatch = 1
 	}
 	s := scheduler{
-		e: e, in: Peekable{src: src, done: src == nil},
-		policy: policy, maxBatch: maxBatch, lean: opts.LeanMetrics,
-		closed: src == nil, fx: opts.Faults, start: e.clock,
+		e: e, policy: policy, maxBatch: maxBatch, lean: opts.LeanMetrics,
+		batch: batch, fx: opts.Faults, start: e.clock, crashAt: math.Inf(1),
 		arena: make([]activeSeq, maxBatch),
+	}
+	if fx := opts.Faults; fx != nil && len(fx.Crashes) > 0 {
+		s.crashAt = fx.Crashes[0]
 	}
 	// One allocation backs the three maxBatch-bounded index slices (every
 	// Generate call pays this setup); each is capacity-capped, so an
@@ -123,7 +142,7 @@ func (e *Engine) newScheduler(src Source, maxBatch int, policy SchedPolicy, opts
 	if !s.lean {
 		s.out.Requests = make([]Metrics, 0, opts.SizeHint)
 	}
-	if !s.closed {
+	if !batch {
 		s.out.Latencies = make([]float64, 0, opts.SizeHint)
 	}
 	if tra := e.cfg.Trace; tra != nil {
@@ -137,75 +156,172 @@ func (e *Engine) newScheduler(src Source, maxBatch int, policy SchedPolicy, opts
 	return s
 }
 
-// run drives the loop until the source, the ready queue and the active
-// set are all empty.
+// Offer hands the run a request at instant at — its arrival, or a later
+// dispatch instant; latency still counts from tr.Arrival. Instants must
+// not decrease across offers.
+func (s *scheduler) Offer(tr TimedRequest, at float64) {
+	s.pending.pushBack(queued{TimedRequest: tr, at: at})
+}
+
+// Aborted returns the requests crashes have destroyed since the last
+// call, in admission order then queue order. The slice is reused by the
+// next AdvanceTo.
+func (s *scheduler) Aborted() []Abort {
+	a := s.aborted
+	s.aborted = s.aborted[:0]
+	return a
+}
+
+// Close drains the run — no more offers — and returns its metrics, with
+// latency percentiles for an open run.
+func (s *scheduler) Close() (ServeMetrics, error) {
+	s.closed = true
+	if err := s.AdvanceTo(math.Inf(1)); err != nil {
+		return s.out, err
+	}
+	s.out.WallTime = s.e.clock - s.start
+	s.out.PeakKVBlocks = s.e.cache.PeakUsed()
+	if len(s.out.Latencies) > 0 {
+		s.out.MeanLatency = stats.Mean(s.out.Latencies)
+		s.out.P50Latency, s.out.P95Latency, s.out.P99Latency = stats.Percentiles3(s.out.Latencies)
+	}
+	return s.out, nil
+}
+
+// AdvanceTo drives the loop up to horizon t: events starting before t
+// execute and crashes at or before t fire. An open run yields at the
+// loop top, or after a prefill, once the clock is within 1e-12 of t, so
+// a later offer at t joins the promotion there as if it had been there
+// all along; a closed run drains.
+//
+// Advancing commits: an open run cannot know whether more offers will
+// follow, so it caps every decode chunk before t at admitGrain, while
+// Close right after the last offer lets the drain run to each
+// completion. Advancing past the last offer and then closing therefore
+// serves the same requests as closing at once, but its chunk
+// boundaries — and so Events, energy, completion instants and where
+// stalls land — can differ. Only the furthest horizon matters: any
+// advances before it, and any up to the last offer, change nothing.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (s *scheduler) run() error {
+func (s *scheduler) AdvanceTo(t float64) error {
 	e := s.e
-	for s.in.More() || s.ready.len() > 0 || len(s.active) > 0 {
-		s.promote()
-		// Idle: jump to the next arrival.
-		if len(s.active) == 0 && s.ready.len() == 0 {
-			tr, ok := s.in.Peek()
-			if !ok {
-				break
+	for {
+		if s.crashAt <= t && e.clock >= s.crashAt {
+			if err := s.crash(); err != nil {
+				return err
 			}
-			e.clock = tr.Arrival
+			continue
+		}
+		if !s.closed && t <= e.clock+1e-12 {
+			return nil
+		}
+		s.promote()
+		// Idle: jump to the next offer, or to a crash due before it.
+		if len(s.active) == 0 && s.ready.len() == 0 {
+			next := math.Inf(1)
+			if s.pending.len() > 0 {
+				next = s.pending.buf[s.pending.head].at
+			} else if s.closed || s.crashAt > t {
+				return nil
+			}
+			if s.crashAt <= t && s.crashAt <= next {
+				next = s.crashAt
+			}
+			e.clock = max(e.clock, next)
 			continue
 		}
 		// Admission leaves the active set non-empty: it admits the ready
 		// head or fails when nothing is active to drain.
-		if err := s.admit(); err != nil {
+		yield, err := s.admit(t)
+		if err != nil {
 			return err
+		}
+		if yield {
+			continue // back to the top: the horizon, or a crash cut
 		}
 		if err := s.decodeStep(); err != nil {
 			return err
 		}
 	}
-	s.out.WallTime = e.clock - s.start
-	s.out.PeakKVBlocks = e.cache.PeakUsed()
+}
+
+// cut stops the clock at the next crash when work running to end would
+// straddle it, reporting whether it did: the work is abandoned, and the
+// crash fires once the run is advanced to its instant.
+//
+//edgereasoning:hotpath bench=BenchmarkServeHotLoop
+func (s *scheduler) cut(end float64) bool {
+	if end <= s.crashAt {
+		return false
+	}
+	s.e.clock = s.crashAt
+	return true
+}
+
+// crash fires the next crash point: every request the engine holds —
+// offers not yet promoted, the ready queue and the active set — is
+// aborted with the service it had received, its KV blocks are freed,
+// and the prefix index is wiped.
+func (s *scheduler) crash() error {
+	e := s.e
+	s.crashes++
+	s.crashAt = math.Inf(1)
+	if s.crashes < len(s.fx.Crashes) {
+		s.crashAt = s.fx.Crashes[s.crashes]
+	}
+	for _, slot := range s.active {
+		a := &s.arena[slot]
+		if err := e.cache.FreeH(a.handle); err != nil {
+			return seqError("crash", a.tr.ID, err)
+		}
+		s.aborted = append(s.aborted, Abort{TimedRequest: a.tr, OfferedAt: a.at, Lost: a.metrics.TotalTime()})
+		*a = activeSeq{}
+		s.free = append(s.free, slot)
+	}
+	s.active = s.active[:0]
+	s.futureGrowth = 0
+	for _, q := range [...]*readyQueue{&s.ready, &s.pending} {
+		for ; q.len() > 0; q.popFront() {
+			f := q.front()
+			s.aborted = append(s.aborted, Abort{TimedRequest: f.TimedRequest, OfferedAt: f.at})
+		}
+	}
+	if e.prefix != nil {
+		e.prefix.CrashReset(s.fx.KeepHost)
+	}
 	return nil
 }
 
-// promote moves every request that has arrived by the clock from the
-// source into the ready queue.
+// promote moves every offer the clock has reached into the ready queue.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (s *scheduler) promote() {
-	for {
-		tr, ok := s.in.Peek()
-		if !ok || tr.Arrival > s.e.clock+1e-12 {
+	for s.pending.len() > 0 {
+		q := &s.pending.buf[s.pending.head]
+		if q.at > s.e.clock+1e-12 {
 			return
 		}
-		s.in.Next()
 		if s.policy == EDF {
-			s.ready.insertEDF(tr)
+			s.ready.insertEDF(*q)
 		} else {
-			s.ready.pushBack(tr)
+			s.ready.pushBack(*q)
 		}
+		s.pending.popFront()
 	}
 }
 
 // admit moves ready requests into the active set while there is a free
-// slot and KV room, prefilling each.
+// slot and KV room, prefilling each. It reports a yield when a prefill
+// brought the clock to horizon t, or a crash cut one short.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (s *scheduler) admit() error {
+func (s *scheduler) admit(t float64) (bool, error) {
 	e, fx, tra := s.e, s.fx, s.tra
 	for s.ready.len() > 0 && len(s.active) < s.maxBatch {
 		tr := s.ready.front()
 		if tr.PromptTokens <= 0 {
-			return fmt.Errorf("engine: request %q has no prompt", tr.ID) //edgereasoning:allow hotpath -- terminal error, ends the run
-		}
-		// A crash boundary: the dispatcher marked this request as the
-		// first one routed after the replica's crash restart, so the
-		// prefix cache is wiped before admission even probes it.
-		if fx != nil && e.prefix != nil && len(fx.CrashWipes) > 0 {
-			if keep, ok := fx.CrashWipes[tr.ID]; ok {
-				e.prefix.CrashReset(keep)
-				delete(fx.CrashWipes, tr.ID)
-			}
+			return false, fmt.Errorf("engine: request %q has no prompt", tr.ID) //edgereasoning:allow hotpath -- terminal error, ends the run
 		}
 		worstCase := e.blocksFor(tr.PromptTokens + tr.OutputTokens)
 		// With a prefix cache, retained blocks are reclaimable
@@ -239,9 +355,9 @@ func (s *scheduler) admit() error {
 		}
 		if worstCase-probedBlocks+s.futureGrowth > e.cache.FreeBlocks() {
 			if len(s.active) > 0 {
-				return nil // drain the active set to free capacity first
+				return false, nil // drain the active set to free capacity first
 			}
-			return fmt.Errorf("engine: request %q (%d tokens) exceeds KV capacity even alone", //edgereasoning:allow hotpath -- terminal error, ends the run
+			return false, fmt.Errorf("engine: request %q (%d tokens) exceeds KV capacity even alone", //edgereasoning:allow hotpath -- terminal error, ends the run
 				tr.ID, tr.PromptTokens+tr.OutputTokens)
 		}
 		s.ready.popFront()
@@ -251,7 +367,7 @@ func (s *scheduler) admit() error {
 			restoreBefore := e.prefix.Metrics().RestoreSeconds
 			m, err := e.prefix.Acquire(tr.ID, syms)
 			if err != nil {
-				return seqError("admit", tr.ID, err)
+				return false, seqError("admit", tr.ID, err)
 			}
 			matched = m
 			s.out.PrefixLookups++
@@ -269,20 +385,15 @@ func (s *scheduler) admit() error {
 			}
 		} else if err := e.cache.AllocateReserve(tr.ID, tr.PromptTokens,
 			tr.PromptTokens+tr.OutputTokens); err != nil {
-			return seqError("admit", tr.ID, err)
+			return false, seqError("admit", tr.ID, err)
 		}
-		seq := activeSeq{req: tr.Request, ctx: tr.PromptTokens,
-			remaining: tr.OutputTokens, arrival: tr.Arrival, deadline: tr.Deadline,
-			admitAt: e.clock, session: tr.SessionID,
+		slot, err := s.seat(activeSeq{tr: tr.TimedRequest, at: tr.at, ctx: tr.PromptTokens,
+			remaining: tr.OutputTokens, admitAt: e.clock,
 			metrics: Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
 				OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
-				RestoreTime: restore}}
-		if e.prefix != nil {
-			seq.promptSyms, seq.outputSyms = tr.PromptSyms, tr.OutputSyms
-		}
-		slot, err := s.seat(seq)
+				RestoreTime: restore}})
 		if err != nil {
-			return seqError("admit", tr.ID, err)
+			return false, seqError("admit", tr.ID, err)
 		}
 		a := &s.arena[slot]
 		if syms != nil {
@@ -290,13 +401,16 @@ func (s *scheduler) admit() error {
 			// the prefill below computes (the whole prompt on a cold
 			// start).
 			if err := e.cache.AppendTokensH(a.handle, tr.PromptTokens-matched); err != nil {
-				return seqError("admit", tr.ID, err)
+				return false, seqError("admit", tr.ID, err)
 			}
 		}
 		if fx != nil {
 			// A stalled device starts the restore+prefill at the window's
 			// end; the wait lands in this request's TTFT.
 			if st := fx.stallEnd(e.clock); st > e.clock {
+				if s.cut(st) {
+					return true, nil
+				}
 				if tra != nil {
 					tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindStall,
 						Lane: slot, Start: e.clock, End: st})
@@ -304,17 +418,22 @@ func (s *scheduler) admit() error {
 				e.clock = st
 			}
 		}
+		res := e.prefill(tr.PromptTokens - matched)
+		if from := e.clock; s.cut(from + restore + res.Time) {
+			// The crash lands mid-restore or mid-prefill: what ran is lost.
+			a.metrics.RestoreTime, a.metrics.PrefillTime = 0, e.clock-from
+			return true, nil
+		}
 		if tra != nil && restore > 0 {
 			tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindRestore,
 				Lane: slot, Start: e.clock, End: e.clock + restore})
 		}
 		e.clock += restore
-		res := e.prefill(tr.PromptTokens - matched)
 		if tra != nil {
 			tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindPrefill,
 				Lane: slot, Start: e.clock, End: e.clock + res.Time,
 				Tokens: tr.PromptTokens - matched, Cached: matched})
-			s.ttftHist.Observe(e.clock + res.Time - tr.Arrival)
+			s.ttftHist.Observe(e.clock + res.Time - tr.at)
 		}
 		e.clock += res.Time
 		s.out.Events++
@@ -325,9 +444,12 @@ func (s *scheduler) admit() error {
 			s.kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
 			s.actGauge.Sample(e.clock, float64(len(s.active)))
 		}
+		if !s.closed && t <= e.clock+1e-12 {
+			return true, nil
+		}
 		s.promote()
 	}
-	return nil
+	return false, nil
 }
 
 // seat resolves an admitted sequence's KV handle, reserves its block
@@ -338,7 +460,7 @@ func (s *scheduler) admit() error {
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (s *scheduler) seat(seq activeSeq) (int, error) {
-	h, err := s.e.cache.Lookup(seq.req.ID)
+	h, err := s.e.cache.Lookup(seq.tr.ID)
 	if err != nil {
 		return 0, err
 	}
@@ -370,15 +492,18 @@ func (s *scheduler) decodeStep() error {
 	if chunk <= 0 {
 		return s.reap() // zero-output request(s) finish immediately
 	}
-	if (s.in.More() || (s.ready.len() > 0 && len(s.active) < s.maxBatch)) && chunk > admitGrain {
+	if (!s.closed || s.pending.len() > 0 || (s.ready.len() > 0 && len(s.active) < s.maxBatch)) && chunk > admitGrain {
 		chunk = admitGrain
 	}
 	if fx != nil {
 		// No decode progress inside a stall window.
 		if st := fx.stallEnd(e.clock); st > e.clock {
+			if s.cut(st) {
+				return nil
+			}
 			if tra != nil {
 				for _, slot := range s.active {
-					tra.Record(telemetry.Span{ID: s.arena[slot].req.ID, Kind: telemetry.KindStall,
+					tra.Record(telemetry.Span{ID: s.arena[slot].tr.ID, Kind: telemetry.KindStall,
 						Lane: slot, Start: e.clock, End: st})
 				}
 			}
@@ -398,6 +523,13 @@ func (s *scheduler) decodeStep() error {
 		}
 	}
 	decodeFrom := e.clock
+	if s.cut(decodeFrom + res.Time) {
+		// The crash lands mid-chunk: what ran of it is lost work.
+		for _, slot := range s.active {
+			s.arena[slot].metrics.DecodeTime += e.clock - decodeFrom
+		}
+		return nil
+	}
 	e.clock += res.Time
 	s.out.Events++
 	s.out.TotalEnergy += energy
@@ -405,7 +537,7 @@ func (s *scheduler) decodeStep() error {
 	for _, slot := range s.active {
 		a := &s.arena[slot]
 		if err := e.cache.AppendTokensH(a.handle, chunk); err != nil {
-			return seqError("decode", a.req.ID, err)
+			return seqError("decode", a.tr.ID, err)
 		}
 		s.futureGrowth -= e.blocksFor(a.ctx+chunk) - e.blocksFor(a.ctx)
 		a.ctx += chunk
@@ -415,7 +547,7 @@ func (s *scheduler) decodeStep() error {
 	}
 	if tra != nil {
 		for _, slot := range s.active {
-			tra.Record(telemetry.Span{ID: s.arena[slot].req.ID, Kind: telemetry.KindDecode,
+			tra.Record(telemetry.Span{ID: s.arena[slot].tr.ID, Kind: telemetry.KindDecode,
 				Lane: slot, Start: decodeFrom, End: e.clock,
 				Tokens: chunk, Cause: cause, Factor: throttleF})
 		}
@@ -464,46 +596,49 @@ func (s *scheduler) reap() error {
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (s *scheduler) finish(slot int) error {
 	e, a := s.e, &s.arena[slot]
-	if e.prefix != nil && len(a.promptSyms) >= a.req.PromptTokens {
+	if e.prefix != nil && len(a.tr.PromptSyms) >= a.tr.PromptTokens {
 		// Retain the finished history (prompt + known output identities)
 		// for the session's next turn instead of dropping the blocks.
-		outSyms := a.outputSyms
-		if len(outSyms) > a.req.OutputTokens {
-			outSyms = outSyms[:a.req.OutputTokens]
+		outSyms := a.tr.OutputSyms
+		if len(outSyms) > a.tr.OutputTokens {
+			outSyms = outSyms[:a.tr.OutputTokens]
 		}
-		if err := e.prefix.Release(a.handle, a.promptSyms[:a.req.PromptTokens], outSyms); err != nil {
-			return seqError("finish", a.req.ID, err)
+		if err := e.prefix.Release(a.handle, a.tr.PromptSyms[:a.tr.PromptTokens], outSyms); err != nil {
+			return seqError("finish", a.tr.ID, err)
 		}
 	} else if err := e.cache.FreeH(a.handle); err != nil {
-		return seqError("finish", a.req.ID, err)
+		return seqError("finish", a.tr.ID, err)
 	}
-	lat := e.clock - a.arrival
-	if !s.closed {
-		s.out.Latencies = append(s.out.Latencies, lat)
+	// Latency is finish − arrival, evaluated as the engine-local time
+	// since the offer plus the wait before it (zero in a standalone
+	// stream, the ingress wait under a fleet).
+	local, wait := e.clock-a.at, a.at-a.tr.Arrival
+	if !s.batch {
+		s.out.Latencies = append(s.out.Latencies, local+wait)
 	}
 	s.out.Served++
-	if a.deadline > 0 {
+	if a.tr.Deadline > 0 {
 		s.out.DeadlinesTotal++
-		if e.clock <= a.deadline {
+		if e.clock <= a.tr.Deadline {
 			s.out.DeadlinesMet++
 		}
 	}
 	if !s.lean {
-		a.metrics.QueueTime = lat - a.metrics.TotalTime()
+		a.metrics.QueueTime = local - a.metrics.TotalTime() + wait
 		s.out.Requests = append(s.out.Requests, a.metrics)
 	}
 	if tra := s.tra; tra != nil {
-		tra.Record(telemetry.Span{ID: a.req.ID, Kind: telemetry.KindRequest,
-			Lane: slot, Start: a.admitAt, End: e.clock, Session: a.session,
-			Wait:   a.admitAt - a.arrival,
-			Tokens: a.req.PromptTokens + a.req.OutputTokens,
+		tra.Record(telemetry.Span{ID: a.tr.ID, Kind: telemetry.KindRequest,
+			Lane: slot, Start: a.admitAt, End: e.clock, Session: a.tr.SessionID,
+			Wait:   a.admitAt - a.at,
+			Tokens: a.tr.PromptTokens + a.tr.OutputTokens,
 			Cached: a.metrics.CachedPromptTokens})
 		if a.metrics.DecodeTime > 0 {
-			s.rateHist.Observe(float64(a.req.OutputTokens) / a.metrics.DecodeTime)
+			s.rateHist.Observe(float64(a.tr.OutputTokens) / a.metrics.DecodeTime)
 		}
 	}
-	s.out.TotalTokens += a.req.PromptTokens + a.req.OutputTokens
-	a.promptSyms, a.outputSyms = nil, nil
+	s.out.TotalTokens += a.tr.PromptTokens + a.tr.OutputTokens
+	a.tr.PromptSyms, a.tr.OutputSyms = nil, nil
 	s.free = append(s.free, slot)
 	return nil
 }

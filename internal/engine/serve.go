@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"edgereasoning/internal/stats"
 )
 
 // TimedRequest is a request with an arrival time and an optional absolute
@@ -115,16 +113,16 @@ type ServeOpts struct {
 	SizeHint int
 	// Faults injects replica-level fault behavior into this run: stall
 	// windows (the device makes no progress), thermal-throttle windows
-	// (decode time stretched by a factor), and crash-boundary prefix
-	// wipes keyed by request ID. Nil serves undisturbed — the default
-	// path is byte-identical with the field unset.
+	// (decode time stretched by a factor), and crashes. Nil serves
+	// undisturbed — the default path is byte-identical with the field
+	// unset.
 	Faults *FaultInjection
 }
 
 // FaultInjection is the per-run fault timeline a serving layer hands the
-// engine: the engine applies the timing effects (stalls, throttling) and
-// the crash-boundary cache wipes, while abort/retry decisions stay with
-// the dispatcher that owns the request stream.
+// engine: the engine applies the timing effects and executes the
+// crashes, while retry decisions stay with the caller, which learns what
+// each crash destroyed from Serving.Aborted.
 type FaultInjection struct {
 	// Stalls are no-progress windows: a prefill or decode event that
 	// would start inside [From, To) starts at To instead. Events are
@@ -134,13 +132,18 @@ type FaultInjection struct {
 	// inside the window — a thermal cap. Energy is unchanged: the same
 	// tokens cost the same joules, spread over more seconds.
 	Throttles []ThrottleWindow
-	// CrashWipes maps request IDs to host-tier survival: the engine
-	// crash-resets its prefix index immediately before admitting that
-	// request (the dispatcher marks the first request routed to the
-	// replica after each crash restart, so the wipe lands between the
-	// pre-crash survivors and the post-restart traffic). Fired markers
-	// are deleted from the map.
-	CrashWipes map[string]bool
+	// Crashes are power losses, in ascending At order. A crash aborts
+	// everything the engine holds at its instant — offers not yet
+	// admitted, the ready queue and the active set — and wipes the
+	// prefix index. No prefill or decode event straddles a crash: work
+	// in progress stops at the instant, and the service each aborted
+	// request had received is reported as lost. An open run executes a
+	// crash once advanced to its instant, so a caller must not offer
+	// past a crash it has not advanced to.
+	Crashes []float64
+	// KeepHost models persistent host DRAM: fully host-resident prefix
+	// chains survive every crash's wipe.
+	KeepHost bool
 }
 
 // StallWindow is one no-progress interval [From, To).
@@ -184,39 +187,40 @@ func (f *FaultInjection) throttleAt(t float64) float64 {
 	return m
 }
 
-// readyQueue is the admission queue: head-indexed so popping the front is
-// O(1) without reslicing-away reusable capacity, compacted amortizedly so
-// the dead prefix never exceeds the live region. Popped slots are zeroed
-// so a drained queue pins no request payloads (PromptSyms histories are
-// the bulk of a session stream's bytes).
+// readyQueue is a FIFO of held requests (the admission queue, and the
+// offers awaiting promotion): head-indexed so popping the front is O(1)
+// without reslicing-away reusable capacity, compacted amortizedly so the
+// dead prefix never exceeds the live region. Popped slots are zeroed so
+// a drained queue pins no request payloads (PromptSyms histories are the
+// bulk of a session stream's bytes).
 type readyQueue struct {
-	buf  []TimedRequest
+	buf  []queued
 	head int
 }
 
-func (q *readyQueue) len() int            { return len(q.buf) - q.head }
-func (q *readyQueue) front() TimedRequest { return q.buf[q.head] }
+func (q *readyQueue) len() int      { return len(q.buf) - q.head }
+func (q *readyQueue) front() queued { return q.buf[q.head] }
 
 // pushBack appends tr, seeding the backing array at a 16-slot floor on
 // first use so a short backlog never pays the early append-growth
 // doublings.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) pushBack(tr TimedRequest) {
+func (q *readyQueue) pushBack(tr queued) {
 	if q.buf == nil {
-		q.buf = make([]TimedRequest, 0, 16) //edgereasoning:allow hotpath -- one-time 16-slot floor, paid once per queue
+		q.buf = make([]queued, 0, 16) //edgereasoning:allow hotpath -- one-time 16-slot floor, paid once per queue
 	}
 	q.buf = append(q.buf, tr)
 }
 
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (q *readyQueue) popFront() {
-	q.buf[q.head] = TimedRequest{}
+	q.buf[q.head] = queued{}
 	q.head++
 	if q.head >= 64 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = TimedRequest{}
+			q.buf[i] = queued{}
 		}
 		q.buf = q.buf[:n]
 		q.head = 0
@@ -238,7 +242,7 @@ func edfKey(d float64) float64 {
 // sort of the whole queue produces, without re-sorting the sorted part.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) insertEDF(tr TimedRequest) {
+func (q *readyQueue) insertEDF(tr queued) {
 	key := edfKey(tr.Deadline)
 	q.pushBack(tr)
 	j := len(q.buf) - 1
@@ -263,21 +267,51 @@ func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (S
 }
 
 // ServeSource is the streaming serve loop: requests are pulled from src
-// (non-decreasing Arrival order) as simulated time reaches them, so live
-// memory scales with the in-flight set — ready backlog plus maxBatch
-// active decoders — not the stream length. It runs the engine's one
-// scheduler loop (see scheduler) and adds latency percentiles.
+// (non-decreasing Arrival order) and offered at their arrivals as the
+// loop reaches them, so live memory scales with the in-flight set —
+// ready backlog plus maxBatch active decoders — not the stream length.
+// It runs the engine's one scheduler loop (see scheduler) and adds
+// latency percentiles.
 func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts ServeOpts) (ServeMetrics, error) {
-	s := e.newScheduler(src, maxBatch, policy, opts)
-	if tr, ok := s.in.Peek(); ok && e.clock > tr.Arrival {
-		return ServeMetrics{}, fmt.Errorf("engine: clock %.3f already past first arrival %.3f", e.clock, tr.Arrival)
+	s := e.newScheduler(maxBatch, policy, opts, false)
+	for first := true; ; first = false {
+		tr, ok := src.Next()
+		if !ok {
+			break
+		}
+		if first && e.clock > tr.Arrival {
+			return ServeMetrics{}, fmt.Errorf("engine: clock %.3f already past first arrival %.3f", e.clock, tr.Arrival)
+		}
+		if err := s.AdvanceTo(tr.Arrival); err != nil {
+			return s.out, err
+		}
+		s.Offer(tr, tr.Arrival)
 	}
-	err := s.run()
-	if err == nil && len(s.out.Latencies) > 0 {
-		s.out.MeanLatency = stats.Mean(s.out.Latencies)
-		s.out.P50Latency, s.out.P95Latency, s.out.P99Latency = stats.Percentiles3(s.out.Latencies)
-	}
-	return s.out, err
+	return s.Close()
+}
+
+// Serving is an open serve run: the scheduler loop ServeSource drives,
+// handed to a caller that interleaves it with other state — a fleet
+// dispatcher advancing each replica only to the instants it needs.
+// Offer requests at non-decreasing instants, AdvanceTo before reading
+// the engine at a time, collect crash aborts with Aborted, and Close to
+// drain and collect the metrics. Offering each request at its arrival
+// after advancing to it reproduces ServeSource exactly; advancing past
+// the last offer before Close does not (see AdvanceTo).
+type Serving struct{ scheduler }
+
+// Abort is one request a crash destroyed: the request as offered (its
+// Arrival the true arrival), the instant it was offered, and the service
+// seconds it had received — restore, prefill and decode, up to the crash.
+type Abort struct {
+	TimedRequest
+	OfferedAt float64
+	Lost      float64
+}
+
+// Open starts a serve run at the engine's clock.
+func (e *Engine) Open(maxBatch int, policy SchedPolicy, opts ServeOpts) *Serving {
+	return &Serving{e.newScheduler(maxBatch, policy, opts, false)}
 }
 
 // CalibrationRates returns the engine's per-token prefill and decode
@@ -285,8 +319,8 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 // context 256) without touching the clock or the cache — the same
 // numbers a one-request probe run produces, at zero allocation. The
 // fleet's router uses them to estimate service times for shed decisions.
-func (e *Engine) CalibrationRates() (prefillPerTok, decodePerTok float64, err error) {
+func (e *Engine) CalibrationRates() (prefillPerTok, decodePerTok float64) {
 	p := e.prefill(256)
 	d := e.decodeChunk([]int{256}, 128)
-	return p.Time / 256, d.Time / 128, nil
+	return p.Time / 256, d.Time / 128
 }

@@ -3,9 +3,9 @@ package engine
 // Source is a pull-based stream of timed requests. Next returns the next
 // request and true, or a zero value and false once the stream is
 // exhausted. Requests must be yielded in non-decreasing Arrival order —
-// the serving loop consumes the stream lazily and never looks ahead more
-// than one element, so a generator-backed Source runs million-request
-// workloads with O(1) live memory.
+// the serving loop consumes the stream lazily, one element at a time, so
+// a generator-backed Source runs million-request workloads with O(1)
+// live memory.
 type Source interface {
 	Next() (TimedRequest, bool)
 }
@@ -20,11 +20,6 @@ type SliceSource struct {
 func NewSliceSource(reqs []TimedRequest) *SliceSource {
 	return &SliceSource{reqs: reqs}
 }
-
-// Reset repoints the source at a new slice and rewinds it, so a caller
-// draining many slices (the fleet's per-replica sub-streams) can reuse
-// one SliceSource instead of allocating per drain.
-func (s *SliceSource) Reset(reqs []TimedRequest) { s.reqs, s.i = reqs, 0 }
 
 // Next yields the next request in slice order.
 func (s *SliceSource) Next() (TimedRequest, bool) {
@@ -50,10 +45,9 @@ func Collect(src Source) []TimedRequest {
 	}
 }
 
-// Peekable wraps a Source with one-item lookahead: stream consumers (the
-// serving loop, the fleet ingress) need to see the next arrival time —
-// to jump an idle clock or bound a decode chunk — without consuming it.
-// A Peekable is itself a Source.
+// Peekable wraps a Source with one-item lookahead: the fleet ingress
+// needs to see the next arrival time — to jump an idle dispatch clock —
+// without consuming it. A Peekable is itself a Source.
 type Peekable struct {
 	src  Source
 	buf  TimedRequest

@@ -142,7 +142,7 @@ func breakdownStudy(opts Options) ([]Table, error) {
 		Title:   fmt.Sprintf("Phase totals across all %d served requests", len(rows)),
 		Columns: []string{"phase", "total_s", "share_pct"},
 		Notes: []string{
-			"shares are of summed end-to-end latency; lost_work is informational (estimated seconds executed then destroyed, not a latency phase)",
+			"shares are of summed end-to-end latency; lost_work is informational (service seconds executed then destroyed by crashes, not a latency phase)",
 		},
 	}
 	totalE2E := aggregate.Ingress + aggregate.RetryWait + aggregate.AbortedWall +

@@ -151,14 +151,14 @@ type ScaleEvent struct {
 // autoscaler is the dispatch-time controller owned by one Serve run.
 type autoscaler struct {
 	cfg         AutoscaleConfig
-	opts        cacheOptions // provisioned replicas match the pool's engines
-	provisioned int          // replicas added so far (drives the profile cycle)
-	lastUp      float64      // time of the last provision
+	fleet       Config  // provisioned replicas match the pool's engines
+	provisioned int     // replicas added so far (drives the profile cycle)
+	lastUp      float64 // time of the last provision
 	events      []ScaleEvent
 	peak        int
 }
 
-func newAutoscaler(cfg *AutoscaleConfig, initial int, opts cacheOptions) (*autoscaler, error) {
+func newAutoscaler(cfg *AutoscaleConfig, initial int, fleet Config) (*autoscaler, error) {
 	if cfg == nil {
 		return nil, nil
 	}
@@ -168,7 +168,7 @@ func newAutoscaler(cfg *AutoscaleConfig, initial int, opts cacheOptions) (*autos
 	}
 	return &autoscaler{
 		cfg:    c,
-		opts:   opts,
+		fleet:  fleet,
 		lastUp: math.Inf(-1),
 		peak:   initial,
 		// The event log is bounded by provisions plus retirements —
@@ -269,7 +269,7 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 		Device:      dev,
 		WarmupDelay: t + as.cfg.ColdStart,
 	}.withDefaults(len(ro.replicas))
-	r, err := newReplica(rc, as.opts)
+	r, err := newReplica(rc, as.fleet, nil)
 	if err != nil {
 		return fmt.Errorf("fleet: autoscale provision %s: %w", name, err)
 	}

@@ -143,7 +143,7 @@ func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
 	stillborn := mk(80, 80, ReplicaConfig{Name: "stillborn", FailAt: 70})
 
 	ro := &router{replicas: []*replica{boundary, survivor, early, failed, stillborn}}
-	as, err := newAutoscaler(&AutoscaleConfig{Min: 1, Max: 8, Spec: smallSpec(), IdleRetire: 10}, 5, cacheOptions{})
+	as, err := newAutoscaler(&AutoscaleConfig{Min: 1, Max: 8, Spec: smallSpec(), IdleRetire: 10}, 5, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +215,11 @@ func TestWarmupCrashBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r := &replica{cfg: ReplicaConfig{WarmupDelay: tc.warmup, CrashAt: tc.crash}}
-		if _, err := compileFaults(Config{}, []*replica{r}); err != nil {
+		tls, _, err := compileFaults(Config{Replicas: []ReplicaConfig{r.cfg}})
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		r.tl = tls[0]
 		if got := r.routableAt(tc.at); got != tc.routable {
 			t.Errorf("%s: routableAt(%v) = %v, want %v", tc.name, tc.at, got, tc.routable)
 		}

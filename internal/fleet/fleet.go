@@ -2,14 +2,21 @@
 // pool of heterogeneous replica engines — mixed device profiles (AGX
 // Orin power modes, server parts) and mixed weight formats (FP16 and
 // W4A16). A deterministic router assigns each arriving request to a
-// replica under a pluggable Policy; each replica then executes its
-// sub-stream on the full vLLM-style engine (engine.Serve), and the
-// per-replica results are folded into fleet-wide Metrics.
+// replica under a pluggable Policy, and each replica's engine runs in
+// lockstep with dispatch: the request is offered to the replica's open
+// serve run (engine.Serving) the moment it is routed, and an engine is
+// advanced to the instants that need its state — a dispatch to it, a
+// tiered warmth read, a crash on it. Per-replica results are folded
+// into fleet-wide Metrics once dispatch ends and every run is closed.
+// An advance commits (see engine.Serving): a replica read or crashed
+// after its last dispatch caps its decode chunks at the admission grain
+// up to that instant, so its results match a standalone run advanced
+// there before closing, not one closed at its last dispatch.
 //
 // The router works on calibrated estimates (a batch-1 probe of each
-// replica's prefill and decode rates) while the replicas execute on the
-// exact simulator, mirroring a real load balancer that routes on cheap
-// health signals rather than ground truth. Admission is a shared ingress
+// replica's prefill and decode rates) for capacity and completion,
+// mirroring a real load balancer that routes on cheap health signals
+// rather than ground truth. Admission is a shared ingress
 // queue with per-replica capacity and a pluggable discipline
 // (Config.Admission): the default FIFO blocks the stream head when every
 // routable replica is at capacity, while EDF and SJF reorder the waiting
@@ -23,7 +30,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
@@ -101,8 +107,10 @@ type Config struct {
 	DeviceBlocks int
 	// HostTierBlocks attaches a host-DRAM second tier of that many blocks
 	// to every replica's prefix index (requires PrefixCache); with the
-	// tier on, SessionAffinity ranks re-pin candidates by where a
-	// session's history resides — device-warm over host-warm over cold.
+	// tier on, SessionAffinity ranks a displaced session's re-pin
+	// candidates by how much of its history each holds live — the
+	// longest resident prefix across device and host wins, device
+	// residency breaking ties, and a cold replica ranks last.
 	HostTierBlocks int
 	// HostLinkBandwidth prices tier promotions in bytes/second (default
 	// kvcache.DefaultHostLinkBandwidth).
@@ -126,35 +134,13 @@ type Config struct {
 	Trace *telemetry.Trace
 }
 
-// cacheOptions carries the fleet-level engine cache knobs to replica
-// construction — the initial pool and autoscaler provisions build
-// identically-tiered engines.
-type cacheOptions struct {
-	prefixCache       bool
-	deviceBlocks      int
-	hostTierBlocks    int
-	hostLinkBandwidth float64
-	// trace rides along so autoscaler provisions register their tracks
-	// the same way the initial pool does.
-	trace *telemetry.Trace
-}
-
-func (cfg Config) cacheOpts() cacheOptions {
-	return cacheOptions{
-		prefixCache:       cfg.PrefixCache,
-		deviceBlocks:      cfg.DeviceBlocks,
-		hostTierBlocks:    cfg.HostTierBlocks,
-		hostLinkBandwidth: cfg.HostLinkBandwidth,
-		trace:             cfg.Trace,
-	}
-}
-
 // ReplicaMetrics reports one replica's share of the run.
 type ReplicaMetrics struct {
 	Name   string
 	Device string
 	Model  string
-	// Assigned counts requests routed to the replica.
+	// Assigned counts requests routed to the replica and not aborted
+	// there by a crash.
 	Assigned int
 	engine.ServeMetrics
 	// BusyTime sums per-request service time (prefill + decode); batched
@@ -230,14 +216,15 @@ type Metrics struct {
 	RestoreSeconds float64
 	// Fault-injection and recovery accounting (zero without Config.Faults
 	// or ReplicaConfig.CrashAt). Crashes counts crash events striking the
-	// pool; Aborted the in-flight dispatches they destroyed (a request
-	// aborted twice counts twice); Retried the aborts scheduled for
-	// re-admission; AbortedDropped — a subset of Dropped, like Shed — the
-	// aborts abandoned for good (retry disabled, attempts exhausted, no
-	// deadline budget left, or a permanent outage drained the retry
-	// queue); LostWorkSeconds the estimated service time destroyed
-	// mid-flight; BreakerOpens the circuit-breaker opens under
-	// health-aware routing. Conservation still holds as
+	// pool; Aborted the dispatches they destroyed — whatever the struck
+	// engine held at the crash instant (a request aborted twice counts
+	// twice); Retried the aborts scheduled for re-admission;
+	// AbortedDropped — a subset of Dropped, like Shed — the aborts
+	// abandoned for good (retry disabled, attempts exhausted, no deadline
+	// budget left, or a permanent outage drained the retry queue);
+	// LostWorkSeconds the service seconds the aborted requests had
+	// received, up to the crash; BreakerOpens the circuit-breaker opens
+	// under health-aware routing. Conservation still holds as
 	// Served + Dropped == Offered: retries are not re-offered, and every
 	// abort either completes a later attempt or lands in Dropped once.
 	Crashes         int
@@ -267,17 +254,18 @@ func (m Metrics) PrefixHitRate() float64 {
 	return float64(m.SavedPrefillTokens) / float64(m.PrefixLookupTokens)
 }
 
-// replica is the router-side state for one engine.
+// replica is the router-side state for one engine and its open serve
+// run.
 type replica struct {
 	cfg ReplicaConfig
 	eng *engine.Engine
+	sv  *engine.Serving
+	// err is the run's first engine error; it stops further advances and
+	// surfaces when the run is closed.
+	err error
 	// Calibrated batch-1 rates from the warm-up probe.
 	prefillPerTok float64
 	decodePerTok  float64
-	// assigned is the replica's sub-stream, in dispatch order; src is the
-	// reusable source wrapper its drain feeds the engine through.
-	assigned []engine.TimedRequest
-	src      engine.SliceSource
 	// finishes holds estimated completion times of outstanding requests,
 	// sorted ascending; estFreeAt is the serial-backlog horizon.
 	finishes  []float64
@@ -290,55 +278,56 @@ type replica struct {
 	idleFrom      float64
 	retired       bool
 	retiredAt     float64
-	// Fault machinery, nil/zero on fault-free replicas so the legacy
-	// paths stay untouched: tl is the compiled fault timeline and hs the
-	// circuit-breaker state; estFinish mirrors assigned with estimated
-	// completion times (maintained only when trackEst — crash-prone
-	// replicas — so fault-free dispatch stays allocation-identical) and
-	// recovers the abort suffix at a crash; pendingWipe arms the next
-	// take to mark its request as the cache-wipe boundary in wipes.
-	tl          *timeline
-	hs          *healthState
-	estFinish   []float64
-	trackEst    bool
-	wipes       map[string]bool
-	pendingWipe bool
+	// Fault machinery, nil on fault-free replicas: tl is the compiled
+	// fault timeline and hs the circuit-breaker state.
+	tl *timeline
+	hs *healthState
 	// crashes counts crash events that struck this replica (folded into
 	// ReplicaMetrics.Crashes).
 	crashes int
 }
 
-// newReplica builds the serving engine for one replica config and
-// calibrates the router's service-time estimate from the engine's own
-// kernel model. CalibrationRates is pure — the clock and cache are
-// untouched — and returns exactly what the historical one-request probe
-// run on a scratch engine measured, without constructing one.
-func newReplica(rc ReplicaConfig, opts cacheOptions) (*replica, error) {
+// newReplica builds the serving engine for one replica config under the
+// fleet's cache, tracing and admission settings — the initial pool and
+// autoscaler provisions alike — opens its serve run with the replica's
+// fault timeline (nil when fault-free), and calibrates the router's
+// service-time estimate from the engine's own kernel model.
+// CalibrationRates is pure — the clock and cache are untouched — and
+// returns exactly what the historical one-request probe run on a scratch
+// engine measured, without constructing one.
+func newReplica(rc ReplicaConfig, fc Config, tl *timeline) (*replica, error) {
 	engCfg := engine.Config{
-		Spec: rc.Spec, Device: rc.Device, PrefixCache: opts.prefixCache,
-		DeviceBlocks: opts.deviceBlocks, HostTierBlocks: opts.hostTierBlocks,
-		HostLinkBandwidth: opts.hostLinkBandwidth,
+		Spec: rc.Spec, Device: rc.Device, PrefixCache: fc.PrefixCache,
+		DeviceBlocks: fc.DeviceBlocks, HostTierBlocks: fc.HostTierBlocks,
+		HostLinkBandwidth: fc.HostLinkBandwidth,
 	}
-	if opts.trace != nil {
-		engCfg.Trace = opts.trace.Track(rc.Name)
+	if fc.Trace != nil {
+		engCfg.Trace = fc.Trace.Track(rc.Name)
 	}
 	eng, err := engine.New(engCfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", rc.Name, err)
 	}
-	prefillPerTok, decodePerTok, err := eng.CalibrationRates()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s probe: %w", rc.Name, err)
-	}
+	prefillPerTok, decodePerTok := eng.CalibrationRates()
 	return &replica{
 		cfg:           rc,
 		eng:           eng,
+		sv:            eng.Open(rc.MaxBatch, fc.Admission.localDiscipline(fc.Policy), engine.ServeOpts{Faults: tl.injection()}),
 		prefillPerTok: prefillPerTok,
 		decodePerTok:  decodePerTok,
+		tl:            tl,
 		// finishes tracks at most Capacity outstanding estimates;
 		// reserving that up front keeps every take allocation-free.
 		finishes: make([]float64, 0, rc.Capacity),
 	}, nil
+}
+
+// advance runs the replica's engine up to t, unless it has already
+// failed.
+func (r *replica) advance(t float64) {
+	if r.err == nil {
+		r.err = r.sv.AdvanceTo(t)
+	}
 }
 
 // estService estimates the batch-1 service time of a request.
@@ -346,18 +335,19 @@ func (r *replica) estService(tr engine.TimedRequest) float64 {
 	return r.prefillPerTok*float64(tr.PromptTokens) + r.decodePerTok*float64(tr.OutputTokens)
 }
 
-// estFinishFor estimates the completion time of tr started at start —
+// finishEstimate estimates the completion time of tr started at start —
 // but only under health-aware routing (r.hs != nil) does the estimate
-// integrate the replica's thermal-throttle windows, so the router reads
-// the device's thermal state and steers deadline-critical work toward
-// cool replicas. A blind fleet estimates full speed and eats the
-// stretch at drain time. This is a routing signal only: the recorded
-// dispatch estimates (estFreeAt, finishes, estFinish) stay unstretched,
-// so crash abort sets and capacity accounting are identical across
-// health-aware and blind legs of the same schedule.
-func (r *replica) estFinishFor(tr engine.TimedRequest, start float64) float64 {
+// integrate the replica's stall and thermal-throttle windows, so the
+// router reads the device's health and thermal state and steers
+// deadline-critical work away from a replica about to freeze or slow
+// down. A blind fleet estimates full speed and eats the freeze and the
+// stretch on the engine. This is a routing signal only: the recorded
+// dispatch estimates (estFreeAt, finishes) stay unstretched, so capacity
+// accounting is identical across health-aware and blind legs of the
+// same schedule.
+func (r *replica) finishEstimate(tr engine.TimedRequest, start float64) float64 {
 	svc := r.estService(tr)
-	if r.hs != nil && r.tl != nil && len(r.tl.throttles) > 0 {
+	if r.hs != nil && r.tl != nil && len(r.tl.stalls)+len(r.tl.throttles) > 0 {
 		return r.tl.finishAfter(start, svc)
 	}
 	return start + svc
@@ -379,7 +369,7 @@ func (r *replica) speed() float64 {
 // separately. Under health-aware routing a replica inside a stall
 // window is also unroutable — the health layer detects the stall and
 // steers around it, while a blind fleet keeps dispatching into it and
-// pays the freeze at drain time.
+// pays the freeze on the engine.
 func (r *replica) routableAt(t float64) bool {
 	if t < r.cfg.WarmupDelay {
 		return false
@@ -467,7 +457,8 @@ func (r *replica) depth(t float64) int {
 	return len(r.finishes)
 }
 
-// take records the dispatch of tr at time t.
+// take records the dispatch of tr at time t and offers it to the
+// replica's engine, advanced to t first.
 func (r *replica) take(tr engine.TimedRequest, t float64) {
 	est := math.Max(r.estFreeAt, t) + r.estService(tr)
 	r.estFreeAt = est
@@ -476,32 +467,15 @@ func (r *replica) take(tr engine.TimedRequest, t float64) {
 	r.finishes = append(r.finishes, 0)
 	copy(r.finishes[i+1:], r.finishes[i:])
 	r.finishes[i] = est
-	if r.assigned == nil {
-		// Seed the sub-stream at a 64-request floor so short runs skip the
-		// early append-growth doublings.
-		r.assigned = make([]engine.TimedRequest, 0, 64)
-	}
-	r.assigned = append(r.assigned, tr)
-	if r.trackEst {
-		// Estimated finishes are monotone in dispatch order (est is
-		// max(estFreeAt, t) + service, and estFreeAt ratchets), so the
-		// abort set at a crash is always a suffix of assigned.
-		r.estFinish = append(r.estFinish, est)
-	}
-	if r.pendingWipe {
-		if r.wipes == nil {
-			r.wipes = make(map[string]bool)
-		}
-		r.wipes[tr.ID] = r.tl.keepHost
-		r.pendingWipe = false
-	}
+	r.advance(t)
+	r.sv.Offer(tr, t)
 	if r.hs != nil {
 		r.hs.noteTake(tr.ID, t, est)
 	}
 }
 
-// Serve routes the open-loop stream across the fleet and executes every
-// replica's sub-stream. Requests must not predate t=0; the input slice
+// Serve routes the open-loop stream across the fleet and serves it on
+// the replica engines. Requests must not predate t=0; the input slice
 // is not modified. It is a thin collector over ServeSource.
 func Serve(cfg Config, reqs []engine.TimedRequest) (Metrics, error) {
 	stream := make([]engine.TimedRequest, len(reqs))
@@ -512,27 +486,31 @@ func Serve(cfg Config, reqs []engine.TimedRequest) (Metrics, error) {
 
 // ServeSource routes a pull-based stream (non-decreasing Arrival order,
 // not predating t=0) across the fleet: the ingress consumes the source
-// lazily as the dispatch clock reaches each arrival, so live memory
-// scales with the waiting set plus the routed-but-undrained sub-streams,
-// not the stream length.
+// lazily as the dispatch clock reaches each arrival, and each replica's
+// engine serves what it is dispatched as dispatch proceeds, so live
+// memory scales with the waiting and in-flight sets, not the stream
+// length.
 func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if len(cfg.Replicas) == 0 {
 		return Metrics{}, fmt.Errorf("fleet: no replicas configured")
 	}
-	opts := cfg.cacheOpts()
 	// The fleet tracer registers the shared ingress and faults tracks
 	// before the replica constructors register theirs, fixing the export
 	// layout; nil when tracing is off.
 	ft := newFleetTracer(cfg.Trace)
+	tls, crashes, err := compileFaults(cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
 	replicas := make([]*replica, len(cfg.Replicas))
 	for i, rc := range cfg.Replicas {
-		r, err := newReplica(rc.withDefaults(i), opts)
+		r, err := newReplica(rc.withDefaults(i), cfg, tls[i])
 		if err != nil {
 			return Metrics{}, err
 		}
 		replicas[i] = r
 	}
-	as, err := newAutoscaler(cfg.Autoscale, len(replicas), opts)
+	as, err := newAutoscaler(cfg.Autoscale, len(replicas), cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -545,21 +523,12 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	var out Metrics
 	out.Policy = cfg.Policy
 	router := &router{replicas: replicas, policy: cfg.Policy, tiered: cfg.HostTierBlocks > 0}
-	// delays records per-request global-queue wait (dispatch − arrival),
-	// folded back into latency accounting after the engines run. One map
-	// serves the whole run — request IDs are unique across replicas —
-	// and it stays nil while the fleet keeps up.
-	var delays map[string]float64
-	crashes, err := compileFaults(cfg, replicas)
-	if err != nil {
-		return Metrics{}, err
-	}
 	if ft != nil {
 		ft.faultWindows(replicas)
 	}
 	var cx *chaos
 	if len(crashes) > 0 {
-		cx = &chaos{ro: router, healthOn: cfg.Health != nil, events: crashes, delays: &delays, out: &out, ft: ft}
+		cx = &chaos{ro: router, healthOn: cfg.Health != nil, events: crashes, out: &out, ft: ft}
 		if cfg.Retry != nil {
 			if err := cfg.Retry.validate(); err != nil {
 				return Metrics{}, err
@@ -577,66 +546,29 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 			r.hs = &healthState{cfg: h}
 		}
 	}
-	if err := dispatch(router, as, cx, ft, cfg.Admission, stream, &delays, &out); err != nil {
+	if err := dispatch(router, as, cx, ft, cfg.Admission, stream, &out); err != nil {
 		return out, err
 	}
 	replicas = router.replicas // the autoscaler may have grown the pool
 
-	discipline := cfg.Admission.localDiscipline(cfg.Policy)
+	// Dispatch is over: close every run, draining what each engine still
+	// holds, and fold the results in replica order. Every request routed
+	// to a replica and not aborted there is served by its Close.
 	busy := make([]float64, 0, len(replicas))
-	// The replicas' sub-streams are independent once routed, so their
-	// drain phases simulate concurrently; results are folded back in
-	// replica order, keeping the output deterministic at any parallelism.
-	type drained struct {
-		sm  engine.ServeMetrics
-		err error
-	}
-	results := make([]drained, len(replicas))
-	var wg sync.WaitGroup
-	for i, r := range replicas {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			// The sub-stream is already in dispatch order (the dispatch
-			// clock is monotone), so it feeds the engine directly — no
-			// copy, no re-sort.
-			r.src.Reset(r.assigned)
-			sm, err := r.eng.ServeSource(&r.src,
-				r.cfg.MaxBatch, discipline,
-				engine.ServeOpts{SizeHint: len(r.assigned), Faults: r.injection()})
-			results[i] = drained{sm: sm, err: err}
-		}(i, r)
-	}
-	wg.Wait()
-	total := 0
-	for i := range results {
-		total += results[i].sm.Served
-	}
-	latencies := make([]float64, 0, total)
-	for i, r := range replicas {
-		sm, err := results[i].sm, results[i].err
-		if err != nil {
-			return out, fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, err)
+	latencies := make([]float64, 0, out.Offered)
+	for _, r := range replicas {
+		var sm engine.ServeMetrics
+		if r.err == nil {
+			sm, r.err = r.sv.Close()
 		}
-		// Fold the global-queue wait back into end-to-end latency.
-		// Requests and Latencies are parallel slices in completion order.
-		if len(delays) > 0 {
-			for j := range sm.Requests {
-				if d := delays[sm.Requests[j].ID]; d > 0 {
-					sm.Requests[j].QueueTime += d
-					sm.Latencies[j] += d
-				}
-			}
-			if len(sm.Latencies) > 0 {
-				sm.MeanLatency = stats.Mean(sm.Latencies)
-				sm.P50Latency, sm.P95Latency, sm.P99Latency = stats.Percentiles3(sm.Latencies)
-			}
+		if r.err != nil {
+			return out, fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, r.err)
 		}
 		rm := ReplicaMetrics{
 			Name:          r.cfg.Name,
 			Device:        r.cfg.Device.Name,
 			Model:         string(r.cfg.Spec.ID),
-			Assigned:      len(r.assigned),
+			Assigned:      sm.Served,
 			ServeMetrics:  sm,
 			Crashes:       r.crashes,
 			ProvisionedAt: r.provisionedAt,
@@ -686,7 +618,7 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 // the admission discipline picks which waiting request goes next. The
 // dispatch clock is monotone — a request is never dispatched before an
 // earlier decision's time.
-func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, delays *map[string]float64, out *Metrics) error {
+func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, out *Metrics) error {
 	q := &ingress{discipline: admission}
 	drop := func(tr engine.TimedRequest) {
 		out.Dropped++
@@ -844,18 +776,7 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			now = t
 			continue
 		}
-		r := ro.chooseAt(tr, t)
-		// The engine sees the dispatch time as the arrival; the wait in
-		// the shared queue is re-added to the request's latency later.
-		adjusted := tr
-		adjusted.Arrival = t
-		if t > tr.Arrival {
-			if *delays == nil {
-				*delays = make(map[string]float64)
-			}
-			(*delays)[tr.ID] = t - tr.Arrival
-		}
-		r.take(adjusted, t)
+		ro.chooseAt(tr, t).take(tr, t)
 		if ft != nil {
 			ft.dispatched(tr, t)
 			ft.sampleQueue(t, q.len())
@@ -927,13 +848,14 @@ func trimLower(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 type router struct {
 	replicas []*replica
 	policy   Policy
-	// tiered enables warmth-ranked SessionAffinity pinning (set when the
-	// fleet's replicas carry a host-DRAM tier); non-tiered fleets keep
-	// the legacy least-pinned behavior bit for bit.
+	// tiered enables warmth-ranked SessionAffinity re-pinning (set when
+	// the fleet's replicas carry a host-DRAM tier); non-tiered fleets
+	// keep the least-pinned behavior bit for bit.
 	tiered bool
 	rrNext int
 	// sticky maps a session ID to the replica index its turns are pinned
-	// to (SessionAffinity only; re-pinned on fallback), and pinned counts
+	// to (SessionAffinity only; re-pinned on fallback; -1 once purged),
+	// and pinned counts
 	// sessions per replica so new sessions spread instead of piling onto
 	// the lowest index while queues are momentarily empty.
 	sticky map[string]int
@@ -991,7 +913,7 @@ func (ro *router) bestService(tr engine.TimedRequest, t float64) float64 {
 	best := math.Inf(1)
 	for _, r := range ro.replicas {
 		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
-			if s := r.estFinishFor(tr, t) - t; s < best {
+			if s := r.finishEstimate(tr, t) - t; s < best {
 				best = s
 			}
 		}
@@ -1023,16 +945,16 @@ func (ro *router) chooseAt(tr engine.TimedRequest, t float64) *replica {
 	return ro.replicas[ro.choose(ro.scratch, tr, t)]
 }
 
-// purge drops sticky-session pins to a replica leaving the pool, so the
-// session map cannot accumulate entries for replicas the autoscaler has
-// retired. Displaced sessions re-pin on their next turn.
+// purge displaces the sessions pinned to a replica leaving the pool (or
+// crashing), so no pin points at a retired replica. Displaced sessions
+// re-pin on their next turn.
 func (ro *router) purge(idx int) {
 	if ro.sticky == nil {
 		return
 	}
 	for sid, p := range ro.sticky {
 		if p == idx {
-			delete(ro.sticky, sid)
+			ro.sticky[sid] = -1
 		}
 	}
 	if idx < len(ro.pinned) {
@@ -1048,25 +970,24 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 		return leastQueued(ro.replicas, candidates)
 	case SessionAffinity:
 		// A session's turns chase their prefix KV: stay on the pinned
-		// replica while it can take the request. A new (or displaced)
-		// session pins to the replica carrying the fewest sessions —
-		// least-connections, so concurrent sessions spread even while
-		// queues are momentarily empty — with queue depth breaking ties.
-		// When the pinned replica is saturated, cold, or failed, the turn
-		// falls back the same way and re-pins; the history is rebuilt on
-		// the new replica at that turn's cold prefill.
-		if tr.SessionID != "" {
-			if p, ok := ro.sticky[tr.SessionID]; ok {
-				for _, c := range candidates {
-					if c == p {
-						return p
-					}
-				}
-				ro.pinned[p]--
-			}
-		}
+		// replica while it can take the request. A new session pins to
+		// the replica carrying the fewest sessions — least-connections, so
+		// concurrent sessions spread even while queues are momentarily
+		// empty — with queue depth breaking ties. When the pinned replica
+		// is saturated, cold, failed or crashed, the displaced session
+		// re-pins the same way, except that tiered fleets first rank the
+		// candidates by how much of the turn's history each still holds.
 		if tr.SessionID == "" {
 			return leastQueued(ro.replicas, candidates)
+		}
+		p, seen := ro.sticky[tr.SessionID]
+		if seen && p >= 0 {
+			for _, c := range candidates {
+				if c == p {
+					return p
+				}
+			}
+			ro.pinned[p]--
 		}
 		if ro.sticky == nil {
 			ro.sticky = make(map[string]int)
@@ -1075,14 +996,10 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 		for len(ro.pinned) < len(ro.replicas) {
 			ro.pinned = append(ro.pinned, 0)
 		}
-		// Tiered fleets rank candidates by where the session's history
-		// resides first — a replica still holding the prefix (even demoted
-		// to host DRAM) restores it for a restore fee, while a cold one
-		// re-prefills everything. Warmth ties (always, when untiered) fall
-		// back to least-pinned with queue depth as the final tiebreak.
-		best, bestWarm := candidates[0], ro.warmth(candidates[0], tr)
+		best := candidates[0]
+		bestWarm := ro.warmth(best, tr, t, seen)
 		for _, i := range candidates[1:] {
-			w := ro.warmth(i, tr)
+			w := ro.warmth(i, tr, t, seen)
 			if w > bestWarm ||
 				(w == bestWarm && (ro.pinned[i] < ro.pinned[best] ||
 					(ro.pinned[i] == ro.pinned[best] && len(ro.replicas[i].finishes) < len(ro.replicas[best].finishes)))) {
@@ -1112,12 +1029,12 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 	case DeadlineAware:
 		// Earliest estimated completion: the replica most likely to get
 		// the request in under its deadline.
-		best, bestFinish := candidates[0], math.Inf(1)
+		best, earliest := candidates[0], math.Inf(1)
 		for _, i := range candidates {
 			r := ro.replicas[i]
-			est := r.estFinishFor(tr, math.Max(r.estFreeAt, t))
-			if est < bestFinish {
-				best, bestFinish = i, est
+			est := r.finishEstimate(tr, math.Max(r.estFreeAt, t))
+			if est < earliest {
+				best, earliest = i, est
 			}
 		}
 		return best
@@ -1136,23 +1053,23 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 	}
 }
 
-// warmth ranks a replica for a session turn by where the turn's prefix
-// history resides: 2 when its leading blocks sit in the replica's
-// device cache, 1 when only in its host tier (restorable for a fee),
-// 0 when cold. Untiered fleets always report cold, so legacy routing
-// is untouched.
-func (ro *router) warmth(i int, tr engine.TimedRequest) int {
-	if !ro.tiered || len(tr.PromptSyms) == 0 {
+// warmth ranks replica i for a re-pinning session's turn at t by how
+// much of the turn's history it holds, advancing its engine there first:
+// the longer resident prefix across both tiers wins (a host-tier restore
+// still beats re-prefilling), and device residency breaks ties — one
+// key, since the device head never exceeds the resident length. New
+// sessions, untiered fleets and symless turns all read as cold, so their
+// placement is the least-pinned rule alone: every session opens on a
+// shared system prompt, and ranking first turns by it would pile new
+// sessions onto whichever replica served first.
+func (ro *router) warmth(i int, tr engine.TimedRequest, t float64, repin bool) int {
+	if !ro.tiered || !repin || len(tr.PromptSyms) == 0 {
 		return 0
 	}
-	dev, host := ro.replicas[i].eng.PeekPrefix(tr.PromptSyms)
-	switch {
-	case dev > 0:
-		return 2
-	case host > 0:
-		return 1
-	}
-	return 0
+	r := ro.replicas[i]
+	r.advance(t)
+	dev, host := r.eng.PeekPrefix(tr.PromptSyms)
+	return (dev+host)*(len(tr.PromptSyms)+1) + dev
 }
 
 // leastQueued picks the candidate with the fewest outstanding requests,

@@ -9,15 +9,16 @@
 // adds per-replica health to routing — a consecutive-failure circuit
 // breaker with half-open probes, plus stall-window avoidance.
 //
-// Crash semantics are authoritative at the dispatch level, mirroring how
-// the router works on calibrated estimates everywhere else: the abort
-// set at a crash is the suffix of the replica's assigned sub-stream
-// whose estimated completion lands after the crash instant (estimated
-// finishes are monotone in dispatch order), and the surviving prefix
-// drains normally. The engine sees the crash only as a cache-wipe marker
-// on the first post-restart request plus the stall/throttle timing
-// windows, so dispatch decisions and execution can never disagree about
-// which requests a crash destroyed.
+// Crashes execute on the engines, which run in lockstep with dispatch:
+// the dispatcher advances the struck replica to the crash instant, and
+// its engine aborts exactly what it holds there — offers not yet
+// admitted, its ready queue and its active set — cutting work in
+// progress at the instant and reporting what each aborted request had
+// executed as lost work. Like any advance, the crash commits the
+// replica's open run up to its instant (see the package comment). The
+// dispatcher routes every abort to the retry queue or the drop ledger,
+// so dispatch and execution can never disagree about which requests a
+// crash destroyed.
 package fleet
 
 import (
@@ -125,7 +126,7 @@ func (tl *timeline) downAt(t float64) (bool, float64) {
 
 // throttleAt returns the thermal-throttle slowdown factor active at t
 // (1 when none; overlapping windows compound, matching the engine's
-// drain-time stretch).
+// decode stretch).
 func (tl *timeline) throttleAt(t float64) float64 {
 	f := 1.0
 	for _, w := range tl.throttles {
@@ -137,16 +138,23 @@ func (tl *timeline) throttleAt(t float64) float64 {
 }
 
 // finishAfter integrates svc seconds of work starting at t across the
-// replica's throttle windows: work inside a window runs Factor× slower,
-// work outside runs at full speed. A flat whole-service stretch would
-// overshoot badly for work that merely grazes a window.
+// replica's fault windows, as the engine executes it: no progress inside
+// a stall window, Factor× slower inside a throttle window, full speed
+// outside. A flat whole-service stretch would overshoot badly for work
+// that merely grazes a window.
 func (tl *timeline) finishAfter(t, svc float64) float64 {
 	rem := svc
 	for rem > 0 {
+		t = tl.stallEnd(t)
 		f := tl.throttleAt(t)
 		// Advance to the next window boundary after t; the factor is
-		// constant until then.
+		// constant, and the device unstalled, until then.
 		next := math.Inf(1)
+		for _, w := range tl.stalls {
+			if w.From > t && w.From < next {
+				next = w.From
+			}
+		}
 		for _, w := range tl.throttles {
 			if w.From > t && w.From < next {
 				next = w.From
@@ -240,29 +248,25 @@ func (h *healthState) settle(t float64) {
 }
 
 // noteTake records a half-open dispatch as the breaker's probe.
-func (h *healthState) noteTake(id string, t, estFinish float64) {
+func (h *healthState) noteTake(id string, t, finish float64) {
 	if h.open && !h.probing && t >= h.openUntil {
 		h.probing = true
 		h.probeID = id
-		h.probeFinish = estFinish
+		h.probeFinish = finish
 	}
 }
 
-// injection assembles the engine-level fault view of this replica's
-// drain: its stall and throttle windows plus the crash-boundary cache
-// wipes. Nil on fault-free replicas, keeping their drains byte-identical
-// to a fault-free run.
-func (r *replica) injection() *engine.FaultInjection {
-	if r.tl == nil && len(r.wipes) == 0 {
+// injection assembles the engine-level fault view of a timeline: its
+// stall and throttle windows and its crashes. Nil for a fault-free
+// replica (compileFaults builds a timeline only for a replica with
+// faults), keeping its run byte-identical to a fault-free one.
+func (tl *timeline) injection() *engine.FaultInjection {
+	if tl == nil {
 		return nil
 	}
-	fx := &engine.FaultInjection{CrashWipes: r.wipes}
-	if r.tl != nil {
-		fx.Stalls = r.tl.stalls
-		fx.Throttles = r.tl.throttles
-	}
-	if len(fx.Stalls) == 0 && len(fx.Throttles) == 0 && len(fx.CrashWipes) == 0 {
-		return nil
+	fx := &engine.FaultInjection{Stalls: tl.stalls, Throttles: tl.throttles, KeepHost: tl.keepHost}
+	for _, c := range tl.crashes {
+		fx.Crashes = append(fx.Crashes, c.at)
 	}
 	return fx
 }
@@ -273,22 +277,23 @@ type chaosEvent struct {
 	replica     int
 }
 
-// compileFaults attaches per-replica fault timelines from Config.Faults
-// and the ReplicaConfig.CrashAt shorthand, returning the global crash
-// sequence in processing order. Fault schedules target the configured
-// replica set; autoscaler-provisioned replicas are fault-free.
-func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
+// compileFaults builds per-replica fault timelines from Config.Faults
+// and the ReplicaConfig.CrashAt shorthand (nil for fault-free replicas),
+// returning them with the global crash sequence in processing order.
+// Fault schedules target the configured replica set; autoscaler-
+// provisioned replicas are fault-free.
+func compileFaults(cfg Config) ([]*timeline, []chaosEvent, error) {
 	keepHost := cfg.Faults != nil && cfg.Faults.HostSurvivesCrash
+	tls := make([]*timeline, len(cfg.Replicas))
 	tl := func(i int) *timeline {
-		r := replicas[i]
-		if r.tl == nil {
-			r.tl = &timeline{keepHost: keepHost, deadAt: math.Inf(1)}
+		if tls[i] == nil {
+			tls[i] = &timeline{keepHost: keepHost, deadAt: math.Inf(1)}
 		}
-		return r.tl
+		return tls[i]
 	}
 	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(len(replicas)); err != nil {
-			return nil, err
+		if err := cfg.Faults.Validate(len(cfg.Replicas)); err != nil {
+			return nil, nil, err
 		}
 		for _, ev := range cfg.Faults.Sorted() {
 			switch ev.Kind {
@@ -309,29 +314,26 @@ func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
 			}
 		}
 	}
-	for i, r := range replicas {
-		if c := r.cfg.CrashAt; c != 0 {
+	for i, rc := range cfg.Replicas {
+		if c := rc.CrashAt; c != 0 {
 			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-				return nil, fmt.Errorf("fleet: replica %s CrashAt must be finite and non-negative, got %v", r.cfg.Name, c)
+				return nil, nil, fmt.Errorf("fleet: replica %s CrashAt must be finite and non-negative, got %v", rc.withDefaults(i).Name, c)
 			}
 			tl(i).crashes = append(tl(i).crashes, crashPoint{at: c, restart: math.Inf(1)})
 		}
 	}
 	var seq []chaosEvent
-	for i, r := range replicas {
-		if r.tl == nil {
+	for i, t := range tls {
+		if t == nil {
 			continue
 		}
-		sort.SliceStable(r.tl.crashes, func(a, b int) bool { return r.tl.crashes[a].at < r.tl.crashes[b].at })
-		for _, c := range r.tl.crashes {
-			if math.IsInf(c.restart, 1) && c.at < r.tl.deadAt {
-				r.tl.deadAt = c.at
+		sort.SliceStable(t.crashes, func(a, b int) bool { return t.crashes[a].at < t.crashes[b].at })
+		for _, c := range t.crashes {
+			if math.IsInf(c.restart, 1) && c.at < t.deadAt {
+				t.deadAt = c.at
 			}
 			seq = append(seq, chaosEvent{at: c.at, restart: c.restart, replica: i})
 		}
-		// Only crash-prone replicas pay the per-dispatch estimated-finish
-		// bookkeeping the abort suffix is recovered from.
-		r.trackEst = len(r.tl.crashes) > 0
 	}
 	sort.SliceStable(seq, func(a, b int) bool {
 		if seq[a].at != seq[b].at {
@@ -339,12 +341,12 @@ func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
 		}
 		return seq[a].replica < seq[b].replica
 	})
-	return seq, nil
+	return tls, seq, nil
 }
 
 // retryItem is one crash-aborted request waiting for re-admission; tr
-// carries its original arrival so end-to-end latency accounting spans
-// every attempt.
+// carries its true arrival so end-to-end latency accounting spans every
+// attempt.
 type retryItem struct {
 	at float64
 	tr engine.TimedRequest
@@ -363,7 +365,6 @@ type chaos struct {
 	pending  []retryItem // sorted ascending by at; consumed from head
 	head     int
 	attempts map[string]int
-	delays   *map[string]float64
 	out      *Metrics
 	ft       *fleetTracer // nil when tracing is off
 }
@@ -444,11 +445,11 @@ func (cx *chaos) processUpTo(t float64) {
 	}
 }
 
-// crash executes one crash event: abort the in-flight suffix of the
-// replica's sub-stream, account the lost work, route each abort to the
-// retry queue or the drop ledger, arm the cache wipe for the replica's
-// first post-restart dispatch, strike its breaker, and purge its sticky
-// sessions so they re-pin by warmth.
+// crash executes one crash event: advance the replica's engine to the
+// crash instant, where it aborts everything it holds; account the lost
+// work; route each abort to the retry queue or the drop ledger; strike
+// the replica's breaker; and displace its sticky sessions so they
+// re-pin by warmth.
 func (cx *chaos) crash(ev chaosEvent) {
 	r := cx.ro.replicas[ev.replica]
 	if r.hs != nil {
@@ -462,47 +463,21 @@ func (cx *chaos) crash(ev chaosEvent) {
 	if cx.ft != nil {
 		cx.ft.crashed(r.cfg.Name, ev.at)
 	}
-	cut := len(r.assigned)
-	for cut > 0 && r.estFinish[cut-1] > ev.at {
-		cut--
-	}
-	for i := cut; i < len(r.assigned); i++ {
-		tr := r.assigned[i]
-		svc := r.estService(tr)
-		lost := 0.0
-		if start := r.estFinish[i] - svc; start < ev.at {
-			lost = math.Min(ev.at-start, svc)
-			cx.out.LostWorkSeconds += lost
-		}
+	r.advance(ev.at)
+	for _, ab := range r.sv.Aborted() {
 		cx.out.Aborted++
+		cx.out.LostWorkSeconds += ab.Lost
 		if cx.ft != nil {
-			cx.ft.aborted(tr, ev.at, lost, r.cfg.Name, cx.attempts[tr.ID])
+			cx.ft.aborted(ab.TimedRequest, ab.OfferedAt, ev.at, ab.Lost, r.cfg.Name, cx.attempts[ab.ID])
 		}
-		orig := tr
-		if *cx.delays != nil {
-			if d, ok := (*cx.delays)[tr.ID]; ok {
-				// Undo the dispatch-time arrival adjustment so the retry
-				// re-enters with its true arrival and the eventual
-				// latency spans every attempt.
-				orig.Arrival = tr.Arrival - d
-				delete(*cx.delays, tr.ID)
-			}
-		}
-		cx.requeue(orig, ev.at)
-		r.assigned[i] = engine.TimedRequest{}
+		cx.requeue(ab.TimedRequest, ev.at)
 	}
-	r.assigned = r.assigned[:cut]
-	r.estFinish = r.estFinish[:cut]
-	// Every surviving dispatch was estimated done by the crash instant,
-	// so the outstanding-estimate list empties wholesale.
+	// The replica holds nothing after the crash, so the outstanding
+	// estimates empty wholesale.
 	r.finishes = r.finishes[:0]
 	if !math.IsInf(ev.restart, 1) {
 		r.estFreeAt = ev.restart
 		r.idleFrom = ev.restart
-		// The device KV cache dies with the crash: the first request
-		// dispatched after the restart carries the wipe marker into the
-		// replica's drain.
-		r.pendingWipe = true
 	}
 	if r.hs != nil {
 		backUp := ev.restart

@@ -20,8 +20,7 @@ func crashSchedule(r int, t, d float64) *faults.Schedule {
 func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	mk := func(p RetryPolicy) (*chaos, *Metrics) {
 		out := &Metrics{}
-		var delays map[string]float64
-		return &chaos{retry: p.withDefaults(), retryOn: true, delays: &delays, out: out}, out
+		return &chaos{retry: p.withDefaults(), retryOn: true, out: out}, out
 	}
 
 	// Backoff doubles per abort; MaxAttempts bounds total dispatches.
@@ -322,73 +321,75 @@ func TestCrashRetryRecoverProperties(t *testing.T) {
 	}
 }
 
-// TestSessionAffinityRePinsBySurvivingWarmthAfterCrash covers satellite
-// recovery routing: when a session's pinned replica crashes, its sticky
-// pin is purged immediately (no stale-pin leak), and the re-pin consults
+// TestSessionAffinityRePinsBySurvivingWarmthAfterCrash covers recovery
+// routing: when a session's pinned replica crashes, its sticky pin is
+// displaced immediately (no stale-pin leak), and the re-pin consults
 // what survived the wipe — with persistent host DRAM the session returns
 // to its old replica for a host-tier restore; after a full wipe the
 // replica is as cold as any other.
 func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
-	mk := func(name string) *replica {
-		r, err := newReplica(ReplicaConfig{
-			Name: name, Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts())
+	for _, keepHost := range []bool{true, false} {
+		tl := &timeline{crashes: []crashPoint{{at: 5100, restart: 5105}}, keepHost: keepHost, deadAt: math.Inf(1)}
+		crashed, err := newReplica(ReplicaConfig{
+			Name: "crashed", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
+		}.withDefaults(0), tieredOpts(), tl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
-	}
-	crashed, other := mk("crashed"), mk("other")
-	histA := sessHist(1<<40, 2048)
-	histB := sessHist(1<<41, 2048)
-	histC := sessHist(1<<42, 2048)
-	// Session A's history lands on "crashed", then pressure from B and C
-	// demotes it entirely to the host tier — the crash-survivable state.
-	for i, hist := range [][]uint64{histA, histB, histC} {
-		turn := sessTurn(fmt.Sprintf("w%d", i), fmt.Sprintf("s%d", i), float64(i)*1000, hist, 512, 256)
-		if _, err := crashed.eng.Serve([]engine.TimedRequest{turn}, 4, engine.FCFS); err != nil {
+		other, err := newReplica(ReplicaConfig{
+			Name: "other", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
+		}.withDefaults(1), tieredOpts(), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	turn := sessTurn("a1", "s0", 5000, histA, 512+256+128, 64)
-	if dev, host := crashed.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
-		t.Fatalf("setup: peek = (%d, %d), want (0, >0) — history fully demoted", dev, host)
-	}
+		histA := sessHist(1<<40, 2048)
+		histB := sessHist(1<<41, 2048)
+		histC := sessHist(1<<42, 2048)
+		// Session A's history lands on "crashed", then pressure from B and
+		// C demotes it entirely to the host tier — the crash-survivable
+		// state.
+		for i, hist := range [][]uint64{histA, histB, histC} {
+			serveTurn(t, crashed, sessTurn(fmt.Sprintf("w%d", i), fmt.Sprintf("s%d", i), float64(i)*1000, hist, 512, 256))
+		}
+		turn := sessTurn("a1", "s0", 5000, histA, 512+256+128, 64)
+		if dev, host := crashed.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
+			t.Fatalf("setup: peek = (%d, %d), want (0, >0) — history fully demoted", dev, host)
+		}
 
-	ro := &router{replicas: []*replica{crashed, other}, policy: SessionAffinity, tiered: true}
-	if got := ro.choose([]int{0, 1}, turn, 5000); got != 0 {
-		t.Fatalf("pinned to %d, want 0 (host-warm)", got)
-	}
+		ro := &router{replicas: []*replica{crashed, other}, policy: SessionAffinity, tiered: true}
+		if got := ro.choose([]int{0, 1}, turn, 5000); got != 0 {
+			t.Fatalf("pinned to %d, want 0 (least-pinned, first candidate)", got)
+		}
 
-	// The pinned replica crashes mid-session with host DRAM persistent.
-	var out Metrics
-	var delays map[string]float64
-	cx := &chaos{ro: ro, delays: &delays, out: &out}
-	cx.crash(chaosEvent{at: 5100, restart: 5105, replica: 0})
-	crashed.eng.CrashResetPrefix(true)
-
-	if _, ok := ro.sticky["s0"]; ok {
-		t.Fatal("crash must purge the session's sticky pin")
-	}
-	if ro.pinned[0] != 0 {
-		t.Fatalf("stale pin count %d on the crashed replica", ro.pinned[0])
-	}
-	// Re-pin after the restart: the surviving host tier beats cold.
-	turn2 := sessTurn("a2", "s0", 5200, histA, 512+256+128+64, 32)
-	if w := ro.warmth(0, turn2); w != 1 {
-		t.Fatalf("post-crash warmth %d, want 1 (host-resident survivor)", w)
-	}
-	if got := ro.choose([]int{0, 1}, turn2, 5200); got != 0 {
-		t.Fatalf("re-pinned to %d, want 0 (host-warm survivor)", got)
-	}
-	if ro.pinned[0] != 1 || len(ro.sticky) != 1 {
-		t.Fatalf("re-pin bookkeeping: pinned %v sticky %d entries", ro.pinned, len(ro.sticky))
-	}
-
-	// Without persistent DRAM the wipe leaves nothing to return to.
-	crashed.eng.CrashResetPrefix(false)
-	if w := ro.warmth(0, turn2); w != 0 {
-		t.Fatalf("warmth %d after full wipe, want 0 (cold)", w)
+		// The pinned replica crashes mid-session.
+		var out Metrics
+		cx := &chaos{ro: ro, out: &out}
+		cx.crash(chaosEvent{at: 5100, restart: 5105, replica: 0})
+		if p := ro.sticky["s0"]; p != -1 {
+			t.Fatalf("crash must displace the session's sticky pin, got %d", p)
+		}
+		if ro.pinned[0] != 0 {
+			t.Fatalf("stale pin count %d on the crashed replica", ro.pinned[0])
+		}
+		turn2 := sessTurn("a2", "s0", 5200, histA, 512+256+128+64, 32)
+		dev, host := crashed.eng.PeekPrefix(turn2.PromptSyms)
+		if !keepHost {
+			// Without persistent DRAM the wipe leaves nothing to return to.
+			if dev+host != 0 || ro.warmth(0, turn2, 5200, true) != 0 {
+				t.Fatalf("peek (%d, %d) after full wipe, want cold", dev, host)
+			}
+			continue
+		}
+		// Re-pin after the restart: the surviving host tier beats cold.
+		if dev != 0 || host == 0 {
+			t.Fatalf("post-crash peek (%d, %d), want host-resident survivor", dev, host)
+		}
+		if got := ro.choose([]int{1, 0}, turn2, 5200); got != 0 {
+			t.Fatalf("re-pinned to %d, want 0 (host-warm survivor)", got)
+		}
+		if ro.pinned[0] != 1 || len(ro.sticky) != 1 {
+			t.Fatalf("re-pin bookkeeping: pinned %v sticky %d entries", ro.pinned, len(ro.sticky))
+		}
 	}
 }
 
@@ -424,11 +425,12 @@ func TestCrashTimelineAvailability(t *testing.T) {
 	}
 }
 
-// TestThrottleAwareFinishEstimates pins the router's thermal-state
+// TestThrottleAwareFinishEstimates pins the router's fault-window
 // integration: finishAfter runs work Factor× slower inside throttle
-// windows and at full speed outside, compounding overlaps like the
-// engine's drain-time stretch — and estFinishFor only reads it under
-// health-aware routing, so a blind fleet's estimates are untouched.
+// windows, not at all inside stall windows and at full speed outside,
+// compounding overlaps like the engine's drain-time stretch — and
+// finishEstimate only reads it under health-aware routing, so a blind
+// fleet's estimates are untouched.
 func TestThrottleAwareFinishEstimates(t *testing.T) {
 	tl := &timeline{throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}
 	cases := []struct {
@@ -456,13 +458,25 @@ func TestThrottleAwareFinishEstimates(t *testing.T) {
 		t.Errorf("finishAfter(5, 1) under compounded 4x = %v, want 9", got)
 	}
 
+	stalled := &timeline{stalls: []engine.StallWindow{{From: 10, To: 12}, {From: 30, To: 31}},
+		throttles: tl.throttles}
+	for _, c := range []struct{ start, svc, want float64 }{
+		{0, 12, 16},  // 10 work to the stall, frozen to 12, 2 more at 2x
+		{11, 1, 14},  // starts frozen: 1 work at 2x from the stall's end
+		{25, 10, 36}, // 5 work, frozen over [30, 31), 5 more
+	} {
+		if got := stalled.finishAfter(c.start, c.svc); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("stalled finishAfter(%v, %v) = %v, want %v", c.start, c.svc, got, c.want)
+		}
+	}
+
 	r := &replica{cfg: ReplicaConfig{}.withDefaults(0), decodePerTok: 1, tl: tl}
 	tr := engine.TimedRequest{Request: engine.Request{OutputTokens: 12}}
-	if got := r.estFinishFor(tr, 0); got != 12 {
-		t.Errorf("blind estFinishFor = %v, want unstretched 12", got)
+	if got := r.finishEstimate(tr, 0); got != 12 {
+		t.Errorf("blind finishEstimate = %v, want unstretched 12", got)
 	}
 	r.hs = &healthState{cfg: HealthConfig{}.withDefaults()}
-	if got := r.estFinishFor(tr, 0); math.Abs(got-14) > 1e-9 {
-		t.Errorf("health-aware estFinishFor = %v, want throttle-integrated 14", got)
+	if got := r.finishEstimate(tr, 0); math.Abs(got-14) > 1e-9 {
+		t.Errorf("health-aware finishEstimate = %v, want throttle-integrated 14", got)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // TestSoakStreamConservation streams a large open-loop workload through
 // the fleet ingress — generated lazily, never materialized — and checks
 // the conservation invariant end to end: every request that entered the
-// ingress is accounted for as served or dropped. Run under -race in CI
-// (the soak-smoke step) it also exercises the concurrent replica drain
-// at a scale the unit tests never reach. The deadline slack plus shed
+// ingress is accounted for as served or dropped, at a scale the unit
+// tests never reach (run under -race in CI, the soak-smoke step). The
+// deadline slack plus shed
 // admission keeps both sides of the ledger non-trivial: an overloaded
 // pool must actually drop work for the invariant to mean anything.
 func TestSoakStreamConservation(t *testing.T) {

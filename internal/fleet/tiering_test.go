@@ -8,8 +8,8 @@ import (
 	"edgereasoning/internal/session"
 )
 
-func tieredOpts() cacheOptions {
-	return cacheOptions{prefixCache: true, deviceBlocks: 64, hostTierBlocks: 128}
+func tieredOpts() Config {
+	return Config{PrefixCache: true, DeviceBlocks: 64, HostTierBlocks: 128}
 }
 
 func sessHist(base uint64, n int) []uint64 {
@@ -30,15 +30,30 @@ func sessTurn(id, sid string, arrival float64, hist []uint64, prompt, output int
 	return tr
 }
 
-// TestSessionAffinityPrefersWarmHostOverCold pins the tentpole's routing
-// rule: when a session must (re-)pin, a replica holding its history on
-// the device cache wins, one holding it demoted in host DRAM beats a
-// cold replica, and untiered fleets keep the legacy least-pinned pick.
+// serveTurn runs one turn to completion on the replica's open serve run.
+func serveTurn(t *testing.T, r *replica, turn engine.TimedRequest) {
+	t.Helper()
+	r.advance(turn.Arrival)
+	r.sv.Offer(turn, turn.Arrival)
+	r.advance(turn.Arrival + 500)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+}
+
+// TestSessionAffinityPrefersWarmHostOverCold pins the re-pin rule: when
+// a displaced session re-pins, the replica holding the longest resident
+// prefix of its history wins, device residency breaking ties — so a
+// device-warm replica beats a host-warm one holding as much, host-warm
+// beats cold, and a full history in host DRAM beats a device-resident
+// shared system prompt. New sessions ignore warmth (least-pinned), so a
+// shared prompt does not attract them, and untiered fleets keep the
+// least-pinned pick throughout.
 func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	mk := func(name string) *replica {
 		r, err := newReplica(ReplicaConfig{
 			Name: name, Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts())
+		}.withDefaults(0), tieredOpts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,19 +67,11 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	// demotes A's history to its host tier entirely (demotion is
 	// leaf-first, so one pressure round leaves the chain head on device).
 	histC := sessHist(1<<42, 2048)
-	if _, err := hostWarm.eng.Serve([]engine.TimedRequest{sessTurn("a0", "sA", 0, histA, 512, 256)}, 4, engine.FCFS); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hostWarm.eng.Serve([]engine.TimedRequest{sessTurn("b0", "sB", 1000, histB, 512, 256)}, 4, engine.FCFS); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hostWarm.eng.Serve([]engine.TimedRequest{sessTurn("c0", "sC", 2000, histC, 512, 256)}, 4, engine.FCFS); err != nil {
-		t.Fatal(err)
-	}
+	serveTurn(t, hostWarm, sessTurn("a0", "sA", 0, histA, 512, 256))
+	serveTurn(t, hostWarm, sessTurn("b0", "sB", 1000, histB, 512, 256))
+	serveTurn(t, hostWarm, sessTurn("c0", "sC", 2000, histC, 512, 256))
 	// devWarm serves session A with no pressure: history stays on device.
-	if _, err := devWarm.eng.Serve([]engine.TimedRequest{sessTurn("a0", "sA", 0, histA, 512, 256)}, 4, engine.FCFS); err != nil {
-		t.Fatal(err)
-	}
+	serveTurn(t, devWarm, sessTurn("a0", "sA", 0, histA, 512, 256))
 
 	turn := sessTurn("a1", "sA", 3000, histA, 512+256+128, 64)
 	if dev, host := hostWarm.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
@@ -74,22 +81,65 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 		t.Fatalf("setup: devWarm history not device-resident")
 	}
 
-	ro := &router{replicas: []*replica{cold, hostWarm, devWarm}, policy: SessionAffinity, tiered: true}
+	// Session A was displaced from its pin (a crash or a retirement).
+	ro := &router{replicas: []*replica{cold, hostWarm, devWarm}, policy: SessionAffinity, tiered: true,
+		sticky: map[string]int{"sA": -1}, pinned: []int{0, 0, 0}}
 	if got := ro.choose([]int{0, 1, 2}, turn, 3000); got != 2 {
-		t.Fatalf("full candidate set pinned to %d, want 2 (device-warm)", got)
+		t.Fatalf("full candidate set re-pinned to %d, want 2 (device-warm)", got)
 	}
-	delete(ro.sticky, "sA")
+	ro.sticky["sA"] = -1
 	ro.pinned[2]--
 	// Device-warm replica saturated: host-warm must beat cold.
 	if got := ro.choose([]int{0, 1}, turn, 3000); got != 1 {
-		t.Fatalf("without device-warm candidate pinned to %d, want 1 (host-warm)", got)
+		t.Fatalf("without device-warm candidate re-pinned to %d, want 1 (host-warm)", got)
+	}
+
+	// A new session ignores warmth: least-pinned, first candidate on ties.
+	fresh := sessTurn("n0", "sN", 3000, histA, 512, 64)
+	if got := ro.choose([]int{0, 2}, fresh, 3000); got != 0 {
+		t.Fatalf("new session pinned to %d, want 0 (least-pinned, warmth ignored)", got)
 	}
 
 	// Untiered router on the same replicas: least-pinned tie falls to the
 	// first candidate, warmth ignored.
-	legacy := &router{replicas: []*replica{cold, hostWarm, devWarm}, policy: SessionAffinity}
+	legacy := &router{replicas: []*replica{cold, hostWarm, devWarm}, policy: SessionAffinity,
+		sticky: map[string]int{"sA": -1}}
 	if got := legacy.choose([]int{0, 1, 2}, turn, 3000); got != 0 {
 		t.Fatalf("untiered router pinned to %d, want 0 (legacy least-pinned)", got)
+	}
+
+	// Shared system prompt: every session opens on the same 256 tokens, so
+	// a replica that served any session holds them device-resident.
+	// holder serves session S, and unrelated pressure then demotes S's
+	// history to host DRAM; sharer serves only session T.
+	withSystem := func(base uint64) []uint64 {
+		return append(sessHist(1<<50, 256), sessHist(base, 1792)...)
+	}
+	holder, sharer := mk("holder"), mk("sharer")
+	histS := withSystem(1 << 44)
+	serveTurn(t, holder, sessTurn("s0", "sS", 0, histS, 512, 256))
+	serveTurn(t, holder, sessTurn("d0", "sD", 1000, sessHist(1<<45, 2048), 512, 256))
+	serveTurn(t, holder, sessTurn("e0", "sE", 2000, sessHist(1<<46, 2048), 512, 256))
+	serveTurn(t, sharer, sessTurn("t0", "sT", 0, withSystem(1<<47), 512, 256))
+	turnS := sessTurn("s1", "sS", 3000, histS, 512+256+128, 64)
+	hd, hh := holder.eng.PeekPrefix(turnS.PromptSyms)
+	sd, sh := sharer.eng.PeekPrefix(turnS.PromptSyms)
+	if hh == 0 || hd+hh <= sd+sh || sd <= hd {
+		t.Fatalf("setup: holder (%d dev, %d host) must hold more of S's history, sharer (%d, %d) more of it on device",
+			hd, hh, sd, sh)
+	}
+	shared := &router{replicas: []*replica{sharer, holder, cold}, policy: SessionAffinity, tiered: true,
+		sticky: map[string]int{"sS": -1}, pinned: []int{0, 0, 0}}
+	// The displaced session returns to its whole history, even in host
+	// DRAM, over a device-resident copy of the shared prompt alone.
+	if got := shared.choose([]int{0, 1, 2}, turnS, 3000); got != 1 {
+		t.Fatalf("displaced session re-pinned to %d, want 1 (longest resident history)", got)
+	}
+	// A new session sharing only the system prompt goes least-pinned.
+	shared.pinned[0] = 1
+	fresh2 := sessTurn("u0", "sU", 3000, withSystem(1<<48), 512, 64)
+	if got := shared.choose([]int{0, 2}, fresh2, 3000); got != 2 {
+		t.Fatalf("new session pinned to %d, want 2 (least-pinned, not the shared prompt's holder)", got)
 	}
 }
 

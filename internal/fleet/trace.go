@@ -87,16 +87,15 @@ func (ft *fleetTracer) dispatched(tr engine.TimedRequest, t float64) {
 }
 
 // aborted records one crash-destroyed dispatch on the faults track and
-// opens a flow for the retry that may follow. tr.Arrival here is the
-// dispatch time (the loop restores the true arrival only on the requeue
-// copy), so the span covers the attempt's time on the replica.
-func (ft *fleetTracer) aborted(tr engine.TimedRequest, at, lost float64, replica string, attempt int) {
+// opens a flow for the retry that may follow. The span covers the
+// attempt's time on the replica, from its dispatch to the crash.
+func (ft *fleetTracer) aborted(tr engine.TimedRequest, dispatched, at, lost float64, replica string, attempt int) {
 	flow := ft.trace.NextFlow()
 	ft.pendingFlow = flow
 	ft.faults.Record(telemetry.Span{
 		ID: tr.ID, Kind: telemetry.KindAborted,
-		Lane:  ft.flanes.Lane(tr.Arrival, at),
-		Start: tr.Arrival, End: at,
+		Lane:  ft.flanes.Lane(dispatched, at),
+		Start: dispatched, End: at,
 		Cause: replica, Lost: lost, Attempt: attempt,
 		Flow: flow, FlowStart: true,
 	})

@@ -19,9 +19,7 @@ import (
 // cleanly on every track lane, and the span ledger must match the
 // fleet's own accounting — one request span per served request, one
 // abort span per destroyed dispatch, one retry-wait span per scheduled
-// retry. The concurrent replica drain records into the trace from one
-// goroutine per track, so the -race run also proves the single-writer
-// discipline holds.
+// retry.
 func TestTracingTransparencyProperties(t *testing.T) {
 	spec := model.MustLookup(model.Qwen25_1_5Bit)
 	devices := DefaultDevices()

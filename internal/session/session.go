@@ -145,7 +145,11 @@ func Generate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 // growing history.
 func generateSession(p Profile, si int, start float64, system []uint64, rng *stats.RNG) []engine.TimedRequest {
 	sid := fmt.Sprintf("s%d", si)
-	history := make([]uint64, 0, len(system)+p.Turns*int(p.ObsMean+p.ThinkMean+p.ActMean))
+	// Every turn's prompt and output identities are windows of the one
+	// growing history. Sized a quarter above the mean length, it rarely
+	// regrows; a regrowth leaves earlier windows on the old array.
+	mean := len(system) + 8 + p.Turns*int(p.ObsMean+p.ThinkMean+p.ActMean)
+	history := make([]uint64, 0, mean+mean/4)
 	history = append(history, system...)
 	// A short session preamble (user identity, task statement) makes the
 	// histories diverge after the shared system prompt.
@@ -153,7 +157,11 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		history = append(history, symOf(rng))
 	}
 	clock := start
-	reqs := make([]engine.TimedRequest, 0, p.Turns*2)
+	n := p.Turns * 2
+	if p.Branch > 1 && p.BranchEvery > 0 {
+		n += (p.Branch - 1) * (p.Turns / p.BranchEvery)
+	}
+	reqs := make([]engine.TimedRequest, 0, n)
 
 	appendSyms := func(n int) {
 		for i := 0; i < n; i++ {
@@ -167,16 +175,18 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		}
 		return n
 	}
-	emit := func(id string, output int, slack float64) engine.TimedRequest {
+	// emit issues a request whose prompt is the history's first prompt
+	// identities.
+	emit := func(id string, prompt, output int, slack float64) engine.TimedRequest {
 		tr := engine.TimedRequest{
 			Request: engine.Request{
 				ID:           id,
-				PromptTokens: len(history),
+				PromptTokens: prompt,
 				OutputTokens: output,
 			},
 			Arrival:    clock,
 			SessionID:  sid,
-			PromptSyms: history[:len(history):len(history)],
+			PromptSyms: history[:prompt:prompt],
 		}
 		if slack > 0 {
 			tr.Deadline = clock + slack
@@ -192,10 +202,9 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 			branches = p.Branch
 		}
 		thinkLen := sampleLen(p.ThinkMean, p.ThinkSigma, 8)
-		canonical := make([]uint64, thinkLen)
-		for i := range canonical {
-			canonical[i] = symOf(rng)
-		}
+		prompt := len(history)
+		appendSyms(thinkLen)
+		canonical := history[prompt:len(history):len(history)]
 		for b := 0; b < branches; b++ {
 			id := fmt.Sprintf("%st%d", sid, turn)
 			outSyms := canonical
@@ -210,23 +219,19 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 					outSyms[i] = symOf(rng)
 				}
 			}
-			tr := emit(id, outLen, p.ThinkSlack)
+			tr := emit(id, prompt, outLen, p.ThinkSlack)
 			tr.OutputSyms = outSyms
 			reqs = append(reqs, tr)
 		}
-		history = append(history, canonical...)
 		clock += expSample(rng, p.PhaseGapMean)
 
 		// Act phase: short output over the history including the trace.
 		actLen := sampleLen(p.ActMean, p.ActSigma, 2)
-		actSyms := make([]uint64, actLen)
-		for i := range actSyms {
-			actSyms[i] = symOf(rng)
-		}
-		tr := emit(fmt.Sprintf("%st%da", sid, turn), actLen, p.ActSlack)
-		tr.OutputSyms = actSyms
+		prompt = len(history)
+		appendSyms(actLen)
+		tr := emit(fmt.Sprintf("%st%da", sid, turn), prompt, actLen, p.ActSlack)
+		tr.OutputSyms = history[prompt:len(history):len(history)]
 		reqs = append(reqs, tr)
-		history = append(history, actSyms...)
 		clock += expSample(rng, p.TurnGapMean)
 	}
 	return reqs

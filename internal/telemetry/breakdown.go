@@ -22,7 +22,7 @@ type RequestPhases struct {
 	Ingress     float64 // shared-ingress queue wait, all attempts
 	RetryWait   float64 // crash-to-re-admission backoff windows
 	AbortedWall float64 // dispatch-to-crash wall time of destroyed attempts
-	LostWork    float64 // estimated executed-and-thrown-away service seconds
+	LostWork    float64 // executed-and-thrown-away service seconds
 	ReplicaWait float64 // engine-local ready-queue wait before admission
 	Stall       float64
 	Restore     float64
@@ -56,11 +56,27 @@ func (t *Trace) Breakdown() []RequestPhases {
 		}
 		return rp
 	}
-	served := map[string]bool{}
+	// The served attempt's window opens at its request span's start; a
+	// crash-aborted attempt's replica phases all end before it, and are
+	// already covered by the attempt's abort span.
+	served := map[string]float64{}
+	for _, tr := range t.Tracks() {
+		for _, s := range tr.Spans() {
+			if s.Kind == KindRequest {
+				served[s.ID] = s.Start
+			}
+		}
+	}
 	for _, tr := range t.Tracks() {
 		for _, s := range tr.Spans() {
 			if s.ID == "" {
 				continue
+			}
+			if start, ok := served[s.ID]; ok && s.Start < start {
+				switch s.Kind {
+				case KindStall, KindRestore, KindPrefill, KindDecode:
+					continue // a crash-aborted attempt's phase
+				}
 			}
 			rp := get(s.ID)
 			switch s.Kind {
@@ -76,7 +92,6 @@ func (t *Trace) Breakdown() []RequestPhases {
 				rp.LostWork += s.Lost
 				rp.Attempts++
 			case KindRequest:
-				served[s.ID] = true
 				rp.Track = tr.Name()
 				rp.Finish = s.End
 				rp.ReplicaWait = s.Wait
@@ -101,7 +116,7 @@ func (t *Trace) Breakdown() []RequestPhases {
 	}
 	out := make([]RequestPhases, 0, len(served))
 	for id, rp := range byID {
-		if !served[id] {
+		if _, ok := served[id]; !ok {
 			continue
 		}
 		if rp.Arrival < 0 {

@@ -27,7 +27,7 @@ type Point struct {
 }
 
 // Series is one bounded sampled time-series, owned by a single producer
-// goroutine (per-replica series belong to that replica's drain; fleet
+// goroutine (per-replica series belong to that replica's engine; fleet
 // series to the dispatch loop). Overflow degrades resolution, never
 // correctness: when the point budget fills, every other point is dropped
 // and the minimum sample gap doubles, so a series covers any run length

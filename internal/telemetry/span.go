@@ -9,15 +9,16 @@
 // engine (its lanes are the engine's batch-arena slots, so sibling spans
 // on a lane never overlap), one ingress track for shared-queue waits,
 // and one faults track for crash/stall/throttle windows and aborted
-// attempts. Tracks are single-writer — each replica's drain goroutine
-// records only into its own track — so concurrent drains need no
-// per-record locking; the shared registry is only touched at
-// registration time, under a mutex.
+// attempts. Tracks are single-writer — each replica engine records only
+// into its own track — so recording needs no per-record locking; the
+// shared registry is only touched at registration time, under a mutex.
 package telemetry
 
-// Span kinds. A request's life renders as one enclosing KindRequest span
-// per attempt that reached an engine, with phase children inside it, plus
-// ingress/fault spans on the shared tracks.
+// Span kinds. A served request's life renders as one enclosing
+// KindRequest span for the served attempt, with phase children inside
+// it, plus ingress/fault spans on the shared tracks; a crash-aborted
+// attempt leaves only phase spans on its replica, ahead of that window,
+// and a KindAborted span on the faults track.
 const (
 	// KindRequest encloses one served attempt on a replica track:
 	// engine admission to completion. Wait carries the engine-local
@@ -30,8 +31,8 @@ const (
 	// request's re-admission to the ingress.
 	KindRetryWait = "retry-wait"
 	// KindAborted is a crash-destroyed attempt: dispatch to the crash
-	// instant. Lost carries the estimated executed-and-thrown-away
-	// service seconds.
+	// instant. Lost carries the executed-and-thrown-away service
+	// seconds.
 	KindAborted = "aborted"
 	// KindRestore is a host-tier promotion charged ahead of prefill.
 	KindRestore = "restore"

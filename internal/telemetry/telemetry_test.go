@@ -104,12 +104,14 @@ func buildTrace() *Trace {
 	r0.Record(Span{ID: "A", Kind: KindPrefill, Lane: 0, Start: 0, End: 1, Tokens: 200})
 	r0.Record(Span{ID: "A", Kind: KindDecode, Lane: 0, Start: 1, End: 3, Tokens: 100})
 
-	// Request B: arrives 1, dispatched 2 (queue 1s) to r1; r1 crashes at
-	// 4 (2s of the attempt lost), retry waits [4, 5], re-dispatched at 6
-	// (queue 1s), admitted 6.5 (replica wait 0.5), restored+prefilled,
-	// finishes at 10.
+	// Request B: arrives 1, dispatched 2 (queue 1s) to r1, where the
+	// attempt prefills and decodes for 1.5s before r1 crashes at 4; retry
+	// waits [4, 5], re-dispatched at 6 (queue 1s), admitted 6.5 (replica
+	// wait 0.5), restored+prefilled, finishes at 10.
 	flow := tra.NextFlow()
 	ing.Record(Span{ID: "B", Kind: KindQueue, Lane: 0, Start: 1, End: 2})
+	r1.Record(Span{ID: "B", Kind: KindPrefill, Lane: 0, Start: 2, End: 2.5, Tokens: 260})
+	r1.Record(Span{ID: "B", Kind: KindDecode, Lane: 0, Start: 2.5, End: 3.5, Tokens: 16})
 	fl.Record(Span{ID: "B", Kind: KindAborted, Lane: 0, Start: 2, End: 4, Cause: "r1", Lost: 1.5, Flow: flow, FlowStart: true})
 	fl.Record(Span{Kind: KindCrash, Cause: "r1", Lane: 1, Start: 4, End: 4})
 	ing.Record(Span{ID: "B", Kind: KindRetryWait, Lane: 1, Start: 4, End: 5, Attempt: 1})
@@ -257,7 +259,9 @@ func TestBreakdownTilesE2E(t *testing.T) {
 	if b.Ingress != 2 || b.RetryWait != 1 || b.AbortedWall != 2 || b.ReplicaWait != 0.5 {
 		t.Fatalf("request B wait phases wrong: %+v", b)
 	}
-	if b.Stall != 0.5 || b.Restore != 0.25 || b.CachedTok != 64 {
+	// The aborted attempt's replica phases are inside its abort span, not
+	// the served attempt's phases.
+	if b.Stall != 0.5 || b.Restore != 0.25 || b.Prefill != 0.75 || b.Decode != 2 || b.CachedTok != 64 {
 		t.Fatalf("request B serve phases wrong: %+v", b)
 	}
 	for _, r := range rows {

@@ -50,8 +50,7 @@ func (c Config) withDefaults() Config {
 
 // Trace owns a run's telemetry: the track registry, the series and
 // histogram registries, and the flow-ID counter. Track registration and
-// series/histogram lookup take a mutex (replica drains register their
-// series concurrently at serve start); recording into a track or
+// series/histogram lookup take a mutex; recording into a track or
 // sampling a series is lock-free single-writer.
 type Trace struct {
 	cfg Config
@@ -157,9 +156,8 @@ func (t *Trace) HistogramFor(name, label string, bounds []float64) *stats.Histog
 	return e.h
 }
 
-// Series returns every registered series sorted by (name, label) —
-// replica drains register concurrently, so registration order is not
-// deterministic, but the sorted view is.
+// Series returns every registered series sorted by (name, label), so
+// the view does not depend on registration order.
 func (t *Trace) Series() []*Series {
 	t.mu.Lock()
 	defer t.mu.Unlock()
