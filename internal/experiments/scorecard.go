@@ -119,15 +119,11 @@ func Scorecard(opts Options) ([]Anchor, error) {
 	// Fig 9a: parallel-scaling gain at the 128 budget, 14B, SF32.
 	tw14 := llm.NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, opts.Seed)
 	sub := bank.Subsample(opts.sample(1200))
-	r1, err := tts.EvaluateBank(tw14, sub, control.HardLimit(128), 1)
+	rs, err := tts.Sweep(tw14, sub, control.HardLimit(128), []int{1, 32})
 	if err != nil {
 		return nil, err
 	}
-	r32, err := tts.EvaluateBank(tw14, sub, control.HardLimit(128), 32)
-	if err != nil {
-		return nil, err
-	}
-	add("fig9a_gain_14b_sf32", 1.65, r32.Accuracy/r1.Accuracy, 0.20)
+	add("fig9a_gain_14b_sf32", 1.65, rs[1].Accuracy/rs[0].Accuracy, 0.20)
 
 	// Table III: edge serving cost per 1M tokens at batch 1 and 30.
 	spec := model.MustLookup(model.DeepScaleR1_5)

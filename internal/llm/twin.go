@@ -111,31 +111,55 @@ func (t *Twin) pCorrect(q data.Question, beh Behavior, rng *stats.RNG) float64 {
 	return rng.Beta(nu*mu, nu*(1-mu))
 }
 
-// sampleLength draws the output length for one question: lognormal around
-// the calibrated mean (hard policies solve the censored-mean inversion so
-// the post-truncation mean still matches the table), correlated with
-// difficulty (harder questions think longer).
-func (t *Twin) sampleLength(q data.Question, beh Behavior, pol control.Policy, rng *stats.RNG) (tokens int, truncated bool) {
+// lengthDist is one question's output-length distribution under one
+// policy: lognormal around the calibrated mean, correlated with
+// difficulty (harder questions think longer). Hard policies censor it at
+// the cap, with mu solved so the post-truncation mean still matches the
+// table. It is resolved once per question and drawn once per branch.
+type lengthDist struct {
+	mu, sigma float64
+	cap       int  // hard output cap; 0 when uncapped
+	atCap     bool // the target mean is at the cap: every branch is cut there
+}
+
+// lengths resolves the question's length distribution. A target at or
+// above 0.995 of the cap needs no solve: every branch is the cap itself,
+// and drawing it consumes no randomness.
+func (t *Twin) lengths(q data.Question, beh Behavior, pol control.Policy) lengthDist {
 	diffFactor := 0.75 + 0.5*(q.Difficulty-t.meanDifficulty+0.5)
 	target := beh.MeanTokens * diffFactor
 	if target < 1 {
 		target = 1
 	}
-	cap := pol.Cap()
-	if cap > 0 {
-		raw := censoredLogNormalSample(rng, target, beh.Sigma, float64(cap))
-		n := int(math.Round(raw))
-		if n < 1 {
-			n = 1
-		}
-		if n >= cap {
-			return cap, true
-		}
-		return n, false
+	d := lengthDist{sigma: beh.Sigma, cap: pol.Cap()}
+	switch c := float64(d.cap); {
+	case d.cap == 0:
+		d.mu = math.Log(target) - beh.Sigma*beh.Sigma/2
+	case target >= c*0.995:
+		d.atCap = true
+	default:
+		d.mu = solveCensoredMu(target, beh.Sigma, c)
 	}
-	n := int(math.Round(rng.LogNormalMean(target, beh.Sigma)))
+	return d
+}
+
+// draw samples one branch's output length.
+//
+//edgereasoning:hotpath bench=BenchmarkSweep
+func (d lengthDist) draw(rng *stats.RNG) (tokens int, truncated bool) {
+	if d.atCap {
+		return d.cap, true
+	}
+	x := rng.LogNormal(d.mu, d.sigma)
+	if d.cap > 0 && x > float64(d.cap) {
+		x = float64(d.cap)
+	}
+	n := int(math.Round(x))
 	if n < 1 {
 		n = 1
+	}
+	if d.cap > 0 && n >= d.cap {
+		return d.cap, true
 	}
 	return n, false
 }
@@ -168,10 +192,11 @@ func (t *Twin) GenerateVotes(q data.Question, pol control.Policy, k int) ([]Gene
 	// follows the same distribution as a fresh sample, so single-sample
 	// accuracy is exactly p regardless of the correlation.
 	modal := sampleAnswer(q, p, -1, rng)
+	dist := t.lengths(q, beh, pol)
 
 	out := make([]Generation, k)
 	for i := range out {
-		tokens, truncated := t.sampleLength(q, beh, pol, rng)
+		tokens, truncated := dist.draw(rng)
 		g := Generation{OutputTokens: tokens, Truncated: truncated}
 		g.ThinkTokens, g.AnswerTokens = splitThinkAnswer(t.Spec, pol, tokens)
 		if k > 1 && rng.Bernoulli(beh.VoteCorr) {
@@ -234,37 +259,33 @@ func normCDF(x float64) float64 {
 	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
-// censoredMean returns E[min(X, c)] for X ~ LogNormal(mu, sigma).
-func censoredMean(mu, sigma, c float64) float64 {
-	lc := math.Log(c)
+// censoredMean returns E[min(X, c)] for X ~ LogNormal(mu, sigma), given
+// logC = log(c).
+func censoredMean(mu, sigma, c, logC float64) float64 {
 	m := math.Exp(mu + sigma*sigma/2)
-	return m*normCDF((lc-mu-sigma*sigma)/sigma) + c*(1-normCDF((lc-mu)/sigma))
+	return m*normCDF((logC-mu-sigma*sigma)/sigma) + c*(1-normCDF((logC-mu)/sigma))
 }
 
-// censoredLogNormalSample draws min(X, cap) where X's parameters are
-// solved (by bisection on mu) so that E[min(X, cap)] equals targetMean.
-// When targetMean is at or above the cap the sample is the cap itself.
-func censoredLogNormalSample(rng *stats.RNG, targetMean, sigma, cap float64) float64 {
-	if targetMean >= cap*0.995 {
-		return cap
-	}
-	mu := solveCensoredMu(targetMean, sigma, cap)
-	x := math.Exp(mu + sigma*rng.NormFloat64())
-	if x > cap {
-		return cap
-	}
-	return x
-}
-
-// solveCensoredMu inverts censoredMean over mu via bisection.
+// solveCensoredMu inverts censoredMean over mu via bisection. An
+// iteration that leaves (lo, hi) unchanged is a fixed point, so the loop
+// stops there: every later iteration would repeat it.
+//
+//edgereasoning:hotpath bench=BenchmarkSweep
 func solveCensoredMu(target, sigma, c float64) float64 {
+	logC := math.Log(c)
 	lo := math.Log(target) - sigma*sigma/2 - 2 // censored mean < uncensored
-	hi := math.Log(c) + 4*sigma                // pushes censored mean -> c
+	hi := logC + 4*sigma                       // pushes censored mean -> c
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if censoredMean(mid, sigma, c) < target {
+		if censoredMean(mid, sigma, c, logC) < target {
+			if lo == mid {
+				break
+			}
 			lo = mid
 		} else {
+			if hi == mid {
+				break
+			}
 			hi = mid
 		}
 	}

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"edgereasoning/internal/control"
@@ -214,13 +215,13 @@ func TestCensoredMeanMath(t *testing.T) {
 	// uncensored one.
 	mu, sigma := 5.0, 0.4
 	uncensored := math.Exp(mu + sigma*sigma/2)
-	if got := censoredMean(mu, sigma, 1e9); math.Abs(got-uncensored)/uncensored > 1e-9 {
+	if got := censoredMean(mu, sigma, 1e9, math.Log(1e9)); math.Abs(got-uncensored)/uncensored > 1e-9 {
 		t.Errorf("censoredMean with huge cap = %v, want %v", got, uncensored)
 	}
 	// With the cap at the median, the mean must fall strictly below cap
 	// and below the uncensored mean.
 	capAt := math.Exp(mu)
-	got := censoredMean(mu, sigma, capAt)
+	got := censoredMean(mu, sigma, capAt, math.Log(capAt))
 	if got >= capAt || got >= uncensored {
 		t.Errorf("censoredMean at median = %v, cap %v, uncensored %v", got, capAt, uncensored)
 	}
@@ -229,7 +230,141 @@ func TestCensoredMeanMath(t *testing.T) {
 func TestSolveCensoredMuRoundTrip(t *testing.T) {
 	target, sigma, c := 91.5, 0.45, 128.0
 	mu := solveCensoredMu(target, sigma, c)
-	if got := censoredMean(mu, sigma, c); math.Abs(got-target)/target > 0.001 {
+	if got := censoredMean(mu, sigma, c, math.Log(c)); math.Abs(got-target)/target > 0.001 {
 		t.Errorf("round trip: censoredMean(solve(%v)) = %v", target, got)
 	}
+}
+
+// Every branch's draws after the question state do not depend on the vote
+// count once k ≥ 2, so a k-vote draw extends every j-vote draw: this is
+// what lets a scaling sweep draw its vote ladder once. The cases cover
+// capped (including targets at the cap), uncapped, NR and direct policies
+// on a multiple-choice and an exact-match bank.
+func TestGenerateVotesPrefix(t *testing.T) {
+	const maxK, questions = 32, 12
+	mmlu := data.MustLoad(data.MMLURedux, testSeed)
+	plan := data.MustLoad(data.NaturalPlanCalendar, testSeed)
+	cases := []struct {
+		bank *data.Bank
+		id   model.ID
+		pol  control.Policy
+	}{
+		{mmlu, model.DSR1Qwen14B, control.HardLimit(128)},
+		{mmlu, model.DSR1Qwen14B, control.HardLimit(512)},
+		{mmlu, model.DSR1Qwen14B, control.BasePolicy()},
+		{mmlu, model.DSR1Qwen14B, control.NoReasoning()},
+		{mmlu, model.Qwen25_7Bit, control.DirectAnswer()},
+		{plan, model.DSR1Qwen1_5B, control.HardLimit(512)},
+		{plan, model.DSR1Llama8B, control.BasePolicy()},
+		{plan, model.Qwen25_14Bit, control.DirectAnswer()},
+	}
+	for _, c := range cases {
+		tw := NewTwin(model.MustLookup(c.id), c.bank, testSeed)
+		notPrefix := 0
+		for _, q := range c.bank.Questions[:questions] {
+			ladder := make([][]Generation, maxK+1)
+			for k := 1; k <= maxK; k++ {
+				gens, err := tw.GenerateVotes(q, c.pol, k)
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.id, c.pol.Key(), err)
+				}
+				ladder[k] = gens
+			}
+			for k := 2; k <= maxK; k++ {
+				for j := 2; j <= k; j++ {
+					for i, g := range ladder[j] {
+						if ladder[k][i] != g {
+							t.Fatalf("%s %s q%d: vote %d of the %d-vote draw = %+v, of the %d-vote draw = %+v",
+								c.id, c.pol.Key(), q.Index, i, k, ladder[k][i], j, g)
+						}
+					}
+				}
+			}
+			if ladder[1][0] != ladder[maxK][0] {
+				notPrefix++
+			}
+		}
+		// A single vote skips the VoteCorr draw, so its answer comes
+		// from a different point of the stream: j = 1 is not a prefix.
+		if notPrefix == 0 {
+			t.Errorf("%s %s: the 1-vote draw matched vote 0 of all %d 32-vote draws", c.id, c.pol.Key(), questions)
+		}
+	}
+}
+
+// censoredMeanRef and solveCensoredMuRef are the solver as it stood
+// before log(c) was hoisted and the fixed-point stop was added: 60
+// bisection steps, log(c) recomputed on each. The sampler's μ must keep
+// their bits.
+func censoredMeanRef(mu, sigma, c float64) float64 {
+	lc := math.Log(c)
+	m := math.Exp(mu + sigma*sigma/2)
+	return m*normCDF((lc-mu-sigma*sigma)/sigma) + c*(1-normCDF((lc-mu)/sigma))
+}
+
+func solveCensoredMuRef(target, sigma, c float64) float64 {
+	lo := math.Log(target) - sigma*sigma/2 - 2 // censored mean < uncensored
+	hi := math.Log(c) + 4*sigma                // pushes censored mean -> c
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if censoredMeanRef(mid, sigma, c) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// calibratedSigmas lists the distinct length spreads of the calibration
+// table, sorted.
+func calibratedSigmas() []float64 {
+	seen := map[float64]bool{}
+	for _, beh := range calibration {
+		seen[beh.Sigma] = true
+	}
+	out := make([]float64, 0, len(seen))
+	for s := range seen {
+		out = append(out, s)
+	}
+	sort.Float64s(out)
+	return out
+}
+
+func TestSolveCensoredMuMatchesReference(t *testing.T) {
+	sigmas := append(calibratedSigmas(), 0.1, 0.8, 1.5)
+	for _, c := range []float64{128, 256, 512} {
+		top := math.Nextafter(c*0.995, 0)
+		for _, sigma := range sigmas {
+			targets := []float64{top}
+			for target := 1.0; target < top; target += 0.37 {
+				targets = append(targets, target)
+			}
+			for _, target := range targets {
+				got, want := solveCensoredMu(target, sigma, c), solveCensoredMuRef(target, sigma, c)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("solveCensoredMu(%v, %v, %v) = %v, reference %v", target, sigma, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSolveCensoredMu checks the solver against the reference over the
+// domain the sampler calls it on: a cap of at least 2 tokens, a target
+// mean from 1 up to just under 0.995 of the cap.
+func FuzzSolveCensoredMu(f *testing.F) {
+	f.Add(91.5, 0.45, 128.0)
+	f.Add(1.0, 0.45, 256.0)
+	f.Add(509.4, 0.45, 512.0)
+	f.Add(37.25, 1.2, 4096.0)
+	f.Fuzz(func(t *testing.T, target, sigma, c float64) {
+		if !(c >= 2 && c <= 1<<20 && sigma >= 0.01 && sigma <= 4 && target >= 1 && target < c*0.995) {
+			t.Skip()
+		}
+		got, want := solveCensoredMu(target, sigma, c), solveCensoredMuRef(target, sigma, c)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("solveCensoredMu(%v, %v, %v) = %v, reference %v", target, sigma, c, got, want)
+		}
+	})
 }

@@ -61,6 +61,11 @@ func EvaluateQuestion(tw *llm.Twin, q data.Question, pol control.Policy, sf int)
 	if err != nil {
 		return QuestionResult{}, err
 	}
+	return score(gens), nil
+}
+
+// score votes over one question's generations.
+func score(gens []llm.Generation) QuestionResult {
 	answer, votes := MajorityVote(gens)
 	res := QuestionResult{
 		Correct:     answer == 0,
@@ -73,7 +78,7 @@ func EvaluateQuestion(tw *llm.Twin, q data.Question, pol control.Policy, sf int)
 			res.MaxTokens = g.OutputTokens
 		}
 	}
-	return res, nil
+	return res
 }
 
 // BankResult aggregates a full benchmark at one scaling factor.
@@ -88,43 +93,71 @@ type BankResult struct {
 
 // EvaluateBank runs the whole bank at a scaling factor.
 func EvaluateBank(tw *llm.Twin, bank *data.Bank, pol control.Policy, sf int) (BankResult, error) {
-	if sf < 1 {
-		return BankResult{}, fmt.Errorf("tts: scaling factor must be >= 1, got %d", sf)
+	rs, err := Sweep(tw, bank, pol, []int{sf})
+	if err != nil {
+		return BankResult{}, err
 	}
-	out := BankResult{SF: sf, Questions: bank.Size()}
-	if bank.Size() == 0 {
-		return out, nil
-	}
-	correct := 0
-	for _, q := range bank.Questions {
-		r, err := EvaluateQuestion(tw, q, pol, sf)
-		if err != nil {
-			return out, err
-		}
-		if r.Correct {
-			correct++
-		}
-		out.MeanAgreement += r.Agreement
-		out.MeanTokens += float64(r.OutputTokens)
-		out.MeanMaxTokens += float64(r.MaxTokens)
-	}
-	n := float64(bank.Size())
-	out.Accuracy = float64(correct) / n
-	out.MeanAgreement /= n
-	out.MeanTokens /= n
-	out.MeanMaxTokens /= n
-	return out, nil
+	return rs[0], nil
 }
 
 // Sweep evaluates the bank across scaling factors (the Fig 9 x-axis).
+// Each question's vote ladder is drawn once: for k ≥ 2 a branch's draws
+// do not depend on k, so the first sf votes of a draw at the largest
+// factor are the sf-vote draw. A single vote skips the branch-correlation
+// draw, so SF 1 is drawn on its own.
 func Sweep(tw *llm.Twin, bank *data.Bank, pol control.Policy, factors []int) ([]BankResult, error) {
-	out := make([]BankResult, 0, len(factors))
+	ladder, single := 0, false
 	for _, sf := range factors {
-		r, err := EvaluateBank(tw, bank, pol, sf)
-		if err != nil {
-			return out, err
+		switch {
+		case sf < 1:
+			return nil, fmt.Errorf("tts: scaling factor must be >= 1, got %d", sf)
+		case sf == 1:
+			single = true
+		case sf > ladder:
+			ladder = sf
 		}
-		out = append(out, r)
+	}
+	out := make([]BankResult, len(factors))
+	for i, sf := range factors {
+		out[i] = BankResult{SF: sf, Questions: bank.Size()}
+	}
+	if bank.Size() == 0 {
+		return out, nil
+	}
+	correct := make([]int, len(factors))
+	var votes, one []llm.Generation
+	for _, q := range bank.Questions {
+		var err error
+		if ladder > 0 {
+			if votes, err = tw.GenerateVotes(q, pol, ladder); err != nil {
+				return nil, err
+			}
+		}
+		if single {
+			if one, err = tw.GenerateVotes(q, pol, 1); err != nil {
+				return nil, err
+			}
+		}
+		for i, sf := range factors {
+			gens := one
+			if sf > 1 {
+				gens = votes[:sf]
+			}
+			r := score(gens)
+			if r.Correct {
+				correct[i]++
+			}
+			out[i].MeanAgreement += r.Agreement
+			out[i].MeanTokens += float64(r.OutputTokens)
+			out[i].MeanMaxTokens += float64(r.MaxTokens)
+		}
+	}
+	n := float64(bank.Size())
+	for i := range out {
+		out[i].Accuracy = float64(correct[i]) / n
+		out[i].MeanAgreement /= n
+		out[i].MeanTokens /= n
+		out[i].MeanMaxTokens /= n
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package tts
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"edgereasoning/internal/control"
@@ -190,5 +192,123 @@ func TestExactMatchVotingDynamics(t *testing.T) {
 	single := []llm.Generation{{Answer: 1001}, {Answer: 0}}
 	if a, _ := MajorityVote(single); a != 1001 {
 		t.Errorf("singleton tie should break first-seen, got %d", a)
+	}
+}
+
+// evaluateBankRef is the per-factor evaluation Sweep replaces: one
+// GenerateVotes call per question at each factor, accumulated in question
+// order.
+func evaluateBankRef(t *testing.T, tw *llm.Twin, bank *data.Bank, pol control.Policy, sf int) BankResult {
+	t.Helper()
+	out := BankResult{SF: sf, Questions: bank.Size()}
+	correct := 0
+	for _, q := range bank.Questions {
+		gens, err := tw.GenerateVotes(q, pol, sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer, votes := MajorityVote(gens)
+		if answer == 0 {
+			correct++
+		}
+		out.MeanAgreement += float64(votes) / float64(len(gens))
+		tokens, longest := 0, 0
+		for _, g := range gens {
+			tokens += g.OutputTokens
+			if g.OutputTokens > longest {
+				longest = g.OutputTokens
+			}
+		}
+		out.MeanTokens += float64(tokens)
+		out.MeanMaxTokens += float64(longest)
+	}
+	n := float64(bank.Size())
+	out.Accuracy = float64(correct) / n
+	out.MeanAgreement /= n
+	out.MeanTokens /= n
+	out.MeanMaxTokens /= n
+	return out
+}
+
+func sameBankResult(a, b BankResult) bool {
+	return a.SF == b.SF && a.Questions == b.Questions &&
+		math.Float64bits(a.Accuracy) == math.Float64bits(b.Accuracy) &&
+		math.Float64bits(a.MeanAgreement) == math.Float64bits(b.MeanAgreement) &&
+		math.Float64bits(a.MeanTokens) == math.Float64bits(b.MeanTokens) &&
+		math.Float64bits(a.MeanMaxTokens) == math.Float64bits(b.MeanMaxTokens)
+}
+
+// Sweep draws each question's votes once and scores prefixes of them; its
+// results must keep the bits of evaluating every factor on its own, for
+// any factor order and with repeats.
+func TestSweepMatchesEvaluateBank(t *testing.T) {
+	mmlu := data.MustLoad(data.MMLURedux, seed).Subsample(150)
+	plan := data.MustLoad(data.NaturalPlanMeeting, seed).Subsample(150)
+	cases := []struct {
+		bank *data.Bank
+		id   model.ID
+		pol  control.Policy
+	}{
+		{mmlu, model.DSR1Qwen14B, control.HardLimit(128)},
+		{mmlu, model.L1Max, control.HardLimit(512)},
+		{plan, model.DSR1Llama8B, control.HardLimit(512)},
+	}
+	for _, c := range cases {
+		tw := twinFor(c.id, c.bank)
+		ref := map[int]BankResult{}
+		for _, sf := range PaperScalingFactors() {
+			ref[sf] = evaluateBankRef(t, tw, c.bank, c.pol, sf)
+		}
+		for _, factors := range [][]int{PaperScalingFactors(), {32, 1, 8}, {4, 4}, {1}} {
+			rs, err := Sweep(tw, c.bank, c.pol, factors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs) != len(factors) {
+				t.Fatalf("Sweep(%v) returned %d results", factors, len(rs))
+			}
+			for i, sf := range factors {
+				if !sameBankResult(rs[i], ref[sf]) {
+					t.Errorf("%s %s Sweep(%v)[%d] = %+v, per-factor evaluation %+v",
+						c.id, c.pol.Key(), factors, i, rs[i], ref[sf])
+				}
+			}
+		}
+	}
+}
+
+// A factor below 1 anywhere in the list fails the sweep before any
+// sample is drawn: on a twin with no calibration for the cell, the
+// factor error wins over the calibration error.
+func TestSweepRejectsBadFactorFirst(t *testing.T) {
+	bank := data.MustLoad(data.AIME2024, seed)
+	tw := twinFor(model.Gemma7Bit, bank)
+	rs, err := Sweep(tw, bank, control.BasePolicy(), []int{1, 4, 0})
+	if err == nil || !strings.Contains(err.Error(), "scaling factor") {
+		t.Fatalf("Sweep with SF 0 = %v, want a scaling-factor error", err)
+	}
+	if rs != nil {
+		t.Errorf("a rejected sweep returned results: %+v", rs)
+	}
+}
+
+// BenchmarkSweep is Fig 9 panel a's shape: the four Fig 9 models over 150
+// MMLU-Redux questions at a 128-token budget, SF 1 to 32.
+func BenchmarkSweep(b *testing.B) {
+	bank := data.MustLoad(data.MMLURedux, seed)
+	sub := bank.Subsample(150)
+	models := []model.ID{model.DSR1Qwen1_5B, model.DSR1Llama8B, model.DSR1Qwen14B, model.L1Max}
+	twins := make([]*llm.Twin, len(models))
+	for i, id := range models {
+		twins[i] = twinFor(id, bank)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tw := range twins {
+			if _, err := Sweep(tw, sub, control.HardLimit(128), PaperScalingFactors()); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -22,7 +22,8 @@
 # TracedServeOn records the live-tracing cost for information), and
 # the million-request streamed soak (engine.ServeSource over a lazy
 # workload source; sim-events/s and live heap ride along as custom
-# metrics). Only allocs/op is gated — it is deterministic across machines — while ns/op
+# metrics), and the LLM sampler under a parallel-scaling sweep (Fig 9
+# panel a's shape: four models, 150 MMLU-Redux questions, SF 1-32). Only allocs/op is gated — it is deterministic across machines — while ns/op
 # is recorded for the before/after table in the README. The
 # pre-optimization reference in BENCH_serve.json's "pre_pr" section is
 # preserved across updates, and each update also appends a per-PR
@@ -45,6 +46,8 @@ run_benches() {
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/kvcache
   go test -run '^$' -bench 'BenchmarkAutoscaleServe$|BenchmarkChaosServe$' \
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/fleet
+  go test -run '^$' -bench 'BenchmarkSweep$' \
+    -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/tts
 }
 
 case "$MODE" in
