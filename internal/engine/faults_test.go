@@ -19,8 +19,8 @@ func TestStallEndChainsWindows(t *testing.T) {
 		{10.5, 11},
 	}
 	for _, tc := range cases {
-		if got := fx.stallEnd(tc.in); got != tc.want {
-			t.Errorf("stallEnd(%v) = %v, want %v", tc.in, got, tc.want)
+		if got := fx.StallEnd(tc.in); got != tc.want {
+			t.Errorf("StallEnd(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }
@@ -30,14 +30,64 @@ func TestThrottleAtCompounds(t *testing.T) {
 		{From: 0, To: 10, Factor: 2},
 		{From: 5, To: 10, Factor: 3},
 	}}
-	if got := fx.throttleAt(1); got != 2 {
-		t.Errorf("throttleAt(1) = %v, want 2", got)
+	if got := fx.ThrottleAt(1); got != 2 {
+		t.Errorf("ThrottleAt(1) = %v, want 2", got)
 	}
-	if got := fx.throttleAt(7); got != 6 {
-		t.Errorf("throttleAt(7) = %v, want 6 (overlap compounds)", got)
+	if got := fx.ThrottleAt(7); got != 6 {
+		t.Errorf("ThrottleAt(7) = %v, want 6 (overlap compounds)", got)
 	}
-	if got := fx.throttleAt(10); got != 1 {
-		t.Errorf("throttleAt(10) = %v, want 1 (window end exclusive)", got)
+	if got := fx.ThrottleAt(10); got != 1 {
+		t.Errorf("ThrottleAt(10) = %v, want 1 (window end exclusive)", got)
+	}
+}
+
+// TestFinishAfterIntegratesWindows pins the continuous fault-window
+// integration routers estimate with: work runs Factor× slower inside
+// throttle windows, not at all inside stall windows and at full speed
+// outside, compounding overlaps like the scheduler's decode stretch.
+func TestFinishAfterIntegratesWindows(t *testing.T) {
+	fx := &FaultInjection{Throttles: []ThrottleWindow{{From: 10, To: 20, Factor: 2}}}
+	cases := []struct {
+		start, work, want float64
+	}{
+		{0, 5, 5},   // entirely before the window: full speed
+		{0, 12, 14}, // 10 work to the window edge, 2 more at 2x
+		{12, 4, 20}, // exactly fills the remaining window at 2x
+		{12, 6, 22}, // 4 work drains the window, 2 run free after it
+		{25, 3, 28}, // entirely after the window: full speed
+		{10, 0, 10}, // zero work is free
+	}
+	for _, c := range cases {
+		if got := fx.FinishAfter(c.start, c.work); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("FinishAfter(%v, %v) = %v, want %v", c.start, c.work, got, c.want)
+		}
+	}
+	over := &FaultInjection{Throttles: []ThrottleWindow{
+		{From: 0, To: 10, Factor: 2}, {From: 5, To: 10, Factor: 2},
+	}}
+	if got := over.ThrottleAt(6); got != 4 {
+		t.Errorf("overlapping windows must compound: ThrottleAt(6) = %v, want 4", got)
+	}
+	if got := over.FinishAfter(5, 1); math.Abs(got-9) > 1e-9 {
+		t.Errorf("FinishAfter(5, 1) under compounded 4x = %v, want 9", got)
+	}
+
+	stalled := &FaultInjection{Stalls: []StallWindow{{From: 10, To: 12}, {From: 30, To: 31}},
+		Throttles: fx.Throttles}
+	for _, c := range []struct{ start, work, want float64 }{
+		{0, 12, 16},  // 10 work to the stall, frozen to 12, 2 more at 2x
+		{11, 1, 14},  // starts frozen: 1 work at 2x from the stall's end
+		{25, 10, 36}, // 5 work, frozen over [30, 31), 5 more
+	} {
+		if got := stalled.FinishAfter(c.start, c.work); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("stalled FinishAfter(%v, %v) = %v, want %v", c.start, c.work, got, c.want)
+		}
+	}
+
+	// Without windows the integration is the plain sum, bit for bit.
+	start, work := 0.1, 0.2
+	if got := (&FaultInjection{}).FinishAfter(start, work); got != start+work {
+		t.Errorf("windowless FinishAfter(%v, %v) = %v, want %v", start, work, got, start+work)
 	}
 }
 

@@ -407,7 +407,7 @@ func (s *scheduler) admit(t float64) (bool, error) {
 		if fx != nil {
 			// A stalled device starts the restore+prefill at the window's
 			// end; the wait lands in this request's TTFT.
-			if st := fx.stallEnd(e.clock); st > e.clock {
+			if st := fx.StallEnd(e.clock); st > e.clock {
 				if s.cut(st) {
 					return true, nil
 				}
@@ -497,7 +497,7 @@ func (s *scheduler) decodeStep() error {
 	}
 	if fx != nil {
 		// No decode progress inside a stall window.
-		if st := fx.stallEnd(e.clock); st > e.clock {
+		if st := fx.StallEnd(e.clock); st > e.clock {
 			if s.cut(st) {
 				return nil
 			}
@@ -517,7 +517,7 @@ func (s *scheduler) decodeStep() error {
 		// Thermal throttle: the chunk's tokens take Factor times as long
 		// (energy is computed from the unstretched result — the same
 		// work, spread over more seconds at lower power).
-		if f := fx.throttleAt(e.clock); f > 1 {
+		if f := fx.ThrottleAt(e.clock); f > 1 {
 			res.Time *= f
 			throttleF, cause = f, "throttle"
 		}

@@ -156,11 +156,11 @@ type ThrottleWindow struct {
 	Factor   float64
 }
 
-// stallEnd returns when work that would start at t can actually begin:
+// StallEnd returns when work that would start at t can actually begin:
 // past every stall window containing it (windows may chain or overlap).
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (f *FaultInjection) stallEnd(t float64) float64 {
+func (f *FaultInjection) StallEnd(t float64) float64 {
 	for changed := true; changed; {
 		changed = false
 		for _, w := range f.Stalls {
@@ -173,11 +173,11 @@ func (f *FaultInjection) stallEnd(t float64) float64 {
 	return t
 }
 
-// throttleAt returns the decode-time multiplier at t (1 outside all
+// ThrottleAt returns the decode-time multiplier at t (1 outside all
 // windows; overlapping windows compound).
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (f *FaultInjection) throttleAt(t float64) float64 {
+func (f *FaultInjection) ThrottleAt(t float64) float64 {
 	m := 1.0
 	for _, w := range f.Throttles {
 		if t >= w.From && t < w.To && w.Factor > 1 {
@@ -185,6 +185,41 @@ func (f *FaultInjection) throttleAt(t float64) float64 {
 		}
 	}
 	return m
+}
+
+// FinishAfter integrates work seconds of full-speed service starting at
+// t across the fault windows: no progress inside a stall window, Factor×
+// slower inside a throttle window, full speed outside. It is the
+// continuous counterpart of the scheduler's per-event stall and stretch
+// — a flat whole-service stretch would overshoot badly for work that
+// merely grazes a window.
+func (f *FaultInjection) FinishAfter(t, work float64) float64 {
+	for work > 0 {
+		t = f.StallEnd(t)
+		m := f.ThrottleAt(t)
+		// Advance to the next window boundary after t; the multiplier is
+		// constant, and the device unstalled, until then.
+		next := math.Inf(1)
+		for _, w := range f.Stalls {
+			if w.From > t && w.From < next {
+				next = w.From
+			}
+		}
+		for _, w := range f.Throttles {
+			if w.From > t && w.From < next {
+				next = w.From
+			}
+			if w.To > t && w.To < next {
+				next = w.To
+			}
+		}
+		if math.IsInf(next, 1) || t+work*m <= next {
+			return t + work*m
+		}
+		work -= (next - t) / m
+		t = next
+	}
+	return t
 }
 
 // readyQueue is a FIFO of held requests (the admission queue, and the

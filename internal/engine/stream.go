@@ -31,11 +31,11 @@ func (s *SliceSource) Next() (TimedRequest, bool) {
 	return tr, true
 }
 
-// Collect drains a source into a slice — the bridge from the streaming
-// API back to the slice API, used by the legacy generators and by tests
-// pinning stream-vs-slice equivalence.
-func Collect(src Source) []TimedRequest {
-	var out []TimedRequest
+// Collect drains a source into a slice reserved at hint elements — the
+// bridge from the streaming API back to the slice API, used by the slice
+// generators and by tests pinning stream-vs-slice equivalence.
+func Collect(src Source, hint int) []TimedRequest {
+	out := make([]TimedRequest, 0, hint)
 	for {
 		tr, ok := src.Next()
 		if !ok {

@@ -182,12 +182,6 @@ func autoscaleStudy(opts Options) ([]Table, error) {
 			f1(m.HitRate()*100))
 	}
 
-	check := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	verify := Table{
 		ID:      "autoscale-verify",
 		Title:   "Autoscale verify: elastic pool vs equal-cost fixed pool; shedding vs blocking FIFO",

@@ -237,11 +237,3 @@ func cumAll(mh telemetry.MergedHistogram) int {
 	}
 	return int(mh.Hist.Cumulative(n - 1))
 }
-
-// check renders a verify-table mark.
-func check(ok bool) string {
-	if ok {
-		return "pass"
-	}
-	return "FAIL"
-}

@@ -121,12 +121,6 @@ func drillsStudy(opts Options) ([]Table, error) {
 			"the win marks are calibrated at the default operating point (below the knee, survivable outages); past the knee retries deepen a hopeless queue and abandonment wins on latency",
 		},
 	}
-	check := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	legName := func(recover bool) string {
 		if recover {
 			return "retry+health"

@@ -227,6 +227,14 @@ func sci(x float64) string { return fmt.Sprintf("%.3g", x) }
 func pct(x float64) string { return fmt.Sprintf("%.1f", x*100) }
 func di(x int) string      { return fmt.Sprintf("%d", x) }
 
+// check renders a verify-table mark.
+func check(ok bool) string {
+	if ok {
+		return "pass"
+	}
+	return "FAIL"
+}
+
 // Driver produces one or more artifacts.
 type Driver func(Options) ([]Table, error)
 

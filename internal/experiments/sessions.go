@@ -124,12 +124,6 @@ func sessionStudy(opts Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	check := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	verify := Table{
 		ID:      "sessions-verify",
 		Title:   "Sessions verify: prefix reuse and session-affinity routing against their blind baselines",

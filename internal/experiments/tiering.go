@@ -146,12 +146,6 @@ func tieringStudy(opts Options) ([]Table, error) {
 			break
 		}
 	}
-	check := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	offHit, onHit := starved.off.sm.PrefixHitRate(), starved.on.sm.PrefixHitRate()
 	offWarm, onWarm := warmTTFTP99(starved.off.sm), warmTTFTP99(starved.on.sm)
 	verify := Table{

@@ -110,17 +110,21 @@ func (s *Schedule) Validate(replicas int) error {
 // Sorted returns the events ordered by (At, Replica, Kind), the
 // canonical processing order; the receiver is not modified.
 func (s *Schedule) Sorted() []Event {
-	out := append([]Event(nil), s.Events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
+	return sortEvents(append([]Event(nil), s.Events...))
+}
+
+// sortEvents stably orders evs by (At, Replica, Kind) in place.
+func sortEvents(evs []Event) []Event {
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].At != evs[j].At {
+			return evs[i].At < evs[j].At
 		}
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
+		if evs[i].Replica != evs[j].Replica {
+			return evs[i].Replica < evs[j].Replica
 		}
-		return out[i].Kind < out[j].Kind
+		return evs[i].Kind < evs[j].Kind
 	})
-	return out
+	return evs
 }
 
 // GenConfig parameterizes the seeded schedule generator. Rates are
@@ -200,22 +204,8 @@ func Generate(cfg GenConfig, seed uint64) (Schedule, error) {
 			}
 		}
 	}
-	s.Events = Schedule{Events: s.Events}.sortedInPlace()
+	sortEvents(s.Events)
 	return s, nil
-}
-
-// sortedInPlace is Sorted without the defensive copy, for the generator.
-func (s Schedule) sortedInPlace() []Event {
-	sort.SliceStable(s.Events, func(i, j int) bool {
-		if s.Events[i].At != s.Events[j].At {
-			return s.Events[i].At < s.Events[j].At
-		}
-		if s.Events[i].Replica != s.Events[j].Replica {
-			return s.Events[i].Replica < s.Events[j].Replica
-		}
-		return s.Events[i].Kind < s.Events[j].Kind
-	})
-	return s.Events
 }
 
 // drawCount resolves an expected event count into a concrete one: the

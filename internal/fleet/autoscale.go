@@ -178,35 +178,6 @@ func newAutoscaler(cfg *AutoscaleConfig, initial int, fleet Config) (*autoscaler
 	}, nil
 }
 
-// liveAt reports whether the replica counts toward the live pool at t:
-// not retired, and not (permanently) failed or crash-dead — a replica
-// whose FailAt (or permanent-crash instant) lands at or before the end
-// of its warm-up is dead at birth and never counts. A replica down
-// awaiting a crash restart still counts: it holds pool resources and
-// will return.
-func (r *replica) liveAt(t float64) bool {
-	if r.retired {
-		return false
-	}
-	if r.cfg.FailAt > 0 {
-		if t >= r.cfg.FailAt {
-			return false
-		}
-		if r.cfg.WarmupDelay >= r.cfg.FailAt {
-			return false
-		}
-	}
-	if r.tl != nil && !math.IsInf(r.tl.deadAt, 1) {
-		if t >= r.tl.deadAt {
-			return false
-		}
-		if r.cfg.WarmupDelay >= r.tl.deadAt {
-			return false
-		}
-	}
-	return true
-}
-
 func (ro *router) liveCount(t float64) int {
 	n := 0
 	for _, r := range ro.replicas {
@@ -274,7 +245,6 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 		return fmt.Errorf("fleet: autoscale provision %s: %w", name, err)
 	}
 	r.provisionedAt = t
-	r.idleFrom = rc.WarmupDelay
 	ro.replicas = append(ro.replicas, r)
 	as.provisioned++
 	as.lastUp = t
@@ -297,7 +267,9 @@ func (as *autoscaler) retireIdle(ro *router, t float64) {
 		if !r.liveAt(t) || r.depth(t) > 0 {
 			continue
 		}
-		idleAt := math.Max(r.idleFrom, r.cfg.WarmupDelay)
+		// The idle timer starts when the estimated backlog drains, and
+		// never before warm-up ends.
+		idleAt := math.Max(r.estFreeAt, r.cfg.WarmupDelay)
 		if t-idleAt < as.cfg.IdleRetire {
 			continue
 		}

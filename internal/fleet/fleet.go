@@ -272,10 +272,8 @@ type replica struct {
 	estFreeAt float64
 	wrrCredit float64
 	// Autoscaler lifecycle: provisionedAt is when the replica joined the
-	// pool; idleFrom estimates when its backlog drains (the idle timer's
-	// start); retired marks an autoscaler drain at retiredAt.
+	// pool; retired marks an autoscaler drain at retiredAt.
 	provisionedAt float64
-	idleFrom      float64
 	retired       bool
 	retiredAt     float64
 	// Fault machinery, nil on fault-free replicas: tl is the compiled
@@ -308,11 +306,15 @@ func newReplica(rc ReplicaConfig, fc Config, tl *timeline) (*replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", rc.Name, err)
 	}
+	var opts engine.ServeOpts
+	if tl != nil {
+		opts.Faults = &tl.fx
+	}
 	prefillPerTok, decodePerTok := eng.CalibrationRates()
 	return &replica{
 		cfg:           rc,
 		eng:           eng,
-		sv:            eng.Open(rc.MaxBatch, fc.Admission.localDiscipline(fc.Policy), engine.ServeOpts{Faults: tl.injection()}),
+		sv:            eng.Open(rc.MaxBatch, fc.Admission.localDiscipline(fc.Policy), opts),
 		prefillPerTok: prefillPerTok,
 		decodePerTok:  decodePerTok,
 		tl:            tl,
@@ -347,8 +349,8 @@ func (r *replica) estService(tr engine.TimedRequest) float64 {
 // same schedule.
 func (r *replica) finishEstimate(tr engine.TimedRequest, start float64) float64 {
 	svc := r.estService(tr)
-	if r.hs != nil && r.tl != nil && len(r.tl.stalls)+len(r.tl.throttles) > 0 {
-		return r.tl.finishAfter(start, svc)
+	if r.hs != nil && r.tl != nil {
+		return r.tl.fx.FinishAfter(start, svc)
 	}
 	return start + svc
 }
@@ -364,66 +366,32 @@ func (r *replica) speed() float64 {
 }
 
 // routableAt reports whether the router may hand the replica a request
-// at time t (warm, not failed or crash-dead, not retired, not down
-// awaiting restart, not breaker-blocked); capacity is checked
-// separately. Under health-aware routing a replica inside a stall
-// window is also unroutable — the health layer detects the stall and
-// steers around it, while a blind fleet keeps dispatching into it and
-// pays the freeze on the engine.
+// at time t: availAt finds nothing to wait for. Capacity is checked
+// separately.
 func (r *replica) routableAt(t float64) bool {
-	if t < r.cfg.WarmupDelay {
-		return false
-	}
-	if r.cfg.FailAt > 0 && t >= r.cfg.FailAt {
-		return false
-	}
-	if r.retired {
-		return false
-	}
-	if r.tl != nil {
-		if down, _ := r.tl.downAt(t); down {
-			return false
-		}
-	}
-	if r.hs != nil {
-		if blocked, _ := r.hs.blockedAt(t); blocked {
-			return false
-		}
-		if r.tl != nil && r.tl.stallEnd(t) > t {
-			return false
-		}
-	}
-	return true
+	at, never := r.availAt(t)
+	return !never && at == t
 }
 
-// availAt returns the earliest instant >= t at which the replica could
-// be routable again — warm-ups, crash downtime, breaker opens, and
-// (under health-aware routing) stall windows all push it out — or
-// never=true when no such instant exists. Capacity is not considered.
+// availAt returns the earliest instant >= t at which the replica is
+// routable — warm, live (see liveAt), not down awaiting a crash restart
+// and not breaker-blocked — or never=true when no such instant exists.
+// Under health-aware routing a replica inside a stall window is not
+// routable either: the health layer detects the stall and steers around
+// it, while a blind fleet keeps dispatching into it and pays the freeze
+// on the engine. Capacity is not considered.
 func (r *replica) availAt(t float64) (float64, bool) {
 	for {
-		switch {
-		case r.retired:
+		if !r.liveAt(t) {
 			return 0, true
-		case r.cfg.FailAt > 0 && t >= r.cfg.FailAt:
-			return 0, true
-		case r.tl != nil && t >= r.tl.deadAt:
-			return 0, true
-		case t < r.cfg.WarmupDelay:
-			if r.cfg.FailAt > 0 && r.cfg.WarmupDelay >= r.cfg.FailAt {
-				return 0, true // dead at birth
-			}
-			if r.tl != nil && r.cfg.WarmupDelay >= r.tl.deadAt {
-				return 0, true // crash-dead at birth
-			}
+		}
+		if t < r.cfg.WarmupDelay {
 			t = r.cfg.WarmupDelay
 			continue
 		}
 		if r.tl != nil {
+			// A down replica is live, so it comes back at a finite restart.
 			if down, until := r.tl.downAt(t); down {
-				if math.IsInf(until, 1) {
-					return 0, true
-				}
 				t = until
 				continue
 			}
@@ -434,7 +402,7 @@ func (r *replica) availAt(t float64) (float64, bool) {
 				continue
 			}
 			if r.tl != nil {
-				if end := r.tl.stallEnd(t); end > t {
+				if end := r.tl.fx.StallEnd(t); end > t {
 					t = end
 					continue
 				}
@@ -442,6 +410,35 @@ func (r *replica) availAt(t float64) (float64, bool) {
 		}
 		return t, false
 	}
+}
+
+// liveAt reports whether the replica counts toward the live pool at t:
+// not retired, and not (permanently) failed or crash-dead — a replica
+// whose FailAt (or permanent-crash instant) lands at or before the end
+// of its warm-up is dead at birth and never counts. A replica down
+// awaiting a crash restart still counts: it holds pool resources and
+// will return.
+func (r *replica) liveAt(t float64) bool {
+	if r.retired {
+		return false
+	}
+	if r.cfg.FailAt > 0 {
+		if t >= r.cfg.FailAt {
+			return false
+		}
+		if r.cfg.WarmupDelay >= r.cfg.FailAt {
+			return false
+		}
+	}
+	if r.tl != nil && !math.IsInf(r.tl.deadAt, 1) {
+		if t >= r.tl.deadAt {
+			return false
+		}
+		if r.cfg.WarmupDelay >= r.tl.deadAt {
+			return false
+		}
+	}
+	return true
 }
 
 // depth drops completed estimates and returns outstanding count at t.
@@ -462,7 +459,6 @@ func (r *replica) depth(t float64) int {
 func (r *replica) take(tr engine.TimedRequest, t float64) {
 	est := math.Max(r.estFreeAt, t) + r.estService(tr)
 	r.estFreeAt = est
-	r.idleFrom = est
 	i := sort.SearchFloat64s(r.finishes, est)
 	r.finishes = append(r.finishes, 0)
 	copy(r.finishes[i+1:], r.finishes[i:])
@@ -470,7 +466,7 @@ func (r *replica) take(tr engine.TimedRequest, t float64) {
 	r.advance(t)
 	r.sv.Offer(tr, t)
 	if r.hs != nil {
-		r.hs.noteTake(tr.ID, t, est)
+		r.hs.noteTake(t, est)
 	}
 }
 

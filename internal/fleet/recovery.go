@@ -24,6 +24,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edgereasoning/internal/engine"
@@ -97,18 +98,14 @@ func (h HealthConfig) validate() error {
 	return nil
 }
 
-// crashPoint is one compiled crash: down over [at, restart).
-type crashPoint struct {
-	at      float64
-	restart float64 // absolute rejoin instant; +Inf when it never returns
-}
-
-// timeline is one replica's compiled fault view.
+// timeline is one replica's compiled fault view: the engine's fault
+// injection, which owns the stall and throttle windows and their timing,
+// plus what the router needs beyond it.
 type timeline struct {
-	crashes   []crashPoint // sorted ascending by at
-	stalls    []engine.StallWindow
-	throttles []engine.ThrottleWindow
-	keepHost  bool
+	fx engine.FaultInjection // fx.Crashes ascending
+	// restarts[k] is the absolute rejoin instant of crash fx.Crashes[k];
+	// +Inf when it never returns.
+	restarts []float64
 	// deadAt is the earliest no-restart crash instant (+Inf when every
 	// crash restarts): from deadAt on the replica is gone for good.
 	deadAt float64
@@ -116,75 +113,12 @@ type timeline struct {
 
 // downAt reports whether the replica is crash-down at t, and until when.
 func (tl *timeline) downAt(t float64) (bool, float64) {
-	for _, c := range tl.crashes {
-		if t >= c.at && t < c.restart {
-			return true, c.restart
+	for k, at := range tl.fx.Crashes {
+		if t >= at && t < tl.restarts[k] {
+			return true, tl.restarts[k]
 		}
 	}
 	return false, 0
-}
-
-// throttleAt returns the thermal-throttle slowdown factor active at t
-// (1 when none; overlapping windows compound, matching the engine's
-// decode stretch).
-func (tl *timeline) throttleAt(t float64) float64 {
-	f := 1.0
-	for _, w := range tl.throttles {
-		if t >= w.From && t < w.To && w.Factor > 1 {
-			f *= w.Factor
-		}
-	}
-	return f
-}
-
-// finishAfter integrates svc seconds of work starting at t across the
-// replica's fault windows, as the engine executes it: no progress inside
-// a stall window, Factor× slower inside a throttle window, full speed
-// outside. A flat whole-service stretch would overshoot badly for work
-// that merely grazes a window.
-func (tl *timeline) finishAfter(t, svc float64) float64 {
-	rem := svc
-	for rem > 0 {
-		t = tl.stallEnd(t)
-		f := tl.throttleAt(t)
-		// Advance to the next window boundary after t; the factor is
-		// constant, and the device unstalled, until then.
-		next := math.Inf(1)
-		for _, w := range tl.stalls {
-			if w.From > t && w.From < next {
-				next = w.From
-			}
-		}
-		for _, w := range tl.throttles {
-			if w.From > t && w.From < next {
-				next = w.From
-			}
-			if w.To > t && w.To < next {
-				next = w.To
-			}
-		}
-		if math.IsInf(next, 1) || t+rem*f <= next {
-			return t + rem*f
-		}
-		rem -= (next - t) / f
-		t = next
-	}
-	return t
-}
-
-// stallEnd returns the earliest instant >= t outside every stall window
-// (windows may chain or overlap).
-func (tl *timeline) stallEnd(t float64) float64 {
-	for changed := true; changed; {
-		changed = false
-		for _, w := range tl.stalls {
-			if t >= w.From && t < w.To {
-				t = w.To
-				changed = true
-			}
-		}
-	}
-	return t
 }
 
 // healthState is one replica's circuit breaker. State changes are
@@ -196,7 +130,6 @@ type healthState struct {
 	open        bool // breaker open: no traffic before openUntil, then one probe
 	openUntil   float64
 	probing     bool // the half-open probe is outstanding
-	probeID     string
 	probeFinish float64
 }
 
@@ -205,7 +138,6 @@ type healthState struct {
 func (h *healthState) strike(backUpAt float64) bool {
 	h.fails++
 	h.probing = false
-	h.probeID = ""
 	if !h.open && h.fails >= h.cfg.FailureThreshold {
 		h.open = true
 		h.openUntil = backUpAt + h.cfg.ProbeAfter
@@ -243,32 +175,15 @@ func (h *healthState) settle(t float64) {
 		h.open = false
 		h.probing = false
 		h.fails = 0
-		h.probeID = ""
 	}
 }
 
 // noteTake records a half-open dispatch as the breaker's probe.
-func (h *healthState) noteTake(id string, t, finish float64) {
+func (h *healthState) noteTake(t, finish float64) {
 	if h.open && !h.probing && t >= h.openUntil {
 		h.probing = true
-		h.probeID = id
 		h.probeFinish = finish
 	}
-}
-
-// injection assembles the engine-level fault view of a timeline: its
-// stall and throttle windows and its crashes. Nil for a fault-free
-// replica (compileFaults builds a timeline only for a replica with
-// faults), keeping its run byte-identical to a fault-free one.
-func (tl *timeline) injection() *engine.FaultInjection {
-	if tl == nil {
-		return nil
-	}
-	fx := &engine.FaultInjection{Stalls: tl.stalls, Throttles: tl.throttles, KeepHost: tl.keepHost}
-	for _, c := range tl.crashes {
-		fx.Crashes = append(fx.Crashes, c.at)
-	}
-	return fx
 }
 
 // chaosEvent is one crash in the run's global, time-ordered sequence.
@@ -287,9 +202,17 @@ func compileFaults(cfg Config) ([]*timeline, []chaosEvent, error) {
 	tls := make([]*timeline, len(cfg.Replicas))
 	tl := func(i int) *timeline {
 		if tls[i] == nil {
-			tls[i] = &timeline{keepHost: keepHost, deadAt: math.Inf(1)}
+			tls[i] = &timeline{fx: engine.FaultInjection{KeepHost: keepHost}, deadAt: math.Inf(1)}
 		}
 		return tls[i]
+	}
+	// addCrash inserts a crash after any at the same instant, keeping
+	// fx.Crashes ascending and schedule order among ties.
+	addCrash := func(i int, at, restart float64) {
+		t := tl(i)
+		k := sort.Search(len(t.fx.Crashes), func(k int) bool { return t.fx.Crashes[k] > at })
+		t.fx.Crashes = slices.Insert(t.fx.Crashes, k, at)
+		t.restarts = slices.Insert(t.restarts, k, restart)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(len(cfg.Replicas)); err != nil {
@@ -302,14 +225,14 @@ func compileFaults(cfg Config) ([]*timeline, []chaosEvent, error) {
 				if ev.Restart > 0 {
 					restart = ev.At + ev.Restart
 				}
-				tl(ev.Replica).crashes = append(tl(ev.Replica).crashes, crashPoint{at: ev.At, restart: restart})
+				addCrash(ev.Replica, ev.At, restart)
 			case faults.Stall:
-				tl(ev.Replica).stalls = append(tl(ev.Replica).stalls,
-					engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
+				fx := &tl(ev.Replica).fx
+				fx.Stalls = append(fx.Stalls, engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
 			case faults.Throttle:
 				if ev.Factor > 1 {
-					tl(ev.Replica).throttles = append(tl(ev.Replica).throttles,
-						engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
+					fx := &tl(ev.Replica).fx
+					fx.Throttles = append(fx.Throttles, engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
 				}
 			}
 		}
@@ -319,7 +242,7 @@ func compileFaults(cfg Config) ([]*timeline, []chaosEvent, error) {
 			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
 				return nil, nil, fmt.Errorf("fleet: replica %s CrashAt must be finite and non-negative, got %v", rc.withDefaults(i).Name, c)
 			}
-			tl(i).crashes = append(tl(i).crashes, crashPoint{at: c, restart: math.Inf(1)})
+			addCrash(i, c, math.Inf(1))
 		}
 	}
 	var seq []chaosEvent
@@ -327,12 +250,12 @@ func compileFaults(cfg Config) ([]*timeline, []chaosEvent, error) {
 		if t == nil {
 			continue
 		}
-		sort.SliceStable(t.crashes, func(a, b int) bool { return t.crashes[a].at < t.crashes[b].at })
-		for _, c := range t.crashes {
-			if math.IsInf(c.restart, 1) && c.at < t.deadAt {
-				t.deadAt = c.at
+		for k, at := range t.fx.Crashes {
+			restart := t.restarts[k]
+			if math.IsInf(restart, 1) && at < t.deadAt {
+				t.deadAt = at
 			}
-			seq = append(seq, chaosEvent{at: c.at, restart: c.restart, replica: i})
+			seq = append(seq, chaosEvent{at: at, restart: restart, replica: i})
 		}
 	}
 	sort.SliceStable(seq, func(a, b int) bool {
@@ -477,7 +400,6 @@ func (cx *chaos) crash(ev chaosEvent) {
 	r.finishes = r.finishes[:0]
 	if !math.IsInf(ev.restart, 1) {
 		r.estFreeAt = ev.restart
-		r.idleFrom = ev.restart
 	}
 	if r.hs != nil {
 		backUp := ev.restart

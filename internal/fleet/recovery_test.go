@@ -95,7 +95,7 @@ func TestHealthStateBreakerLifecycle(t *testing.T) {
 	if blocked, _ := h.blockedAt(25); blocked {
 		t.Fatal("half-open breaker must admit the probe")
 	}
-	h.noteTake("p1", 25, 28)
+	h.noteTake(25, 28)
 	if blocked, until := h.blockedAt(26); !blocked || until != 28 {
 		t.Fatalf("probing breaker blockedAt(26) = %v until %v, want true/28", blocked, until)
 	}
@@ -105,7 +105,7 @@ func TestHealthStateBreakerLifecycle(t *testing.T) {
 		t.Fatalf("re-opened breaker blockedAt(31) = %v until %v, want true/35", blocked, until)
 	}
 	// Probe completes uneventfully: settle closes and resets the count.
-	h.noteTake("p2", 35, 37)
+	h.noteTake(35, 37)
 	h.settle(37)
 	if h.open || h.fails != 0 {
 		t.Fatalf("settled breaker open=%v fails=%d, want closed/0", h.open, h.fails)
@@ -329,7 +329,11 @@ func TestCrashRetryRecoverProperties(t *testing.T) {
 // replica is as cold as any other.
 func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 	for _, keepHost := range []bool{true, false} {
-		tl := &timeline{crashes: []crashPoint{{at: 5100, restart: 5105}}, keepHost: keepHost, deadAt: math.Inf(1)}
+		tl := &timeline{
+			fx:       engine.FaultInjection{Crashes: []float64{5100}, KeepHost: keepHost},
+			restarts: []float64{5105},
+			deadAt:   math.Inf(1),
+		}
 		crashed, err := newReplica(ReplicaConfig{
 			Name: "crashed", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
 		}.withDefaults(0), tieredOpts(), tl)
@@ -399,8 +403,9 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 func TestCrashTimelineAvailability(t *testing.T) {
 	r := &replica{cfg: ReplicaConfig{}.withDefaults(0)}
 	r.tl = &timeline{
-		crashes: []crashPoint{{at: 10, restart: 15}, {at: 20, restart: math.Inf(1)}},
-		deadAt:  20,
+		fx:       engine.FaultInjection{Crashes: []float64{10, 20}},
+		restarts: []float64{15, math.Inf(1)},
+		deadAt:   20,
 	}
 	if at, never := r.availAt(5); never || at != 5 {
 		t.Errorf("availAt(5) = %v/%v, want 5/false", at, never)
@@ -425,51 +430,11 @@ func TestCrashTimelineAvailability(t *testing.T) {
 	}
 }
 
-// TestThrottleAwareFinishEstimates pins the router's fault-window
-// integration: finishAfter runs work Factor× slower inside throttle
-// windows, not at all inside stall windows and at full speed outside,
-// compounding overlaps like the engine's drain-time stretch — and
-// finishEstimate only reads it under health-aware routing, so a blind
-// fleet's estimates are untouched.
+// TestThrottleAwareFinishEstimates pins that finishEstimate integrates
+// the replica's fault windows (engine.FaultInjection.FinishAfter) only
+// under health-aware routing, so a blind fleet's estimates are untouched.
 func TestThrottleAwareFinishEstimates(t *testing.T) {
-	tl := &timeline{throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}
-	cases := []struct {
-		start, svc, want float64
-	}{
-		{0, 5, 5},   // entirely before the window: full speed
-		{0, 12, 14}, // 10 work to the window edge, 2 more at 2x
-		{12, 4, 20}, // exactly fills the remaining window at 2x
-		{12, 6, 22}, // 4 work drains the window, 2 run free after it
-		{25, 3, 28}, // entirely after the window: full speed
-		{10, 0, 10}, // zero work is free
-	}
-	for _, c := range cases {
-		if got := tl.finishAfter(c.start, c.svc); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("finishAfter(%v, %v) = %v, want %v", c.start, c.svc, got, c.want)
-		}
-	}
-	over := &timeline{throttles: []engine.ThrottleWindow{
-		{From: 0, To: 10, Factor: 2}, {From: 5, To: 10, Factor: 2},
-	}}
-	if got := over.throttleAt(6); got != 4 {
-		t.Errorf("overlapping windows must compound: throttleAt(6) = %v, want 4", got)
-	}
-	if got := over.finishAfter(5, 1); math.Abs(got-9) > 1e-9 {
-		t.Errorf("finishAfter(5, 1) under compounded 4x = %v, want 9", got)
-	}
-
-	stalled := &timeline{stalls: []engine.StallWindow{{From: 10, To: 12}, {From: 30, To: 31}},
-		throttles: tl.throttles}
-	for _, c := range []struct{ start, svc, want float64 }{
-		{0, 12, 16},  // 10 work to the stall, frozen to 12, 2 more at 2x
-		{11, 1, 14},  // starts frozen: 1 work at 2x from the stall's end
-		{25, 10, 36}, // 5 work, frozen over [30, 31), 5 more
-	} {
-		if got := stalled.finishAfter(c.start, c.svc); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("stalled finishAfter(%v, %v) = %v, want %v", c.start, c.svc, got, c.want)
-		}
-	}
-
+	tl := &timeline{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}}
 	r := &replica{cfg: ReplicaConfig{}.withDefaults(0), decodePerTok: 1, tl: tl}
 	tr := engine.TimedRequest{Request: engine.Request{OutputTokens: 12}}
 	if got := r.finishEstimate(tr, 0); got != 12 {

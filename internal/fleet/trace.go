@@ -134,13 +134,13 @@ func (ft *fleetTracer) faultWindows(replicas []*replica) {
 		if r.tl == nil {
 			continue
 		}
-		for _, w := range r.tl.stalls {
+		for _, w := range r.tl.fx.Stalls {
 			spans = append(spans, telemetry.Span{
 				Kind: telemetry.KindStall, Cause: r.cfg.Name,
 				Start: w.From, End: w.To,
 			})
 		}
-		for _, w := range r.tl.throttles {
+		for _, w := range r.tl.fx.Throttles {
 			spans = append(spans, telemetry.Span{
 				Kind: telemetry.KindThrottle, Cause: r.cfg.Name,
 				Start: w.From, End: w.To, Factor: w.Factor,

@@ -63,7 +63,7 @@ func TestSourceMatchesLegacyGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/seed %d: NewSource: %v", name, seed, err)
 			}
-			got := engine.Collect(src)
+			got := engine.Collect(src, 0)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/seed %d: streamed output diverges from legacy slice", name, seed)
 			}

@@ -106,7 +106,7 @@ func TestSourceMatchesLegacyGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/seed %d: NewSource: %v", name, seed, err)
 			}
-			got := engine.Collect(src)
+			got := engine.Collect(src, 0)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/seed %d: streamed output diverges from legacy slice", name, seed)
 			}
@@ -137,7 +137,7 @@ func TestBurstySourceMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewBurstySource: %v", seed, err)
 		}
-		got := engine.Collect(src)
+		got := engine.Collect(src, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: streamed bursty output diverges from legacy slice", seed)
 		}

@@ -66,14 +66,7 @@ func Generate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]engine.TimedRequest, 0, p.N)
-	for {
-		tr, ok := src.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, tr)
-	}
+	return engine.Collect(src, p.N), nil
 }
 
 // Bursty synthesizes a steady background stream with a traffic spike
@@ -91,14 +84,7 @@ func Bursty(background, burst Profile, burstStart float64, seed uint64) ([]engin
 	if err != nil {
 		return nil, err
 	}
-	out := make([]engine.TimedRequest, 0, background.N+burst.N)
-	for {
-		tr, ok := src.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, tr)
-	}
+	return engine.Collect(src, background.N+burst.N), nil
 }
 
 // InteractiveAssistant is a short-output conversational profile (direct
