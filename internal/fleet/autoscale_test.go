@@ -170,7 +170,10 @@ func TestAutoscaleProperties(t *testing.T) {
 
 func TestAutoscaleRecoversFromTotalOutage(t *testing.T) {
 	cfg := autoscaleConfig(1)
-	cfg.Replicas[0].FailAt = 5 // the whole initial pool dies early
+	permanentCrash(&cfg, 0, 5) // the whole initial pool dies early
+	// Retry re-admits whatever the crash aborts, so the revived pool can
+	// serve the whole stream.
+	cfg.Retry = &RetryPolicy{}
 	// Deadline-less stream with a miss-only trigger: the ordinary
 	// pressure signals stay silent, so only the emergency outage path
 	// can revive the pool.
@@ -282,7 +285,8 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 		sess("a2", "sa", 100),
 	}
 	var out Metrics
-	if err := dispatch(ro, as, nil, nil, FIFO, engine.NewPeekable(engine.NewSliceSource(stream)), &out); err != nil {
+	cx := &chaos{ro: ro, out: &out}
+	if err := dispatch(ro, as, cx, nil, FIFO, engine.NewPeekable(engine.NewSliceSource(stream)), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Dropped != 0 {
@@ -345,7 +349,7 @@ func TestProvisionRefusesAtMax(t *testing.T) {
 	}
 	// One replica dies for good: the pool is below Max again and the
 	// same emergency call must now succeed.
-	ro.replicas[0].cfg.FailAt = 0.5
+	ro.replicas[0].tl = crashedTimeline(t, ro.replicas[0].cfg, 0.5)
 	if err := as.provision(ro, 1, "outage"); err != nil {
 		t.Fatalf("provision below Max refused: %v", err)
 	}
@@ -361,7 +365,7 @@ func TestOutageRevivalBoundedByMax(t *testing.T) {
 	cfg := autoscaleConfig(1)
 	cfg.Autoscale.Max = 2
 	cfg.Autoscale.ScaleOn = ScaleOnMiss // keep the ordinary triggers silent
-	cfg.Replicas[0].CrashAt = 5         // the whole initial pool dies, lossily
+	permanentCrash(&cfg, 0, 5)          // the whole initial pool dies, lossily
 	reqs := burst(10, 2, 0)             // arrivals 0..18s straddle the outage
 	m, err := Serve(cfg, reqs)
 	if err != nil {

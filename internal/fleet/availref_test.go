@@ -10,14 +10,12 @@ import (
 
 // routableAtRef and availAtRef are the availability rules as they stood
 // before routableAt was derived from availAt and availAt from liveAt:
-// three hand-maintained predicates. Kept verbatim (the fleet's stall
-// lookup now reads the engine's fault injection) as the oracle for
-// TestAvailabilityMatchesReference.
+// three hand-maintained predicates. Kept verbatim as the oracle for
+// TestAvailabilityMatchesReference, except that the fleet's stall lookup
+// now reads the engine's fault injection and the ReplicaConfig.FailAt
+// terms are gone with the field.
 func routableAtRef(r *replica, t float64) bool {
 	if t < r.cfg.WarmupDelay {
-		return false
-	}
-	if r.cfg.FailAt > 0 && t >= r.cfg.FailAt {
 		return false
 	}
 	if r.retired {
@@ -44,14 +42,9 @@ func availAtRef(r *replica, t float64) (float64, bool) {
 		switch {
 		case r.retired:
 			return 0, true
-		case r.cfg.FailAt > 0 && t >= r.cfg.FailAt:
-			return 0, true
 		case r.tl != nil && t >= r.tl.deadAt:
 			return 0, true
 		case t < r.cfg.WarmupDelay:
-			if r.cfg.FailAt > 0 && r.cfg.WarmupDelay >= r.cfg.FailAt {
-				return 0, true // dead at birth
-			}
 			if r.tl != nil && r.cfg.WarmupDelay >= r.tl.deadAt {
 				return 0, true // crash-dead at birth
 			}
@@ -84,8 +77,8 @@ func availAtRef(r *replica, t float64) (float64, bool) {
 }
 
 // randomAvailReplica builds a replica in a random availability state on
-// a half-second grid, so boundaries coincide often: warm-up, FailAt,
-// CrashAt, restarting and permanent crashes, stall and throttle windows
+// a half-second grid, so boundaries coincide often: warm-up, restarting
+// and permanent crashes, stall and throttle windows
 // (compiled by compileFaults, as a run would), a circuit breaker closed,
 // open, half-open or probing, and retirement. It returns the state's
 // boundary instants alongside.
@@ -97,13 +90,7 @@ func randomAvailReplica(rng *rand.Rand) (*replica, []float64) {
 	if pick(0.5) {
 		rc.WarmupDelay = instant()
 	}
-	if pick(0.3) {
-		rc.FailAt = instant()
-	}
-	if pick(0.2) {
-		rc.CrashAt = instant()
-	}
-	bounds = append(bounds, rc.WarmupDelay, rc.FailAt, rc.CrashAt)
+	bounds = append(bounds, rc.WarmupDelay)
 	var evs []faults.Event
 	for n := rng.IntN(4); n > 0; n-- {
 		ev := faults.Event{Kind: faults.Crash, At: instant()}
@@ -127,7 +114,7 @@ func randomAvailReplica(rng *rand.Rand) (*replica, []float64) {
 	if len(evs) > 0 {
 		cfg.Faults = &faults.Schedule{Events: evs}
 	}
-	tls, _, err := compileFaults(cfg)
+	tls, err := compileFaults(cfg)
 	if err != nil {
 		panic(err)
 	}

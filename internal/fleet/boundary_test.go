@@ -6,62 +6,35 @@ import (
 	"edgereasoning/internal/engine"
 )
 
-// TestWarmupFailBoundary pins the ReplicaConfig contract the autoscaler's
-// warm-up accounting relies on: routability needs t >= WarmupDelay and
-// t < FailAt, so FailAt == WarmupDelay is dead at birth and only
-// FailAt > WarmupDelay opens a window.
-func TestWarmupFailBoundary(t *testing.T) {
-	const eps = 1e-9
-	cases := []struct {
-		name         string
-		warmup, fail float64
-		at           float64
-		routable     bool
-	}{
-		{"warm replica at fail instant", 0, 10, 10, false},
-		{"warm replica just before fail", 0, 10, 10 - eps, true},
-		{"dead at birth: fail == warmup, at the boundary", 10, 10, 10, false},
-		{"dead at birth: fail == warmup, before warmup", 10, 10, 10 - eps, false},
-		{"dead at birth: fail == warmup, after fail", 10, 10, 10 + eps, false},
-		{"dead at birth: fail below warmup", 10, 10 - eps, 10, false},
-		{"window open: fail just above warmup", 10, 10 + eps, 10, true},
-		{"window closed again past fail", 10, 10 + eps, 10 + eps, false},
-	}
-	for _, tc := range cases {
-		r := &replica{cfg: ReplicaConfig{WarmupDelay: tc.warmup, FailAt: tc.fail}}
-		if got := r.routableAt(tc.at); got != tc.routable {
-			t.Errorf("%s: routableAt(%v) = %v, want %v", tc.name, tc.at, got, tc.routable)
-		}
-	}
-}
-
-// TestDeadAtBirthNeverCountsLive locks the autoscaler's side of the same
-// boundary: a FailAt <= WarmupDelay replica never counts toward the live
-// pool, and one with an open window counts only until FailAt.
+// TestDeadAtBirthNeverCountsLive locks the autoscaler's side of the
+// warm-up boundary: a replica whose permanent crash lands at or before
+// WarmupDelay never counts toward the live pool, and one with an open
+// window counts only until the crash.
 func TestDeadAtBirthNeverCountsLive(t *testing.T) {
-	dead := &replica{cfg: ReplicaConfig{WarmupDelay: 10, FailAt: 10}}
+	rc := ReplicaConfig{WarmupDelay: 10}
+	dead := &replica{cfg: rc, tl: crashedTimeline(t, rc, 10)}
 	for _, at := range []float64{0, 5, 10, 20} {
 		if dead.liveAt(at) {
 			t.Errorf("dead-at-birth replica counted live at t=%v", at)
 		}
 	}
-	windowed := &replica{cfg: ReplicaConfig{WarmupDelay: 10, FailAt: 15}}
+	windowed := &replica{cfg: rc, tl: crashedTimeline(t, rc, 15)}
 	if !windowed.liveAt(0) || !windowed.liveAt(12) {
-		t.Error("replica with an open window must count live before FailAt")
+		t.Error("replica with an open window must count live before its crash")
 	}
 	if windowed.liveAt(15) {
-		t.Error("replica must stop counting live at FailAt")
+		t.Error("replica must stop counting live at its crash")
 	}
 }
 
 // TestDeadAtBirthReplicaTakesNothing runs the boundary end to end: with
-// FailAt == WarmupDelay the replica must take no traffic, and the
-// warm-up must not hold the ingress waiting for a window that never
-// opens.
+// a permanent crash at exactly WarmupDelay the replica must take no
+// traffic, and the warm-up must not hold the ingress waiting for a
+// window that never opens.
 func TestDeadAtBirthReplicaTakesNothing(t *testing.T) {
 	cfg := homogeneousFleet(2, RoundRobin)
 	cfg.Replicas[1].WarmupDelay = 5
-	cfg.Replicas[1].FailAt = 5
+	permanentCrash(&cfg, 1, 5)
 	reqs := burst(8, 2, 0)
 	m, err := Serve(cfg, reqs)
 	if err != nil {
@@ -77,7 +50,7 @@ func TestDeadAtBirthReplicaTakesNothing(t *testing.T) {
 	// Alone, the same replica is a permanent outage from t=0.
 	solo := homogeneousFleet(1, RoundRobin)
 	solo.Replicas[0].WarmupDelay = 5
-	solo.Replicas[0].FailAt = 5
+	permanentCrash(&solo, 0, 5)
 	m, err = Serve(solo, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +66,8 @@ func TestDeadAtBirthReplicaTakesNothing(t *testing.T) {
 // nothing is lost or double-counted.
 func TestTotalOutageMidStreamConservation(t *testing.T) {
 	cfg := homogeneousFleet(2, LeastQueue)
-	cfg.Replicas[0].FailAt = 6
-	cfg.Replicas[1].FailAt = 9
+	permanentCrash(&cfg, 0, 6)
+	permanentCrash(&cfg, 1, 9)
 	reqs := burst(400, 0.05, 30) // arrivals 0..20s, fleet dead by t=9
 	m, err := Serve(cfg, reqs)
 	if err != nil {
@@ -129,7 +102,7 @@ func TestTotalOutageMidStreamConservation(t *testing.T) {
 // and then bills every replica exactly once — a replica whose idle
 // timer expires exactly at the wall is billed to that single instant
 // (not to the wall AND the retirement), a mid-run retiree to its
-// retirement, a failed replica to its FailAt, a survivor to the wall,
+// retirement, a crashed replica to its crash, a survivor to the wall,
 // and a dead-at-birth provision never bills negative time.
 func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
 	mk := func(provisionedAt, estFreeAt float64, cfg ReplicaConfig) *replica {
@@ -139,8 +112,10 @@ func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
 	survivor := mk(50, 95, ReplicaConfig{Name: "survivor"})
 	early := mk(20, 0, ReplicaConfig{Name: "early"})
 	early.retired, early.retiredAt = true, 80
-	failed := mk(0, 0, ReplicaConfig{Name: "failed", FailAt: 70})
-	stillborn := mk(80, 80, ReplicaConfig{Name: "stillborn", FailAt: 70})
+	failed := mk(0, 0, ReplicaConfig{Name: "failed"})
+	failed.tl = crashedTimeline(t, failed.cfg, 70)
+	stillborn := mk(80, 80, ReplicaConfig{Name: "stillborn"})
+	stillborn.tl = crashedTimeline(t, stillborn.cfg, 70)
 
 	ro := &router{replicas: []*replica{boundary, survivor, early, failed, stillborn}}
 	as, err := newAutoscaler(&AutoscaleConfig{Min: 1, Max: 8, Spec: smallSpec(), IdleRetire: 10}, 5, Config{})
@@ -173,29 +148,32 @@ func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
 // TestOutageDropPreservesFIFOSemantics cross-checks the O(1) drain
 // against the per-request scan it replaced: a request whose arrival
 // predates the outage but whose turn comes after it is dropped, exactly
-// as the old head-of-line scan decided.
+// as the old head-of-line scan decided, and the crash aborts the request
+// it interrupts.
 func TestOutageDropPreservesFIFOSemantics(t *testing.T) {
 	cfg := homogeneousFleet(1, RoundRobin)
 	cfg.Replicas[0].Capacity = 1
-	cfg.Replicas[0].FailAt = 2
+	permanentCrash(&cfg, 0, 2)
 	reqs := []engine.TimedRequest{
-		timed("first", 0, 1024, 600, 0), // dispatched at t=0, holds the replica well past FailAt
+		timed("first", 0, 1024, 600, 0), // dispatched at t=0, still running at the crash
 		timed("second", 0.5, 64, 10, 0),
 	}
 	m, err := Serve(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Served != 1 || m.Dropped != 1 {
-		t.Errorf("served %d dropped %d, want 1/1: the queued request's turn never comes", m.Served, m.Dropped)
+	if m.Served != 0 || m.Dropped != 2 || m.Aborted != 1 || m.AbortedDropped != 1 {
+		t.Errorf("served %d dropped %d aborted %d abortedDropped %d, want 0/2/1/1: the crash aborts the first request and the queued one's turn never comes",
+			m.Served, m.Dropped, m.Aborted, m.AbortedDropped)
 	}
 }
 
-// TestWarmupCrashBoundary mirrors TestWarmupFailBoundary for CrashAt,
-// the lossy counterpart of FailAt: routability needs t >= WarmupDelay
-// and t < CrashAt, so CrashAt <= WarmupDelay is dead at birth — the
-// replica crashes before (or the instant) it would come up, and with no
-// restart it never opens a window.
+// TestWarmupCrashBoundary pins the ReplicaConfig contract the
+// autoscaler's warm-up accounting relies on: with a permanent crash,
+// routability needs t >= WarmupDelay and t before the crash, so a crash
+// at or before WarmupDelay is dead at birth — the replica crashes before
+// (or the instant) it would come up, and with no restart it never opens
+// a window.
 func TestWarmupCrashBoundary(t *testing.T) {
 	const eps = 1e-9
 	cases := []struct {
@@ -214,60 +192,13 @@ func TestWarmupCrashBoundary(t *testing.T) {
 		{"window closed again past crash", 10, 10 + eps, 10 + eps, false},
 	}
 	for _, tc := range cases {
-		r := &replica{cfg: ReplicaConfig{WarmupDelay: tc.warmup, CrashAt: tc.crash}}
-		tls, _, err := compileFaults(Config{Replicas: []ReplicaConfig{r.cfg}})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		r.tl = tls[0]
+		rc := ReplicaConfig{WarmupDelay: tc.warmup}
+		r := &replica{cfg: rc, tl: crashedTimeline(t, rc, tc.crash)}
 		if got := r.routableAt(tc.at); got != tc.routable {
 			t.Errorf("%s: routableAt(%v) = %v, want %v", tc.name, tc.at, got, tc.routable)
 		}
 		if live := r.liveAt(tc.at); tc.warmup >= tc.crash && live {
 			t.Errorf("%s: dead-at-birth replica counted live at t=%v", tc.name, tc.at)
 		}
-	}
-}
-
-// TestCrashAtVsFailAtSemantics pins the behavioral difference between
-// the two single-replica failure knobs on identical traffic: FailAt
-// drains cleanly (in-flight work finishes, nothing is aborted), CrashAt
-// is lossy (the in-flight suffix is aborted and, without a retry
-// policy, dropped). Both conserve every request.
-func TestCrashAtVsFailAtSemantics(t *testing.T) {
-	reqs := burst(20, 0, 0) // deep t=0 backlog on both replicas
-	run := func(mut func(*Config)) Metrics {
-		cfg := homogeneousFleet(2, LeastQueue)
-		mut(&cfg)
-		m, err := Serve(cfg, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Served+m.Dropped != m.Offered || m.Offered != len(reqs) {
-			t.Fatalf("conservation: served %d + dropped %d != offered %d", m.Served, m.Dropped, m.Offered)
-		}
-		return m
-	}
-	drained := run(func(c *Config) { c.Replicas[0].FailAt = 1 })
-	if drained.Crashes != 0 || drained.Aborted != 0 || drained.LostWorkSeconds != 0 {
-		t.Errorf("FailAt must drain, not crash: %d crashes, %d aborted, %.3f lost seconds",
-			drained.Crashes, drained.Aborted, drained.LostWorkSeconds)
-	}
-	crashed := run(func(c *Config) { c.Replicas[0].CrashAt = 1 })
-	if crashed.Crashes != 1 || crashed.Aborted == 0 {
-		t.Fatalf("CrashAt must abort in-flight work: %d crashes, %d aborted", crashed.Crashes, crashed.Aborted)
-	}
-	if crashed.AbortedDropped != crashed.Aborted {
-		t.Errorf("without a retry policy every abort drops: %d aborted, %d dropped",
-			crashed.Aborted, crashed.AbortedDropped)
-	}
-	if crashed.LostWorkSeconds <= 0 {
-		t.Error("a lossy crash must account lost work")
-	}
-	// The drained replica keeps everything it was assigned; the crashed
-	// one loses its aborted suffix.
-	if drained.Served <= crashed.Served {
-		t.Errorf("drained leg served %d, crashed leg %d: a clean drain must not lose work",
-			drained.Served, crashed.Served)
 	}
 }

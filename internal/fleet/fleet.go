@@ -51,27 +51,13 @@ type ReplicaConfig struct {
 	// router may park on the replica (default 16).
 	Capacity int
 	// WarmupDelay keeps the replica unroutable before this simulated
-	// time — a cold start loading weights. Zero means warm at t=0.
+	// time — a cold start loading weights. Zero means warm at t=0. A
+	// replica whose permanent crash (a Config.Faults crash with no
+	// restart) lands at or before WarmupDelay is dead at birth: there is
+	// no instant at which it can take a request, even when the two are
+	// exactly equal. The autoscaler's warm-up accounting relies on this
+	// boundary.
 	WarmupDelay float64
-	// FailAt, when positive, makes the replica unroutable at and after
-	// this simulated time. Requests routed earlier still complete (a
-	// drain-style failure, not a crash).
-	//
-	// The boundary with WarmupDelay is deliberate and relied on by the
-	// autoscaler's warm-up accounting: routability requires
-	// t >= WarmupDelay and t < FailAt, so a replica with
-	// FailAt <= WarmupDelay is dead at birth — there is no instant at
-	// which it can take a request, even when the two are exactly equal.
-	// Only FailAt > WarmupDelay opens a routable window.
-	FailAt float64
-	// CrashAt, when positive, is FailAt's lossy counterpart: the replica
-	// crashes at this simulated time, destroying its in-flight requests
-	// and device KV cache (FailAt drains — routed work still completes;
-	// CrashAt loses it). The crash is permanent; use Config.Faults for
-	// crashes that restart. The dead-at-birth boundary mirrors FailAt:
-	// CrashAt <= WarmupDelay leaves no instant at which the replica can
-	// take a request.
-	CrashAt float64
 }
 
 func (rc ReplicaConfig) withDefaults(i int) ReplicaConfig {
@@ -214,8 +200,8 @@ type Metrics struct {
 	TierPromotions int
 	HostHits       int
 	RestoreSeconds float64
-	// Fault-injection and recovery accounting (zero without Config.Faults
-	// or ReplicaConfig.CrashAt). Crashes counts crash events striking the
+	// Fault-injection and recovery accounting (zero without
+	// Config.Faults). Crashes counts crash events striking the
 	// pool; Aborted the dispatches they destroyed — whatever the struck
 	// engine held at the crash instant (a request aborted twice counts
 	// twice); Retried the aborts scheduled for re-admission;
@@ -252,6 +238,15 @@ func (m Metrics) PrefixHitRate() float64 {
 		return 0
 	}
 	return float64(m.SavedPrefillTokens) / float64(m.PrefixLookupTokens)
+}
+
+// drop records a request that leaves the fleet unserved; a
+// deadline-bearing one counts as a missed deadline.
+func (m *Metrics) drop(tr engine.TimedRequest) {
+	m.Dropped++
+	if tr.Deadline > 0 {
+		m.DeadlinesTotal++
+	}
 }
 
 // replica is the router-side state for one engine and its open serve
@@ -413,22 +408,13 @@ func (r *replica) availAt(t float64) (float64, bool) {
 }
 
 // liveAt reports whether the replica counts toward the live pool at t:
-// not retired, and not (permanently) failed or crash-dead — a replica
-// whose FailAt (or permanent-crash instant) lands at or before the end
-// of its warm-up is dead at birth and never counts. A replica down
-// awaiting a crash restart still counts: it holds pool resources and
-// will return.
+// not retired, and not crash-dead — a replica whose permanent crash lands
+// at or before the end of its warm-up is dead at birth and never counts.
+// A replica down awaiting a crash restart still counts: it holds pool
+// resources and will return.
 func (r *replica) liveAt(t float64) bool {
 	if r.retired {
 		return false
-	}
-	if r.cfg.FailAt > 0 {
-		if t >= r.cfg.FailAt {
-			return false
-		}
-		if r.cfg.WarmupDelay >= r.cfg.FailAt {
-			return false
-		}
 	}
 	if r.tl != nil && !math.IsInf(r.tl.deadAt, 1) {
 		if t >= r.tl.deadAt {
@@ -459,10 +445,9 @@ func (r *replica) depth(t float64) int {
 func (r *replica) take(tr engine.TimedRequest, t float64) {
 	est := math.Max(r.estFreeAt, t) + r.estService(tr)
 	r.estFreeAt = est
-	i := sort.SearchFloat64s(r.finishes, est)
-	r.finishes = append(r.finishes, 0)
-	copy(r.finishes[i+1:], r.finishes[i:])
-	r.finishes[i] = est
+	// finishes stays ascending without a sorted insert: estFreeAt never
+	// decreases between crashes, and a crash empties finishes.
+	r.finishes = append(r.finishes, est)
 	r.advance(t)
 	r.sv.Offer(tr, t)
 	if r.hs != nil {
@@ -494,7 +479,7 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	// before the replica constructors register theirs, fixing the export
 	// layout; nil when tracing is off.
 	ft := newFleetTracer(cfg.Trace)
-	tls, crashes, err := compileFaults(cfg)
+	tls, err := compileFaults(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -522,16 +507,13 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if ft != nil {
 		ft.faultWindows(replicas)
 	}
-	var cx *chaos
-	if len(crashes) > 0 {
-		cx = &chaos{ro: router, healthOn: cfg.Health != nil, events: crashes, out: &out, ft: ft}
-		if cfg.Retry != nil {
-			if err := cfg.Retry.validate(); err != nil {
-				return Metrics{}, err
-			}
-			cx.retry = cfg.Retry.withDefaults()
-			cx.retryOn = true
+	cx := &chaos{ro: router, out: &out, ft: ft}
+	if cfg.Retry != nil {
+		if err := cfg.Retry.validate(); err != nil {
+			return Metrics{}, err
 		}
+		p := cfg.Retry.withDefaults()
+		cx.retry = &p
 	}
 	if cfg.Health != nil {
 		h := cfg.Health.withDefaults()
@@ -616,20 +598,14 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 // earlier decision's time.
 func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, out *Metrics) error {
 	q := &ingress{discipline: admission}
-	drop := func(tr engine.TimedRequest) {
-		out.Dropped++
-		if tr.Deadline > 0 {
-			out.DeadlinesTotal++
-		}
-	}
 	shed := func(tr engine.TimedRequest) {
 		out.Shed++
-		drop(tr)
+		out.drop(tr)
 	}
 	// admitUntil moves every stream request arriving at or before t into
-	// the shared queue, counting it as offered — and, under fault
-	// injection, re-admits crash-aborted requests whose retry time has
-	// come (already offered on first arrival, so not re-counted).
+	// the shared queue, counting it as offered, and re-admits
+	// crash-aborted requests whose retry time has come (already offered
+	// on first arrival, so not re-counted).
 	admitUntil := func(t float64) {
 		for {
 			tr, ok := stream.Peek()
@@ -640,27 +616,26 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			out.Offered++
 			q.push(tr)
 		}
-		if cx != nil {
-			for {
-				tr, ok := cx.popRetryUntil(t)
-				if !ok {
-					break
-				}
-				q.push(tr)
+		for {
+			tr, ok := cx.popRetryUntil(t)
+			if !ok {
+				break
 			}
+			q.push(tr)
 		}
 	}
 
 	now := 0.0
 	for {
-		if !(stream.More() || q.len() > 0 || (cx != nil && cx.retryPending())) {
+		if !(stream.More() || q.len() > 0 || cx.retryPending()) {
 			// Nothing left to dispatch. Remaining crash events can still
 			// abort already-routed work: processing them may refill the
 			// retry queue (looping us back) or drop the aborts for good.
-			if cx == nil || !cx.crashPending() {
+			_, at, ok := cx.nextCrash()
+			if !ok {
 				break
 			}
-			if at, _ := cx.nextCrashAt(); at > now {
+			if at > now {
 				now = at
 			}
 			cx.processUpTo(now)
@@ -671,23 +646,19 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			if tr, ok := stream.Peek(); ok {
 				next = tr.Arrival
 			}
-			if cx != nil {
-				if at, ok := cx.nextRetryAt(); ok && at < next {
-					next = at
-				}
-				// Never advance past an unprocessed crash: its aborts may
-				// spawn retries due before the next arrival.
-				if at, ok := cx.nextCrashAt(); ok && at < next {
-					next = at
-				}
+			if at, ok := cx.nextRetryAt(); ok && at < next {
+				next = at
+			}
+			// Never advance past an unprocessed crash: its aborts may
+			// spawn retries due before the next arrival.
+			if _, at, ok := cx.nextCrash(); ok && at < next {
+				next = at
 			}
 			if next > now {
 				now = next
 			}
 		}
-		if cx != nil {
-			cx.processUpTo(now)
-		}
+		cx.processUpTo(now)
 		admitUntil(now)
 		if ft != nil {
 			ft.sampleQueue(now, q.len())
@@ -716,36 +687,29 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 				}
 				continue
 			}
-			if cx != nil {
-				// Remaining crash events can only abort work that nothing
-				// can re-serve: account them, then drop the retry queue.
-				cx.processUpTo(math.Inf(1))
-				cx.drainRetries(func(tr engine.TimedRequest) {
-					out.AbortedDropped++
-					drop(tr)
-				})
-			}
-			q.drain(drop)
+			// Remaining crash events can only abort work that nothing can
+			// re-serve: account them, then drop the retry queue.
+			cx.processUpTo(math.Inf(1))
+			cx.drainRetries()
+			q.drain(out.drop)
 			for {
 				tr, ok := stream.Next()
 				if !ok {
 					break
 				}
 				out.Offered++
-				drop(tr)
+				out.drop(tr)
 			}
 			return nil
 		}
-		if cx != nil {
-			// A crash between now and the planned dispatch instant
-			// invalidates the plan — it may free capacity (aborts), kill
-			// the chosen replica, or open a breaker. Process it and
-			// re-route; dispatch never crosses an unprocessed crash.
-			if at, ok := cx.nextCrashAt(); ok && at <= t {
-				cx.processUpTo(at)
-				now = at
-				continue
-			}
+		// A crash between now and the planned dispatch instant invalidates
+		// the plan — it may free capacity (aborts), kill the chosen
+		// replica, or open a breaker. Process it and re-route; dispatch
+		// never crosses an unprocessed crash.
+		if _, at, ok := cx.nextCrash(); ok && at <= t {
+			cx.processUpTo(at)
+			now = at
+			continue
 		}
 		// Arrivals during the capacity wait join the queue before the
 		// discipline picks, so a reordering ingress sees everything that
@@ -801,14 +765,9 @@ func foldAutoscale(out *Metrics, ro *router, as *autoscaler) {
 		switch {
 		case r.retired:
 			end = r.retiredAt
-		default:
-			if r.cfg.FailAt > 0 && r.cfg.FailAt < end {
-				end = r.cfg.FailAt
-			}
-			// A permanent crash ends the replica's bill like a failure.
-			if r.tl != nil && r.tl.deadAt < end {
-				end = r.tl.deadAt
-			}
+		case r.tl != nil && r.tl.deadAt < end:
+			// A permanent crash ends the replica's bill.
+			end = r.tl.deadAt
 		}
 		if end < r.provisionedAt {
 			end = r.provisionedAt

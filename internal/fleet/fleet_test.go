@@ -223,27 +223,9 @@ func TestWarmupKeepsReplicaColdThenRoutable(t *testing.T) {
 	}
 }
 
-func TestFailedReplicaDrains(t *testing.T) {
-	cfg := homogeneousFleet(2, RoundRobin)
-	cfg.Replicas[1].FailAt = 10
-	reqs := append(burst(4, 1, 0), timed("after0", 20, 64, 40, 0), timed("after1", 22, 64, 40, 0))
-	m, err := Serve(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dropped != 0 || m.Served != len(reqs) {
-		t.Fatalf("served %d dropped %d, want all served", m.Served, m.Dropped)
-	}
-	// Post-failure arrivals must all land on replica 0: 2 early + 2 late.
-	if m.Replicas[0].Assigned != 4 || m.Replicas[1].Assigned != 2 {
-		t.Errorf("assignments %d/%d, want 4/2 (failed replica drains, takes nothing new)",
-			m.Replicas[0].Assigned, m.Replicas[1].Assigned)
-	}
-}
-
 func TestAllReplicasDeadDropsWithDeadlineAccounting(t *testing.T) {
 	cfg := homogeneousFleet(1, DeadlineAware)
-	cfg.Replicas[0].FailAt = 0.5 // dead before anything arrives
+	permanentCrash(&cfg, 0, 0.5) // dead before anything arrives
 	reqs := []engine.TimedRequest{
 		timed("a", 1, 64, 40, 31),
 		timed("b", 2, 64, 40, 32),

@@ -1,6 +1,6 @@
 // Fault injection and crash-consistent recovery for the fleet. A
-// Config.Faults schedule (or a ReplicaConfig.CrashAt shorthand) compiles
-// into per-replica timelines: crashes abort the replica's in-flight
+// Config.Faults schedule, the only source of crashes, compiles into
+// per-replica timelines: crashes abort the replica's in-flight
 // dispatches and wipe its device KV cache (the host tier optionally
 // survives), stall windows freeze it, and throttle windows stretch its
 // decode rate. The recovery side makes faults survivable: aborted
@@ -18,13 +18,13 @@
 // replica's open run up to its instant (see the package comment). The
 // dispatcher routes every abort to the retry queue or the drop ledger,
 // so dispatch and execution can never disagree about which requests a
-// crash destroyed.
+// crash destroyed. The timelines are also the dispatcher's only crash
+// list: it fires their crashes in global (instant, replica) order.
 package fleet
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"edgereasoning/internal/engine"
@@ -109,6 +109,9 @@ type timeline struct {
 	// deadAt is the earliest no-restart crash instant (+Inf when every
 	// crash restarts): from deadAt on the replica is gone for good.
 	deadAt float64
+	// fired counts the crashes the dispatcher has executed, so
+	// fx.Crashes[fired] is the next one due.
+	fired int
 }
 
 // downAt reports whether the replica is crash-down at t, and until when.
@@ -186,85 +189,43 @@ func (h *healthState) noteTake(t, finish float64) {
 	}
 }
 
-// chaosEvent is one crash in the run's global, time-ordered sequence.
-type chaosEvent struct {
-	at, restart float64
-	replica     int
-}
-
 // compileFaults builds per-replica fault timelines from Config.Faults
-// and the ReplicaConfig.CrashAt shorthand (nil for fault-free replicas),
-// returning them with the global crash sequence in processing order.
-// Fault schedules target the configured replica set; autoscaler-
-// provisioned replicas are fault-free.
-func compileFaults(cfg Config) ([]*timeline, []chaosEvent, error) {
-	keepHost := cfg.Faults != nil && cfg.Faults.HostSurvivesCrash
+// (nil for fault-free replicas). Fault schedules target the configured
+// replica set; autoscaler-provisioned replicas are fault-free.
+func compileFaults(cfg Config) ([]*timeline, error) {
 	tls := make([]*timeline, len(cfg.Replicas))
-	tl := func(i int) *timeline {
-		if tls[i] == nil {
-			tls[i] = &timeline{fx: engine.FaultInjection{KeepHost: keepHost}, deadAt: math.Inf(1)}
-		}
-		return tls[i]
+	if cfg.Faults == nil {
+		return tls, nil
 	}
-	// addCrash inserts a crash after any at the same instant, keeping
-	// fx.Crashes ascending and schedule order among ties.
-	addCrash := func(i int, at, restart float64) {
-		t := tl(i)
-		k := sort.Search(len(t.fx.Crashes), func(k int) bool { return t.fx.Crashes[k] > at })
-		t.fx.Crashes = slices.Insert(t.fx.Crashes, k, at)
-		t.restarts = slices.Insert(t.restarts, k, restart)
+	if err := cfg.Faults.Validate(len(cfg.Replicas)); err != nil {
+		return nil, err
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(len(cfg.Replicas)); err != nil {
-			return nil, nil, err
+	for _, ev := range cfg.Faults.Sorted() {
+		tl := tls[ev.Replica]
+		if tl == nil {
+			tl = &timeline{fx: engine.FaultInjection{KeepHost: cfg.Faults.HostSurvivesCrash}, deadAt: math.Inf(1)}
+			tls[ev.Replica] = tl
 		}
-		for _, ev := range cfg.Faults.Sorted() {
-			switch ev.Kind {
-			case faults.Crash:
-				restart := math.Inf(1)
-				if ev.Restart > 0 {
-					restart = ev.At + ev.Restart
-				}
-				addCrash(ev.Replica, ev.At, restart)
-			case faults.Stall:
-				fx := &tl(ev.Replica).fx
-				fx.Stalls = append(fx.Stalls, engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
-			case faults.Throttle:
-				if ev.Factor > 1 {
-					fx := &tl(ev.Replica).fx
-					fx.Throttles = append(fx.Throttles, engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
-				}
+		switch ev.Kind {
+		case faults.Crash:
+			// Sorted order keeps fx.Crashes ascending.
+			restart := math.Inf(1)
+			if ev.Restart > 0 {
+				restart = ev.At + ev.Restart
+			} else {
+				tl.deadAt = math.Min(tl.deadAt, ev.At)
+			}
+			tl.fx.Crashes = append(tl.fx.Crashes, ev.At)
+			tl.restarts = append(tl.restarts, restart)
+		case faults.Stall:
+			tl.fx.Stalls = append(tl.fx.Stalls, engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
+		case faults.Throttle:
+			if ev.Factor > 1 {
+				tl.fx.Throttles = append(tl.fx.Throttles, engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
 			}
 		}
 	}
-	for i, rc := range cfg.Replicas {
-		if c := rc.CrashAt; c != 0 {
-			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-				return nil, nil, fmt.Errorf("fleet: replica %s CrashAt must be finite and non-negative, got %v", rc.withDefaults(i).Name, c)
-			}
-			addCrash(i, c, math.Inf(1))
-		}
-	}
-	var seq []chaosEvent
-	for i, t := range tls {
-		if t == nil {
-			continue
-		}
-		for k, at := range t.fx.Crashes {
-			restart := t.restarts[k]
-			if math.IsInf(restart, 1) && at < t.deadAt {
-				t.deadAt = at
-			}
-			seq = append(seq, chaosEvent{at: at, restart: restart, replica: i})
-		}
-	}
-	sort.SliceStable(seq, func(a, b int) bool {
-		if seq[a].at != seq[b].at {
-			return seq[a].at < seq[b].at
-		}
-		return seq[a].replica < seq[b].replica
-	})
-	return tls, seq, nil
+	return tls, nil
 }
 
 // retryItem is one crash-aborted request waiting for re-admission; tr
@@ -275,30 +236,30 @@ type retryItem struct {
 	tr engine.TimedRequest
 }
 
-// chaos owns the dispatch-time fault machinery for one run: the global
-// crash sequence, the retry queue, and the recovery accounting. It is
-// nil on fault-free runs, keeping the legacy dispatch path untouched.
+// chaos owns the dispatch-time fault machinery for one run: firing the
+// replicas' timeline crashes, the retry queue, and the recovery
+// accounting.
 type chaos struct {
 	ro       *router
-	retry    RetryPolicy
-	retryOn  bool
-	healthOn bool
-	events   []chaosEvent
-	next     int
-	pending  []retryItem // sorted ascending by at; consumed from head
+	retry    *RetryPolicy // defaults applied; nil drops every abort
+	pending  []retryItem  // sorted ascending by at; consumed from head
 	head     int
 	attempts map[string]int
 	out      *Metrics
 	ft       *fleetTracer // nil when tracing is off
 }
 
-func (cx *chaos) crashPending() bool { return cx.next < len(cx.events) }
-
-func (cx *chaos) nextCrashAt() (float64, bool) {
-	if cx.next < len(cx.events) {
-		return cx.events[cx.next].at, true
+// nextCrash returns the replica struck by the earliest unfired crash on
+// any timeline, and its instant; ties go to the lower replica index. ok
+// is false once every crash has fired.
+func (cx *chaos) nextCrash() (i int, at float64, ok bool) {
+	i, at = -1, math.Inf(1)
+	for k, r := range cx.ro.replicas {
+		if tl := r.tl; tl != nil && tl.fired < len(tl.fx.Crashes) && tl.fx.Crashes[tl.fired] < at {
+			i, at = k, tl.fx.Crashes[tl.fired]
+		}
 	}
-	return 0, false
+	return i, at, i >= 0
 }
 
 func (cx *chaos) retryPending() bool { return cx.head < len(cx.pending) }
@@ -321,11 +282,11 @@ func (cx *chaos) popRetryUntil(t float64) (engine.TimedRequest, bool) {
 	return tr, true
 }
 
-// drainRetries empties the retry queue through drop — the permanent-
+// drainRetries abandons everything in the retry queue — the permanent-
 // outage path, where re-admission can no longer help.
-func (cx *chaos) drainRetries(drop func(engine.TimedRequest)) {
+func (cx *chaos) drainRetries() {
 	for cx.head < len(cx.pending) {
-		drop(cx.pending[cx.head].tr)
+		cx.abandon(cx.pending[cx.head].tr)
 		cx.pending[cx.head] = retryItem{}
 		cx.head++
 	}
@@ -349,17 +310,20 @@ func (cx *chaos) pushRetry(it retryItem) {
 	cx.pending[i] = it
 }
 
-// processUpTo handles every crash event at or before t, in global time
-// order, and settles the breakers at t. Idempotent and monotone: the
-// dispatch loop calls it at every clock advance, and a crash is always
-// processed before any dispatch decision at or after its instant.
+// processUpTo fires every crash at or before t, in global (instant,
+// replica) order, and settles the breakers at t. Idempotent and
+// monotone: the dispatch loop calls it at every clock advance, and a
+// crash is always processed before any dispatch decision at or after its
+// instant.
 func (cx *chaos) processUpTo(t float64) {
-	for cx.next < len(cx.events) && cx.events[cx.next].at <= t {
-		ev := cx.events[cx.next]
-		cx.next++
-		cx.crash(ev)
+	for {
+		i, at, ok := cx.nextCrash()
+		if !ok || at > t {
+			break
+		}
+		cx.crash(i)
 	}
-	if cx.healthOn && !math.IsInf(t, 1) {
+	if !math.IsInf(t, 1) {
 		for _, r := range cx.ro.replicas {
 			if r.hs != nil {
 				r.hs.settle(t)
@@ -368,67 +332,62 @@ func (cx *chaos) processUpTo(t float64) {
 	}
 }
 
-// crash executes one crash event: advance the replica's engine to the
-// crash instant, where it aborts everything it holds; account the lost
-// work; route each abort to the retry queue or the drop ledger; strike
-// the replica's breaker; and displace its sticky sessions so they
-// re-pin by warmth.
-func (cx *chaos) crash(ev chaosEvent) {
-	r := cx.ro.replicas[ev.replica]
+// crash fires replica i's next timeline crash: advance the replica's
+// engine to the crash instant, where it aborts everything it holds;
+// account the lost work; route each abort to the retry queue or the drop
+// ledger; strike the replica's breaker; and displace its sticky sessions
+// so they re-pin by warmth.
+func (cx *chaos) crash(i int) {
+	r := cx.ro.replicas[i]
+	at, restart := r.tl.fx.Crashes[r.tl.fired], r.tl.restarts[r.tl.fired]
+	r.tl.fired++
 	if r.hs != nil {
 		// A probe that was estimated to finish before this crash
 		// succeeded: settle it first, so the crash is a fresh strike
 		// rather than a continuation of the old open.
-		r.hs.settle(ev.at)
+		r.hs.settle(at)
 	}
 	cx.out.Crashes++
 	r.crashes++
 	if cx.ft != nil {
-		cx.ft.crashed(r.cfg.Name, ev.at)
+		cx.ft.crashed(r.cfg.Name, at)
 	}
-	r.advance(ev.at)
+	r.advance(at)
 	for _, ab := range r.sv.Aborted() {
 		cx.out.Aborted++
 		cx.out.LostWorkSeconds += ab.Lost
 		if cx.ft != nil {
-			cx.ft.aborted(ab.TimedRequest, ab.OfferedAt, ev.at, ab.Lost, r.cfg.Name, cx.attempts[ab.ID])
+			cx.ft.aborted(ab.TimedRequest, ab.OfferedAt, at, ab.Lost, r.cfg.Name, cx.attempts[ab.ID])
 		}
-		cx.requeue(ab.TimedRequest, ev.at)
+		cx.requeue(ab.TimedRequest, at)
 	}
 	// The replica holds nothing after the crash, so the outstanding
 	// estimates empty wholesale.
 	r.finishes = r.finishes[:0]
-	if !math.IsInf(ev.restart, 1) {
-		r.estFreeAt = ev.restart
+	if !math.IsInf(restart, 1) {
+		r.estFreeAt = restart
 	}
 	if r.hs != nil {
-		backUp := ev.restart
+		backUp := restart
 		if math.IsInf(backUp, 1) {
-			backUp = ev.at
+			backUp = at
 		}
 		if r.hs.strike(backUp) {
 			cx.out.BreakerOpens++
 			if cx.ft != nil {
-				cx.ft.breaker.Add(ev.at, 1)
+				cx.ft.breaker.Add(at, 1)
 			}
 		}
 	}
-	cx.ro.purge(ev.replica)
+	cx.ro.purge(i)
 }
 
 // requeue routes one aborted request: back into the ingress at its
 // backoff-delayed re-admission time when the retry policy allows, to the
 // drop ledger otherwise.
 func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
-	dropIt := func() {
-		cx.out.AbortedDropped++
-		cx.out.Dropped++
-		if tr.Deadline > 0 {
-			cx.out.DeadlinesTotal++
-		}
-	}
-	if !cx.retryOn {
-		dropIt()
+	if cx.retry == nil {
+		cx.abandon(tr)
 		return
 	}
 	if cx.attempts == nil {
@@ -437,7 +396,7 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
 	n := cx.attempts[tr.ID] + 1 // the n-th abort of this request
 	cx.attempts[tr.ID] = n
 	if n+1 > cx.retry.MaxAttempts {
-		dropIt()
+		cx.abandon(tr)
 		return
 	}
 	back := cx.retry.Backoff * math.Pow(2, float64(n-1))
@@ -448,7 +407,7 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
 	if tr.Deadline > 0 && re >= tr.Deadline {
 		// The retry budget is the deadline itself: a re-admission that
 		// already overruns it could only ever be served late.
-		dropIt()
+		cx.abandon(tr)
 		return
 	}
 	cx.out.Retried++
@@ -456,4 +415,10 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
 		cx.ft.retryScheduled(tr, at, re, n)
 	}
 	cx.pushRetry(retryItem{at: re, tr: tr})
+}
+
+// abandon drops an aborted request for good.
+func (cx *chaos) abandon(tr engine.TimedRequest) {
+	cx.out.AbortedDropped++
+	cx.out.drop(tr)
 }

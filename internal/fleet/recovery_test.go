@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"edgereasoning/internal/engine"
@@ -17,10 +19,33 @@ func crashSchedule(r int, t, d float64) *faults.Schedule {
 	return &faults.Schedule{Events: []faults.Event{{Replica: r, Kind: faults.Crash, At: t, Restart: d}}}
 }
 
+// permanentCrash adds a crash of replica i at the given instant, with no
+// restart, to cfg's fault schedule.
+func permanentCrash(cfg *Config, i int, at float64) {
+	if cfg.Faults == nil {
+		cfg.Faults = &faults.Schedule{}
+	}
+	cfg.Faults.Events = append(cfg.Faults.Events, faults.Event{Replica: i, Kind: faults.Crash, At: at})
+}
+
+// crashedTimeline compiles the timeline of a replica configured as rc
+// whose only fault is a permanent crash at the given instant.
+func crashedTimeline(t *testing.T, rc ReplicaConfig, at float64) *timeline {
+	t.Helper()
+	cfg := Config{Replicas: []ReplicaConfig{rc}}
+	permanentCrash(&cfg, 0, at)
+	tls, err := compileFaults(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tls[0]
+}
+
 func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	mk := func(p RetryPolicy) (*chaos, *Metrics) {
 		out := &Metrics{}
-		return &chaos{retry: p.withDefaults(), retryOn: true, out: out}, out
+		p = p.withDefaults()
+		return &chaos{retry: &p, out: out}, out
 	}
 
 	// Backoff doubles per abort; MaxAttempts bounds total dispatches.
@@ -67,10 +92,34 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 
 	// Retry disabled: every abort drops.
 	cx, out = mk(RetryPolicy{})
-	cx.retryOn = false
+	cx.retry = nil
 	cx.requeue(tr, 5)
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("no-retry abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
+	}
+}
+
+// TestInvalidRecoveryConfigRejected checks that Serve validates Retry
+// and Health whether or not the run schedules a crash.
+func TestInvalidRecoveryConfigRejected(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		for _, tc := range []struct {
+			name string
+			mut  func(*Config)
+		}{
+			{"negative backoff", func(c *Config) { c.Retry = &RetryPolicy{Backoff: -1} }},
+			{"NaN backoff", func(c *Config) { c.Retry = &RetryPolicy{Backoff: math.NaN()} }},
+			{"infinite probe", func(c *Config) { c.Health = &HealthConfig{ProbeAfter: math.Inf(1)} }},
+		} {
+			cfg := homogeneousFleet(2, RoundRobin)
+			if faulted {
+				cfg.Faults = crashSchedule(0, 1, 5)
+			}
+			tc.mut(&cfg)
+			if _, err := Serve(cfg, burst(4, 1, 0)); err == nil {
+				t.Errorf("%s (faulted=%v): Serve must reject the config", tc.name, faulted)
+			}
+		}
 	}
 }
 
@@ -368,7 +417,7 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 		// The pinned replica crashes mid-session.
 		var out Metrics
 		cx := &chaos{ro: ro, out: &out}
-		cx.crash(chaosEvent{at: 5100, restart: 5105, replica: 0})
+		cx.crash(0)
 		if p := ro.sticky["s0"]; p != -1 {
 			t.Fatalf("crash must displace the session's sticky pin, got %d", p)
 		}
@@ -394,6 +443,53 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 		if ro.pinned[0] != 1 || len(ro.sticky) != 1 {
 			t.Fatalf("re-pin bookkeeping: pinned %v sticky %d entries", ro.pinned, len(ro.sticky))
 		}
+	}
+}
+
+// TestTakeKeepsFinishesSorted drives random dispatches and crashes,
+// restarting and permanent, through one replica and checks that take's
+// append leaves the outstanding estimates ascending, as depth's binary
+// search and nextFree's head read require.
+func TestTakeKeepsFinishesSorted(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 0xf1215))
+	takes, crashes := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		var evs []faults.Event
+		for n := rng.IntN(6); n > 0; n-- {
+			ev := faults.Event{Kind: faults.Crash, At: rng.Float64() * 40}
+			if rng.IntN(4) > 0 {
+				ev.Restart = 0.1 + rng.Float64()*5
+			}
+			evs = append(evs, ev)
+		}
+		cfg := homogeneousFleet(1, RoundRobin)
+		cfg.Faults = &faults.Schedule{Events: evs}
+		tls, err := compileFaults(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := newReplica(cfg.Replicas[0].withDefaults(0), cfg, tls[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := &Metrics{}
+		cx := &chaos{ro: &router{replicas: []*replica{r}}, out: out}
+		now := 0.0
+		for k := 0; k < 60; k++ {
+			now += rng.ExpFloat64() * 0.5
+			cx.processUpTo(now)
+			if r.routableAt(now) && r.depth(now) < r.cfg.Capacity {
+				r.take(timed(fmt.Sprintf("t%d-%d", trial, k), now, 16+rng.IntN(512), 1+rng.IntN(200), 0), now)
+				takes++
+			}
+			if !sort.Float64sAreSorted(r.finishes) {
+				t.Fatalf("trial %d step %d: finishes out of order: %v", trial, k, r.finishes)
+			}
+		}
+		crashes += out.Crashes
+	}
+	if takes == 0 || crashes == 0 {
+		t.Fatalf("degenerate sample: %d takes, %d crashes", takes, crashes)
 	}
 }
 

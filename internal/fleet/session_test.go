@@ -71,8 +71,10 @@ func TestSessionAffinityFallsBackWhenPinnedReplicaFails(t *testing.T) {
 	cfg := homogeneousFleet(2, SessionAffinity)
 	cfg.PrefixCache = true
 	// Kill replica 0 partway through: pinned sessions must re-pin to the
-	// survivor instead of dropping.
-	cfg.Replicas[0].FailAt = reqs[len(reqs)/2].Arrival
+	// survivor, and retry must re-serve what the crash aborted, instead
+	// of dropping.
+	permanentCrash(&cfg, 0, reqs[len(reqs)/2].Arrival)
+	cfg.Retry = &RetryPolicy{}
 	m, err := Serve(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
