@@ -376,12 +376,13 @@ func BenchmarkKVCacheAppend(b *testing.B) {
 
 func BenchmarkTwinGenerate(b *testing.B) {
 	bank := data.MustLoad(data.MMLURedux, 7)
-	tw := llm.NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, 7)
+	cell, err := llm.NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, 7).Cell(control.BasePolicy())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := tw.Generate(bank.Questions[i%bank.Size()], control.BasePolicy()); err != nil {
-			b.Fatal(err)
-		}
+		cell.Generate(bank.Questions[i%bank.Size()])
 	}
 }
 

@@ -104,13 +104,13 @@ func ablationPowerModes(opts Options) ([]Table, error) {
 func ablationBatchSweep(opts Options) ([]Table, error) {
 	bank := data.MustLoad(data.AIME2024, opts.Seed)
 	spec := model.MustLookup(model.DeepScaleR1_5)
-	tw := llm.NewTwin(spec, bank, opts.Seed)
+	cell, err := llm.NewTwin(spec, bank, opts.Seed).Cell(control.BasePolicy())
+	if err != nil {
+		return nil, err
+	}
 	var reqs []engine.Request
 	for _, q := range bank.Questions {
-		g, err := tw.Generate(q, control.BasePolicy())
-		if err != nil {
-			return nil, err
-		}
+		g := cell.Generate(q)
 		reqs = append(reqs, engine.Request{
 			ID: fmt.Sprintf("q%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 		})

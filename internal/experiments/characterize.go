@@ -94,13 +94,13 @@ func fig3DecodeLatency(opts Options) ([]Table, error) {
 // for validation, as the paper validates on 50 held-out MMLU questions.
 func heldOutWorkload(spec model.Spec, opts Options, n int) ([][2]int, error) {
 	bank := data.MustLoad(data.MMLURedux, opts.Seed+1) // held-out: different seed
-	tw := llm.NewTwin(spec, bank, opts.Seed+1)
+	cell, err := llm.NewTwin(spec, bank, opts.Seed+1).Cell(control.BasePolicy())
+	if err != nil {
+		return nil, err
+	}
 	var out [][2]int
 	for _, q := range bank.Questions[:n] {
-		g, err := tw.Generate(q, control.BasePolicy())
-		if err != nil {
-			return nil, err
-		}
+		g := cell.Generate(q)
 		out = append(out, [2]int{q.PromptTokens, g.OutputTokens})
 	}
 	return out, nil
@@ -141,14 +141,14 @@ func table7PrefillDecodeRatios(opts Options) ([]Table, error) {
 		Columns: []string{"model", "p_tokens", "d_tokens", "token_ratio", "latency_ratio", "decode_share_pct"},
 	}
 	for _, spec := range model.DSR1Family() {
-		tw := llm.NewTwin(spec, bank, opts.Seed)
+		cell, err := llm.NewTwin(spec, bank, opts.Seed).Cell(control.BasePolicy())
+		if err != nil {
+			return nil, err
+		}
 		var pTok, dTok int
 		var pLat, dLat float64
 		for _, q := range sub.Questions {
-			g, err := tw.Generate(q, control.BasePolicy())
-			if err != nil {
-				return nil, err
-			}
+			g := cell.Generate(q)
 			pTok += q.PromptTokens
 			dTok += g.OutputTokens
 			pLat += sim.Prefill(spec.Arch, spec.DType, q.PromptTokens, 1).Time

@@ -36,13 +36,13 @@ func evalCell(id model.ID, bank *data.Bank, sub *data.Bank, pol control.Policy, 
 	if err != nil {
 		return 0, 0, err
 	}
-	tw := llm.NewTwin(spec, bank, seed)
+	cell, err := llm.NewTwin(spec, bank, seed).Cell(pol)
+	if err != nil {
+		return 0, 0, err
+	}
 	correct, tokens := 0, 0
 	for _, q := range sub.Questions {
-		g, err := tw.Generate(q, pol)
-		if err != nil {
-			return 0, 0, err
-		}
+		g := cell.Generate(q)
 		if g.Correct {
 			correct++
 		}

@@ -101,15 +101,14 @@ func Scorecard(opts Options) ([]Anchor, error) {
 		{model.L1Max, 0.438},
 	}
 	for _, a := range accPaper {
-		tw := llm.NewTwin(model.MustLookup(a.id), bank, opts.Seed)
+		cell, err := llm.NewTwin(model.MustLookup(a.id), bank, opts.Seed).Cell(control.BasePolicy())
+		if err != nil {
+			return nil, err
+		}
 		sub := bank.Subsample(opts.sample(bank.Size()))
 		correct := 0
 		for _, q := range sub.Questions {
-			g, err := tw.Generate(q, control.BasePolicy())
-			if err != nil {
-				return nil, err
-			}
-			if g.Correct {
+			if cell.Generate(q).Correct {
 				correct++
 			}
 		}
@@ -128,13 +127,13 @@ func Scorecard(opts Options) ([]Anchor, error) {
 	// Table III: edge serving cost per 1M tokens at batch 1 and 30.
 	spec := model.MustLookup(model.DeepScaleR1_5)
 	aime := data.MustLoad(data.AIME2024, opts.Seed)
-	twA := llm.NewTwin(spec, aime, opts.Seed)
+	cellA, err := llm.NewTwin(spec, aime, opts.Seed).Cell(control.BasePolicy())
+	if err != nil {
+		return nil, err
+	}
 	var reqs []engine.Request
 	for _, q := range aime.Questions {
-		g, err := twA.Generate(q, control.BasePolicy())
-		if err != nil {
-			return nil, err
-		}
+		g := cellA.Generate(q)
 		reqs = append(reqs, engine.Request{ID: fmt.Sprintf("q%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens})
 	}
 	runBatch := func(batch int) (cost.Breakdown, error) {

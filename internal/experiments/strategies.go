@@ -80,14 +80,14 @@ func table2ModelComparison(opts Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tw := llm.NewTwin(spec, bank, opts.Seed)
+		cell, err := llm.NewTwin(spec, bank, opts.Seed).Cell(e.pol)
+		if err != nil {
+			return nil, err
+		}
 		var correct, tokens int
 		var time, energy float64
 		for _, q := range bank.Questions {
-			g, err := tw.Generate(q, e.pol)
-			if err != nil {
-				return nil, err
-			}
+			g := cell.Generate(q)
 			m, err := eng.Generate(engine.Request{
 				ID: fmt.Sprintf("q%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 			})
@@ -116,14 +116,14 @@ func table2ModelComparison(opts Options) ([]Table, error) {
 func table3EdgeVsCloud(opts Options) ([]Table, error) {
 	bank := data.MustLoad(data.AIME2024, opts.Seed)
 	spec := model.MustLookup(model.DeepScaleR1_5)
-	tw := llm.NewTwin(spec, bank, opts.Seed)
+	cell, err := llm.NewTwin(spec, bank, opts.Seed).Cell(control.BasePolicy())
+	if err != nil {
+		return nil, err
+	}
 	var reqs []engine.Request
 	totalOut := 0
 	for _, q := range bank.Questions {
-		g, err := tw.Generate(q, control.BasePolicy())
-		if err != nil {
-			return nil, err
-		}
+		g := cell.Generate(q)
 		reqs = append(reqs, engine.Request{
 			ID: fmt.Sprintf("aime%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 		})

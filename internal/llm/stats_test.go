@@ -15,7 +15,7 @@ import (
 // (top quartile).
 func TestDifficultyCorrelation(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
-	tw := NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed)
+	c := mustCell(t, NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed), control.BasePolicy())
 
 	qs := make([]data.Question, len(bank.Questions))
 	copy(qs, bank.Questions)
@@ -25,11 +25,7 @@ func TestDifficultyCorrelation(t *testing.T) {
 	accOf := func(sub []data.Question) float64 {
 		correct := 0
 		for _, q := range sub {
-			g, err := tw.Generate(q, control.BasePolicy())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Correct {
+			if c.Generate(q).Correct {
 				correct++
 			}
 		}
@@ -45,13 +41,10 @@ func TestDifficultyCorrelation(t *testing.T) {
 // Harder questions elicit longer reasoning chains.
 func TestLengthDifficultyCorrelation(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
-	tw := NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, testSeed)
+	c := mustCell(t, NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, testSeed), control.BasePolicy())
 	var lowSum, highSum, lowN, highN float64
 	for _, q := range bank.Questions {
-		g, err := tw.Generate(q, control.BasePolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := c.Generate(q)
 		if q.Difficulty < 0.3 {
 			lowSum += float64(g.OutputTokens)
 			lowN++
@@ -95,12 +88,9 @@ func TestDeepScaleRAIMECell(t *testing.T) {
 	// accuracy estimate.
 	runs := 40
 	for s := uint64(0); s < uint64(runs); s++ {
-		tws := NewTwin(model.MustLookup(model.DeepScaleR1_5), bank, s)
+		c := mustCell(t, NewTwin(model.MustLookup(model.DeepScaleR1_5), bank, s), control.BasePolicy())
 		for _, q := range bank.Questions {
-			g, err := tws.Generate(q, control.BasePolicy())
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := c.Generate(q)
 			if g.Correct {
 				correct++
 			}
@@ -149,14 +139,10 @@ func TestInterpolatedCellsFlagged(t *testing.T) {
 // spread exists.
 func TestLengthSpreadExists(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
-	tw := NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed)
+	c := mustCell(t, NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed), control.BasePolicy())
 	lengths := map[int]bool{}
 	for _, q := range bank.Questions[:200] {
-		g, err := tw.Generate(q, control.BasePolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		lengths[g.OutputTokens] = true
+		lengths[c.Generate(q).OutputTokens] = true
 	}
 	if len(lengths) < 100 {
 		t.Errorf("only %d distinct lengths in 200 questions; spread too narrow", len(lengths))
@@ -167,14 +153,10 @@ func TestLengthSpreadExists(t *testing.T) {
 // for a high-correlation cell (L1) still matches its calibration.
 func TestVoteCorrDoesNotBiasSingleSample(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
-	tw := NewTwin(model.MustLookup(model.L1Max), bank, testSeed)
+	c := mustCell(t, NewTwin(model.MustLookup(model.L1Max), bank, testSeed), control.HardLimit(128))
 	correct := 0
 	for _, q := range bank.Questions {
-		g, err := tw.Generate(q, control.HardLimit(128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Correct {
+		if c.Generate(q).Correct {
 			correct++
 		}
 	}

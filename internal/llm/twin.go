@@ -80,11 +80,30 @@ func (t *Twin) Behavior(pol control.Policy) (Behavior, error) {
 	return Behavior{}, fmt.Errorf("llm: no calibration for %s on %s with %s", t.Spec.ID, t.Bench, pol.Key())
 }
 
-// questionRNG derives the deterministic stream for one (question, config)
-// pair; order of evaluation never changes results.
-func (t *Twin) questionRNG(qIdx int, configKey string) *stats.RNG {
-	name := fmt.Sprintf("llm/%s/%s/%s/q%d", t.Spec.ID, t.Bench, configKey, qIdx)
-	return stats.NewRNG(t.seed, name)
+// Cell is one (twin, policy) pair resolved for sampling. The policy is
+// validated, and its calibrated behaviour and the name prefix of its
+// questions' random streams are looked up, once; each question then does
+// only its own work. A question's stream is named
+// "llm/<model>/<bench>/<policy key>/q<index>", so results do not depend
+// on the order questions are sampled in. A Cell reseeds one random
+// stream per question, so it belongs to one goroutine; the Twin it came
+// from stays immutable.
+type Cell struct {
+	tw   *Twin
+	pol  control.Policy
+	beh  Behavior
+	name stats.Name // the stream-name prefix, up to and including "q"
+	rng  *stats.RNG
+}
+
+// Cell resolves the cell for a policy, or errors as Behavior does.
+func (t *Twin) Cell(pol control.Policy) (*Cell, error) {
+	beh, err := t.Behavior(pol)
+	if err != nil {
+		return nil, err
+	}
+	prefix := fmt.Sprintf("llm/%s/%s/%s/q", t.Spec.ID, t.Bench, pol.Key())
+	return &Cell{tw: t, pol: pol, beh: beh, name: stats.NameOf(prefix), rng: stats.NewRNG(t.seed, prefix)}, nil
 }
 
 // pCorrect samples the question's latent correctness probability for this
@@ -122,15 +141,18 @@ type lengthDist struct {
 	atCap     bool // the target mean is at the cap: every branch is cut there
 }
 
+// meanTokens is the question's target mean output length: the
+// calibrated mean, scaled up for harder questions.
+func (t *Twin) meanTokens(q data.Question, beh Behavior) float64 {
+	diffFactor := 0.75 + 0.5*(q.Difficulty-t.meanDifficulty+0.5)
+	return math.Max(beh.MeanTokens*diffFactor, 1)
+}
+
 // lengths resolves the question's length distribution. A target at or
 // above 0.995 of the cap needs no solve: every branch is the cap itself,
 // and drawing it consumes no randomness.
 func (t *Twin) lengths(q data.Question, beh Behavior, pol control.Policy) lengthDist {
-	diffFactor := 0.75 + 0.5*(q.Difficulty-t.meanDifficulty+0.5)
-	target := beh.MeanTokens * diffFactor
-	if target < 1 {
-		target = 1
-	}
+	target := t.meanTokens(q, beh)
 	d := lengthDist{sigma: beh.Sigma, cap: pol.Cap()}
 	switch c := float64(d.cap); {
 	case d.cap == 0:
@@ -164,42 +186,54 @@ func (d lengthDist) draw(rng *stats.RNG) (tokens int, truncated bool) {
 	return n, false
 }
 
-// Generate samples one response (the SF=1 path).
-func (t *Twin) Generate(q data.Question, pol control.Policy) (Generation, error) {
-	gens, err := t.GenerateVotes(q, pol, 1)
-	if err != nil {
-		return Generation{}, err
-	}
-	return gens[0], nil
-}
-
-// GenerateVotes samples k parallel responses to one question. All k share
-// the question's latent correctness probability and distractor profile
-// (they are the same model on the same input); token sampling and answer
-// choice are independent across branches — the setup of §V-E.
+// GenerateVotes samples k parallel responses to one question; see
+// Cell.Votes. A caller sampling many questions under one policy resolves
+// the Cell once instead.
 func (t *Twin) GenerateVotes(q data.Question, pol control.Policy, k int) ([]Generation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("llm: vote count must be >= 1, got %d", k)
 	}
-	beh, err := t.Behavior(pol)
+	c, err := t.Cell(pol)
 	if err != nil {
 		return nil, err
 	}
-	rng := t.questionRNG(q.Index, pol.Key())
-	p := t.pCorrect(q, beh, rng)
+	out := make([]Generation, k)
+	c.Votes(q, out)
+	return out, nil
+}
+
+// Generate samples one response to q (the SF=1 path).
+//
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
+func (c *Cell) Generate(q data.Question) Generation {
+	var one [1]Generation
+	c.Votes(q, one[:])
+	return one[0]
+}
+
+// Votes samples len(out) parallel responses to q into out. All of them
+// share the question's latent correctness probability and distractor
+// profile (they are the same model on the same input); token sampling
+// and answer choice are independent across branches — the setup of
+// §V-E.
+//
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
+func (c *Cell) Votes(q data.Question, out []Generation) {
+	t, rng := c.tw, c.rng
+	rng.Reseed(t.seed, c.name.AddInt(q.Index))
+	p := t.pCorrect(q, c.beh, rng)
 	// The model's modal answer on this question: with probability VoteCorr
 	// a branch repeats it rather than sampling fresh. The modal answer
 	// follows the same distribution as a fresh sample, so single-sample
 	// accuracy is exactly p regardless of the correlation.
 	modal := sampleAnswer(q, p, -1, rng)
-	dist := t.lengths(q, beh, pol)
-
-	out := make([]Generation, k)
+	dist := t.lengths(q, c.beh, c.pol)
+	k := len(out)
 	for i := range out {
 		tokens, truncated := dist.draw(rng)
 		g := Generation{OutputTokens: tokens, Truncated: truncated}
-		g.ThinkTokens, g.AnswerTokens = splitThinkAnswer(t.Spec, pol, tokens)
-		if k > 1 && rng.Bernoulli(beh.VoteCorr) {
+		g.ThinkTokens, g.AnswerTokens = splitThinkAnswer(t.Spec, c.pol, tokens)
+		if k > 1 && rng.Bernoulli(c.beh.VoteCorr) {
 			g.Answer = modal
 		} else {
 			g.Answer = sampleAnswer(q, p, i, rng)
@@ -207,7 +241,6 @@ func (t *Twin) GenerateVotes(q data.Question, pol control.Policy, k int) ([]Gene
 		g.Correct = g.Answer == 0
 		out[i] = g
 	}
-	return out, nil
 }
 
 // sampleAnswer draws the answer identity: 0 for correct, otherwise a
@@ -266,18 +299,22 @@ func censoredMean(mu, sigma, c, logC float64) float64 {
 	return m*normCDF((logC-mu-sigma*sigma)/sigma) + c*(1-normCDF((logC-mu)/sigma))
 }
 
-// solveCensoredMu inverts censoredMean over mu via bisection. An
-// iteration that leaves (lo, hi) unchanged is a fixed point, so the loop
-// stops there: every later iteration would repeat it.
+// solveCensoredMu inverts censoredMean over mu by a 60-step bisection.
+// censoredBracket first brackets the root tightly, so only midpoints
+// inside the bracket evaluate censoredMean; the others are decided by
+// their side of it, as an evaluation would decide them. An iteration that
+// leaves (lo, hi) unchanged is a fixed point, so the loop stops there:
+// every later iteration would repeat it.
 //
-//edgereasoning:hotpath bench=BenchmarkSweep
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
 func solveCensoredMu(target, sigma, c float64) float64 {
 	logC := math.Log(c)
 	lo := math.Log(target) - sigma*sigma/2 - 2 // censored mean < uncensored
 	hi := logC + 4*sigma                       // pushes censored mean -> c
+	below, above := censoredBracket(target, sigma, c, logC, lo, hi)
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if censoredMean(mid, sigma, c, logC) < target {
+		if mid <= below || mid < above && censoredMean(mid, sigma, c, logC) < target {
 			if lo == mid {
 				break
 			}
@@ -290,4 +327,58 @@ func solveCensoredMu(target, sigma, c float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// censoredBracket returns (below, above) such that censoredMean, as
+// computed, is below target at every μ in [lo, below] and at or above it
+// at every μ in [above, hi]. It finds the root with Newton steps, using
+// the closed-form slope m·Φ((log c − μ − σ²)/σ) of the censored mean, and
+// then checks censoredMean a little either side of it. A check passes
+// only when the value clears target by twice the rounding error any
+// evaluation in [lo, hi] can make; the exact censored mean is increasing
+// in μ, so every evaluation beyond a passing end falls on the same side
+// of target. A side that passes no check is left infinite, and the
+// bisection evaluates every midpoint there.
+//
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
+func censoredBracket(target, sigma, c, logC, lo, hi float64) (below, above float64) {
+	const (
+		eps       = 0x1p-52
+		newton    = 8 // Newton steps at most
+		widenings = 4 // checks per side, each 8x wider than the last
+	)
+	s2 := sigma * sigma
+	// Both CDF terms lose about ε of absolute precision, scaled by m
+	// (at most exp(hi+σ²/2) on [lo, hi]) and by c, and their arguments'
+	// rounding is amplified by 1/σ. margin bounds the rounding error of
+	// two evaluations with room to spare.
+	u := math.Max(math.Abs(lo), math.Abs(hi))
+	margin := 8 * eps * (math.Exp(hi+s2/2) + c) * (2 + u + s2 + (math.Abs(logC)+u+s2)/sigma)
+
+	mu := math.Log(target) - s2/2 // the uncensored root
+	var slope float64
+	for i := 0; i < newton; i++ {
+		m := math.Exp(mu + s2/2)
+		slope = m * normCDF((logC-mu-s2)/sigma)
+		step := (target - slope - c*(1-normCDF((logC-mu)/sigma))) / slope
+		mu = math.Max(lo, math.Min(hi, mu+step))
+		if !(math.Abs(step)*slope > margin) {
+			break
+		}
+	}
+	below, above = math.Inf(-1), math.Inf(1)
+	tol := 4 * margin / slope
+	for i, w := 0, tol; i < widenings; i, w = i+1, w*8 {
+		if x := mu - w; censoredMean(x, sigma, c, logC) < target-margin {
+			below = x
+			break
+		}
+	}
+	for i, w := 0, tol; i < widenings; i, w = i+1, w*8 {
+		if x := mu + w; censoredMean(x, sigma, c, logC) >= target+margin {
+			above = x
+			break
+		}
+	}
+	return below, above
 }

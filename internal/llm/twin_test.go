@@ -1,29 +1,39 @@
 package llm
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"edgereasoning/internal/control"
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/model"
+	"edgereasoning/internal/stats"
 )
 
 const testSeed = 7
+
+// mustCell resolves a twin's cell for a policy.
+func mustCell(t testing.TB, tw *Twin, pol control.Policy) *Cell {
+	t.Helper()
+	c, err := tw.Cell(pol)
+	if err != nil {
+		t.Fatalf("%s/%s/%s: %v", tw.Spec.ID, tw.Bench, pol.Key(), err)
+	}
+	return c
+}
 
 // evaluate runs a twin over a bank at SF=1 and returns (accuracy, mean
 // output tokens).
 func evaluate(t *testing.T, id model.ID, bench data.Benchmark, pol control.Policy) (float64, float64) {
 	t.Helper()
 	bank := data.MustLoad(bench, testSeed)
-	tw := NewTwin(model.MustLookup(id), bank, testSeed)
+	c := mustCell(t, NewTwin(model.MustLookup(id), bank, testSeed), pol)
 	correct, tokens := 0, 0
 	for _, q := range bank.Questions {
-		g, err := tw.Generate(q, pol)
-		if err != nil {
-			t.Fatalf("%s/%s/%s: %v", id, bench, pol.Key(), err)
-		}
+		g := c.Generate(q)
 		if g.Correct {
 			correct++
 		}
@@ -67,12 +77,9 @@ func TestTwinReproducesTableXAndXI(t *testing.T) {
 
 func TestHardLimitNeverExceedsCap(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
-	tw := NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, testSeed)
+	c := mustCell(t, NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, testSeed), control.HardLimit(128))
 	for _, q := range bank.Questions[:500] {
-		g, err := tw.Generate(q, control.HardLimit(128))
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := c.Generate(q)
 		if g.OutputTokens > 128 {
 			t.Fatalf("hard-128 emitted %d tokens", g.OutputTokens)
 		}
@@ -86,14 +93,8 @@ func TestTwinDeterministic(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
 	q := bank.Questions[42]
 	spec := model.MustLookup(model.DSR1Llama8B)
-	a, err := NewTwin(spec, bank, testSeed).Generate(q, control.BasePolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTwin(spec, bank, testSeed).Generate(q, control.BasePolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustCell(t, NewTwin(spec, bank, testSeed), control.BasePolicy()).Generate(q)
+	b := mustCell(t, NewTwin(spec, bank, testSeed), control.BasePolicy()).Generate(q)
 	if a != b {
 		t.Errorf("same seed must reproduce: %+v vs %+v", a, b)
 	}
@@ -133,8 +134,14 @@ func TestNaturalPlanCells(t *testing.T) {
 func TestUncalibratedCombinationErrors(t *testing.T) {
 	bank := data.MustLoad(data.AIME2024, testSeed)
 	tw := NewTwin(model.MustLookup(model.Gemma7Bit), bank, testSeed)
-	if _, err := tw.Generate(bank.Questions[0], control.BasePolicy()); err == nil {
+	if _, err := tw.Cell(control.BasePolicy()); err == nil {
 		t.Error("expected error for uncalibrated model/benchmark pair")
+	}
+	if _, err := tw.GenerateVotes(bank.Questions[0], control.BasePolicy(), 1); err == nil {
+		t.Error("GenerateVotes: expected error for uncalibrated model/benchmark pair")
+	}
+	if _, err := tw.Cell(control.Policy{Kind: control.Hard}); err == nil {
+		t.Error("expected error for a hard policy without a budget")
 	}
 }
 
@@ -181,10 +188,7 @@ func TestThinkAnswerSplit(t *testing.T) {
 	bank := data.MustLoad(data.MMLURedux, testSeed)
 	// Reasoning model: mostly thinking.
 	tw := NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed)
-	g, err := tw.Generate(bank.Questions[0], control.BasePolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustCell(t, tw, control.BasePolicy()).Generate(bank.Questions[0])
 	if g.ThinkTokens <= g.AnswerTokens {
 		t.Errorf("reasoning model should think more than it answers: %+v", g)
 	}
@@ -193,18 +197,12 @@ func TestThinkAnswerSplit(t *testing.T) {
 	}
 	// Direct model: no thinking.
 	twd := NewTwin(model.MustLookup(model.Qwen25_7Bit), bank, testSeed)
-	gd, err := twd.Generate(bank.Questions[0], control.DirectAnswer())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gd := mustCell(t, twd, control.DirectAnswer()).Generate(bank.Questions[0])
 	if gd.ThinkTokens != 0 {
 		t.Errorf("direct model must not think: %+v", gd)
 	}
 	// NR: stub think block.
-	gnr, err := tw.Generate(bank.Questions[1], control.NoReasoning())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gnr := mustCell(t, tw, control.NoReasoning()).Generate(bank.Questions[1])
 	if gnr.ThinkTokens == 0 || gnr.ThinkTokens > 16 {
 		t.Errorf("NR think stub should be small and nonzero: %+v", gnr)
 	}
@@ -358,6 +356,7 @@ func FuzzSolveCensoredMu(f *testing.F) {
 	f.Add(1.0, 0.45, 256.0)
 	f.Add(509.4, 0.45, 512.0)
 	f.Add(37.25, 1.2, 4096.0)
+	f.Add(510.2890625, 2.6961734693877553, 514.0) // heavy censoring: a margin of ε·target is too thin
 	f.Fuzz(func(t *testing.T, target, sigma, c float64) {
 		if !(c >= 2 && c <= 1<<20 && sigma >= 0.01 && sigma <= 4 && target >= 1 && target < c*0.995) {
 			t.Skip()
@@ -367,4 +366,88 @@ func FuzzSolveCensoredMu(f *testing.F) {
 			t.Fatalf("solveCensoredMu(%v, %v, %v) = %v, reference %v", target, sigma, c, got, want)
 		}
 	})
+}
+
+// Every μ the sampler solves for on the shipped banks keeps the
+// reference's bits: each calibrated hard-budget cell, every question of
+// its benchmark's bank, at two seeds.
+func TestSolveCensoredMuOnCalibratedTraffic(t *testing.T) {
+	for _, seed := range []uint64{7, 11} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			for key, beh := range calibration {
+				if !strings.HasPrefix(key.config, "hard-") {
+					continue
+				}
+				pol, err := control.ParseKey(key.config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bank := data.MustLoad(key.bench, seed)
+				tw := NewTwin(model.MustLookup(key.model), bank, seed)
+				c := float64(pol.Cap())
+				for _, q := range bank.Questions {
+					target := tw.meanTokens(q, beh)
+					if target >= c*0.995 {
+						continue // at the cap: lengths does not solve
+					}
+					got, want := solveCensoredMu(target, beh.Sigma, c), solveCensoredMuRef(target, beh.Sigma, c)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s/%s/%s q%d: solveCensoredMu(%v, %v, %v) = %v, reference %v",
+							key.model, key.bench, key.config, q.Index, target, beh.Sigma, c, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A cell folds each question's index into its resolved name prefix; the
+// stream must be the one the whole name, formatted per question, seeds.
+func TestCellStreamName(t *testing.T) {
+	bank := data.MustLoad(data.MMLURedux, testSeed)
+	tw := NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, testSeed)
+	for _, pol := range []control.Policy{control.BasePolicy(), control.HardLimit(128), control.SoftLimit(256)} {
+		c, err := tw.Cell(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range []int{0, 7, 10, 99, 100, 2999, 14999, 123456789} {
+			want := stats.NameOf(fmt.Sprintf("llm/%s/%s/%s/q%d", tw.Spec.ID, tw.Bench, pol.Key(), idx))
+			if got := c.name.AddInt(idx); got != want {
+				t.Errorf("%s q%d: name %#x, want %#x", pol.Key(), idx, got, want)
+			}
+		}
+	}
+}
+
+// A resolved cell samples what the per-call API samples, and keeps no
+// state from one question to the next: sampling in reverse order with
+// a mix of vote counts gives the same responses.
+func TestCellMatchesGenerateVotes(t *testing.T) {
+	bank := data.MustLoad(data.NaturalPlanTrip, testSeed)
+	tw := NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed)
+	pol := control.HardLimit(512)
+	c, err := tw.Cell(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := bank.Questions[:40]
+	for i := len(qs) - 1; i >= 0; i-- {
+		k := 1 + i%5
+		want, err := tw.GenerateVotes(qs[i], pol, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Generation, k)
+		c.Votes(qs[i], got)
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("q%d vote %d of %d: cell %+v, GenerateVotes %+v", qs[i].Index, j, k, got[j], want[j])
+			}
+		}
+		if k == 1 && c.Generate(qs[i]) != want[0] {
+			t.Fatalf("q%d: Cell.Generate differs from a 1-vote GenerateVotes", qs[i].Index)
+		}
+	}
 }

@@ -7,16 +7,17 @@
 package stats
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"strconv"
 )
 
 // RNG is a deterministic random stream. It wraps the stdlib PCG generator
 // and adds the distribution samplers the simulator needs (lognormal, beta,
 // categorical). The zero value is not usable; construct with NewRNG.
 type RNG struct {
-	src *rand.Rand
+	pcg rand.PCG
+	src *rand.Rand // draws from pcg
 }
 
 // NewRNG returns a deterministic stream derived from a global seed and a
@@ -25,9 +26,49 @@ type RNG struct {
 // Deriving streams by name (rather than sequential seeding) keeps
 // experiments independent of the order in which they run.
 func NewRNG(seed uint64, name string) *RNG {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return &RNG{src: rand.New(rand.NewPCG(seed, h.Sum64()))}
+	r := &RNG{}
+	r.src = rand.New(&r.pcg)
+	r.Reseed(seed, NameOf(name))
+	return r
+}
+
+// Reseed restarts r as the stream NewRNG(seed, s) returns, for the name
+// NameOf(s) or one built up to the same bytes, without allocating. A
+// caller drawing many short named streams in turn reuses one RNG this
+// way.
+//
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
+func (r *RNG) Reseed(seed uint64, name Name) {
+	r.pcg.Seed(seed, uint64(name))
+}
+
+// Name is a stream name being hashed: the 64-bit FNV-1a state of the
+// bytes folded in so far. A name extended by AddInt hashes the same bytes
+// as the whole string, so a prefix shared by many streams is hashed once
+// and each stream folds only its own index into a copy.
+type Name uint64
+
+const fnvPrime Name = 1099511628211
+
+// NameOf hashes a stream name.
+func NameOf(s string) Name {
+	h := Name(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(s); i++ {
+		h = (h ^ Name(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// AddInt folds n's decimal digits, as strconv.Itoa (and fmt's %d) write
+// them, into the name.
+//
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
+func (h Name) AddInt(n int) Name {
+	var buf [20]byte
+	for _, b := range strconv.AppendInt(buf[:0], int64(n), 10) {
+		h = (h ^ Name(b)) * fnvPrime
+	}
+	return h
 }
 
 // Float64 returns a uniform sample in [0, 1).

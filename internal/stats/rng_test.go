@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 )
 
@@ -154,5 +156,43 @@ func TestHashJitterDeterministic(t *testing.T) {
 	c := HashJitter(100, 0.1, 54321)
 	if a == c {
 		t.Error("different keys should (almost surely) differ")
+	}
+}
+
+// Name is FNV-1a: the whole-string hash matches hash/fnv's, and a name
+// extended by its digits hashes the same bytes as the whole string.
+func TestNameMatchesFNV(t *testing.T) {
+	r := NewRNG(3, "names")
+	for n := 0; n < 200; n++ {
+		b := make([]byte, r.IntN(40))
+		for i := range b {
+			b[i] = byte(r.IntN(256))
+		}
+		s := string(b)
+		h := fnv.New64a()
+		_, _ = h.Write(b)
+		if got, want := NameOf(s), Name(h.Sum64()); got != want {
+			t.Fatalf("NameOf(%q) = %#x, hash/fnv %#x", s, got, want)
+		}
+		for _, i := range []int{0, r.IntN(10), r.IntN(1 << 20), -r.IntN(1000), math.MaxInt, math.MinInt} {
+			if got, want := NameOf(s).AddInt(i), NameOf(s+strconv.Itoa(i)); got != want {
+				t.Fatalf("NameOf(%q).AddInt(%d) = %#x, want %#x", s, i, got, want)
+			}
+		}
+	}
+}
+
+// Reseeding an RNG restarts it as the named stream a fresh one draws.
+func TestReseedMatchesNewRNG(t *testing.T) {
+	r := NewRNG(1, "scratch")
+	for _, name := range []string{"", "a", "llm/x/y/base/q0", "llm/x/y/base/q14999"} {
+		r.Float64()
+		r.Reseed(42, NameOf(name))
+		fresh := NewRNG(42, name)
+		for i := 0; i < 50; i++ {
+			if got, want := r.NormFloat64(), fresh.NormFloat64(); got != want {
+				t.Fatalf("%q draw %d: reseeded %v, fresh %v", name, i, got, want)
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ package tts
 
 import (
 	"fmt"
-	"sort"
 
 	"edgereasoning/internal/control"
 	"edgereasoning/internal/data"
@@ -18,32 +17,29 @@ import (
 // identities. Ties break toward the answer appearing earliest among the
 // votes (a deterministic stand-in for vLLM's first-completion tie break).
 // The second return is the winning cluster's vote count.
+//
+// Each vote counts its answer from there to the end, and only a strictly
+// larger count takes the lead. An answer's first vote sees its full
+// count; a later vote of the same answer sees fewer, so it can never take
+// the lead its first vote did not.
+//
+//edgereasoning:hotpath bench=BenchmarkSweep
 func MajorityVote(gens []llm.Generation) (answer int, votes int) {
-	if len(gens) == 0 {
-		return 0, 0
-	}
-	counts := make(map[int]int, len(gens))
-	firstSeen := make(map[int]int, len(gens))
 	for i, g := range gens {
-		counts[g.Answer]++
-		if _, ok := firstSeen[g.Answer]; !ok {
-			firstSeen[g.Answer] = i
+		if len(gens)-i <= votes {
+			break // no answer can still get more votes
+		}
+		n := 1
+		for _, later := range gens[i+1:] {
+			if later.Answer == g.Answer {
+				n++
+			}
+		}
+		if n > votes {
+			answer, votes = g.Answer, n
 		}
 	}
-	type entry struct {
-		answer, count, first int
-	}
-	entries := make([]entry, 0, len(counts))
-	for a, c := range counts {
-		entries = append(entries, entry{a, c, firstSeen[a]})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].count != entries[j].count {
-			return entries[i].count > entries[j].count
-		}
-		return entries[i].first < entries[j].first
-	})
-	return entries[0].answer, entries[0].count
+	return answer, votes
 }
 
 // QuestionResult is one question evaluated at a scaling factor.
@@ -53,15 +49,6 @@ type QuestionResult struct {
 	Agreement    float64 // winning votes / SF
 	OutputTokens int     // summed across branches
 	MaxTokens    int     // longest branch (drives latency)
-}
-
-// EvaluateQuestion runs SF parallel samples of one question and votes.
-func EvaluateQuestion(tw *llm.Twin, q data.Question, pol control.Policy, sf int) (QuestionResult, error) {
-	gens, err := tw.GenerateVotes(q, pol, sf)
-	if err != nil {
-		return QuestionResult{}, err
-	}
-	return score(gens), nil
 }
 
 // score votes over one question's generations.
@@ -124,19 +111,18 @@ func Sweep(tw *llm.Twin, bank *data.Bank, pol control.Policy, factors []int) ([]
 	if bank.Size() == 0 {
 		return out, nil
 	}
+	cell, err := tw.Cell(pol)
+	if err != nil {
+		return nil, err
+	}
 	correct := make([]int, len(factors))
-	var votes, one []llm.Generation
+	votes, one := make([]llm.Generation, ladder), make([]llm.Generation, 1)
 	for _, q := range bank.Questions {
-		var err error
 		if ladder > 0 {
-			if votes, err = tw.GenerateVotes(q, pol, ladder); err != nil {
-				return nil, err
-			}
+			cell.Votes(q, votes)
 		}
 		if single {
-			if one, err = tw.GenerateVotes(q, pol, 1); err != nil {
-				return nil, err
-			}
+			cell.Votes(q, one)
 		}
 		for i, sf := range factors {
 			gens := one

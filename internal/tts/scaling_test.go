@@ -2,6 +2,7 @@ package tts
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
+	"edgereasoning/internal/stats"
 )
 
 const seed = 7
@@ -195,6 +197,66 @@ func TestExactMatchVotingDynamics(t *testing.T) {
 	}
 }
 
+// majorityVoteRef is MajorityVote as it stood with two maps and a sort.
+func majorityVoteRef(gens []llm.Generation) (answer int, votes int) {
+	if len(gens) == 0 {
+		return 0, 0
+	}
+	counts := make(map[int]int, len(gens))
+	firstSeen := make(map[int]int, len(gens))
+	for i, g := range gens {
+		counts[g.Answer]++
+		if _, ok := firstSeen[g.Answer]; !ok {
+			firstSeen[g.Answer] = i
+		}
+	}
+	type entry struct {
+		answer, count, first int
+	}
+	entries := make([]entry, 0, len(counts))
+	for a, c := range counts {
+		entries = append(entries, entry{a, c, firstSeen[a]})
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].count != entries[j].count {
+			return entries[i].count > entries[j].count
+		}
+		return entries[i].first < entries[j].first
+	})
+	return entries[0].answer, entries[0].count
+}
+
+// The linear scan picks the reference's winner and count on random vote
+// vectors: up to 40 votes over alphabets from one answer (unanimous) to
+// more answers than votes (mostly singletons and ties), with the
+// exact-match unique ids mixed in.
+func TestMajorityVoteMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(seed, "tts/majority-ref")
+	for n := 0; n < 20000; n++ {
+		gens := make([]llm.Generation, rng.IntN(41))
+		alphabet := 1 + rng.IntN(12)
+		for i := range gens {
+			gens[i].Answer = rng.IntN(alphabet)
+			if rng.Bernoulli(0.2) {
+				gens[i].Answer = 1000 + i
+			}
+		}
+		a, v := MajorityVote(gens)
+		ra, rv := majorityVoteRef(gens)
+		if a != ra || v != rv {
+			t.Fatalf("MajorityVote(%v) = (%d, %d), reference (%d, %d)", answers(gens), a, v, ra, rv)
+		}
+	}
+}
+
+func answers(gens []llm.Generation) []int {
+	out := make([]int, len(gens))
+	for i, g := range gens {
+		out[i] = g.Answer
+	}
+	return out
+}
+
 // evaluateBankRef is the per-factor evaluation Sweep replaces: one
 // GenerateVotes call per question at each factor, accumulated in question
 // order.
@@ -309,6 +371,24 @@ func BenchmarkSweep(b *testing.B) {
 			if _, err := Sweep(tw, sub, control.HardLimit(128), PaperScalingFactors()); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkTable12Cell is one Table XII hard-budget cell: the 8B at a
+// 128-token budget over MMLU's 15k questions, one response each.
+func BenchmarkTable12Cell(b *testing.B) {
+	bank := data.MustLoad(data.MMLU, seed)
+	tw := twinFor(model.DSR1Llama8B, bank)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell, err := tw.Cell(control.HardLimit(128))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range bank.Questions {
+			cell.Generate(q)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/stats"
@@ -50,9 +51,10 @@ func (s *Source) Next() (engine.TimedRequest, bool) {
 	if output < 1 {
 		output = 1
 	}
+	var id [24]byte
 	tr := engine.TimedRequest{
 		Request: engine.Request{
-			ID:           fmt.Sprintf("w%d", s.i),
+			ID:           string(strconv.AppendInt(append(id[:0], 'w'), int64(s.i), 10)),
 			PromptTokens: prompt,
 			OutputTokens: output,
 		},

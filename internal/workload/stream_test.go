@@ -150,3 +150,31 @@ func TestBurstySourceMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+// Request IDs are "w<index>", built without fmt; they must be the
+// strings fmt.Sprintf("w%d") builds, at every digit count.
+func TestSourceRequestIDs(t *testing.T) {
+	p := InteractiveAssistant(4, math.MaxInt)
+	src, err := NewSource(p, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []int
+	for i := 0; i < 2000; i++ {
+		idx = append(idx, i)
+	}
+	for pow := 10_000; pow > 0 && pow < math.MaxInt/10; pow *= 10 {
+		idx = append(idx, pow-1, pow, pow+1)
+	}
+	idx = append(idx, math.MaxInt-1)
+	for _, i := range idx {
+		src.i = i
+		tr, ok := src.Next()
+		if !ok {
+			t.Fatalf("index %d: stream ended", i)
+		}
+		if want := fmt.Sprintf("w%d", i); tr.ID != want {
+			t.Fatalf("index %d: ID %q, want %q", i, tr.ID, want)
+		}
+	}
+}

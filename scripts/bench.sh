@@ -23,7 +23,9 @@
 # the million-request streamed soak (engine.ServeSource over a lazy
 # workload source; sim-events/s and live heap ride along as custom
 # metrics), and the LLM sampler under a parallel-scaling sweep (Fig 9
-# panel a's shape: four models, 150 MMLU-Redux questions, SF 1-32). Only allocs/op is gated — it is deterministic across machines — while ns/op
+# panel a's shape: four models, 150 MMLU-Redux questions, SF 1-32) and
+# on one Table XII cell (the 8B at a 128-token budget over MMLU's 15k
+# questions, one response each). Only allocs/op is gated — it is deterministic across machines — while ns/op
 # is recorded for the before/after table in the README. The
 # pre-optimization reference in BENCH_serve.json's "pre_pr" section is
 # preserved across updates, and each update also appends a per-PR
@@ -46,7 +48,7 @@ run_benches() {
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/kvcache
   go test -run '^$' -bench 'BenchmarkAutoscaleServe$|BenchmarkChaosServe$' \
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/fleet
-  go test -run '^$' -bench 'BenchmarkSweep$' \
+  go test -run '^$' -bench 'BenchmarkSweep$|BenchmarkTable12Cell$' \
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/tts
 }
 
