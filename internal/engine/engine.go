@@ -180,10 +180,12 @@ func (b BatchMetrics) UserTPS() float64 {
 	return sum / float64(len(b.Requests))
 }
 
-// Engine executes requests on the simulated device.
+// Engine executes requests on the simulated device. Its device and
+// simulator parameters are fixed for its lifetime: New resolves the cost
+// model from them once.
 type Engine struct {
 	cfg   Config
-	sim   *gpusim.Sim
+	cost  *gpusim.CostModel
 	meter *power.Meter
 	cache *kvcache.Cache
 	// prefix is the cross-request prefix index (nil unless
@@ -221,7 +223,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		cfg:    cfg,
-		sim:    gpusim.New(cfg.Device),
+		cost:   gpusim.New(cfg.Device).Resolve(cfg.Spec.Arch, cfg.Spec.DType),
 		meter:  power.NewMeter(cfg.Device),
 		cache:  cache,
 		prefix: prefix,
@@ -293,7 +295,7 @@ func (e *Engine) Reset() error {
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (e *Engine) prefill(tokens int) gpusim.Result {
-	res := e.sim.Prefill(e.cfg.Spec.Arch, e.cfg.Spec.DType, tokens, 1)
+	res := e.cost.Prefill(tokens)
 	res.Time *= e.cfg.Framework.PrefillFactor
 	return res
 }
@@ -303,7 +305,7 @@ func (e *Engine) prefill(tokens int) gpusim.Result {
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (e *Engine) decodeChunk(ctxs []int, n int) gpusim.Result {
-	res := e.sim.DecodeChunk(e.cfg.Spec.Arch, e.cfg.Spec.DType, ctxs, n)
+	res := e.cost.DecodeChunk(ctxs, n)
 	res.Time = res.Time*e.cfg.Framework.StepFactor + float64(n)*e.cfg.Framework.PerStepHost
 	return res
 }
@@ -395,9 +397,10 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 			}
 		}
 		req := Request{ID: id, PromptTokens: promptTokens, OutputTokens: o}
-		if _, err := s.seat(activeSeq{tr: TimedRequest{Request: req, Arrival: s.start}, at: s.start,
+		*s.vacant() = activeSeq{tr: TimedRequest{Request: req, Arrival: s.start}, at: s.start,
 			ctx: promptTokens, remaining: o, admitAt: s.start,
-			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}); err != nil {
+			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}
+		if _, err := s.seat(); err != nil {
 			return s.out.BatchMetrics, err
 		}
 	}
@@ -435,5 +438,5 @@ func (e *Engine) PeekPrefix(syms []uint64) (deviceBlocks, hostBlocks int) {
 // and power signals without executing a request (used by the Fig 10
 // driver for the GPU-utilization axis).
 func (e *Engine) SimDecodeProbe(prompt, output, batch int) gpusim.Result {
-	return e.sim.DecodeRun(e.cfg.Spec.Arch, e.cfg.Spec.DType, prompt, output, batch)
+	return e.cost.DecodeRun(prompt, output, batch)
 }

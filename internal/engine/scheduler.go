@@ -319,6 +319,8 @@ func (s *scheduler) promote() {
 func (s *scheduler) admit(t float64) (bool, error) {
 	e, fx, tra := s.e, s.fx, s.tra
 	for s.ready.len() > 0 && len(s.active) < s.maxBatch {
+		// Read the head in place; it is copied once, into the vacant
+		// arena slot, before popping zeroes it.
 		tr := s.ready.front()
 		if tr.PromptTokens <= 0 {
 			return false, fmt.Errorf("engine: request %q has no prompt", tr.ID) //edgereasoning:allow hotpath -- terminal error, ends the run
@@ -360,18 +362,25 @@ func (s *scheduler) admit(t float64) (bool, error) {
 			return false, fmt.Errorf("engine: request %q (%d tokens) exceeds KV capacity even alone", //edgereasoning:allow hotpath -- terminal error, ends the run
 				tr.ID, tr.PromptTokens+tr.OutputTokens)
 		}
+		// Field by field, so no activeSeq is built elsewhere and copied;
+		// seat sets the handle.
+		a := s.vacant()
+		a.tr, a.at, a.admitAt = tr.TimedRequest, tr.at, e.clock
+		a.ctx, a.remaining = tr.PromptTokens, tr.OutputTokens
+		a.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens, OutputTokens: tr.OutputTokens}
 		s.ready.popFront()
+		id, prompt := a.tr.ID, a.tr.PromptTokens
 		matched := 0
 		restore := 0.0
 		if syms != nil {
 			restoreBefore := e.prefix.Metrics().RestoreSeconds
-			m, err := e.prefix.Acquire(tr.ID, syms)
+			m, err := e.prefix.Acquire(id, syms)
 			if err != nil {
-				return false, seqError("admit", tr.ID, err)
+				return false, seqError("admit", id, err)
 			}
 			matched = m
 			s.out.PrefixLookups++
-			s.out.PrefixLookupTokens += tr.PromptTokens
+			s.out.PrefixLookupTokens += prompt
 			if matched > 0 {
 				s.out.PrefixHits++
 				s.out.SavedPrefillTokens += matched
@@ -383,25 +392,20 @@ func (s *scheduler) admit(t float64) (bool, error) {
 				s.out.HostHits++
 				s.out.RestoreSeconds += restore
 			}
-		} else if err := e.cache.AllocateReserve(tr.ID, tr.PromptTokens,
-			tr.PromptTokens+tr.OutputTokens); err != nil {
-			return false, seqError("admit", tr.ID, err)
+		} else if err := e.cache.AllocateReserve(id, prompt, prompt+a.tr.OutputTokens); err != nil {
+			return false, seqError("admit", id, err)
 		}
-		slot, err := s.seat(activeSeq{tr: tr.TimedRequest, at: tr.at, ctx: tr.PromptTokens,
-			remaining: tr.OutputTokens, admitAt: e.clock,
-			metrics: Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
-				OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
-				RestoreTime: restore}})
+		a.metrics.CachedPromptTokens, a.metrics.RestoreTime = matched, restore
+		slot, err := s.seat()
 		if err != nil {
-			return false, seqError("admit", tr.ID, err)
+			return false, seqError("admit", id, err)
 		}
-		a := &s.arena[slot]
 		if syms != nil {
 			// Acquire seeded only the matched blocks; append the suffix
 			// the prefill below computes (the whole prompt on a cold
 			// start).
-			if err := e.cache.AppendTokensH(a.handle, tr.PromptTokens-matched); err != nil {
-				return false, seqError("admit", tr.ID, err)
+			if err := e.cache.AppendTokensH(a.handle, prompt-matched); err != nil {
+				return false, seqError("admit", id, err)
 			}
 		}
 		if fx != nil {
@@ -412,28 +416,28 @@ func (s *scheduler) admit(t float64) (bool, error) {
 					return true, nil
 				}
 				if tra != nil {
-					tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindStall,
+					tra.Record(telemetry.Span{ID: id, Kind: telemetry.KindStall,
 						Lane: slot, Start: e.clock, End: st})
 				}
 				e.clock = st
 			}
 		}
-		res := e.prefill(tr.PromptTokens - matched)
+		res := e.prefill(prompt - matched)
 		if from := e.clock; s.cut(from + restore + res.Time) {
 			// The crash lands mid-restore or mid-prefill: what ran is lost.
 			a.metrics.RestoreTime, a.metrics.PrefillTime = 0, e.clock-from
 			return true, nil
 		}
 		if tra != nil && restore > 0 {
-			tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindRestore,
+			tra.Record(telemetry.Span{ID: id, Kind: telemetry.KindRestore,
 				Lane: slot, Start: e.clock, End: e.clock + restore})
 		}
 		e.clock += restore
 		if tra != nil {
-			tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindPrefill,
+			tra.Record(telemetry.Span{ID: id, Kind: telemetry.KindPrefill,
 				Lane: slot, Start: e.clock, End: e.clock + res.Time,
-				Tokens: tr.PromptTokens - matched, Cached: matched})
-			s.ttftHist.Observe(e.clock + res.Time - tr.at)
+				Tokens: prompt - matched, Cached: matched})
+			s.ttftHist.Observe(e.clock + res.Time - a.at)
 		}
 		e.clock += res.Time
 		s.out.Events++
@@ -452,26 +456,33 @@ func (s *scheduler) admit(t float64) (bool, error) {
 	return false, nil
 }
 
-// seat resolves an admitted sequence's KV handle, reserves its block
-// table to the final length — known up front, so the whole decode stays
-// allocation-free — and places it in a free arena slot at the end of the
-// active set, adding its remaining decode growth to futureGrowth. It
-// returns the slot, which is also the sequence's trace lane.
+// vacant returns the free arena slot the next seat fills; the caller
+// builds the admitted sequence there.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (s *scheduler) seat(seq activeSeq) (int, error) {
-	h, err := s.e.cache.Lookup(seq.tr.ID)
+func (s *scheduler) vacant() *activeSeq { return &s.arena[s.free[len(s.free)-1]] }
+
+// seat admits the sequence built in the vacant slot: it resolves the
+// sequence's KV handle, reserves its block table to the final length —
+// known up front, so the whole decode stays allocation-free — takes the
+// slot off the free list and appends it to the active set, adding its
+// remaining decode growth to futureGrowth. It returns the slot, which is
+// also the sequence's trace lane.
+//
+//edgereasoning:hotpath bench=BenchmarkServeHotLoop
+func (s *scheduler) seat() (int, error) {
+	slot := s.free[len(s.free)-1]
+	a := &s.arena[slot]
+	h, err := s.e.cache.Lookup(a.tr.ID)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.e.cache.ReserveH(h, seq.ctx+seq.remaining); err != nil {
+	if err := s.e.cache.ReserveH(h, a.ctx+a.remaining); err != nil {
 		return 0, err
 	}
-	seq.handle = h
-	slot := s.free[len(s.free)-1]
+	a.handle = h
 	s.free = s.free[:len(s.free)-1]
-	s.arena[slot] = seq
-	s.futureGrowth += s.e.blocksFor(seq.ctx+seq.remaining) - s.e.blocksFor(seq.ctx)
+	s.futureGrowth += s.e.blocksFor(a.ctx+a.remaining) - s.e.blocksFor(a.ctx)
 	s.active = append(s.active, slot)
 	return slot, nil
 }

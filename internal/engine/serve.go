@@ -233,8 +233,8 @@ type readyQueue struct {
 	head int
 }
 
-func (q *readyQueue) len() int      { return len(q.buf) - q.head }
-func (q *readyQueue) front() queued { return q.buf[q.head] }
+func (q *readyQueue) len() int       { return len(q.buf) - q.head }
+func (q *readyQueue) front() *queued { return &q.buf[q.head] }
 
 // pushBack appends tr, seeding the backing array at a 16-slot floor on
 // first use so a short backlog never pays the early append-growth

@@ -107,32 +107,35 @@ func (s *Sim) kernelTime(k Kernel, dt model.DType) (time, occ float64) {
 	return t, occupancy(d, k.M, k.N)
 }
 
+// numPrefillKernels is the length of prefill's kernel walk, and
+// attentionSlot the position in it of attention, the walk's one kernel
+// whose cost depends on the unpadded prompt length.
+const (
+	numPrefillKernels = 8
+	attentionSlot     = 1
+)
+
 // prefillKernels builds the per-layer kernel walk for prefilling m tokens
 // (already tile-padded). Weights bytes come from the architecture so the
 // full walk streams exactly one weight read plus activation traffic. The
 // walk is a fixed-size array so the per-prefill call stays heap-free on
 // the engine's admission path.
-func prefillKernels(a model.Arch, dt model.DType, mPad, mReal int) [8]Kernel {
+func prefillKernels(a model.Arch, dt model.DType, mPad, mReal int) [numPrefillKernels]Kernel {
 	bpp := dt.BytesPerParam()
 	h := float64(a.Hidden)
 	qW := a.Heads * a.HeadDim
 	kvW := a.KVHeads * a.HeadDim
 	mf := float64(mPad)
 	act := 2.0 // fp16 activations
-	kvLayerBytes := float64(a.KVBytesPerToken()) / float64(a.Layers)
 
-	kernels := [8]Kernel{
+	kernels := [numPrefillKernels]Kernel{
 		{
 			Name: "qkv_proj", Kind: GEMM, Repeat: a.Layers,
 			M: mPad, N: qW + 2*kvW, K: a.Hidden,
 			FLOPs: 2 * mf * float64(qW+2*kvW) * h,
 			Bytes: float64(qW+2*kvW)*h*bpp + mf*(h+float64(qW+2*kvW))*act,
 		},
-		{
-			Name: "attention", Kind: Attention, Repeat: a.Layers,
-			FLOPs: 4 * mf * mf * float64(qW),
-			Bytes: float64(mReal)*kvLayerBytes*2 + mf*float64(qW)*act*2,
-		},
+		attentionKernel(&a, mPad, mReal),
 		{
 			Name: "o_proj", Kind: GEMM, Repeat: a.Layers,
 			M: mPad, N: a.Hidden, K: qW,
@@ -168,6 +171,83 @@ func prefillKernels(a model.Arch, dt model.DType, mPad, mReal int) [8]Kernel {
 	return kernels
 }
 
+// attentionKernel is prefill's fused attention over mPad padded query
+// positions. Its compute covers the padded square, but it reads the KV
+// of only the mReal real tokens.
+//
+//edgereasoning:hotpath bench=BenchmarkCostModel
+func attentionKernel(a *model.Arch, mPad, mReal int) Kernel {
+	qW := a.Heads * a.HeadDim
+	mf := float64(mPad)
+	act := 2.0 // fp16 activations
+	kvLayerBytes := float64(a.KVBytesPerToken()) / float64(a.Layers)
+	return Kernel{
+		Name: "attention", Kind: Attention, Repeat: a.Layers,
+		FLOPs: 4 * mf * mf * float64(qW),
+		Bytes: float64(mReal)*kvLayerBytes*2 + mf*float64(qW)*act*2,
+	}
+}
+
+// prefillTile holds, for each kernel of a prefill walk at one padded
+// size, the terms Prefill sums: elapsed time, occupancy-weighted time,
+// FLOPs and bytes. The attention slot stays zero; kernels counts the
+// launches of the whole walk.
+type prefillTile struct {
+	elapsed, occTime, flops, bytes [numPrefillKernels]float64
+	kernels                        int
+}
+
+// tile prices the length-independent kernels of a prefill walk at mPad
+// padded tokens.
+func (s *Sim) tile(a model.Arch, dt model.DType, mPad int) prefillTile {
+	var tl prefillTile
+	kernels := prefillKernels(a, dt, mPad, 0)
+	for i := range kernels {
+		k := kernels[i]
+		reps := k.reps()
+		tl.kernels += reps
+		if i == attentionSlot {
+			continue
+		}
+		t, occ := s.kernelTime(k, dt)
+		tl.elapsed[i] = t * float64(reps)
+		tl.occTime[i] = occ * tl.elapsed[i]
+		tl.flops[i] = k.TotalFLOPs()
+		tl.bytes[i] = k.TotalBytes()
+	}
+	return tl
+}
+
+// prefillFrom prices attention for mReal real tokens, puts it in its
+// slot of the tile's walk, and sums the walk in kernel order.
+//
+//edgereasoning:hotpath bench=BenchmarkCostModel
+func (s *Sim) prefillFrom(tl *prefillTile, a *model.Arch, dt model.DType, mPad, mReal int) Result {
+	elapsed, occTime, flops, bytes := tl.elapsed, tl.occTime, tl.flops, tl.bytes
+	attn := attentionKernel(a, mPad, mReal)
+	t, occ := s.kernelTime(attn, dt)
+	elapsed[attentionSlot] = t * float64(attn.reps())
+	occTime[attentionSlot] = occ * elapsed[attentionSlot]
+	flops[attentionSlot] = attn.TotalFLOPs()
+	bytes[attentionSlot] = attn.TotalBytes()
+
+	res := Result{Phase: PhasePrefill, Tokens: mReal, Kernels: tl.kernels}
+	var occSum float64
+	for i := range elapsed {
+		res.Time += elapsed[i]
+		res.FLOPs += flops[i]
+		res.Bytes += bytes[i]
+		occSum += occTime[i]
+	}
+	d := s.Device
+	if res.Time > 0 {
+		res.ComputeUtil = res.FLOPs / res.Time / d.PeakFP16FLOPS
+		res.BWUtil = res.Bytes / res.Time / d.MemBandwidth
+		res.Occupancy = occSum / res.Time
+	}
+	return res
+}
+
 // Prefill times prompt processing for n tokens at the given batch size
 // (the paper prefills at batch 1; batched prefill concatenates prompts).
 func (s *Sim) Prefill(a model.Arch, dt model.DType, n, batch int) Result {
@@ -176,27 +256,8 @@ func (s *Sim) Prefill(a model.Arch, dt model.DType, n, batch int) Result {
 	}
 	total := n * batch
 	mPad := s.Device.PadM(total)
-	res := Result{Phase: PhasePrefill, Tokens: total}
-	var occTime float64
-	kernels := prefillKernels(a, dt, mPad, total)
-	for i := range kernels {
-		k := kernels[i]
-		t, occ := s.kernelTime(k, dt)
-		reps := k.reps()
-		elapsed := t * float64(reps)
-		res.Time += elapsed
-		res.FLOPs += k.TotalFLOPs()
-		res.Bytes += k.TotalBytes()
-		res.Kernels += reps
-		occTime += occ * elapsed
-	}
-	d := s.Device
-	if res.Time > 0 {
-		res.ComputeUtil = res.FLOPs / res.Time / d.PeakFP16FLOPS
-		res.BWUtil = res.Bytes / res.Time / d.MemBandwidth
-		res.Occupancy = occTime / res.Time
-	}
-	return res
+	tl := s.tile(a, dt, mPad)
+	return s.prefillFrom(&tl, &a, dt, mPad, total)
 }
 
 // decodeKernelsPerStep is the launch count charged per decode iteration
@@ -219,7 +280,8 @@ func (s *Sim) DecodeStep(a model.Arch, dt model.DType, ctxs []int) Result {
 		}
 		sumCtx += c
 	}
-	return s.decodeAggregate(a, dt, batch, 1, float64(sumCtx))
+	c := s.decodeCost(a, dt)
+	return c.aggregate(batch, 1, float64(sumCtx))
 }
 
 // DecodeRun times n consecutive decode steps for a batch whose members all
@@ -230,9 +292,8 @@ func (s *Sim) DecodeRun(a model.Arch, dt model.DType, startCtx, n, batch int) Re
 	if n <= 0 || batch <= 0 {
 		return Result{Phase: PhaseDecode}
 	}
-	// Σ_{t=0}^{n-1} Σ_batch (startCtx + t) = batch · (n·startCtx + n(n−1)/2)
-	sumCtx := float64(batch) * (float64(n)*float64(startCtx) + float64(n)*float64(n-1)/2)
-	return s.decodeAggregate(a, dt, batch, n, sumCtx)
+	c := s.decodeCost(a, dt)
+	return c.aggregate(batch, n, runContext(startCtx, n, batch))
 }
 
 // DecodeChunk times n consecutive decode steps for a batch whose members
@@ -243,7 +304,22 @@ func (s *Sim) DecodeChunk(a model.Arch, dt model.DType, ctxs []int, n int) Resul
 	if n <= 0 || len(ctxs) == 0 {
 		return Result{Phase: PhaseDecode}
 	}
-	// Σ_{t=0}^{n-1} Σ_b (ctx_b + t) = n·Σctx_b + B·n(n−1)/2
+	c := s.decodeCost(a, dt)
+	return c.aggregate(len(ctxs), n, chunkContext(ctxs, n))
+}
+
+// runContext is DecodeRun's total context-token count:
+// Σ_{t=0}^{n-1} Σ_batch (startCtx + t) = batch · (n·startCtx + n(n−1)/2).
+func runContext(startCtx, n, batch int) float64 {
+	return float64(batch) * (float64(n)*float64(startCtx) + float64(n)*float64(n-1)/2)
+}
+
+// chunkContext is DecodeChunk's total context-token count, with negative
+// contexts read as empty: Σ_{t=0}^{n-1} Σ_b (ctx_b + t) = n·Σctx_b +
+// B·n(n−1)/2.
+//
+//edgereasoning:hotpath bench=BenchmarkCostModel
+func chunkContext(ctxs []int, n int) float64 {
 	sum := 0.0
 	for _, c := range ctxs {
 		if c < 0 {
@@ -251,46 +327,36 @@ func (s *Sim) DecodeChunk(a model.Arch, dt model.DType, ctxs []int, n int) Resul
 		}
 		sum += float64(c)
 	}
-	sumCtx := float64(n)*sum + float64(len(ctxs))*float64(n)*float64(n-1)/2
-	return s.decodeAggregate(a, dt, len(ctxs), n, sumCtx)
+	return float64(n)*sum + float64(len(ctxs))*float64(n)*float64(n-1)/2
 }
 
-// decodeAggregate is the shared closed form: batch sequences, n steps,
-// with sumCtx the total context-token count summed over all (step, seq)
-// pairs.
-func (s *Sim) decodeAggregate(a model.Arch, dt model.DType, batch, n int, sumCtx float64) Result {
-	d := s.Device
-	nf := float64(n)
-	bf := float64(batch)
-
+// decodeCost holds what decode's closed form reads that depends only on
+// the simulator, its device, the architecture and the weight format.
+type decodeCost struct {
 	// Memory: weights once per step, KV history per (step, sequence),
 	// activations and logits per sequence per step.
-	weightBytes := float64(a.WeightBytes(dt))
-	kvPerTok := float64(a.KVBytesPerToken())
-	actBytes := float64(a.Hidden)*float64(a.Layers)*24 + float64(a.Vocab)*4
-	bytes := nf*weightBytes + sumCtx*kvPerTok + nf*bf*actBytes
-
+	weightBytes, kvPerTok, actBytes float64
 	// Compute: dense GEMV/GEMM work per (step, sequence) plus linear
-	// attention. Small batches cannot feed the tensor cores; efficiency
-	// saturates with batch size.
-	densePerTok := a.DecodeFLOPs(0)
-	attnFLOPs := 4 * float64(a.Layers) * float64(a.KVHeads) * float64(a.HeadDim) * sumCtx
-	flops := nf*bf*densePerTok + attnFLOPs
-	// Small decode batches cannot feed the tensor cores; efficiency
-	// saturates with batch size. CPU SIMD has no such tile penalty.
-	batchSat := 1.0
-	if d.TileM > 1 {
-		batchSat = bf / (bf + 24)
-	}
-	peak := s.computePeak(dt) * batchSat
+	// attention, attnCoef FLOPs per context token.
+	densePerTok, attnCoef float64
+	// peak is the weight format's effective matmul peak; tiled marks a
+	// device whose tensor cores small batches cannot feed.
+	peak  float64
+	tiled bool
+	effBW float64
+	// launchesPerStep kernels per step, each costing overhead, of which
+	// hostFrac is not hidden by host overlap.
+	launchesPerStep    int
+	overhead, hostFrac float64
+	// peakFP16 and memBW are the utilization denominators; occBase is
+	// batch-1 occupancy.
+	peakFP16, memBW, occBase float64
+}
 
-	tm := bytes / d.EffectiveBandwidth()
-	tc := flops / peak
-	t := tm
-	if tc > t {
-		t = tc
-	}
-	launches := n * (a.Layers*decodeKernelsPerStep + 2)
+// decodeCost resolves decode's constants for an architecture and weight
+// format.
+func (s *Sim) decodeCost(a model.Arch, dt model.DType) decodeCost {
+	d := s.Device
 	overlap := s.HostOverlap
 	if overlap < 0 {
 		overlap = 0
@@ -298,7 +364,50 @@ func (s *Sim) decodeAggregate(a model.Arch, dt model.DType, batch, n int, sumCtx
 	if overlap > 1 {
 		overlap = 1
 	}
-	t += float64(launches) * d.KernelOverhead * (1 - overlap)
+	return decodeCost{
+		weightBytes:     float64(a.WeightBytes(dt)),
+		kvPerTok:        float64(a.KVBytesPerToken()),
+		actBytes:        float64(a.Hidden)*float64(a.Layers)*24 + float64(a.Vocab)*4,
+		densePerTok:     a.DecodeFLOPs(0),
+		attnCoef:        4 * float64(a.Layers) * float64(a.KVHeads) * float64(a.HeadDim),
+		peak:            s.computePeak(dt),
+		tiled:           d.TileM > 1,
+		effBW:           d.EffectiveBandwidth(),
+		launchesPerStep: a.Layers*decodeKernelsPerStep + 2,
+		overhead:        d.KernelOverhead,
+		hostFrac:        1 - overlap,
+		peakFP16:        d.PeakFP16FLOPS,
+		memBW:           d.MemBandwidth,
+		occBase:         float64(a.Hidden) / 128 / float64(d.SMCount),
+	}
+}
+
+// aggregate is the shared closed form: batch sequences, n steps, with
+// sumCtx the total context-token count summed over all (step, seq)
+// pairs.
+//
+//edgereasoning:hotpath bench=BenchmarkCostModel
+func (c *decodeCost) aggregate(batch, n int, sumCtx float64) Result {
+	nf := float64(n)
+	bf := float64(batch)
+	bytes := nf*c.weightBytes + sumCtx*c.kvPerTok + nf*bf*c.actBytes
+	flops := nf*bf*c.densePerTok + c.attnCoef*sumCtx
+	// Small decode batches cannot feed the tensor cores; efficiency
+	// saturates with batch size. CPU SIMD has no such tile penalty.
+	batchSat := 1.0
+	if c.tiled {
+		batchSat = bf / (bf + 24)
+	}
+	peak := c.peak * batchSat
+
+	tm := bytes / c.effBW
+	tc := flops / peak
+	t := tm
+	if tc > t {
+		t = tc
+	}
+	launches := n * c.launchesPerStep
+	t += float64(launches) * c.overhead * c.hostFrac
 
 	res := Result{
 		Phase:   PhaseDecode,
@@ -309,18 +418,102 @@ func (s *Sim) decodeAggregate(a model.Arch, dt model.DType, batch, n int, sumCtx
 		Tokens:  n * batch,
 	}
 	if t > 0 {
-		res.ComputeUtil = flops / t / d.PeakFP16FLOPS
-		res.BWUtil = bytes / t / d.MemBandwidth
+		res.ComputeUtil = flops / t / c.peakFP16
+		res.BWUtil = bytes / t / c.memBW
 	}
 	// Decode occupancy: GEMV row-parallel blocks over the hidden width,
 	// widened by batching.
-	occ := float64(a.Hidden) / 128 / float64(d.SMCount)
+	occ := c.occBase
 	occ *= 1 + 0.15*log2(bf)
 	if occ > 1 {
 		occ = 1
 	}
 	res.Occupancy = occ
 	return res
+}
+
+// maxTiles bounds a CostModel's prefill table: 64 tiles cover prompts of
+// up to 8192 tokens at Orin's 128-token tile.
+const maxTiles = 64
+
+// CostModel is a Sim resolved for one architecture and weight format.
+// Decode's constants are computed once. Prefill latency moves in steps
+// of the padded token count (I_pad in Eqn 1), so the seven kernels whose
+// cost depends only on it are priced once per padded size, in a table of
+// up to maxTiles tiles; attention reads the KV of the unpadded prompt, so
+// it is priced per call. Results are bit-identical to the Sim's methods.
+//
+// The model snapshots the simulator and its device when resolved: later
+// changes to either do not reach it. It fills its table as it goes, so
+// it belongs to one goroutine.
+type CostModel struct {
+	sim    Sim
+	dev    hw.Device
+	arch   model.Arch
+	dt     model.DType
+	decode decodeCost
+	// tiles[i] prices (i+1)·TileM padded tokens once filled: a filled
+	// tile counts at least the LM head and sampling launches. Prompts
+	// past the table are priced on the stack per call.
+	tiles []prefillTile
+}
+
+// Resolve returns the simulator's cost model for an architecture and
+// weight format.
+func (s *Sim) Resolve(a model.Arch, dt model.DType) *CostModel {
+	m := &CostModel{sim: *s, dev: *s.Device, arch: a, dt: dt}
+	m.sim.Device = &m.dev
+	m.decode = m.sim.decodeCost(a, dt)
+	return m
+}
+
+// Prefill times prompt processing for tokens tokens at batch 1 (a
+// batched prefill concatenates its prompts): Sim.Prefill(a, dt, tokens,
+// 1).
+//
+//edgereasoning:hotpath bench=BenchmarkCostModel
+func (m *CostModel) Prefill(tokens int) Result {
+	if tokens <= 0 {
+		return Result{Phase: PhasePrefill}
+	}
+	mPad := m.dev.PadM(tokens)
+	i := mPad/max(m.dev.TileM, 1) - 1
+	if i >= maxTiles {
+		tl := m.sim.tile(m.arch, m.dt, mPad)
+		return m.sim.prefillFrom(&tl, &m.arch, m.dt, mPad, tokens)
+	}
+	if i >= len(m.tiles) || m.tiles[i].kernels == 0 {
+		m.fill(i, mPad)
+	}
+	return m.sim.prefillFrom(&m.tiles[i], &m.arch, m.dt, mPad, tokens)
+}
+
+// fill prices tile i, mPad padded tokens, growing the table to hold it.
+func (m *CostModel) fill(i, mPad int) {
+	if i >= len(m.tiles) {
+		m.tiles = append(m.tiles, make([]prefillTile, i+1-len(m.tiles))...)
+	}
+	m.tiles[i] = m.sim.tile(m.arch, m.dt, mPad)
+}
+
+// DecodeChunk is Sim.DecodeChunk for the model's architecture and
+// weight format.
+//
+//edgereasoning:hotpath bench=BenchmarkCostModel
+func (m *CostModel) DecodeChunk(ctxs []int, n int) Result {
+	if n <= 0 || len(ctxs) == 0 {
+		return Result{Phase: PhaseDecode}
+	}
+	return m.decode.aggregate(len(ctxs), n, chunkContext(ctxs, n))
+}
+
+// DecodeRun is Sim.DecodeRun for the model's architecture and weight
+// format.
+func (m *CostModel) DecodeRun(startCtx, n, batch int) Result {
+	if n <= 0 || batch <= 0 {
+		return Result{Phase: PhaseDecode}
+	}
+	return m.decode.aggregate(batch, n, runContext(startCtx, n, batch))
 }
 
 // TBT returns the marginal time-between-tokens at a context length for

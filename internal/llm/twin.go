@@ -219,6 +219,26 @@ func (c *Cell) Generate(q data.Question) Generation {
 //
 //edgereasoning:hotpath bench=BenchmarkTable12Cell
 func (c *Cell) Votes(q data.Question, out []Generation) {
+	c.draw(q, c.tw.lengths(q, c.beh, c.pol), out)
+}
+
+// VotesPair fills a and b as Votes(q, a) and Votes(q, b) do, resolving
+// q's length distribution once for both (resolving it draws no
+// randomness). Sweep draws a question's vote ladder and its single vote
+// this way.
+//
+//edgereasoning:hotpath bench=BenchmarkSweep
+func (c *Cell) VotesPair(q data.Question, a, b []Generation) {
+	dist := c.tw.lengths(q, c.beh, c.pol)
+	c.draw(q, dist, a)
+	c.draw(q, dist, b)
+}
+
+// draw samples len(out) responses to q from its stream, with output
+// lengths from dist.
+//
+//edgereasoning:hotpath bench=BenchmarkTable12Cell
+func (c *Cell) draw(q data.Question, dist lengthDist, out []Generation) {
 	t, rng := c.tw, c.rng
 	rng.Reseed(t.seed, c.name.AddInt(q.Index))
 	p := t.pCorrect(q, c.beh, rng)
@@ -227,7 +247,6 @@ func (c *Cell) Votes(q data.Question, out []Generation) {
 	// follows the same distribution as a fresh sample, so single-sample
 	// accuracy is exactly p regardless of the correlation.
 	modal := sampleAnswer(q, p, -1, rng)
-	dist := t.lengths(q, c.beh, c.pol)
 	k := len(out)
 	for i := range out {
 		tokens, truncated := dist.draw(rng)

@@ -3,6 +3,7 @@ package llm
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -448,6 +449,32 @@ func TestCellMatchesGenerateVotes(t *testing.T) {
 		}
 		if k == 1 && c.Generate(qs[i]) != want[0] {
 			t.Fatalf("q%d: Cell.Generate differs from a 1-vote GenerateVotes", qs[i].Index)
+		}
+	}
+}
+
+// VotesPair draws what two Votes calls draw: one length resolve serves
+// both, in either order of sizes, under capped (solved), at-cap and
+// uncapped policies.
+func TestVotesPairMatchesVotes(t *testing.T) {
+	bank := data.MustLoad(data.NaturalPlanTrip, testSeed)
+	tw := NewTwin(model.MustLookup(model.DSR1Llama8B), bank, testSeed)
+	for _, pol := range []control.Policy{control.HardLimit(512), control.HardLimit(128), control.BasePolicy()} {
+		c, err := tw.Cell(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range bank.Questions[:40] {
+			ka, kb := 1+i%7, 1+(i/7)%3
+			a, b := make([]Generation, ka), make([]Generation, kb)
+			c.VotesPair(q, a, b)
+			wantA, wantB := make([]Generation, ka), make([]Generation, kb)
+			c.Votes(q, wantA)
+			c.Votes(q, wantB)
+			if !reflect.DeepEqual(a, wantA) || !reflect.DeepEqual(b, wantB) {
+				t.Fatalf("%s q%d (%d, %d votes): VotesPair %+v %+v, Votes %+v %+v",
+					pol.Key(), q.Index, ka, kb, a, b, wantA, wantB)
+			}
 		}
 	}
 }

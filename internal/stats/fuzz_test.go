@@ -33,7 +33,8 @@ func addFloats(f *testing.F, p float64, xs []float64) {
 // arbitrary samples and ranks: no panics; non-finite samples are ignored;
 // with at least one finite sample and a finite p the result is finite and
 // bounded by the finite min/max; Percentiles agrees element-wise with
-// Percentile; and results are monotone in p.
+// Percentile, and Percentiles3 with Percentiles; and results are
+// monotone in p.
 func FuzzPercentiles(f *testing.F) {
 	addFloats(f, 50, []float64{1, 2, 3, 4, 5})
 	addFloats(f, 99, []float64{0.1, 7.5, 3.2, 9.9})
@@ -49,6 +50,10 @@ func FuzzPercentiles(f *testing.F) {
 		multi := Percentiles(xs, 0, 25, p, 75, 100)
 		if multi[2] != got && !(math.IsNaN(multi[2]) && math.IsNaN(got)) {
 			t.Fatalf("Percentiles disagrees with Percentile at p=%v: %v vs %v", p, multi[2], got)
+		}
+		p50, p95, p99 := Percentiles3(xs)
+		if want := Percentiles(xs, 50, 95, 99); p50 != want[0] || p95 != want[1] || p99 != want[2] {
+			t.Fatalf("Percentiles3 = %v %v %v, Percentiles gives %v", p50, p95, p99, want)
 		}
 
 		var finite []float64

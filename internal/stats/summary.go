@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -96,22 +97,90 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 
 // Percentiles3 returns the 50th, 95th, and 99th percentiles — the
 // latency triple every serving fold reports — without allocating a
-// result slice. Values are identical to Percentiles(xs, 50, 95, 99).
+// result slice. Values are identical to Percentiles(xs, 50, 95, 99): the
+// interpolation reads at most six order statistics, so it selects those
+// instead of sorting.
 func Percentiles3(xs []float64) (p50, p95, p99 float64) {
-	sorted := sortedFinite(xs)
-	return percentileSorted(sorted, 50), percentileSorted(sorted, 95), percentileSorted(sorted, 99)
+	a := finiteCopy(xs)
+	if n := len(a); n > 0 {
+		// Order statistics in ascending rank order: each is selected in the
+		// window above the previous one, which already holds no smaller
+		// element.
+		from := 0
+		for _, p := range [...]float64{50, 95, 99} {
+			rank := p / 100 * float64(n-1)
+			for _, k := range [...]int{int(math.Floor(rank)), int(math.Ceil(rank))} {
+				if k >= from {
+					selectKth(a[from:], k-from)
+					from = k + 1
+				}
+			}
+		}
+	}
+	return percentileSorted(a, 50), percentileSorted(a, 95), percentileSorted(a, 99)
+}
+
+// selectKth reorders a so that a[k] holds the value sorting a would
+// put there, with no greater element before it and no smaller one after
+// it: quickselect with a three-way partition, so runs of equal values
+// end a round, falling back to sorting a window that has not shrunk
+// within 2·log2(len(a)) rounds.
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo:hi])
+			return
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+		}
+		pivot := max(x, y) // the median of the three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // sortedFinite returns a sorted copy of the finite samples in xs.
 func sortedFinite(xs []float64) []float64 {
-	sorted := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			sorted = append(sorted, x)
-		}
-	}
+	sorted := finiteCopy(xs)
 	sort.Float64s(sorted)
 	return sorted
+}
+
+// finiteCopy returns a copy of the finite samples in xs.
+func finiteCopy(xs []float64) []float64 {
+	out := make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // percentileSorted interpolates the p-th percentile over pre-sorted

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +142,50 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPercentiles3MatchesSort checks the selecting Percentiles3 against
+// the sorting Percentiles over random samples of every size up to 5000:
+// few distinct values (long runs of duplicates), signed zeros, NaN and
+// ±Inf mixed in, and sorted or reversed runs. Values compare with ==,
+// since -0 and +0 tie in both orders. The input must not be reordered.
+func TestPercentiles3MatchesSort(t *testing.T) {
+	rng := NewRNG(3, "stats/percentiles3")
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for trial := 0; trial < 600; trial++ {
+		n := rng.IntN(5001)
+		if trial < 40 {
+			n = trial // every small size, the empty one included
+		}
+		distinct := 1 + rng.IntN(n+1)
+		xs := make([]float64, n)
+		for i := range xs {
+			switch r := rng.Float64(); {
+			case r < 0.05:
+				xs[i] = special[rng.IntN(len(special))]
+			case trial%3 == 0:
+				xs[i] = float64(rng.IntN(distinct)) - float64(distinct)/2
+			default:
+				xs[i] = rng.Normal(0, 10)
+			}
+		}
+		switch trial % 5 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		before := append([]float64(nil), xs...)
+		p50, p95, p99 := Percentiles3(xs)
+		want := Percentiles(xs, 50, 95, 99)
+		if p50 != want[0] || p95 != want[1] || p99 != want[2] {
+			t.Fatalf("trial %d (n=%d): Percentiles3 = %v %v %v, sort gives %v", trial, n, p50, p95, p99, want)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("trial %d: Percentiles3 reordered its input at %d", trial, i)
+			}
+		}
 	}
 }

@@ -118,10 +118,12 @@ func Sweep(tw *llm.Twin, bank *data.Bank, pol control.Policy, factors []int) ([]
 	correct := make([]int, len(factors))
 	votes, one := make([]llm.Generation, ladder), make([]llm.Generation, 1)
 	for _, q := range bank.Questions {
-		if ladder > 0 {
+		switch {
+		case ladder > 0 && single:
+			cell.VotesPair(q, votes, one)
+		case ladder > 0:
 			cell.Votes(q, votes)
-		}
-		if single {
+		default:
 			cell.Votes(q, one)
 		}
 		for i, sf := range factors {

@@ -25,7 +25,9 @@
 # metrics), and the LLM sampler under a parallel-scaling sweep (Fig 9
 # panel a's shape: four models, 150 MMLU-Redux questions, SF 1-32) and
 # on one Table XII cell (the 8B at a 128-token budget over MMLU's 15k
-# questions, one response each). Only allocs/op is gated — it is deterministic across machines — while ns/op
+# questions, one response each), and the resolved GPU cost model (one
+# prefill priced from its padded-size tile plus one decode chunk, the
+# pair of calls the engine makes per admission and decode event). Only allocs/op is gated — it is deterministic across machines — while ns/op
 # is recorded for the before/after table in the README. The
 # pre-optimization reference in BENCH_serve.json's "pre_pr" section is
 # preserved across updates, and each update also appends a per-PR
@@ -50,6 +52,8 @@ run_benches() {
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/fleet
   go test -run '^$' -bench 'BenchmarkSweep$|BenchmarkTable12Cell$' \
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/tts
+  go test -run '^$' -bench 'BenchmarkCostModel$' \
+    -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/gpusim
 }
 
 case "$MODE" in
