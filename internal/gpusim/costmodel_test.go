@@ -76,19 +76,24 @@ func derivedDecode(s *Sim, a model.Arch, dt model.DType, batch, n int, sumCtx fl
 	return res
 }
 
-// costModelSims are the simulators the bit-exactness test resolves: each
-// catalog device (the CPU has TileM = 1), a derated power mode, and host
-// overlap.
-func costModelSims() map[string]*Sim {
+// namedSim is a simulator the bit-exactness test resolves.
+type namedSim struct {
+	name string
+	s    *Sim
+}
+
+// costModelSims are each catalog device (the CPU has TileM = 1), a
+// derated power mode, host overlap and a jitter-free simulator.
+func costModelSims() []namedSim {
 	overlapped := New(hw.JetsonAGXOrin64GB())
 	overlapped.HostOverlap = 0.6
-	return map[string]*Sim{
-		"orin":          New(hw.JetsonAGXOrin64GB()),
-		"h100":          New(hw.H100SXM()),
-		"cpu":           New(hw.OrinCortexA78AE()),
-		"orin-15W":      New(hw.ApplyPowerMode(hw.JetsonAGXOrin64GB(), hw.OrinPowerModes()[0])),
-		"orin-overlap":  overlapped,
-		"orin-nojitter": {Device: hw.JetsonAGXOrin64GB()},
+	return []namedSim{
+		{"orin", New(hw.JetsonAGXOrin64GB())},
+		{"h100", New(hw.H100SXM())},
+		{"cpu", New(hw.OrinCortexA78AE())},
+		{"orin-15W", New(hw.ApplyPowerMode(hw.JetsonAGXOrin64GB(), hw.OrinPowerModes()[0]))},
+		{"orin-overlap", overlapped},
+		{"orin-nojitter", &Sim{Device: hw.JetsonAGXOrin64GB()}},
 	}
 }
 
@@ -100,7 +105,8 @@ func costModelSims() map[string]*Sim {
 // pads), and decode chunks and runs at batch 1..32 over random contexts.
 func TestCostModelMatchesSim(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 20))
-	for name, s := range costModelSims() {
+	for _, ns := range costModelSims() {
+		name, s := ns.name, ns.s
 		tileM := max(s.Device.TileM, 1)
 		limit := (maxTiles + 3) * tileM
 		var lengths []int

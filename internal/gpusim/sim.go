@@ -479,8 +479,7 @@ func (m *CostModel) Prefill(tokens int) Result {
 	mPad := m.dev.PadM(tokens)
 	i := mPad/max(m.dev.TileM, 1) - 1
 	if i >= maxTiles {
-		tl := m.sim.tile(m.arch, m.dt, mPad)
-		return m.sim.prefillFrom(&tl, &m.arch, m.dt, mPad, tokens)
+		return m.sim.Prefill(m.arch, m.dt, tokens, 1)
 	}
 	if i >= len(m.tiles) || m.tiles[i].kernels == 0 {
 		m.fill(i, mPad)
