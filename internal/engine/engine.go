@@ -13,6 +13,7 @@ import (
 	"edgereasoning/internal/kvcache"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
+	"edgereasoning/internal/queue"
 	"edgereasoning/internal/telemetry"
 )
 
@@ -332,16 +333,17 @@ func (e *Engine) Generate(req Request) (Metrics, error) {
 
 // Run executes a closed batch FCFS with continuous batching up to
 // maxBatch concurrent decoders: every request has arrived at the current
-// clock, so the scheduler starts from a full ready queue — the state an
-// all-arrive-now FCFS source reaches on its first promotion.
+// clock, so the scheduler starts from a full admission queue — the
+// state an all-arrive-now FCFS source reaches on its first promotion.
 func (e *Engine) Run(reqs []Request, maxBatch int) (BatchMetrics, error) {
 	// No more than len(reqs) can ever be active; sizing by it keeps a
 	// wide maxBatch on a small batch from allocating idle slots.
 	s := e.newScheduler(min(maxBatch, len(reqs)), FCFS, ServeOpts{SizeHint: len(reqs)}, true)
-	s.ready.buf = make([]queued, len(reqs))
-	for i, r := range reqs {
-		s.ready.buf[i] = queued{TimedRequest: TimedRequest{Request: r, Arrival: e.clock}, at: e.clock}
+	s.held = queue.New[queued](len(reqs))
+	for _, r := range reqs {
+		s.held.Push(queued{TimedRequest: TimedRequest{Request: r, Arrival: e.clock}, at: e.clock})
 	}
+	s.split = len(reqs)
 	out, err := s.Close()
 	return out.BatchMetrics, err
 }

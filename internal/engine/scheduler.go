@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"edgereasoning/internal/kvcache"
+	"edgereasoning/internal/queue"
 	"edgereasoning/internal/stats"
 	"edgereasoning/internal/telemetry"
 )
@@ -65,10 +66,13 @@ type activeSeq struct {
 // maxBatch and recycled.
 type scheduler struct {
 	e *Engine
-	// pending holds offers the clock has not reached yet, in offer order;
-	// ready is the admission queue they are promoted into.
-	pending  readyQueue
-	ready    readyQueue
+	// held is every request offered and not yet admitted, split at the
+	// promotion boundary: held.Live()[:split] is the admission queue, in
+	// policy order, and the rest are offers the clock has not reached
+	// yet, in offer order. Promotion moves the boundary instead of the
+	// requests.
+	held     queue.Queue[queued]
+	split    int
 	policy   SchedPolicy
 	maxBatch int
 	lean     bool
@@ -115,7 +119,7 @@ type scheduler struct {
 }
 
 // newScheduler prepares a run from the engine's current clock. A batch
-// run fills the ready queue or seeds the active set before calling
+// run fills the admission queue or seeds the active set before calling
 // Close; an open one takes offers.
 func (e *Engine) newScheduler(maxBatch int, policy SchedPolicy, opts ServeOpts, batch bool) scheduler {
 	if maxBatch <= 0 {
@@ -125,6 +129,9 @@ func (e *Engine) newScheduler(maxBatch int, policy SchedPolicy, opts ServeOpts, 
 		e: e, policy: policy, maxBatch: maxBatch, lean: opts.LeanMetrics,
 		batch: batch, fx: opts.Faults, start: e.clock, crashAt: math.Inf(1),
 		arena: make([]activeSeq, maxBatch),
+		// A 16-slot floor skips a short backlog's early append-growth
+		// doublings; it is allocated on the first offer.
+		held: queue.New[queued](16),
 	}
 	if fx := opts.Faults; fx != nil && len(fx.Crashes) > 0 {
 		s.crashAt = fx.Crashes[0]
@@ -160,7 +167,7 @@ func (e *Engine) newScheduler(maxBatch int, policy SchedPolicy, opts ServeOpts, 
 // dispatch instant; latency still counts from tr.Arrival. Instants must
 // not decrease across offers.
 func (s *scheduler) Offer(tr TimedRequest, at float64) {
-	s.pending.pushBack(queued{TimedRequest: tr, at: at})
+	s.held.Push(queued{TimedRequest: tr, at: at})
 }
 
 // Aborted returns the requests crashes have destroyed since the last
@@ -218,10 +225,10 @@ func (s *scheduler) AdvanceTo(t float64) error {
 		}
 		s.promote()
 		// Idle: jump to the next offer, or to a crash due before it.
-		if len(s.active) == 0 && s.ready.len() == 0 {
+		if len(s.active) == 0 && s.split == 0 {
 			next := math.Inf(1)
-			if s.pending.len() > 0 {
-				next = s.pending.buf[s.pending.head].at
+			if s.held.Len() > s.split {
+				next = s.held.Live()[s.split].at
 			} else if s.closed || s.crashAt > t {
 				return nil
 			}
@@ -260,9 +267,9 @@ func (s *scheduler) cut(end float64) bool {
 }
 
 // crash fires the next crash point: every request the engine holds —
-// offers not yet promoted, the ready queue and the active set — is
-// aborted with the service it had received, its KV blocks are freed,
-// and the prefix index is wiped.
+// the active set, the admission queue and offers not yet promoted, in
+// that order — is aborted with the service it had received, its KV
+// blocks are freed, and the prefix index is wiped.
 func (s *scheduler) crash() error {
 	e := s.e
 	s.crashes++
@@ -281,34 +288,53 @@ func (s *scheduler) crash() error {
 	}
 	s.active = s.active[:0]
 	s.futureGrowth = 0
-	for _, q := range [...]*readyQueue{&s.ready, &s.pending} {
-		for ; q.len() > 0; q.popFront() {
-			f := q.front()
-			s.aborted = append(s.aborted, Abort{TimedRequest: f.TimedRequest, OfferedAt: f.at})
-		}
-	}
+	s.held.Filter(func(*queued) bool { return false }, func(f *queued) {
+		s.aborted = append(s.aborted, Abort{TimedRequest: f.TimedRequest, OfferedAt: f.at})
+	})
+	s.split = 0
 	if e.prefix != nil {
 		e.prefix.CrashReset(s.fx.KeepHost)
 	}
 	return nil
 }
 
-// promote moves every offer the clock has reached into the ready queue.
+// promote moves the promotion boundary past every offer the clock has
+// reached. FCFS admits in offer order, so nothing moves; EDF rotates
+// each promoted offer back to its earliest-deadline-first place, after
+// any queued request with an equal key — element for element what a
+// stable sort of the admission queue produces, without re-sorting the
+// sorted part.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (s *scheduler) promote() {
-	for s.pending.len() > 0 {
-		q := &s.pending.buf[s.pending.head]
-		if q.at > s.e.clock+1e-12 {
+	live := s.held.Live()
+	for ; s.split < len(live); s.split++ {
+		if live[s.split].at > s.e.clock+1e-12 {
 			return
 		}
-		if s.policy == EDF {
-			s.ready.insertEDF(*q)
-		} else {
-			s.ready.pushBack(*q)
+		if s.policy != EDF {
+			continue
 		}
-		s.pending.popFront()
+		key, j := edfKey(live[s.split].Deadline), s.split
+		if j == 0 || edfKey(live[j-1].Deadline) <= key {
+			continue // already in place
+		}
+		q := live[j]
+		for ; j > 0 && edfKey(live[j-1].Deadline) > key; j-- {
+			live[j] = live[j-1]
+		}
+		live[j] = q
 	}
+}
+
+// edfKey orders deadlines with 0 (none) last.
+//
+//edgereasoning:hotpath bench=BenchmarkServeHotLoop
+func edfKey(d float64) float64 {
+	if d == 0 {
+		return math.Inf(1)
+	}
+	return d
 }
 
 // admit moves ready requests into the active set while there is a free
@@ -318,10 +344,10 @@ func (s *scheduler) promote() {
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (s *scheduler) admit(t float64) (bool, error) {
 	e, fx, tra := s.e, s.fx, s.tra
-	for s.ready.len() > 0 && len(s.active) < s.maxBatch {
+	for s.split > 0 && len(s.active) < s.maxBatch {
 		// Read the head in place; it is copied once, into the vacant
 		// arena slot, before popping zeroes it.
-		tr := s.ready.front()
+		tr := &s.held.Live()[0]
 		if tr.PromptTokens <= 0 {
 			return false, fmt.Errorf("engine: request %q has no prompt", tr.ID) //edgereasoning:allow hotpath -- terminal error, ends the run
 		}
@@ -368,7 +394,8 @@ func (s *scheduler) admit(t float64) (bool, error) {
 		a.tr, a.at, a.admitAt = tr.TimedRequest, tr.at, e.clock
 		a.ctx, a.remaining = tr.PromptTokens, tr.OutputTokens
 		a.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens, OutputTokens: tr.OutputTokens}
-		s.ready.popFront()
+		s.held.PopFront()
+		s.split--
 		id, prompt := a.tr.ID, a.tr.PromptTokens
 		matched := 0
 		restore := 0.0
@@ -503,7 +530,7 @@ func (s *scheduler) decodeStep() error {
 	if chunk <= 0 {
 		return s.reap() // zero-output request(s) finish immediately
 	}
-	if (!s.closed || s.pending.len() > 0 || (s.ready.len() > 0 && len(s.active) < s.maxBatch)) && chunk > admitGrain {
+	if (!s.closed || s.held.Len() > s.split || (s.split > 0 && len(s.active) < s.maxBatch)) && chunk > admitGrain {
 		chunk = admitGrain
 	}
 	if fx != nil {

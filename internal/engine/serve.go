@@ -133,8 +133,8 @@ type FaultInjection struct {
 	// tokens cost the same joules, spread over more seconds.
 	Throttles []ThrottleWindow
 	// Crashes are power losses, in ascending At order. A crash aborts
-	// everything the engine holds at its instant — offers not yet
-	// admitted, the ready queue and the active set — and wipes the
+	// everything the engine holds at its instant — the active set and
+	// every offer not yet admitted — and wipes the
 	// prefix index. No prefill or decode event straddles a crash: work
 	// in progress stops at the instant, and the service each aborted
 	// request had received is reported as lost. An open run executes a
@@ -222,72 +222,6 @@ func (f *FaultInjection) FinishAfter(t, work float64) float64 {
 	return t
 }
 
-// readyQueue is a FIFO of held requests (the admission queue, and the
-// offers awaiting promotion): head-indexed so popping the front is O(1)
-// without reslicing-away reusable capacity, compacted amortizedly so the
-// dead prefix never exceeds the live region. Popped slots are zeroed so
-// a drained queue pins no request payloads (PromptSyms histories are the
-// bulk of a session stream's bytes).
-type readyQueue struct {
-	buf  []queued
-	head int
-}
-
-func (q *readyQueue) len() int       { return len(q.buf) - q.head }
-func (q *readyQueue) front() *queued { return &q.buf[q.head] }
-
-// pushBack appends tr, seeding the backing array at a 16-slot floor on
-// first use so a short backlog never pays the early append-growth
-// doublings.
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) pushBack(tr queued) {
-	if q.buf == nil {
-		q.buf = make([]queued, 0, 16) //edgereasoning:allow hotpath -- one-time 16-slot floor, paid once per queue
-	}
-	q.buf = append(q.buf, tr)
-}
-
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) popFront() {
-	q.buf[q.head] = queued{}
-	q.head++
-	if q.head >= 64 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = queued{}
-		}
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-}
-
-// edfKey orders deadlines with 0 (none) last.
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func edfKey(d float64) float64 {
-	if d == 0 {
-		return math.Inf(1)
-	}
-	return d
-}
-
-// insertEDF places tr at its earliest-deadline-first position, after any
-// queued request with an equal key — element-for-element what a stable
-// sort of the whole queue produces, without re-sorting the sorted part.
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) insertEDF(tr queued) {
-	key := edfKey(tr.Deadline)
-	q.pushBack(tr)
-	j := len(q.buf) - 1
-	for j > q.head && edfKey(q.buf[j-1].Deadline) > key {
-		q.buf[j] = q.buf[j-1]
-		j--
-	}
-	q.buf[j] = tr
-}
-
 // Serve executes an open-loop workload: requests become visible at their
 // arrival times, are admitted per the scheduling policy up to maxBatch
 // concurrent decoders, and complete under the same scheduler loop as
@@ -304,7 +238,8 @@ func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (S
 // ServeSource is the streaming serve loop: requests are pulled from src
 // (non-decreasing Arrival order) and offered at their arrivals as the
 // loop reaches them, so live memory scales with the in-flight set —
-// ready backlog plus maxBatch active decoders — not the stream length.
+// the admission backlog plus maxBatch active decoders — not the stream
+// length.
 // It runs the engine's one scheduler loop (see scheduler) and adds
 // latency percentiles.
 func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts ServeOpts) (ServeMetrics, error) {
