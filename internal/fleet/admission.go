@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/queue"
 )
 
 // Admission selects the ingress-queue discipline: the order in which
@@ -87,39 +88,38 @@ func ParseAdmission(s string) (Admission, error) {
 
 // ingress is the fleet's shared admission queue. Requests are pushed in
 // arrival order; pick selects the next dispatch per the discipline. The
-// waiting slice is consumed from head, so the in-order disciplines
-// (FIFO, Shed) dispatch in O(1) amortized; the reordering disciplines
-// pay a linear scan per dispatch, which is the cost of looking at the
-// whole waiting set.
+// in-order disciplines (FIFO, Shed) take the head in O(1) amortized; the
+// reordering disciplines pay a linear scan per dispatch, which is the
+// cost of looking at the whole waiting set.
 type ingress struct {
 	discipline Admission
-	waiting    []engine.TimedRequest
-	head       int // waiting[head:] is the live queue
+	waiting    queue.Queue[engine.TimedRequest]
+}
+
+// newIngress returns an empty ingress. A 64-slot floor skips the early
+// append-growth doublings; a congested ingress grows geometrically from
+// there.
+func newIngress(discipline Admission) *ingress {
+	return &ingress{discipline: discipline, waiting: queue.New[engine.TimedRequest](64)}
 }
 
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
-func (q *ingress) push(tr engine.TimedRequest) {
-	if q.waiting == nil {
-		// A 64-slot floor skips the early append-growth doublings; a
-		// congested ingress grows geometrically from there.
-		q.waiting = make([]engine.TimedRequest, 0, 64) //edgereasoning:allow hotpath -- one-time 64-slot floor, paid once per ingress
-	}
-	q.waiting = append(q.waiting, tr)
-}
-func (q *ingress) len() int { return len(q.waiting) - q.head }
+func (q *ingress) push(tr engine.TimedRequest) { q.waiting.Push(tr) }
+func (q *ingress) len() int                    { return q.waiting.Len() }
 
-// pick returns the index (into waiting) of the request to dispatch
-// next. The live region is arrival-ordered, so head is the FIFO choice
-// and ties under the reordering disciplines break toward the earliest
-// arrival.
+// pick returns the position in the waiting queue of the request to
+// dispatch next. The queue is arrival-ordered, so its front is the FIFO
+// choice and ties under the reordering disciplines break toward the
+// earliest arrival.
 //
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
 func (q *ingress) pick() int {
+	w := q.waiting.Live()
+	best := 0
 	switch q.discipline {
 	case EDF:
-		best := q.head
-		for i := q.head + 1; i < len(q.waiting); i++ {
-			di, db := q.waiting[i].Deadline, q.waiting[best].Deadline
+		for i := 1; i < len(w); i++ {
+			di, db := w[i].Deadline, w[best].Deadline
 			if di == 0 {
 				continue
 			}
@@ -127,66 +127,39 @@ func (q *ingress) pick() int {
 				best = i
 			}
 		}
-		return best
 	case SJF:
-		best := q.head
-		for i := q.head + 1; i < len(q.waiting); i++ {
-			if q.waiting[i].PromptTokens < q.waiting[best].PromptTokens {
+		for i := 1; i < len(w); i++ {
+			if w[i].PromptTokens < w[best].PromptTokens {
 				best = i
 			}
 		}
-		return best
-	default: // FIFO and Shed dispatch in arrival order
-		return q.head
 	}
+	// FIFO and Shed dispatch in arrival order.
+	return best
 }
 
-// take removes and returns the request at index i, preserving the
-// arrival order of the rest. Taking the head — the only case the
-// in-order disciplines hit — is O(1); mid-queue removal shifts the
-// tail.
+// take removes and returns the request at position i, preserving the
+// arrival order of the rest.
 //
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
 func (q *ingress) take(i int) engine.TimedRequest {
-	tr := q.waiting[i]
-	if i == q.head {
-		q.waiting[i] = engine.TimedRequest{} // release the slot's references
-		q.head++
-		// Amortized compaction keeps the backing array from growing
-		// with the whole stream.
-		if q.head >= 64 && q.head*2 >= len(q.waiting) {
-			n := copy(q.waiting, q.waiting[q.head:])
-			q.waiting = q.waiting[:n]
-			q.head = 0
-		}
-		return tr
-	}
-	q.waiting = append(q.waiting[:i], q.waiting[i+1:]...)
+	tr := q.waiting.Live()[i]
+	q.waiting.RemoveAt(i)
 	return tr
 }
 
 // drain removes every waiting request, reporting each through drop —
 // the permanent-outage path.
 func (q *ingress) drain(drop func(engine.TimedRequest)) {
-	for _, tr := range q.waiting[q.head:] {
-		drop(tr)
-	}
-	q.waiting = q.waiting[:0]
-	q.head = 0
+	q.waiting.Filter(func(*engine.TimedRequest) bool { return false },
+		func(tr *engine.TimedRequest) { drop(*tr) })
 }
 
 // dropLate removes every waiting request whose deadline precedes t,
 // reporting each through drop — the Shed discipline's queue purge.
 func (q *ingress) dropLate(t float64, drop func(engine.TimedRequest)) {
-	kept := q.waiting[q.head:q.head]
-	for _, tr := range q.waiting[q.head:] {
-		if tr.Deadline > 0 && tr.Deadline < t {
-			drop(tr)
-			continue
-		}
-		kept = append(kept, tr)
-	}
-	q.waiting = q.waiting[:q.head+len(kept)]
+	q.waiting.Filter(func(tr *engine.TimedRequest) bool { return !(tr.Deadline > 0 && tr.Deadline < t) },
+		func(tr *engine.TimedRequest) { drop(*tr) })
 }
 
 // missPressure counts waiting deadline-bearing requests that will
@@ -194,9 +167,9 @@ func (q *ingress) dropLate(t float64, drop func(engine.TimedRequest)) {
 // raw material of the autoscaler's deadline-miss scale-up signal (the
 // autoscaler nets out replicas that could start this work immediately).
 func (q *ingress) missPressure(t, horizon float64) int {
-	n := 0
-	for _, tr := range q.waiting[q.head:] {
-		if tr.Deadline > 0 && tr.Deadline <= t+horizon {
+	n, w := 0, q.waiting.Live()
+	for i := range w {
+		if d := w[i].Deadline; d > 0 && d <= t+horizon {
 			n++
 		}
 	}

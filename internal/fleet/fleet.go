@@ -597,7 +597,7 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 // dispatch clock is monotone — a request is never dispatched before an
 // earlier decision's time.
 func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, out *Metrics) error {
-	q := &ingress{discipline: admission}
+	q := newIngress(admission)
 	shed := func(tr engine.TimedRequest) {
 		out.Shed++
 		out.drop(tr)

@@ -11,8 +11,8 @@
 //
 // Crashes execute on the engines, which run in lockstep with dispatch:
 // the dispatcher advances the struck replica to the crash instant, and
-// its engine aborts exactly what it holds there — offers not yet
-// admitted, its ready queue and its active set — cutting work in
+// its engine aborts exactly what it holds there — its active set and
+// every offer not yet admitted — cutting work in
 // progress at the instant and reporting what each aborted request had
 // executed as lost work. Like any advance, the crash commits the
 // replica's open run up to its instant (see the package comment). The
@@ -29,6 +29,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
+	"edgereasoning/internal/queue"
 )
 
 // RetryPolicy re-admits crash-aborted requests through the shared
@@ -241,9 +242,8 @@ type retryItem struct {
 // accounting.
 type chaos struct {
 	ro       *router
-	retry    *RetryPolicy // defaults applied; nil drops every abort
-	pending  []retryItem  // sorted ascending by at; consumed from head
-	head     int
+	retry    *RetryPolicy           // defaults applied; nil drops every abort
+	pending  queue.Queue[retryItem] // sorted ascending by at
 	attempts map[string]int
 	out      *Metrics
 	ft       *fleetTracer // nil when tracing is off
@@ -262,52 +262,36 @@ func (cx *chaos) nextCrash() (i int, at float64, ok bool) {
 	return i, at, i >= 0
 }
 
-func (cx *chaos) retryPending() bool { return cx.head < len(cx.pending) }
+func (cx *chaos) retryPending() bool { return cx.pending.Len() > 0 }
 
 func (cx *chaos) nextRetryAt() (float64, bool) {
-	if cx.head < len(cx.pending) {
-		return cx.pending[cx.head].at, true
+	if cx.pending.Len() > 0 {
+		return cx.pending.Live()[0].at, true
 	}
 	return 0, false
 }
 
 // popRetryUntil hands back the next re-admission due at or before t.
 func (cx *chaos) popRetryUntil(t float64) (engine.TimedRequest, bool) {
-	if cx.head >= len(cx.pending) || cx.pending[cx.head].at > t {
+	w := cx.pending.Live()
+	if len(w) == 0 || w[0].at > t {
 		return engine.TimedRequest{}, false
 	}
-	tr := cx.pending[cx.head].tr
-	cx.pending[cx.head] = retryItem{}
-	cx.head++
+	tr := w[0].tr
+	cx.pending.PopFront()
 	return tr, true
 }
 
 // drainRetries abandons everything in the retry queue — the permanent-
 // outage path, where re-admission can no longer help.
 func (cx *chaos) drainRetries() {
-	for cx.head < len(cx.pending) {
-		cx.abandon(cx.pending[cx.head].tr)
-		cx.pending[cx.head] = retryItem{}
-		cx.head++
-	}
+	cx.pending.Filter(func(*retryItem) bool { return false }, func(it *retryItem) { cx.abandon(it.tr) })
 }
 
 // pushRetry inserts sorted by re-admission time, after equal keys.
 func (cx *chaos) pushRetry(it retryItem) {
-	if cx.head >= 64 && cx.head*2 >= len(cx.pending) {
-		n := copy(cx.pending, cx.pending[cx.head:])
-		for i := n; i < len(cx.pending); i++ {
-			cx.pending[i] = retryItem{}
-		}
-		cx.pending = cx.pending[:n]
-		cx.head = 0
-	}
-	i := cx.head + sort.Search(len(cx.pending)-cx.head, func(k int) bool {
-		return cx.pending[cx.head+k].at > it.at
-	})
-	cx.pending = append(cx.pending, retryItem{})
-	copy(cx.pending[i+1:], cx.pending[i:])
-	cx.pending[i] = it
+	w := cx.pending.Live()
+	cx.pending.Insert(sort.Search(len(w), func(k int) bool { return w[k].at > it.at }), it)
 }
 
 // processUpTo fires every crash at or before t, in global (instant,

@@ -56,10 +56,10 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	if out.Retried != 2 || out.AbortedDropped != 0 {
 		t.Fatalf("retried %d abortedDropped %d, want 2/0", out.Retried, out.AbortedDropped)
 	}
-	if got := cx.pending[0].at; got != 10.5 {
+	if got := cx.pending.Live()[0].at; got != 10.5 {
 		t.Errorf("first re-admission at %v, want 10.5", got)
 	}
-	if got := cx.pending[1].at; got != 21 {
+	if got := cx.pending.Live()[1].at; got != 21 {
 		t.Errorf("second re-admission at %v, want 21 (backoff doubled)", got)
 	}
 	cx.requeue(tr, 30) // third abort: attempts exhausted
@@ -71,11 +71,11 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	// Hedge: the first re-admission is immediate, later ones back off.
 	cx, _ = mk(RetryPolicy{Hedge: true})
 	cx.requeue(tr, 10)
-	if got := cx.pending[0].at; got != 10 {
+	if got := cx.pending.Live()[0].at; got != 10 {
 		t.Errorf("hedged re-admission at %v, want 10 (no backoff)", got)
 	}
 	cx.requeue(tr, 20)
-	if got := cx.pending[1].at; got != 21 {
+	if got := cx.pending.Live()[1].at; got != 21 {
 		t.Errorf("post-hedge re-admission at %v, want 21 (default 0.5 doubled once)", got)
 	}
 
