@@ -62,32 +62,6 @@ type Result struct {
 // TableCount reports how many artifacts the driver produced.
 func (r Result) TableCount() int { return len(r.Tables) }
 
-// SuiteMetrics aggregates per-driver metrics over a set of results.
-type SuiteMetrics struct {
-	Drivers int
-	Errors  int
-	Tables  int
-	// DriverTime is the sum of per-driver wall times — the
-	// sequential-equivalent cost of the suite.
-	DriverTime time.Duration
-}
-
-// Summarize folds results into suite-level metrics. Every non-nil Err
-// counts as an error, including cancellation; callers that distinguish
-// interrupts (as the CLI does) should classify before aggregating.
-func Summarize(results []Result) SuiteMetrics {
-	var m SuiteMetrics
-	for _, r := range results {
-		m.Drivers++
-		if r.Err != nil {
-			m.Errors++
-		}
-		m.Tables += len(r.Tables)
-		m.DriverTime += r.Wall
-	}
-	return m
-}
-
 // job is one unit of pool work: run driver id with opts, deliver at index.
 type job struct {
 	index int

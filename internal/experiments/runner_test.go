@@ -145,10 +145,6 @@ func TestRunAllFailSoft(t *testing.T) {
 			t.Errorf("%s table count = %d, want 1", results[i].ID, results[i].TableCount())
 		}
 	}
-	m := Summarize(results)
-	if m.Drivers != 5 || m.Errors != 3 || m.Tables != 2 {
-		t.Errorf("metrics = %+v, want 5 drivers / 3 errors / 2 tables", m)
-	}
 }
 
 // TestCancellationStopsPromptly cancels the context while a slow driver

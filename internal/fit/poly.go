@@ -51,9 +51,6 @@ func (p Poly) Eval(x float64) float64 {
 	return y
 }
 
-// Degree returns the polynomial degree (−1 for an empty polynomial).
-func (p Poly) Degree() int { return len(p.Coeffs) - 1 }
-
 // String renders the polynomial in the paper's aI²+bI+c style.
 func (p Poly) String() string {
 	if len(p.Coeffs) == 0 {

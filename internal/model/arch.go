@@ -170,10 +170,3 @@ func (a Arch) DecodeFLOPs(context int) float64 {
 func (a Arch) DecodeReadBytes(dt DType, context int) int64 {
 	return a.WeightBytes(dt) + int64(context)*a.KVBytesPerToken()
 }
-
-// PrefillReadBytes returns the bytes a prefill pass streams: one weight
-// read (token-parallel reuse) plus activations traffic approximated by the
-// KV writes.
-func (a Arch) PrefillReadBytes(dt DType, n int) int64 {
-	return a.WeightBytes(dt) + int64(n)*a.KVBytesPerToken()
-}

@@ -179,16 +179,10 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.src.Float64() < p
 }
 
-// Jitter returns x scaled by a uniform factor in [1-frac, 1+frac]. Used for
-// small measurement-noise perturbations.
-func (r *RNG) Jitter(x, frac float64) float64 {
-	return x * (1 + frac*(2*r.src.Float64()-1))
-}
-
 // HashJitter returns x scaled by a deterministic factor in [1-frac, 1+frac]
-// derived from the key. Unlike Jitter it consumes no stream state, so it is
-// used where the paper observes deterministic-but-irregular effects (e.g.
-// CUTLASS kernel-variant selection by GEMM shape).
+// derived from the key. It consumes no stream state, so it is used where
+// the paper observes deterministic-but-irregular effects (e.g. CUTLASS
+// kernel-variant selection by GEMM shape).
 func HashJitter(x, frac float64, key uint64) float64 {
 	// SplitMix64 finalizer: cheap, well-distributed.
 	z := key + 0x9e3779b97f4a7c15

@@ -134,16 +134,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	r := NewRNG(5, "jit")
-	for i := 0; i < 1000; i++ {
-		x := r.Jitter(100, 0.05)
-		if x < 95 || x > 105 {
-			t.Fatalf("jitter out of bounds: %v", x)
-		}
-	}
-}
-
 func TestHashJitterDeterministic(t *testing.T) {
 	a := HashJitter(100, 0.1, 12345)
 	b := HashJitter(100, 0.1, 12345)

@@ -6,46 +6,6 @@ import (
 	"sort"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -258,18 +218,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n < 2 returns []float64{lo}.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
 }

@@ -2,35 +2,22 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 {
-		t.Fatalf("N = %d, want 5", s.N)
+func TestMeanAndMedian(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5}
+	if got := Mean(xs); got != 3 {
+		t.Errorf("Mean = %v, want 3", got)
 	}
-	if s.Mean != 3 {
-		t.Errorf("Mean = %v, want 3", s.Mean)
+	if got := Percentile(xs, 50); got != 3 {
+		t.Errorf("median = %v, want 3", got)
 	}
-	if s.Min != 1 || s.Max != 5 {
-		t.Errorf("Min/Max = %v/%v, want 1/5", s.Min, s.Max)
-	}
-	if s.Median != 3 {
-		t.Errorf("Median = %v, want 3", s.Median)
-	}
-	wantStd := math.Sqrt(2.5)
-	if math.Abs(s.Std-wantStd) > 1e-12 {
-		t.Errorf("Std = %v, want %v", s.Std, wantStd)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary should be zero, got %+v", s)
+	if Mean(nil) != 0 || Percentile(nil, 50) != 0 {
+		t.Errorf("empty input: Mean = %v, median = %v, want 0 and 0", Mean(nil), Percentile(nil, 50))
 	}
 }
 
@@ -91,16 +78,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 10, 5)
-	want := []float64{0, 2.5, 5, 7.5, 10}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-12 {
-			t.Fatalf("Linspace = %v, want %v", xs, want)
-		}
-	}
-}
-
 // Property: the mean always lies within [min, max].
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -113,8 +90,9 @@ func TestMeanBoundedProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s := Summarize(xs)
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9
+		lo, hi := slices.Min(xs), slices.Max(xs)
+		m := Mean(xs)
+		return m >= lo-1e-9 && m <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

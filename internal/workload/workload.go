@@ -96,12 +96,3 @@ func InteractiveAssistant(qps float64, n int) Profile {
 		OutputMean: 40, OutputSigma: 0.4,
 	}
 }
-
-// ReasoningBatch is a long-chain offline profile (AIME-style reasoning).
-func ReasoningBatch(qps float64, n int) Profile {
-	return Profile{
-		QPS: qps, N: n,
-		PromptMean: 150, PromptSigma: 0.2,
-		OutputMean: 2500, OutputSigma: 0.5,
-	}
-}

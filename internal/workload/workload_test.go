@@ -107,13 +107,3 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestReasoningBatchProfile(t *testing.T) {
-	p := ReasoningBatch(0.01, 5)
-	if p.OutputMean < 1000 {
-		t.Error("reasoning profile should have long outputs")
-	}
-	if _, err := Generate(p, 1); err != nil {
-		t.Fatal(err)
-	}
-}
