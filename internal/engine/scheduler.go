@@ -316,14 +316,14 @@ func (s *scheduler) promote() {
 			continue
 		}
 		key, j := edfKey(live[s.split].Deadline), s.split
-		if j == 0 || edfKey(live[j-1].Deadline) <= key {
-			continue // already in place
+		for j > 0 && edfKey(live[j-1].Deadline) > key {
+			j--
 		}
-		q := live[j]
-		for ; j > 0 && edfKey(live[j-1].Deadline) > key; j-- {
-			live[j] = live[j-1]
+		if j < s.split {
+			q := live[s.split]
+			copy(live[j+1:s.split+1], live[j:s.split])
+			live[j] = q
 		}
-		live[j] = q
 	}
 }
 

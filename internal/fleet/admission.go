@@ -93,19 +93,15 @@ func ParseAdmission(s string) (Admission, error) {
 // cost of looking at the whole waiting set.
 type ingress struct {
 	discipline Admission
-	waiting    queue.Queue[engine.TimedRequest]
+	queue.Queue[engine.TimedRequest]
 }
 
 // newIngress returns an empty ingress. A 64-slot floor skips the early
 // append-growth doublings; a congested ingress grows geometrically from
 // there.
 func newIngress(discipline Admission) *ingress {
-	return &ingress{discipline: discipline, waiting: queue.New[engine.TimedRequest](64)}
+	return &ingress{discipline, queue.New[engine.TimedRequest](64)}
 }
-
-//edgereasoning:hotpath bench=BenchmarkAutoscaleServe
-func (q *ingress) push(tr engine.TimedRequest) { q.waiting.Push(tr) }
-func (q *ingress) len() int                    { return q.waiting.Len() }
 
 // pick returns the position in the waiting queue of the request to
 // dispatch next. The queue is arrival-ordered, so its front is the FIFO
@@ -114,7 +110,7 @@ func (q *ingress) len() int                    { return q.waiting.Len() }
 //
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
 func (q *ingress) pick() int {
-	w := q.waiting.Live()
+	w := q.Live()
 	best := 0
 	switch q.discipline {
 	case EDF:
@@ -143,22 +139,22 @@ func (q *ingress) pick() int {
 //
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
 func (q *ingress) take(i int) engine.TimedRequest {
-	tr := q.waiting.Live()[i]
-	q.waiting.RemoveAt(i)
+	tr := q.Live()[i]
+	q.RemoveAt(i)
 	return tr
 }
 
 // drain removes every waiting request, reporting each through drop —
 // the permanent-outage path.
 func (q *ingress) drain(drop func(engine.TimedRequest)) {
-	q.waiting.Filter(func(*engine.TimedRequest) bool { return false },
+	q.Filter(func(*engine.TimedRequest) bool { return false },
 		func(tr *engine.TimedRequest) { drop(*tr) })
 }
 
 // dropLate removes every waiting request whose deadline precedes t,
 // reporting each through drop — the Shed discipline's queue purge.
 func (q *ingress) dropLate(t float64, drop func(engine.TimedRequest)) {
-	q.waiting.Filter(func(tr *engine.TimedRequest) bool { return !(tr.Deadline > 0 && tr.Deadline < t) },
+	q.Filter(func(tr *engine.TimedRequest) bool { return !(tr.Deadline > 0 && tr.Deadline < t) },
 		func(tr *engine.TimedRequest) { drop(*tr) })
 }
 
@@ -167,7 +163,7 @@ func (q *ingress) dropLate(t float64, drop func(engine.TimedRequest)) {
 // raw material of the autoscaler's deadline-miss scale-up signal (the
 // autoscaler nets out replicas that could start this work immediately).
 func (q *ingress) missPressure(t, horizon float64) int {
-	n, w := 0, q.waiting.Live()
+	n, w := 0, q.Live()
 	for i := range w {
 		if d := w[i].Deadline; d > 0 && d <= t+horizon {
 			n++

@@ -44,23 +44,23 @@ func TestIngressPickOrder(t *testing.T) {
 	fill := func(d Admission) *ingress {
 		q := newIngress(d)
 		for _, tr := range reqs {
-			q.push(tr)
+			q.Push(tr)
 		}
 		return q
 	}
-	if q := fill(FIFO); q.waiting.Live()[q.pick()].ID != "a" {
+	if q := fill(FIFO); q.Live()[q.pick()].ID != "a" {
 		t.Error("FIFO must pick the earliest arrival")
 	}
-	if q := fill(EDF); q.waiting.Live()[q.pick()].ID != "c" {
+	if q := fill(EDF); q.Live()[q.pick()].ID != "c" {
 		t.Error("EDF must pick the earliest deadline")
 	}
 	// Deadline-less requests go last under EDF.
 	q := fill(EDF)
 	q.take(q.pick()) // c
-	if got := q.waiting.Live()[q.pick()].ID; got != "b" {
+	if got := q.Live()[q.pick()].ID; got != "b" {
 		t.Errorf("EDF picked %q after c, want b (deadline-less last)", got)
 	}
-	if q := fill(SJF); q.waiting.Live()[q.pick()].ID != "b" {
+	if q := fill(SJF); q.Live()[q.pick()].ID != "b" {
 		t.Error("SJF must pick the shortest prompt (earliest arrival on ties)")
 	}
 	// Shed dispatches FIFO order; dropLate purges only expired deadlines.
@@ -70,8 +70,8 @@ func TestIngressPickOrder(t *testing.T) {
 	if len(dropped) != 1 || dropped[0] != "c" {
 		t.Errorf("dropLate(50) removed %v, want [c]", dropped)
 	}
-	if q.len() != 3 || q.waiting.Live()[q.pick()].ID != "a" {
-		t.Errorf("shed queue after purge: len %d, head %q", q.len(), q.waiting.Live()[q.pick()].ID)
+	if q.Len() != 3 || q.Live()[q.pick()].ID != "a" {
+		t.Errorf("shed queue after purge: len %d, head %q", q.Len(), q.Live()[q.pick()].ID)
 	}
 }
 

@@ -201,7 +201,7 @@ func (as *autoscaler) observe(ro *router, q *ingress, t float64) error {
 	reason := ""
 	switch {
 	case (as.cfg.ScaleOn == ScaleOnBoth || as.cfg.ScaleOn == ScaleOnDepth) &&
-		q.len() > as.cfg.DepthPerReplica*live:
+		q.Len() > as.cfg.DepthPerReplica*live:
 		reason = "depth"
 	case (as.cfg.ScaleOn == ScaleOnBoth || as.cfg.ScaleOn == ScaleOnMiss) &&
 		q.missPressure(t, as.cfg.ColdStart) > ro.idleReplicas(t):

@@ -614,20 +614,17 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			}
 			stream.Next()
 			out.Offered++
-			q.push(tr)
+			q.Push(tr)
 		}
-		for {
-			tr, ok := cx.popRetryUntil(t)
-			if !ok {
-				break
-			}
-			q.push(tr)
+		for w := cx.pending.Live(); len(w) > 0 && w[0].at <= t; w = cx.pending.Live() {
+			q.Push(w[0].tr)
+			cx.pending.PopFront()
 		}
 	}
 
 	now := 0.0
 	for {
-		if !(stream.More() || q.len() > 0 || cx.retryPending()) {
+		if !(stream.More() || q.Len() > 0 || cx.pending.Len() > 0) {
 			// Nothing left to dispatch. Remaining crash events can still
 			// abort already-routed work: processing them may refill the
 			// retry queue (looping us back) or drop the aborts for good.
@@ -641,13 +638,13 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			cx.processUpTo(now)
 			continue
 		}
-		if q.len() == 0 {
+		if q.Len() == 0 {
 			next := math.Inf(1)
 			if tr, ok := stream.Peek(); ok {
 				next = tr.Arrival
 			}
-			if at, ok := cx.nextRetryAt(); ok && at < next {
-				next = at
+			if w := cx.pending.Live(); len(w) > 0 && w[0].at < next {
+				next = w[0].at
 			}
 			// Never advance past an unprocessed crash: its aborts may
 			// spawn retries due before the next arrival.
@@ -661,14 +658,14 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 		cx.processUpTo(now)
 		admitUntil(now)
 		if ft != nil {
-			ft.sampleQueue(now, q.len())
+			ft.sampleQueue(now, q.Len())
 		}
 		if as != nil {
 			if err := as.observe(ro, q, now); err != nil {
 				return err
 			}
 		}
-		if q.len() == 0 {
+		if q.Len() == 0 {
 			// The idle advance landed on a crash instant rather than an
 			// arrival or retry; the event is processed, nothing is waiting.
 			continue
@@ -717,7 +714,7 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 		admitUntil(t)
 		if admission == Shed {
 			q.dropLate(t, shed)
-			if q.len() == 0 {
+			if q.Len() == 0 {
 				now = t
 				continue
 			}
@@ -739,7 +736,7 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 		ro.chooseAt(tr, t).take(tr, t)
 		if ft != nil {
 			ft.dispatched(tr, t)
-			ft.sampleQueue(t, q.len())
+			ft.sampleQueue(t, q.Len())
 		}
 		now = t
 	}

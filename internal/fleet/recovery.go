@@ -262,26 +262,6 @@ func (cx *chaos) nextCrash() (i int, at float64, ok bool) {
 	return i, at, i >= 0
 }
 
-func (cx *chaos) retryPending() bool { return cx.pending.Len() > 0 }
-
-func (cx *chaos) nextRetryAt() (float64, bool) {
-	if cx.pending.Len() > 0 {
-		return cx.pending.Live()[0].at, true
-	}
-	return 0, false
-}
-
-// popRetryUntil hands back the next re-admission due at or before t.
-func (cx *chaos) popRetryUntil(t float64) (engine.TimedRequest, bool) {
-	w := cx.pending.Live()
-	if len(w) == 0 || w[0].at > t {
-		return engine.TimedRequest{}, false
-	}
-	tr := w[0].tr
-	cx.pending.PopFront()
-	return tr, true
-}
-
 // drainRetries abandons everything in the retry queue — the permanent-
 // outage path, where re-admission can no longer help.
 func (cx *chaos) drainRetries() {

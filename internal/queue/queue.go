@@ -1,17 +1,14 @@
-// Package queue provides the head-indexed queue the serving path holds
-// waiting requests in: the engine scheduler's admission queue, the
-// fleet's shared ingress and its crash-retry queue. Ordering policy
-// (EDF placement, discipline picks, sorted retry times) stays with each
-// caller; the queue only owns the storage.
+// Package queue provides the head-indexed queue that holds waiting
+// requests on the serving path: the engine's admission queue and the
+// fleet's ingress and retry queue. Ordering policy stays with the caller.
 package queue
 
 // Queue is a slice consumed from its head: popping the front is O(1)
 // and keeps the backing array for reuse, and the dead prefix is
 // compacted away once it is at least 64 slots and half the buffer, so
-// the buffer tracks the live region rather than the whole stream. Every
-// slot the queue vacates is zeroed, so it pins no payloads it no longer
-// holds (a request's token histories are the bulk of a session stream's
-// bytes). The zero Queue is empty and grows from nil.
+// the buffer tracks the live region, not the stream. Every slot the
+// queue vacates is zeroed, so it pins no request's token history. The
+// zero Queue is empty and grows from nil.
 type Queue[T any] struct {
 	buf   []T
 	head  int
@@ -23,15 +20,11 @@ type Queue[T any] struct {
 func New[T any](floor int) Queue[T] { return Queue[T]{floor: floor} }
 
 // Len reports how many elements are queued.
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
 // Live returns the queued elements, front first. The slice aliases the
 // queue until its next Push, Insert, PopFront, RemoveAt or Filter;
 // callers may reorder elements through it in place.
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (q *Queue[T]) Live() []T { return q.buf[q.head:] }
 
 // Push appends v at the back.
@@ -61,10 +54,9 @@ func (q *Queue[T]) PopFront() {
 // Insert places v at position i of the live region (0 is the front),
 // shifting the elements from i on back by one.
 func (q *Queue[T]) Insert(i int, v T) {
-	var zero T
-	q.Push(zero)
+	q.Push(v)
 	live := q.buf[q.head:]
-	copy(live[i+1:], live[i:])
+	copy(live[i+1:], live[i:len(live)-1])
 	live[i] = v
 }
 
@@ -83,16 +75,14 @@ func (q *Queue[T]) RemoveAt(i int) {
 }
 
 // Filter removes every element keep rejects, in order, handing each to
-// drop (when non-nil) as it goes, and keeps the order of the rest. An
-// element moves only once something ahead of it has been dropped.
+// drop as it goes, and keeps the order of the rest. An element moves
+// only once something ahead of it has been dropped.
 func (q *Queue[T]) Filter(keep func(*T) bool, drop func(*T)) {
 	live := q.buf[q.head:]
 	n := 0
 	for i := range live {
 		if !keep(&live[i]) {
-			if drop != nil {
-				drop(&live[i])
-			}
+			drop(&live[i])
 			continue
 		}
 		if n != i {
@@ -106,8 +96,7 @@ func (q *Queue[T]) Filter(keep func(*T) bool, drop func(*T)) {
 	q.truncate(q.head + n)
 }
 
-// truncate shortens the buffer to n elements, zeroing the slots it
-// vacates.
+// truncate shortens the buffer to n elements, zeroing what it vacates.
 func (q *Queue[T]) truncate(n int) {
 	clear(q.buf[n:])
 	q.buf = q.buf[:n]
