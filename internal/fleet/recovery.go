@@ -12,9 +12,9 @@
 // Crashes execute on the engines, which run in lockstep with dispatch:
 // the dispatcher advances the struck replica to the crash instant, and
 // its engine aborts exactly what it holds there — its active set and
-// every offer not yet admitted — cutting work in
-// progress at the instant and reporting what each aborted request had
-// executed as lost work. Like any advance, the crash commits the
+// every offer not yet admitted — cutting work in progress at the
+// instant and reporting what each aborted request had executed as lost
+// work. Like any advance, the crash commits the
 // replica's open run up to its instant (see the package comment). The
 // dispatcher routes every abort to the retry queue or the drop ledger,
 // so dispatch and execution can never disagree about which requests a
