@@ -8,16 +8,27 @@ import (
 	"testing/quick"
 )
 
-func TestMeanAndMedian(t *testing.T) {
+// TestSummarizeBasics summarizes a fixed sample with the kept helpers.
+func TestSummarizeBasics(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Mean(xs); got != 3 {
 		t.Errorf("Mean = %v, want 3", got)
 	}
+	if got := Sum(xs); got != 15 {
+		t.Errorf("Sum = %v, want 15", got)
+	}
+	if lo, hi := Percentile(xs, 0), Percentile(xs, 100); lo != 1 || hi != 5 {
+		t.Errorf("min/max = %v/%v, want 1/5", lo, hi)
+	}
 	if got := Percentile(xs, 50); got != 3 {
 		t.Errorf("median = %v, want 3", got)
 	}
-	if Mean(nil) != 0 || Percentile(nil, 50) != 0 {
-		t.Errorf("empty input: Mean = %v, median = %v, want 0 and 0", Mean(nil), Percentile(nil, 50))
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	if Mean(nil) != 0 || Sum(nil) != 0 || Percentile(nil, 50) != 0 {
+		t.Errorf("empty input: Mean = %v, Sum = %v, median = %v, want 0, 0 and 0",
+			Mean(nil), Sum(nil), Percentile(nil, 50))
 	}
 }
 
