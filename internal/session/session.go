@@ -232,9 +232,12 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 
 // symOf draws one 64-bit token identity. Two independent streams collide
 // with negligible probability, so distinct content gets distinct syms.
+// Each half is a 31-bit draw: a masked Uint64, which is the sample
+// IntN(1<<31) draws, without its dispatch.
 func symOf(rng *stats.RNG) uint64 {
-	hi := uint64(rng.IntN(1 << 31))
-	lo := uint64(rng.IntN(1 << 31))
+	const mask = 1<<31 - 1
+	hi := rng.Uint64() & mask
+	lo := rng.Uint64() & mask
 	return hi<<33 | lo<<2 | 1
 }
 

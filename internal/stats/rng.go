@@ -77,6 +77,12 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // IntN returns a uniform sample in [0, n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
+// Uint64 returns a uniform 64-bit sample, read straight from the PCG
+// state. For a power-of-two n, Uint64() & (n-1) is the sample IntN(n)
+// draws (math/rand/v2 masks one Uint64 for such bounds), so a hot caller
+// can mask instead of going through IntN.
+func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
+
 // NormFloat64 returns a standard normal sample.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 

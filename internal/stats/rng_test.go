@@ -186,3 +186,24 @@ func TestReseedMatchesNewRNG(t *testing.T) {
 		}
 	}
 }
+
+// A masked Uint64 is the sample IntN draws for a power-of-two bound, so
+// callers may mask instead of calling IntN without moving a bit.
+func TestUint64MaskMatchesIntN(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 11, 1 << 40} {
+		for _, name := range []string{"", "session/shared", "session/agent", "x"} {
+			masked, drawn := NewRNG(seed, name), NewRNG(seed, name)
+			for i := 0; i < 100000; i++ {
+				if got, want := int(masked.Uint64()&(1<<31-1)), drawn.IntN(1<<31); got != want {
+					t.Fatalf("seed %d %q draw %d: masked %d, IntN %d", seed, name, i, got, want)
+				}
+			}
+			for k := 0; k < 63; k++ {
+				n := 1 << k
+				if got, want := int(masked.Uint64()&uint64(n-1)), drawn.IntN(n); got != want {
+					t.Fatalf("seed %d %q bound 1<<%d: masked %d, IntN %d", seed, name, k, got, want)
+				}
+			}
+		}
+	}
+}
