@@ -61,6 +61,11 @@ type sequence struct {
 	// carries the gen it was issued under, so handles from a previous
 	// lifetime are rejected even after the shell is recycled.
 	gen int
+	// chain is the prefix chain PrefixIndex.Acquire matched for this
+	// sequence, and chainSym0 the first element of the syms it matched
+	// over; Release reuses the chain instead of re-hashing those blocks.
+	chain     []prefixLink
+	chainSym0 *uint64
 }
 
 // Cache is a paged KV cache. It is not safe for concurrent use; the
@@ -426,6 +431,9 @@ func (c *Cache) freeSeq(seqID string, s *sequence) {
 	s.freed = true
 	s.gen++
 	s.blocks = s.blocks[:0]
+	// A pooled shell pins no prefix entry and no syms.
+	clear(s.chain)
+	s.chain, s.chainSym0 = s.chain[:0], nil
 	delete(c.seqs, seqID)
 	if c.pool == nil {
 		// The pool peaks at the max live sequence count (~the batch size);

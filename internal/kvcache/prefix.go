@@ -76,17 +76,36 @@ type prefixEntry struct {
 	// entry against host-tier eviction.
 	children     int
 	hostChildren int
-	// onHost marks the entry's contents as host-resident. Host entries
-	// form contiguous chain tails: a host entry never has a device child.
-	onHost bool
 	// lastUse is the logical tick of the most recent match through this
 	// entry; each tier's evictable list stays sorted ascending by it.
 	lastUse uint64
+	// gen counts the times this (pooled, reusable) shell has left the
+	// index. A prefixLink records the gen it matched under, so a link
+	// whose entry was evicted, dropped or recycled since is recognised
+	// without a map lookup.
+	gen uint64
 	// prev/next link the entry into its tier's evictable LRU list while
 	// it is a leaf there (least-recent at the front).
 	prev, next *prefixEntry
-	inLRU      bool
+	// onHost marks the entry's contents as host-resident. Host entries
+	// form contiguous chain tails: a host entry never has a device child.
+	onHost bool
+	inLRU  bool
 }
+
+// prefixLink is one matched block of a walked chain: the entry, the gen
+// it was matched under, and the block's chained hash. While e.gen still
+// equals gen the entry is the one indexed under hash; otherwise the
+// hash is looked up again.
+type prefixLink struct {
+	e    *prefixEntry
+	gen  uint64
+	hash uint64
+}
+
+// live reports whether the link's entry has stayed in the index since
+// the link was made.
+func (l prefixLink) live() bool { return l.e.gen == l.gen }
 
 // lruList is one tier's evictable-leaf list, sorted ascending by
 // lastUse (least-recent at the head).
@@ -108,12 +127,16 @@ type PrefixIndex struct {
 	// tick is the logical clock stamping lastUse.
 	tick uint64
 	m    PrefixMetrics
-	// match is the scratch chain reused across Probe/Acquire walks. The
-	// memo fields identify the last walked syms slice (by backing array
-	// and length) and the index mutation count it ran under, so the
-	// Probe-then-Acquire admission pattern hashes the prompt once, not
-	// twice. mut is bumped by every entry insert and eviction.
-	match    []*prefixEntry
+	// match is the scratch chain reused across Probe/Acquire walks, and
+	// miss the chained hash of the first unmatched block when the walk
+	// stopped short of its last block. The memo fields identify the last
+	// walked syms slice (by backing array and length) and the index
+	// mutation count it ran under, so the Probe-then-Acquire admission
+	// pattern hashes the prompt once, not twice, and a re-probe after a
+	// mutation revalidates match instead of re-hashing. mut is bumped by
+	// every entry insert and eviction.
+	match    []prefixLink
+	miss     uint64
 	memoSym0 *uint64
 	memoLen  int
 	memoMut  uint64
@@ -145,33 +168,76 @@ func (ix *PrefixIndex) Metrics() PrefixMetrics { return ix.m }
 // blocks participate, and at least one token is always left unmatched so
 // the engine has a suffix to prefill (real engines recompute the last
 // prompt token to produce first-step logits). A repeat walk of the same
-// (never-mutated) syms slice against an unmutated index — the engine's
-// Probe-then-Acquire admission, and its per-event retries of a blocked
-// stream head — reuses the previous result instead of re-hashing the
-// whole prompt.
-func (ix *PrefixIndex) walk(syms []uint64) []*prefixEntry {
-	if len(syms) > 0 && ix.memoSym0 == &syms[0] && ix.memoLen == len(syms) && ix.memoMut == ix.mut {
+// (never-mutated) syms slice — the engine's Probe-then-Acquire
+// admission, and its per-event retries of a blocked stream head — does
+// not re-hash the prompt: against an unmutated index it reuses the
+// previous result, and after a mutation it revalidates the previous
+// chain and hashes only the blocks past its old miss.
+func (ix *PrefixIndex) walk(syms []uint64) []prefixLink {
+	if len(syms) == 0 {
+		ix.match = ix.match[:0]
 		return ix.match
 	}
-	ix.match = ix.match[:0]
+	same := ix.memoSym0 == &syms[0] && ix.memoLen == len(syms)
+	if same && ix.memoMut == ix.mut {
+		return ix.match
+	}
 	bs := ix.c.cfg.BlockSize
 	maxBlocks := (len(syms) - 1) / bs
-	h := prefixSeed
-	for k := 0; k < maxBlocks; k++ {
+	h, k := prefixSeed, 0
+	if !same {
+		ix.match = ix.match[:0]
+	} else if ix.revalidate(maxBlocks) {
+		h, k = ix.match[len(ix.match)-1].hash, len(ix.match)
+	} else {
+		k = maxBlocks // the chain ends inside the revalidated part
+	}
+	for ; k < maxBlocks; k++ {
 		for _, sym := range syms[k*bs : (k+1)*bs] {
 			h = prefixMix(h, sym)
 		}
 		e := ix.entries[h]
 		if e == nil {
+			ix.miss = h
 			break
 		}
 		ix.touch(e)
-		ix.match = append(ix.match, e)
+		ix.match = append(ix.match, prefixLink{e: e, gen: e.gen, hash: h})
 	}
-	if len(syms) > 0 {
-		ix.memoSym0, ix.memoLen, ix.memoMut = &syms[0], len(syms), ix.mut
-	}
+	ix.memoSym0, ix.memoLen, ix.memoMut = &syms[0], len(syms), ix.mut
 	return ix.match
+}
+
+// revalidate redoes the previous walk of the same syms after the index
+// changed, touching entries in exactly the order a full walk would: a
+// live link is touched in place, a removed one is looked up again by its
+// hash (the chain ends where that hash is gone), and past the last link
+// the old miss hash is looked up once. It reports whether that lookup
+// extended the chain, so the walk must go on hashing past it.
+func (ix *PrefixIndex) revalidate(maxBlocks int) bool {
+	for i := range ix.match {
+		l := &ix.match[i]
+		if !l.live() {
+			e := ix.entries[l.hash]
+			if e == nil {
+				ix.miss = l.hash
+				ix.match = ix.match[:i]
+				return false
+			}
+			l.e, l.gen = e, e.gen
+		}
+		ix.touch(l.e)
+	}
+	if len(ix.match) == maxBlocks {
+		return false
+	}
+	e := ix.entries[ix.miss]
+	if e == nil {
+		return false
+	}
+	ix.touch(e)
+	ix.match = append(ix.match, prefixLink{e: e, gen: e.gen, hash: ix.miss})
+	return true
 }
 
 // Probe returns how many blocks of syms the index currently holds on
@@ -182,8 +248,8 @@ func (ix *PrefixIndex) walk(syms []uint64) []*prefixEntry {
 // span, so admission control must budget for them as unmatched demand.
 func (ix *PrefixIndex) Probe(syms []uint64) int {
 	chain := ix.walk(syms)
-	for i, e := range chain {
-		if e.onHost {
+	for i, l := range chain {
+		if l.e.onHost {
 			// Host entries are contiguous chain tails: the device-resident
 			// match is everything before the first one.
 			return i
@@ -200,9 +266,10 @@ func (ix *PrefixIndex) Probe(syms []uint64) int {
 // chain tail promotes it back to the device tier block by block,
 // charging RestoreSeconds for the host-link transfer; if the cache runs
 // out of blocks mid-promotion the chain is truncated there (the
-// already-promoted prefix is kept). The caller must not evict between a
-// Probe and the Acquire that relies on it — both walk the same index
-// state.
+// already-promoted prefix is kept). The sequence keeps the acquired
+// chain, so Release with the same syms slice does not look it up again.
+// The caller must not evict between a Probe and the Acquire that relies
+// on it — both walk the same index state.
 func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 	if _, ok := ix.c.seqs[seqID]; ok {
 		return 0, ErrSequenceExists
@@ -210,11 +277,11 @@ func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 	ix.m.Lookups++
 	chain := ix.walk(syms)
 	promoted := 0
-	for i, e := range chain {
-		if !e.onHost {
+	for i, l := range chain {
+		if !l.e.onHost {
 			continue
 		}
-		if !ix.promote(e) {
+		if !ix.promote(l.e) {
 			chain = chain[:i]
 			break
 		}
@@ -225,9 +292,13 @@ func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 		ix.m.RestoreSeconds += ix.restoreCost(promoted)
 	}
 	s := ix.c.newSequence(len(chain))
-	for _, e := range chain {
-		ix.c.retain(e.block)
-		s.blocks = append(s.blocks, e.block)
+	for _, l := range chain {
+		ix.c.retain(l.e.block)
+		s.blocks = append(s.blocks, l.e.block)
+	}
+	if len(chain) > 0 {
+		s.chain = append(s.chain, chain...)
+		s.chainSym0 = &syms[0]
 	}
 	s.length = len(chain) * ix.c.cfg.BlockSize
 	ix.c.seqs[seqID] = s
@@ -243,6 +314,10 @@ func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 // past the identified (or partial-tail) region are released normally. A
 // block already indexed under the same chain hash is not re-retained: the
 // existing entry wins and the sequence's reference is simply dropped.
+// When promptSyms is the slice the sequence was acquired with, the
+// acquired blocks come from the chain Acquire kept (a link whose entry
+// has left the index since is looked up by its hash) and only the blocks
+// past it are hashed.
 func (ix *PrefixIndex) Release(h Handle, promptSyms, outputSyms []uint64) error {
 	if !ix.c.valid(h) {
 		return ErrUnknownSequence
@@ -254,17 +329,30 @@ func (ix *PrefixIndex) Release(h Handle, promptSyms, outputSyms []uint64) error 
 		covered = s.length
 	}
 	full := covered / bs
+	chain := s.chain
+	if len(chain) > 0 && (len(promptSyms) < len(chain)*bs || &promptSyms[0] != s.chainSym0) {
+		chain = nil // other content than the chain was matched over
+	}
 	hh := prefixSeed
 	var parent *prefixEntry
 	for k := 0; k < full; k++ {
-		for i := k * bs; i < (k+1)*bs; i++ {
-			if i < len(promptSyms) {
-				hh = prefixMix(hh, promptSyms[i])
-			} else {
-				hh = prefixMix(hh, outputSyms[i-len(promptSyms)])
+		var e *prefixEntry
+		if k < len(chain) {
+			l := chain[k]
+			hh, e = l.hash, l.e
+			if !l.live() {
+				e = ix.entries[hh]
 			}
+		} else {
+			for i := k * bs; i < (k+1)*bs; i++ {
+				if i < len(promptSyms) {
+					hh = prefixMix(hh, promptSyms[i])
+				} else {
+					hh = prefixMix(hh, outputSyms[i-len(promptSyms)])
+				}
+			}
+			e = ix.entries[hh]
 		}
-		e := ix.entries[hh]
 		if e == nil {
 			if parent != nil && parent.onHost {
 				// Growing a device entry under a host-resident parent would
@@ -276,7 +364,7 @@ func (ix *PrefixIndex) Release(h Handle, promptSyms, outputSyms []uint64) error 
 			}
 			ix.tick++
 			e = ix.newEntry()
-			*e = prefixEntry{hash: hh, block: s.blocks[k], parent: parent, lastUse: ix.tick}
+			*e = prefixEntry{hash: hh, block: s.blocks[k], parent: parent, lastUse: ix.tick, gen: e.gen}
 			ix.c.retain(e.block)
 			ix.c.indexRef(e.block, 1)
 			ix.entries[hh] = e
@@ -330,6 +418,7 @@ func (ix *PrefixIndex) evictOne() bool {
 	}
 	ix.lru.remove(e)
 	delete(ix.entries, e.hash)
+	e.gen++
 	ix.mut++
 	ix.c.indexRef(e.block, -1)
 	ix.c.release(e.block)
@@ -374,8 +463,17 @@ func (ix *PrefixIndex) CrashReset(keepHost bool) {
 		}
 		return true
 	}
-	var kept []*prefixEntry
+	// Visit entries in ascending lastUse (ticks are unique), not map
+	// order: the order dropped blocks return to the free list decides
+	// which blocks later grabs get, and the order recycled shells reach
+	// the pool, so it must not vary run to run.
+	all := make([]*prefixEntry, 0, len(ix.entries))
 	for _, e := range ix.entries {
+		all = append(all, e)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].lastUse < all[j].lastUse })
+	kept := all[:0]
+	for _, e := range all {
 		if survives(e) {
 			kept = append(kept, e)
 			continue
@@ -389,6 +487,7 @@ func (ix *PrefixIndex) CrashReset(keepHost bool) {
 			ix.m.Retained--
 		}
 		ix.m.CrashDropped++
+		e.gen++
 		ix.pool = append(ix.pool, e)
 	}
 	// Rebuild wholesale. Survivors keep their exact counters: a
@@ -396,14 +495,12 @@ func (ix *PrefixIndex) CrashReset(keepHost bool) {
 	// chain is), every host child of a survivor survives with it, and
 	// host entries never have device children — so children and
 	// hostChildren are already right. Only the map and the LRU lists
-	// need reconstructing; unique lastUse ticks give a deterministic
-	// order regardless of map iteration.
+	// need reconstructing, in the survivors' ascending lastUse order.
 	ix.entries = make(map[uint64]*prefixEntry, len(kept))
 	ix.lru = lruList{}
 	if ix.host != nil {
 		ix.host.lru = lruList{}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].lastUse < kept[j].lastUse })
 	for _, e := range kept {
 		e.prev, e.next, e.inLRU = nil, nil, false
 		ix.entries[e.hash] = e

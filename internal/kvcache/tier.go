@@ -122,6 +122,7 @@ func (ix *PrefixIndex) dropHostLRU() {
 	}
 	ix.host.lru.remove(h)
 	delete(ix.entries, h.hash)
+	h.gen++
 	ix.mut++
 	ix.m.HostRetained--
 	ix.m.Evictions++
