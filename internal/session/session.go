@@ -134,21 +134,35 @@ func Generate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 	return engine.Collect(src, p.Sessions*p.Turns*2), nil
 }
 
+// scratch holds the buffers a session's token identities are drawn into
+// before generateSession copies them into the session's own array. They
+// grow to the longest session and are reused for the next one, so each
+// session allocates one array of exactly its length.
+type scratch struct {
+	history []uint64
+	traces  []uint64
+	// traceAt is each request's output offset in traces, or -1 when
+	// its output continues the history.
+	traceAt []int
+}
+
 // generateSession emits one session's think/act requests against its
-// growing history.
-func generateSession(p Profile, si int, start float64, system []uint64, rng *stats.RNG) []engine.TimedRequest {
+// growing history, drawing through sc.
+func generateSession(p Profile, si int, start float64, system []uint64, rng *stats.RNG, sc *scratch) []engine.TimedRequest {
 	sid := fmt.Sprintf("s%d", si)
-	// Every turn's prompt and output identities are windows of the one
-	// growing history. Sized a quarter above the mean length, it rarely
-	// regrows; a regrowth leaves earlier windows on the old array.
-	mean := len(system) + 8 + p.Turns*int(p.ObsMean+p.ThinkMean+p.ActMean)
-	history := make([]uint64, 0, mean+mean/4)
-	history = append(history, system...)
+	if sc.history == nil {
+		// Sized a quarter above the mean length, the scratch rarely
+		// regrows.
+		mean := len(system) + 8 + p.Turns*int(p.ObsMean+p.ThinkMean+p.ActMean)
+		sc.history = make([]uint64, 0, mean+mean/4)
+	}
+	history := append(sc.history[:0], system...)
 	// A short session preamble (user identity, task statement) makes the
 	// histories diverge after the shared system prompt.
 	for i := 0; i < 8; i++ {
 		history = append(history, symOf(rng))
 	}
+	traces, traceAt := sc.traces[:0], sc.traceAt[:0]
 	clock := start
 	n := p.Turns * 2
 	if p.Branch > 1 && p.BranchEvery > 0 {
@@ -169,7 +183,7 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		return n
 	}
 	// emit issues a request whose prompt is the history's first prompt
-	// identities.
+	// identities; the identities are attached once the session is drawn.
 	emit := func(id string, prompt, output int, slack float64) engine.TimedRequest {
 		tr := engine.TimedRequest{
 			Request: engine.Request{
@@ -177,9 +191,8 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 				PromptTokens: prompt,
 				OutputTokens: output,
 			},
-			Arrival:    clock,
-			SessionID:  sid,
-			PromptSyms: history[:prompt:prompt],
+			Arrival:   clock,
+			SessionID: sid,
 		}
 		if slack > 0 {
 			tr.Deadline = clock + slack
@@ -197,24 +210,22 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		thinkLen := sampleLen(p.ThinkMean, p.ThinkSigma, 8)
 		prompt := len(history)
 		appendSyms(thinkLen)
-		canonical := history[prompt:len(history):len(history)]
 		for b := 0; b < branches; b++ {
 			id := fmt.Sprintf("%st%d", sid, turn)
-			outSyms := canonical
 			outLen := thinkLen
+			at := -1 // branch 0's trace is the history's next thinkLen syms
 			if b > 0 {
 				// Extra samples share the prompt but generate their own
 				// traces, which are discarded (best-of-N dead ends).
 				id = fmt.Sprintf("%sb%d", id, b)
 				outLen = sampleLen(p.ThinkMean, p.ThinkSigma, 8)
-				outSyms = make([]uint64, outLen)
-				for i := range outSyms {
-					outSyms[i] = symOf(rng)
+				at = len(traces)
+				for i := 0; i < outLen; i++ {
+					traces = append(traces, symOf(rng))
 				}
 			}
-			tr := emit(id, prompt, outLen, p.ThinkSlack)
-			tr.OutputSyms = outSyms
-			reqs = append(reqs, tr)
+			reqs = append(reqs, emit(id, prompt, outLen, p.ThinkSlack))
+			traceAt = append(traceAt, at)
 		}
 		clock += expSample(rng, p.PhaseGapMean)
 
@@ -222,11 +233,27 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		actLen := sampleLen(p.ActMean, p.ActSigma, 2)
 		prompt = len(history)
 		appendSyms(actLen)
-		tr := emit(fmt.Sprintf("%st%da", sid, turn), prompt, actLen, p.ActSlack)
-		tr.OutputSyms = history[prompt:len(history):len(history)]
-		reqs = append(reqs, tr)
+		reqs = append(reqs, emit(fmt.Sprintf("%st%da", sid, turn), prompt, actLen, p.ActSlack))
+		traceAt = append(traceAt, -1)
 		clock += expSample(rng, p.TurnGapMean)
 	}
+
+	// Every request's identities are windows of one array: the history,
+	// then the discarded branch traces.
+	syms := make([]uint64, len(history)+len(traces))
+	copy(syms, history)
+	copy(syms[len(history):], traces)
+	for i := range reqs {
+		tr := &reqs[i]
+		prompt, output := tr.PromptTokens, tr.OutputTokens
+		from := prompt
+		if traceAt[i] >= 0 {
+			from = len(history) + traceAt[i]
+		}
+		tr.PromptSyms = syms[:prompt:prompt]
+		tr.OutputSyms = syms[from : from+output : from+output]
+	}
+	sc.history, sc.traces, sc.traceAt = history, traces, traceAt
 	return reqs
 }
 

@@ -26,6 +26,7 @@ type Source struct {
 	nextSI    int
 	nextStart float64
 	cursors   cursorHeap
+	scratch   scratch
 }
 
 // cursor walks one activated session's request list.
@@ -83,7 +84,7 @@ func (s *Source) activate() {
 	for s.nextSI < s.p.Sessions &&
 		(len(s.cursors) == 0 || s.nextStart <= s.cursors[0].reqs[s.cursors[0].pos].Arrival) {
 		rng := stats.NewRNG(s.seed, fmt.Sprintf("session/%d", s.nextSI))
-		reqs := generateSession(s.p, s.nextSI, s.nextStart, s.system, rng)
+		reqs := generateSession(s.p, s.nextSI, s.nextStart, s.system, rng, &s.scratch)
 		if len(reqs) > 0 {
 			heap.Push(&s.cursors, &cursor{reqs: reqs, si: s.nextSI})
 		}
