@@ -9,7 +9,7 @@ import (
 )
 
 func TestStallEndChainsWindows(t *testing.T) {
-	fx := &FaultInjection{Stalls: []StallWindow{{From: 3, To: 6}, {From: 1, To: 3}, {From: 10, To: 11}}}
+	fx := (&FaultInjection{Stalls: []StallWindow{{From: 3, To: 6}, {From: 1, To: 3}, {From: 10, To: 11}}}).Compile()
 	cases := []struct{ in, want float64 }{
 		{0, 0},   // before every window
 		{1, 6},   // chains through the back-to-back windows
@@ -26,10 +26,10 @@ func TestStallEndChainsWindows(t *testing.T) {
 }
 
 func TestThrottleAtCompounds(t *testing.T) {
-	fx := &FaultInjection{Throttles: []ThrottleWindow{
+	fx := (&FaultInjection{Throttles: []ThrottleWindow{
 		{From: 0, To: 10, Factor: 2},
 		{From: 5, To: 10, Factor: 3},
-	}}
+	}}).Compile()
 	if got := fx.ThrottleAt(1); got != 2 {
 		t.Errorf("ThrottleAt(1) = %v, want 2", got)
 	}
@@ -46,7 +46,8 @@ func TestThrottleAtCompounds(t *testing.T) {
 // throttle windows, not at all inside stall windows and at full speed
 // outside, compounding overlaps like the scheduler's decode stretch.
 func TestFinishAfterIntegratesWindows(t *testing.T) {
-	fx := &FaultInjection{Throttles: []ThrottleWindow{{From: 10, To: 20, Factor: 2}}}
+	throttles := []ThrottleWindow{{From: 10, To: 20, Factor: 2}}
+	fx := (&FaultInjection{Throttles: throttles}).Compile()
 	cases := []struct {
 		start, work, want float64
 	}{
@@ -62,9 +63,9 @@ func TestFinishAfterIntegratesWindows(t *testing.T) {
 			t.Errorf("FinishAfter(%v, %v) = %v, want %v", c.start, c.work, got, c.want)
 		}
 	}
-	over := &FaultInjection{Throttles: []ThrottleWindow{
+	over := (&FaultInjection{Throttles: []ThrottleWindow{
 		{From: 0, To: 10, Factor: 2}, {From: 5, To: 10, Factor: 2},
-	}}
+	}}).Compile()
 	if got := over.ThrottleAt(6); got != 4 {
 		t.Errorf("overlapping windows must compound: ThrottleAt(6) = %v, want 4", got)
 	}
@@ -72,8 +73,8 @@ func TestFinishAfterIntegratesWindows(t *testing.T) {
 		t.Errorf("FinishAfter(5, 1) under compounded 4x = %v, want 9", got)
 	}
 
-	stalled := &FaultInjection{Stalls: []StallWindow{{From: 10, To: 12}, {From: 30, To: 31}},
-		Throttles: fx.Throttles}
+	stalled := (&FaultInjection{Stalls: []StallWindow{{From: 10, To: 12}, {From: 30, To: 31}},
+		Throttles: throttles}).Compile()
 	for _, c := range []struct{ start, work, want float64 }{
 		{0, 12, 16},  // 10 work to the stall, frozen to 12, 2 more at 2x
 		{11, 1, 14},  // starts frozen: 1 work at 2x from the stall's end
@@ -86,7 +87,8 @@ func TestFinishAfterIntegratesWindows(t *testing.T) {
 
 	// Without windows the integration is the plain sum, bit for bit.
 	start, work := 0.1, 0.2
-	if got := (&FaultInjection{}).FinishAfter(start, work); got != start+work {
+	none := (&FaultInjection{}).Compile()
+	if got := none.FinishAfter(start, work); got != start+work {
 		t.Errorf("windowless FinishAfter(%v, %v) = %v, want %v", start, work, got, start+work)
 	}
 }

@@ -82,7 +82,11 @@ type scheduler struct {
 	// closed marks a run that takes no more offers: it drains instead of
 	// yielding at its horizon.
 	closed bool
+	// fx is the run's fault injection (nil undisturbed): its crashes fire
+	// in order, and its stall and throttle windows are read through
+	// faults, compiled once when the run opens.
 	fx     *FaultInjection
+	faults FaultIndex
 	start  float64
 	// crashAt is the next unfired crash instant (+Inf when none) and
 	// crashes counts those fired; aborted collects what they destroyed
@@ -133,8 +137,11 @@ func (e *Engine) newScheduler(maxBatch int, policy SchedPolicy, opts ServeOpts, 
 		// doublings; it is allocated on the first offer.
 		held: queue.New[queued](16),
 	}
-	if fx := opts.Faults; fx != nil && len(fx.Crashes) > 0 {
-		s.crashAt = fx.Crashes[0]
+	if fx := opts.Faults; fx != nil {
+		s.faults = fx.Compile()
+		if len(fx.Crashes) > 0 {
+			s.crashAt = fx.Crashes[0]
+		}
 	}
 	// One allocation backs the three maxBatch-bounded index slices (every
 	// Generate call pays this setup); each is capacity-capped, so an
@@ -438,7 +445,7 @@ func (s *scheduler) admit(t float64) (bool, error) {
 		if fx != nil {
 			// A stalled device starts the restore+prefill at the window's
 			// end; the wait lands in this request's TTFT.
-			if st := fx.StallEnd(e.clock); st > e.clock {
+			if st := s.faults.StallEnd(e.clock); st > e.clock {
 				if s.cut(st) {
 					return true, nil
 				}
@@ -535,7 +542,7 @@ func (s *scheduler) decodeStep() error {
 	}
 	if fx != nil {
 		// No decode progress inside a stall window.
-		if st := fx.StallEnd(e.clock); st > e.clock {
+		if st := s.faults.StallEnd(e.clock); st > e.clock {
 			if s.cut(st) {
 				return nil
 			}
@@ -555,7 +562,7 @@ func (s *scheduler) decodeStep() error {
 		// Thermal throttle: the chunk's tokens take Factor times as long
 		// (energy is computed from the unstretched result — the same
 		// work, spread over more seconds at lower power).
-		if f := fx.ThrottleAt(e.clock); f > 1 {
+		if f := s.faults.ThrottleAt(e.clock); f > 1 {
 			res.Time *= f
 			throttleF, cause = f, "throttle"
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -117,109 +116,6 @@ type ServeOpts struct {
 	// undisturbed — the default path is byte-identical with the field
 	// unset.
 	Faults *FaultInjection
-}
-
-// FaultInjection is the per-run fault timeline a serving layer hands the
-// engine: the engine applies the timing effects and executes the
-// crashes, while retry decisions stay with the caller, which learns what
-// each crash destroyed from Serving.Aborted.
-type FaultInjection struct {
-	// Stalls are no-progress windows: a prefill or decode event that
-	// would start inside [From, To) starts at To instead. Events are
-	// atomic — one that starts before a window runs to completion.
-	Stalls []StallWindow
-	// Throttles stretch decode-chunk time by Factor for chunks starting
-	// inside the window — a thermal cap. Energy is unchanged: the same
-	// tokens cost the same joules, spread over more seconds.
-	Throttles []ThrottleWindow
-	// Crashes are power losses, in ascending At order. A crash aborts
-	// everything the engine holds at its instant — the active set and
-	// every offer not yet admitted — and wipes the
-	// prefix index. No prefill or decode event straddles a crash: work
-	// in progress stops at the instant, and the service each aborted
-	// request had received is reported as lost. An open run executes a
-	// crash once advanced to its instant, so a caller must not offer
-	// past a crash it has not advanced to.
-	Crashes []float64
-	// KeepHost models persistent host DRAM: fully host-resident prefix
-	// chains survive every crash's wipe.
-	KeepHost bool
-}
-
-// StallWindow is one no-progress interval [From, To).
-type StallWindow struct{ From, To float64 }
-
-// ThrottleWindow is one decode-slowdown interval [From, To) with its
-// time multiplier (>= 1).
-type ThrottleWindow struct {
-	From, To float64
-	Factor   float64
-}
-
-// StallEnd returns when work that would start at t can actually begin:
-// past every stall window containing it (windows may chain or overlap).
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (f *FaultInjection) StallEnd(t float64) float64 {
-	for changed := true; changed; {
-		changed = false
-		for _, w := range f.Stalls {
-			if t >= w.From && t < w.To {
-				t = w.To
-				changed = true
-			}
-		}
-	}
-	return t
-}
-
-// ThrottleAt returns the decode-time multiplier at t (1 outside all
-// windows; overlapping windows compound).
-//
-//edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (f *FaultInjection) ThrottleAt(t float64) float64 {
-	m := 1.0
-	for _, w := range f.Throttles {
-		if t >= w.From && t < w.To && w.Factor > 1 {
-			m *= w.Factor
-		}
-	}
-	return m
-}
-
-// FinishAfter integrates work seconds of full-speed service starting at
-// t across the fault windows: no progress inside a stall window, Factor×
-// slower inside a throttle window, full speed outside. It is the
-// continuous counterpart of the scheduler's per-event stall and stretch
-// — a flat whole-service stretch would overshoot badly for work that
-// merely grazes a window.
-func (f *FaultInjection) FinishAfter(t, work float64) float64 {
-	for work > 0 {
-		t = f.StallEnd(t)
-		m := f.ThrottleAt(t)
-		// Advance to the next window boundary after t; the multiplier is
-		// constant, and the device unstalled, until then.
-		next := math.Inf(1)
-		for _, w := range f.Stalls {
-			if w.From > t && w.From < next {
-				next = w.From
-			}
-		}
-		for _, w := range f.Throttles {
-			if w.From > t && w.From < next {
-				next = w.From
-			}
-			if w.To > t && w.To < next {
-				next = w.To
-			}
-		}
-		if math.IsInf(next, 1) || t+work*m <= next {
-			return t + work*m
-		}
-		work -= (next - t) / m
-		t = next
-	}
-	return t
 }
 
 // Serve executes an open-loop workload: requests become visible at their

@@ -5,15 +5,44 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
 )
+
+// downAtScan and stallEndScan are timeline.downAt and
+// engine.FaultInjection.StallEnd as they stood before the compiled
+// indexes: a scan of every crash window, returning the first in
+// schedule order that holds t, and a scan of every stall window,
+// repeated until none moves t. Kept verbatim as the reference's window
+// lookups, so the reference never reads the indexes it checks.
+func downAtScan(tl *timeline, t float64) (bool, float64) {
+	for k, at := range tl.fx.Crashes {
+		if t >= at && t < tl.restarts[k] {
+			return true, tl.restarts[k]
+		}
+	}
+	return false, 0
+}
+
+func stallEndScan(f *engine.FaultInjection, t float64) float64 {
+	for changed := true; changed; {
+		changed = false
+		for _, w := range f.Stalls {
+			if t >= w.From && t < w.To {
+				t = w.To
+				changed = true
+			}
+		}
+	}
+	return t
+}
 
 // routableAtRef and availAtRef are the availability rules as they stood
 // before routableAt was derived from availAt and availAt from liveAt:
 // three hand-maintained predicates. Kept verbatim as the oracle for
-// TestAvailabilityMatchesReference, except that the fleet's stall lookup
-// now reads the engine's fault injection and the ReplicaConfig.FailAt
-// terms are gone with the field.
+// TestAvailabilityMatchesReference, except that the window lookups are
+// the scans above and the ReplicaConfig.FailAt terms are gone with the
+// field.
 func routableAtRef(r *replica, t float64) bool {
 	if t < r.cfg.WarmupDelay {
 		return false
@@ -22,7 +51,7 @@ func routableAtRef(r *replica, t float64) bool {
 		return false
 	}
 	if r.tl != nil {
-		if down, _ := r.tl.downAt(t); down {
+		if down, _ := downAtScan(r.tl, t); down {
 			return false
 		}
 	}
@@ -30,7 +59,7 @@ func routableAtRef(r *replica, t float64) bool {
 		if blocked, _ := r.hs.blockedAt(t); blocked {
 			return false
 		}
-		if r.tl != nil && r.tl.fx.StallEnd(t) > t {
+		if r.tl != nil && stallEndScan(&r.tl.fx, t) > t {
 			return false
 		}
 	}
@@ -52,7 +81,7 @@ func availAtRef(r *replica, t float64) (float64, bool) {
 			continue
 		}
 		if r.tl != nil {
-			if down, until := r.tl.downAt(t); down {
+			if down, until := downAtScan(r.tl, t); down {
 				if math.IsInf(until, 1) {
 					return 0, true
 				}
@@ -66,7 +95,7 @@ func availAtRef(r *replica, t float64) (float64, bool) {
 				continue
 			}
 			if r.tl != nil {
-				if end := r.tl.fx.StallEnd(t); end > t {
+				if end := stallEndScan(&r.tl.fx, t); end > t {
 					t = end
 					continue
 				}

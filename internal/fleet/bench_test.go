@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"edgereasoning/internal/faults"
@@ -103,5 +104,55 @@ func BenchmarkChaosServe(b *testing.B) {
 	}
 	if sink.Crashes == 0 || sink.Retried == 0 {
 		b.Fatalf("degenerate chaos bench: %d crashes, %d retried", sink.Crashes, sink.Retried)
+	}
+}
+
+// BenchmarkFaultedFleetSoak streams the perfbench fleet-chaos
+// configuration — three replicas, least-queue routing, shed admission,
+// retry and health, 4 QPS with 2–6 s deadline slack, and fault rates
+// scaled to the stream's horizon — at 1e4 and 1e5 requests, and
+// reports ns per request. With every fault query indexed, the cost per
+// request should not grow with the stream. Not gated in
+// BENCH_serve.json.
+func BenchmarkFaultedFleetSoak(b *testing.B) {
+	for _, size := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("requests=%d", size), func(b *testing.B) {
+			profile := workload.InteractiveAssistant(4, size)
+			profile.DeadlineSlack = 2
+			profile.DeadlineSlackMax = 6
+			scale := float64(size) / 100_000
+			sched, err := faults.Generate(faults.GenConfig{
+				Replicas: 3, Horizon: 20_000 * scale,
+				CrashRate: 20 * scale, RestartDelay: 10,
+				StallRate: 40 * scale, StallDuration: 3,
+				ThrottleRate: 20 * scale, ThrottleDuration: 30, ThrottleFactor: 2,
+			}, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := homogeneousFleet(3, LeastQueue)
+			cfg.Admission = Shed
+			cfg.Faults = &sched
+			cfg.Retry = &RetryPolicy{}
+			cfg.Health = &HealthConfig{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				src, err := workload.NewSource(profile, 7)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				m, err := ServeSource(cfg, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.Offered != size || m.Crashes == 0 {
+					b.Fatalf("degenerate soak: %d offered of %d, %d crashes", m.Offered, size, m.Crashes)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/request")
+		})
 	}
 }

@@ -345,7 +345,7 @@ func (r *replica) estService(tr engine.TimedRequest) float64 {
 func (r *replica) finishEstimate(tr engine.TimedRequest, start float64) float64 {
 	svc := r.estService(tr)
 	if r.hs != nil && r.tl != nil {
-		return r.tl.fx.FinishAfter(start, svc)
+		return r.tl.ix.FinishAfter(start, svc)
 	}
 	return start + svc
 }
@@ -385,8 +385,9 @@ func (r *replica) availAt(t float64) (float64, bool) {
 			continue
 		}
 		if r.tl != nil {
-			// A down replica is live, so it comes back at a finite restart.
-			if down, until := r.tl.downAt(t); down {
+			// The end of the crash-down chain holding t; a chain that ends
+			// at +Inf holds a permanent crash, so liveAt stops there.
+			if until := r.tl.down.End(t); until > t {
 				t = until
 				continue
 			}
@@ -397,7 +398,7 @@ func (r *replica) availAt(t float64) (float64, bool) {
 				continue
 			}
 			if r.tl != nil {
-				if end := r.tl.fx.StallEnd(t); end > t {
+				if end := r.tl.ix.StallEnd(t); end > t {
 					t = end
 					continue
 				}
@@ -432,12 +433,17 @@ func (r *replica) liveAt(t float64) bool {
 // would orphan the preallocated backing array and make every later take
 // regrow it.
 func (r *replica) depth(t float64) int {
-	done := sort.Search(len(r.finishes), func(k int) bool { return r.finishes[k] > t })
-	if done > 0 {
+	if done := r.completed(t); done > 0 {
 		n := copy(r.finishes, r.finishes[done:])
 		r.finishes = r.finishes[:n]
 	}
 	return len(r.finishes)
+}
+
+// completed counts the outstanding estimates finished by t, which lead
+// finishes.
+func (r *replica) completed(t float64) int {
+	return sort.Search(len(r.finishes), func(k int) bool { return r.finishes[k] > t })
 }
 
 // take records the dispatch of tr at time t and offers it to the
@@ -577,8 +583,10 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 		busy = append(busy, rm.BusyTime)
 	}
 	if len(latencies) > 0 {
+		// The fold owns latencies, so the percentiles may reorder it in
+		// place once the mean has read it in completion order.
 		out.MeanLatency = stats.Mean(latencies)
-		out.P50Latency, out.P95Latency, out.P99Latency = stats.Percentiles3(latencies)
+		out.P50Latency, out.P95Latency, out.P99Latency = stats.Percentiles3InPlace(latencies)
 	}
 	out.Imbalance = imbalance(busy)
 	if as != nil {
@@ -812,44 +820,63 @@ type router struct {
 	// the lowest index while queues are momentarily empty.
 	sticky map[string]int
 	pinned []int
-	// scratch backs the candidate list between dispatches.
+	// scratch holds the candidate set nextFree found for its instant.
 	scratch []int
 }
 
 // nextFree returns the earliest time >= t at which some replica can
-// accept a dispatch (routable with spare capacity), pruning completed
-// work as it scans. ok is false when no replica will ever accept again —
-// a permanent outage.
+// accept a dispatch (routable with spare capacity), and leaves every
+// such replica, in index order, in ro.scratch: the candidate set
+// bestService and chooseAt read at that instant. Nothing between them
+// changes replica state, so the set stays exact. ok is false when no
+// replica will ever accept again — a permanent outage.
+//
+// Each instant visited checks every replica's availability once. At an
+// instant without a taker the scan prunes the completed work of every
+// routable replica; at the returned instant it prunes only the replicas
+// up to the first taker and counts later takers without pruning. What
+// is pruned is part of the routing outcome: a crash due before the
+// returned instant sends dispatch back to an earlier one, and the
+// outstanding counts read there depend on it.
 func (ro *router) nextFree(t float64) (float64, bool) {
 	for {
-		for _, r := range ro.replicas {
-			if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
-				return t, true
-			}
-		}
-		// Everyone is full, cold, dead, down, blocked, or retired:
-		// advance to the next time a replica could accept — when it next
-		// becomes available (warm-up end, crash restart, breaker probe),
-		// or, if it is available but at capacity, when its earliest
-		// outstanding completion frees a slot (provided it is still
-		// available then).
+		ro.scratch = ro.scratch[:0]
 		next := math.Inf(1)
-		for _, r := range ro.replicas {
+		for i, r := range ro.replicas {
 			at, never := r.availAt(t)
 			if never {
 				continue
 			}
 			if at > t {
+				// Unavailable now: it could accept when it next becomes
+				// available (warm-up end, crash restart, breaker probe).
 				next = math.Min(next, at)
 				continue
 			}
-			if len(r.finishes) > 0 {
+			var n int
+			if len(ro.scratch) == 0 {
+				n = r.depth(t)
+			} else {
+				n = len(r.finishes) - r.completed(t)
+			}
+			if n < r.cfg.Capacity {
+				ro.scratch = append(ro.scratch, i)
+				continue
+			}
+			if len(ro.scratch) == 0 && len(r.finishes) > 0 {
+				// Available but at capacity: its earliest outstanding
+				// completion frees a slot, provided it is still available
+				// then. Only needed while no replica can take work now.
 				free := r.finishes[0]
 				if at2, never2 := r.availAt(free); !never2 {
 					next = math.Min(next, math.Max(free, at2))
 				}
 			}
 		}
+		if len(ro.scratch) > 0 {
+			return t, true
+		}
+		// Everyone is full, cold, dead, down, blocked, or retired.
 		if math.IsInf(next, 1) {
 			return 0, false
 		}
@@ -857,17 +884,14 @@ func (ro *router) nextFree(t float64) (float64, bool) {
 	}
 }
 
-// bestService is the fastest batch-1 service estimate among replicas
-// that could take the request at t — the certain-miss lower bound the
-// Shed discipline tests against. It mutates nothing but the idempotent
-// completed-work pruning in depth.
+// bestService is the fastest batch-1 service estimate among the
+// candidates nextFree left for t — the certain-miss lower bound the Shed
+// discipline tests against. It mutates nothing.
 func (ro *router) bestService(tr engine.TimedRequest, t float64) float64 {
 	best := math.Inf(1)
-	for _, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
-			if s := r.finishEstimate(tr, t) - t; s < best {
-				best = s
-			}
+	for _, i := range ro.scratch {
+		if s := ro.replicas[i].finishEstimate(tr, t) - t; s < best {
+			best = s
 		}
 	}
 	return best
@@ -885,14 +909,13 @@ func (ro *router) idleReplicas(t float64) int {
 	return n
 }
 
-// chooseAt applies the routing policy at time t, when at least one
-// replica is known to have capacity (nextFree said so).
+// chooseAt applies the routing policy at time t over the candidates
+// nextFree left for t, which is never empty there. The policies read the
+// candidates' outstanding counts, so their completed work is pruned
+// first.
 func (ro *router) chooseAt(tr engine.TimedRequest, t float64) *replica {
-	ro.scratch = ro.scratch[:0]
-	for i, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
-			ro.scratch = append(ro.scratch, i)
-		}
+	for _, i := range ro.scratch {
+		ro.replicas[i].depth(t)
 	}
 	return ro.replicas[ro.choose(ro.scratch, tr, t)]
 }

@@ -113,16 +113,19 @@ type timeline struct {
 	// fired counts the crashes the dispatcher has executed, so
 	// fx.Crashes[fired] is the next one due.
 	fired int
+	// ix is the router's own compiled copy of fx's windows (the engine
+	// compiles another for its run), and down the crash-down windows
+	// [fx.Crashes[k], restarts[k]) merged into chains. Both carry the
+	// router's cursors; compile builds them.
+	ix   engine.FaultIndex
+	down engine.Chains
 }
 
-// downAt reports whether the replica is crash-down at t, and until when.
-func (tl *timeline) downAt(t float64) (bool, float64) {
-	for k, at := range tl.fx.Crashes {
-		if t >= at && t < tl.restarts[k] {
-			return true, tl.restarts[k]
-		}
-	}
-	return false, 0
+// compile builds the router's indexes from the timeline's windows. A
+// timeline is read only after it.
+func (tl *timeline) compile() {
+	tl.ix = tl.fx.Compile()
+	tl.down = engine.NewChains(tl.fx.Crashes, tl.restarts)
 }
 
 // healthState is one replica's circuit breaker. State changes are
@@ -191,8 +194,9 @@ func (h *healthState) noteTake(t, finish float64) {
 }
 
 // compileFaults builds per-replica fault timelines from Config.Faults
-// (nil for fault-free replicas). Fault schedules target the configured
-// replica set; autoscaler-provisioned replicas are fault-free.
+// (nil for fault-free replicas), each window list sized exactly.
+// Fault schedules target the configured replica set;
+// autoscaler-provisioned replicas are fault-free.
 func compileFaults(cfg Config) ([]*timeline, error) {
 	tls := make([]*timeline, len(cfg.Replicas))
 	if cfg.Faults == nil {
@@ -201,12 +205,43 @@ func compileFaults(cfg Config) ([]*timeline, error) {
 	if err := cfg.Faults.Validate(len(cfg.Replicas)); err != nil {
 		return nil, err
 	}
-	for _, ev := range cfg.Faults.Sorted() {
-		tl := tls[ev.Replica]
-		if tl == nil {
-			tl = &timeline{fx: engine.FaultInjection{KeepHost: cfg.Faults.HostSurvivesCrash}, deadAt: math.Inf(1)}
-			tls[ev.Replica] = tl
+	evs := cfg.Faults.Sorted()
+	// Count each replica's windows first, so every list is allocated once
+	// at its final size.
+	type count struct{ crashes, stalls, throttles int }
+	counts := make([]count, len(cfg.Replicas))
+	for _, ev := range evs {
+		c := &counts[ev.Replica]
+		switch {
+		case ev.Kind == faults.Crash:
+			c.crashes++
+		case ev.Kind == faults.Stall:
+			c.stalls++
+		case ev.Kind == faults.Throttle && ev.Factor > 1:
+			c.throttles++
 		}
+		if tls[ev.Replica] == nil {
+			tls[ev.Replica] = &timeline{fx: engine.FaultInjection{KeepHost: cfg.Faults.HostSurvivesCrash}, deadAt: math.Inf(1)}
+		}
+	}
+	for i, tl := range tls {
+		if tl == nil {
+			continue
+		}
+		c := counts[i]
+		if c.crashes > 0 {
+			both := make([]float64, 2*c.crashes)
+			tl.fx.Crashes, tl.restarts = both[:0:c.crashes], both[c.crashes:c.crashes]
+		}
+		if c.stalls > 0 {
+			tl.fx.Stalls = make([]engine.StallWindow, 0, c.stalls)
+		}
+		if c.throttles > 0 {
+			tl.fx.Throttles = make([]engine.ThrottleWindow, 0, c.throttles)
+		}
+	}
+	for _, ev := range evs {
+		tl := tls[ev.Replica]
 		switch ev.Kind {
 		case faults.Crash:
 			// Sorted order keeps fx.Crashes ascending.
@@ -224,6 +259,11 @@ func compileFaults(cfg Config) ([]*timeline, error) {
 			if ev.Factor > 1 {
 				tl.fx.Throttles = append(tl.fx.Throttles, engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
 			}
+		}
+	}
+	for _, tl := range tls {
+		if tl != nil {
+			tl.compile()
 		}
 	}
 	return tls, nil

@@ -383,6 +383,7 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 			restarts: []float64{5105},
 			deadAt:   math.Inf(1),
 		}
+		tl.compile()
 		crashed, err := newReplica(ReplicaConfig{
 			Name: "crashed", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
 		}.withDefaults(0), tieredOpts(), tl)
@@ -503,6 +504,7 @@ func TestCrashTimelineAvailability(t *testing.T) {
 		restarts: []float64{15, math.Inf(1)},
 		deadAt:   20,
 	}
+	r.tl.compile()
 	if at, never := r.availAt(5); never || at != 5 {
 		t.Errorf("availAt(5) = %v/%v, want 5/false", at, never)
 	}
@@ -531,6 +533,7 @@ func TestCrashTimelineAvailability(t *testing.T) {
 // under health-aware routing, so a blind fleet's estimates are untouched.
 func TestThrottleAwareFinishEstimates(t *testing.T) {
 	tl := &timeline{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}}
+	tl.compile()
 	r := &replica{cfg: ReplicaConfig{}.withDefaults(0), decodePerTok: 1, tl: tl}
 	tr := engine.TimedRequest{Request: engine.Request{OutputTokens: 12}}
 	if got := r.finishEstimate(tr, 0); got != 12 {

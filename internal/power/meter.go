@@ -10,6 +10,7 @@ package power
 
 import (
 	"math"
+	"sync/atomic"
 
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
@@ -39,6 +40,17 @@ type Meter struct {
 	// DVFS states (the step pattern of Fig 10c).
 	QuantizeStates bool
 }
+
+// residencyCache holds the DVFS residency term's bits by decode token
+// count, each entry filled the first time its count occurs: a serving
+// run's decode chunks take few distinct counts (at most the admission
+// grain times the batch while admission waits). Zero marks an unfilled
+// entry, since the term is positive for every count it holds. Each
+// entry is a pure function of its index, so sharing the cache between
+// meters, tests and concurrent runs changes no result; the entries are
+// atomic so concurrent fills are safe. Longer runs compute the term
+// directly.
+var residencyCache [1024]atomic.Uint64
 
 // NewMeter returns a meter with the Orin MAXN calibration.
 func NewMeter(d *hw.Device) *Meter {
@@ -76,8 +88,7 @@ func (m *Meter) Power(r gpusim.Result) float64 {
 	// DVFS residency: sustained decode keeps clocks boosted; power rises
 	// logarithmically with the per-sequence run length.
 	if m.ResidencyRho > 0 && r.Tokens > 0 && r.Phase == gpusim.PhaseDecode {
-		perSeq := float64(r.Tokens)
-		p *= 1 + m.ResidencyRho*math.Log10(1+perSeq/64)
+		p *= 1 + m.ResidencyRho*residencyTerm(r.Tokens)
 	}
 	if p > d.MaxPower {
 		p = d.MaxPower
@@ -86,6 +97,21 @@ func (m *Meter) Power(r gpusim.Result) float64 {
 		p = m.quantize(p)
 	}
 	return p
+}
+
+// residencyTerm returns log10(1 + tokens/64) for a positive token count,
+// from the cache when the count is small enough to hold.
+func residencyTerm(tokens int) float64 {
+	if tokens >= len(residencyCache) {
+		return math.Log10(1 + float64(tokens)/64)
+	}
+	e := &residencyCache[tokens]
+	if b := e.Load(); b != 0 {
+		return math.Float64frombits(b)
+	}
+	v := math.Log10(1 + float64(tokens)/64)
+	e.Store(math.Float64bits(v))
+	return v
 }
 
 // quantize snaps power onto the device's discrete DVFS ladder.

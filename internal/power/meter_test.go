@@ -1,7 +1,10 @@
 package power
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"edgereasoning/internal/gpusim"
@@ -155,6 +158,42 @@ func TestPowerNeverExceedsCap(t *testing.T) {
 		res := s.DecodeRun(spec.Arch, model.FP16, 2048, 512, 64)
 		if p := m.Power(res); p > m.Device.MaxPower+1e-9 {
 			t.Errorf("%s: power %.1f exceeds cap %.1f", spec.ID, p, m.Device.MaxPower)
+		}
+	}
+}
+
+// TestResidencyTermMatchesLog10 checks every token count the residency
+// cache holds, and a stretch past it, against the direct term bit for
+// bit. Four goroutines fill the cache at once, each in its own shuffled
+// order, so entries fill out of order and concurrently (run it under
+// -race); a last pass reads the filled entries.
+func TestResidencyTermMatchesLog10(t *testing.T) {
+	check := func(pass string, counts []int) {
+		for _, n := range counts {
+			if n == 0 {
+				continue
+			}
+			want := math.Log10(1 + float64(n)/64)
+			if got := residencyTerm(n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: residencyTerm(%d) = %v, want %v", pass, n, got, want)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		counts := rand.New(rand.NewPCG(24, g)).Perm(len(residencyCache) + 256)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(fmt.Sprintf("filler %d", g), counts)
+		}()
+	}
+	wg.Wait()
+	check("read", rand.New(rand.NewPCG(24, 9)).Perm(len(residencyCache)+256))
+	for n := 1; n < len(residencyCache); n++ {
+		if residencyCache[n].Load() == 0 {
+			t.Fatalf("count %d was never cached", n)
 		}
 	}
 }

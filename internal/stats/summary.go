@@ -59,9 +59,22 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 // latency triple every serving fold reports — without allocating a
 // result slice. Values are identical to Percentiles(xs, 50, 95, 99): the
 // interpolation reads at most six order statistics, so it selects those
-// instead of sorting.
+// instead of sorting. The input is not modified.
 func Percentiles3(xs []float64) (p50, p95, p99 float64) {
-	a := finiteCopy(xs)
+	return Percentiles3InPlace(finiteCopy(xs))
+}
+
+// Percentiles3InPlace is Percentiles3 over a buffer the caller no longer
+// needs in order, saving the copy: it drops the non-finite samples by
+// compacting xs in place, then reorders what is left. The values are
+// identical.
+func Percentiles3InPlace(xs []float64) (p50, p95, p99 float64) {
+	a := xs[:0]
+	for _, x := range xs {
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			a = append(a, x)
+		}
+	}
 	if n := len(a); n > 0 {
 		// Order statistics in ascending rank order: each is selected in the
 		// window above the previous one, which already holds no smaller

@@ -134,11 +134,12 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestPercentiles3MatchesSort checks the selecting Percentiles3 against
-// the sorting Percentiles over random samples of every size up to 5000:
-// few distinct values (long runs of duplicates), signed zeros, NaN and
-// ±Inf mixed in, and sorted or reversed runs. Values compare with ==,
-// since -0 and +0 tie in both orders. The input must not be reordered.
+// TestPercentiles3MatchesSort checks the selecting Percentiles3, and the
+// Percentiles3InPlace it wraps, against the sorting Percentiles over
+// random samples of every size up to 5000: few distinct values (long
+// runs of duplicates), signed zeros, NaN and ±Inf mixed in, and sorted
+// or reversed runs. Values compare with ==, since -0 and +0 tie in both
+// orders. Percentiles3 must not reorder its input.
 func TestPercentiles3MatchesSort(t *testing.T) {
 	rng := NewRNG(3, "stats/percentiles3")
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
@@ -175,6 +176,9 @@ func TestPercentiles3MatchesSort(t *testing.T) {
 			if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
 				t.Fatalf("trial %d: Percentiles3 reordered its input at %d", trial, i)
 			}
+		}
+		if q50, q95, q99 := Percentiles3InPlace(before); q50 != want[0] || q95 != want[1] || q99 != want[2] {
+			t.Fatalf("trial %d (n=%d): Percentiles3InPlace = %v %v %v, sort gives %v", trial, n, q50, q95, q99, want)
 		}
 	}
 }
