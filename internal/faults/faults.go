@@ -152,17 +152,28 @@ type GenConfig struct {
 	ThrottleFactor   float64
 }
 
-// Validate rejects unusable generator configs.
+// Validate rejects unusable generator configs: every config it accepts
+// generates a schedule that passes Schedule.Validate.
 func (c GenConfig) Validate() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	switch {
 	case c.Replicas <= 0:
 		return fmt.Errorf("faults: generator needs a positive replica count, got %d", c.Replicas)
-	case math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) || c.Horizon <= 0:
+	case !finite(c.Horizon) || c.Horizon < 0x1p-1022:
+		// Subnormal horizons are out too: a uniform draw scaled by one can
+		// round up to the horizon itself.
 		return fmt.Errorf("faults: generator needs a positive finite horizon, got %v", c.Horizon)
-	case c.CrashRate < 0 || c.StallRate < 0 || c.ThrottleRate < 0:
-		return fmt.Errorf("faults: negative event rate")
-	case c.RestartDelay < 0 || math.IsNaN(c.RestartDelay) || math.IsInf(c.RestartDelay, 0):
+	case !finite(c.CrashRate) || !finite(c.StallRate) || !finite(c.ThrottleRate) ||
+		c.CrashRate < 0 || c.StallRate < 0 || c.ThrottleRate < 0:
+		return fmt.Errorf("faults: event rates must be finite and non-negative, got crash %v stall %v throttle %v",
+			c.CrashRate, c.StallRate, c.ThrottleRate)
+	case !finite(c.RestartDelay) || c.RestartDelay < 0:
 		return fmt.Errorf("faults: bad restart delay %v", c.RestartDelay)
+	case c.StallRate > 0 && (!finite(c.StallDuration) || c.StallDuration <= 0):
+		return fmt.Errorf("faults: stalls need a positive finite duration, got %v", c.StallDuration)
+	case c.ThrottleRate > 0 && (!finite(c.ThrottleFactor) || !finite(c.ThrottleDuration)):
+		return fmt.Errorf("faults: throttles need a finite factor and duration, got factor %v duration %v",
+			c.ThrottleFactor, c.ThrottleDuration)
 	}
 	return nil
 }

@@ -160,3 +160,110 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestGenConfigValidateMatchesSchedule pins GenConfig.Validate to its
+// promise: a config it accepts generates a schedule that passes
+// Schedule.Validate. Each rejected config here used to be accepted, and
+// either generated an invalid schedule or silently drew no events.
+func TestGenConfigValidateMatchesSchedule(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := GenConfig{Replicas: 2, Horizon: 100}
+	with := func(f func(*GenConfig)) GenConfig {
+		c := base
+		f(&c)
+		return c
+	}
+	bad := []struct {
+		name string
+		cfg  GenConfig
+	}{
+		{"zero stall duration", with(func(c *GenConfig) { c.StallRate = 1 })},
+		{"NaN stall duration", with(func(c *GenConfig) { c.StallRate, c.StallDuration = 1, nan })},
+		{"infinite stall duration", with(func(c *GenConfig) { c.StallRate, c.StallDuration = 1, inf })},
+		{"negative stall duration", with(func(c *GenConfig) { c.StallRate, c.StallDuration = 1, -2 })},
+		{"infinite throttle factor", with(func(c *GenConfig) {
+			c.ThrottleRate, c.ThrottleDuration, c.ThrottleFactor = 1, 1, inf
+		})},
+		{"infinite throttle duration", with(func(c *GenConfig) {
+			c.ThrottleRate, c.ThrottleDuration, c.ThrottleFactor = 1, inf, 2
+		})},
+		{"NaN crash rate", with(func(c *GenConfig) { c.CrashRate = nan })},
+		{"infinite crash rate", with(func(c *GenConfig) { c.CrashRate = inf })},
+		{"NaN stall rate", with(func(c *GenConfig) { c.StallRate, c.StallDuration = nan, 2 })},
+		{"infinite throttle rate", with(func(c *GenConfig) {
+			c.ThrottleRate, c.ThrottleDuration, c.ThrottleFactor = inf, 1, 2
+		})},
+		{"subnormal horizon", with(func(c *GenConfig) { c.Horizon, c.CrashRate = 5e-324, 8 })},
+	}
+	for _, tc := range bad {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
+		}
+		if _, err := Generate(tc.cfg, 1); err == nil {
+			t.Errorf("%s: Generate accepted %+v", tc.name, tc.cfg)
+		}
+	}
+	// A shape field only matters when its rate is on, and a finite factor
+	// <= 1 still disables throttling without an error.
+	ok := []GenConfig{
+		with(func(c *GenConfig) { c.StallDuration = nan }),
+		with(func(c *GenConfig) { c.ThrottleFactor, c.ThrottleDuration = inf, nan }),
+		with(func(c *GenConfig) { c.ThrottleRate, c.ThrottleDuration, c.ThrottleFactor = 2, 1, 0.5 }),
+	}
+	for _, cfg := range ok {
+		s, err := Generate(cfg, 1)
+		if err != nil {
+			t.Errorf("Generate rejected %+v: %v", cfg, err)
+			continue
+		}
+		if err := s.Validate(cfg.Replicas); err != nil {
+			t.Errorf("%+v generated an invalid schedule: %v", cfg, err)
+		}
+	}
+}
+
+// FuzzFaultsGenerate checks Generate on configs decoded from fuzz input.
+// Rates are folded into (-64, 64), keeping NaN and infinities, so no
+// input asks for millions of events. Oracles: Generate either fails or
+// returns a schedule that passes Validate, in canonical Sorted order,
+// with every event in [0, Horizon); and a re-run returns the same.
+func FuzzFaultsGenerate(f *testing.F) {
+	f.Add(uint8(3), 20_000.0, 20.0, 10.0, 40.0, 3.0, 20.0, 30.0, 2.0, uint64(7))
+	f.Add(uint8(2), 100.0, 1.5, 0.0, 1.0, 0.0, 1.0, 1.0, math.Inf(1), uint64(11))
+	f.Add(uint8(1), 5e-324, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(1))
+	f.Add(uint8(0), 10.0, math.NaN(), -1.0, 2.0, math.NaN(), 1.0, math.Inf(1), 1.0, uint64(3))
+	f.Fuzz(func(t *testing.T, replicas uint8, horizon, crashRate, restart, stallRate, stallDur,
+		throttleRate, throttleDur, throttleFactor float64, seed uint64) {
+		fold := func(rate float64) float64 {
+			if math.IsNaN(rate) || math.IsInf(rate, 0) {
+				return rate
+			}
+			return math.Mod(rate, 64)
+		}
+		cfg := GenConfig{
+			Replicas: int(replicas % 9), Horizon: horizon,
+			CrashRate: fold(crashRate), RestartDelay: restart,
+			StallRate: fold(stallRate), StallDuration: stallDur,
+			ThrottleRate: fold(throttleRate), ThrottleDuration: throttleDur, ThrottleFactor: throttleFactor,
+		}
+		s, err := Generate(cfg, seed)
+		again, errAgain := Generate(cfg, seed)
+		if (err == nil) != (errAgain == nil) || !reflect.DeepEqual(s, again) {
+			t.Fatalf("re-run diverged: %v / %v", err, errAgain)
+		}
+		if err != nil {
+			return
+		}
+		if err := s.Validate(cfg.Replicas); err != nil {
+			t.Fatalf("%+v generated an invalid schedule: %v", cfg, err)
+		}
+		if !reflect.DeepEqual(s.Events, s.Sorted()) {
+			t.Fatalf("events not in canonical order: %+v", s.Events)
+		}
+		for _, ev := range s.Events {
+			if !(ev.At >= 0 && ev.At < cfg.Horizon) {
+				t.Fatalf("event at %v outside [0, %v)", ev.At, cfg.Horizon)
+			}
+		}
+	})
+}
