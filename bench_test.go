@@ -18,7 +18,6 @@ import (
 	"edgereasoning/internal/experiments"
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
-	"edgereasoning/internal/kvcache"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/tts"
@@ -343,34 +342,6 @@ func BenchmarkSimDecodeRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sim.DecodeRun(a, model.FP16, 512, 1024, 1)
-	}
-}
-
-func BenchmarkKVCacheAppend(b *testing.B) {
-	c, err := kvcache.New(kvcache.Config{BlockSize: 16, NumBlocks: 1 << 20, BytesPerToken: 131072})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Allocate("s", 1); err != nil {
-		b.Fatal(err)
-	}
-	// Recycle the sequence before the cache fills (1M-block cache holds
-	// ~16.7M tokens; restart every 8M appends).
-	const recycleAt = 8 << 20
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%recycleAt == recycleAt-1 {
-			if err := c.Free("s"); err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Allocate("s", 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := c.AppendToken("s"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

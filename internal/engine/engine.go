@@ -86,6 +86,10 @@ type Config struct {
 // execution by the model twin (the engine transports tokens; it does not
 // decide how many the model emits).
 type Request struct {
+	// ID labels the request's Metrics, trace spans and errors; the engine
+	// never looks a request up by it, so IDs need not be unique for
+	// serving. telemetry.Breakdown groups spans by ID, so a traced run
+	// that is broken down needs them unique within the run.
 	ID           string
 	PromptTokens int
 	OutputTokens int
@@ -374,14 +378,16 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 	}
 
 	s := e.newScheduler(len(outputs), FCFS, ServeOpts{SizeHint: len(outputs)}, true)
-	root := "par-0"
-	if err := e.cache.Allocate(root, promptTokens); err != nil {
+	// Branch 0 decodes on the prompt's own sequence; each later branch
+	// forks it. Every block table is sized to its branch's final length.
+	root, err := e.cache.Allocate(promptTokens, promptTokens+outputs[0])
+	if err != nil {
 		return s.out.BatchMetrics, err
 	}
 	res := e.prefill(promptTokens)
 	if s.tra != nil {
 		// The shared prefill sits on branch 0's lane, which owns its cost.
-		s.tra.Record(telemetry.Span{ID: root, Kind: telemetry.KindPrefill,
+		s.tra.Record(telemetry.Span{ID: "par-0", Kind: telemetry.KindPrefill,
 			Start: e.clock, End: e.clock + res.Time, Tokens: promptTokens})
 		s.ttftHist.Observe(res.Time)
 	}
@@ -392,19 +398,18 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 	// Seed the active set with the branches, in slot order, as if each
 	// had been admitted at the start of the run. Branch 0 takes slot 0.
 	for i, o := range outputs {
-		id := fmt.Sprintf("par-%d", i)
+		h := root
 		if i > 0 {
-			if err := e.cache.Fork(root, id); err != nil {
+			if h, err = e.cache.Fork(root, promptTokens+o); err != nil {
 				return s.out.BatchMetrics, err
 			}
 		}
+		id := fmt.Sprintf("par-%d", i)
 		req := Request{ID: id, PromptTokens: promptTokens, OutputTokens: o}
 		*s.vacant() = activeSeq{tr: TimedRequest{Request: req, Arrival: s.start}, at: s.start,
-			ctx: promptTokens, remaining: o, admitAt: s.start,
+			handle: h, ctx: promptTokens, remaining: o, admitAt: s.start,
 			metrics: Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: o}}
-		if _, err := s.seat(); err != nil {
-			return s.out.BatchMetrics, err
-		}
+		s.seat()
 	}
 	s.arena[s.active[0]].metrics.PrefillTime = res.Time
 	s.arena[s.active[0]].metrics.PrefillEnergy = prefillEnergy

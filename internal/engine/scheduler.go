@@ -36,10 +36,9 @@ type queued struct {
 	at float64
 }
 
-// activeSeq is a request mid-decode. The KV handle is resolved once at
-// admission so the decode loop never touches the cache's sequence map;
-// the request itself (arrival, deadline, session tag, token identities)
-// rides along instead of in side maps.
+// activeSeq is a request mid-decode, holding the KV handle its admission
+// created; the request itself (arrival, deadline, session tag, token
+// identities) rides along instead of in side maps.
 type activeSeq struct {
 	tr        TimedRequest
 	at        float64 // offer instant
@@ -286,7 +285,7 @@ func (s *scheduler) crash() error {
 	}
 	for _, slot := range s.active {
 		a := &s.arena[slot]
-		if err := e.cache.FreeH(a.handle); err != nil {
+		if err := e.cache.Free(a.handle); err != nil {
 			return seqError("crash", a.tr.ID, err)
 		}
 		s.aborted = append(s.aborted, Abort{TimedRequest: a.tr, OfferedAt: a.at, Lost: a.metrics.TotalTime()})
@@ -395,8 +394,7 @@ func (s *scheduler) admit(t float64) (bool, error) {
 			return false, fmt.Errorf("engine: request %q (%d tokens) exceeds KV capacity even alone", //edgereasoning:allow hotpath -- terminal error, ends the run
 				tr.ID, tr.PromptTokens+tr.OutputTokens)
 		}
-		// Field by field, so no activeSeq is built elsewhere and copied;
-		// seat sets the handle.
+		// Field by field, so no activeSeq is built elsewhere and copied.
 		a := s.vacant()
 		a.tr, a.at, a.admitAt = tr.TimedRequest, tr.at, e.clock
 		a.ctx, a.remaining = tr.PromptTokens, tr.OutputTokens
@@ -406,13 +404,12 @@ func (s *scheduler) admit(t float64) (bool, error) {
 		id, prompt := a.tr.ID, a.tr.PromptTokens
 		matched := 0
 		restore := 0.0
-		if syms != nil {
+		var err error
+		// The block table is sized to the final length, known up front, so
+		// the whole decode stays allocation-free.
+		if final := prompt + a.tr.OutputTokens; syms != nil {
 			restoreBefore := e.prefix.Metrics().RestoreSeconds
-			m, err := e.prefix.Acquire(id, syms)
-			if err != nil {
-				return false, seqError("admit", id, err)
-			}
-			matched = m
+			a.handle, matched = e.prefix.Acquire(syms, final)
 			s.out.PrefixLookups++
 			s.out.PrefixLookupTokens += prompt
 			if matched > 0 {
@@ -426,19 +423,16 @@ func (s *scheduler) admit(t float64) (bool, error) {
 				s.out.HostHits++
 				s.out.RestoreSeconds += restore
 			}
-		} else if err := e.cache.AllocateReserve(id, prompt, prompt+a.tr.OutputTokens); err != nil {
+		} else if a.handle, err = e.cache.Allocate(prompt, final); err != nil {
 			return false, seqError("admit", id, err)
 		}
 		a.metrics.CachedPromptTokens, a.metrics.RestoreTime = matched, restore
-		slot, err := s.seat()
-		if err != nil {
-			return false, seqError("admit", id, err)
-		}
+		slot := s.seat()
 		if syms != nil {
 			// Acquire seeded only the matched blocks; append the suffix
 			// the prefill below computes (the whole prompt on a cold
 			// start).
-			if err := e.cache.AppendTokensH(a.handle, prompt-matched); err != nil {
+			if err := e.cache.Append(a.handle, prompt-matched); err != nil {
 				return false, seqError("admit", id, err)
 			}
 		}
@@ -496,29 +490,19 @@ func (s *scheduler) admit(t float64) (bool, error) {
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (s *scheduler) vacant() *activeSeq { return &s.arena[s.free[len(s.free)-1]] }
 
-// seat admits the sequence built in the vacant slot: it resolves the
-// sequence's KV handle, reserves its block table to the final length —
-// known up front, so the whole decode stays allocation-free — takes the
-// slot off the free list and appends it to the active set, adding its
-// remaining decode growth to futureGrowth. It returns the slot, which is
-// also the sequence's trace lane.
+// seat admits the sequence built in the vacant slot, its KV handle
+// already set: it takes the slot off the free list and appends it to the
+// active set, adding its remaining decode growth to futureGrowth. It
+// returns the slot, which is also the sequence's trace lane.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (s *scheduler) seat() (int, error) {
+func (s *scheduler) seat() int {
 	slot := s.free[len(s.free)-1]
 	a := &s.arena[slot]
-	h, err := s.e.cache.Lookup(a.tr.ID)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.e.cache.ReserveH(h, a.ctx+a.remaining); err != nil {
-		return 0, err
-	}
-	a.handle = h
 	s.free = s.free[:len(s.free)-1]
 	s.futureGrowth += s.e.blocksFor(a.ctx+a.remaining) - s.e.blocksFor(a.ctx)
 	s.active = append(s.active, slot)
-	return slot, nil
+	return slot
 }
 
 // decodeStep advances the active set to its next event — the shortest
@@ -581,7 +565,7 @@ func (s *scheduler) decodeStep() error {
 	perSeqEnergy := energy / float64(len(s.active))
 	for _, slot := range s.active {
 		a := &s.arena[slot]
-		if err := e.cache.AppendTokensH(a.handle, chunk); err != nil {
+		if err := e.cache.Append(a.handle, chunk); err != nil {
 			return seqError("decode", a.tr.ID, err)
 		}
 		s.futureGrowth -= e.blocksFor(a.ctx+chunk) - e.blocksFor(a.ctx)
@@ -651,7 +635,7 @@ func (s *scheduler) finish(slot int) error {
 		if err := e.prefix.Release(a.handle, a.tr.PromptSyms[:a.tr.PromptTokens], outSyms); err != nil {
 			return seqError("finish", a.tr.ID, err)
 		}
-	} else if err := e.cache.FreeH(a.handle); err != nil {
+	} else if err := e.cache.Free(a.handle); err != nil {
 		return seqError("finish", a.tr.ID, err)
 	}
 	// Latency is finish − arrival, evaluated as the engine-local time

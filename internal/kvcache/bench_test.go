@@ -15,63 +15,63 @@ func newBenchCache(b *testing.B) *Cache {
 	// One untimed warm-up lifecycle: the sequence shell and its block
 	// table land in the recycling pool, so timed iterations measure the
 	// steady state even at -benchtime=1x (the CI smoke setting).
-	if err := c.Allocate("s", 1); err != nil {
+	h, err := c.Allocate(1, 1)
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := c.AppendTokens("s", benchTokensPerOp); err != nil {
+	if err := c.Append(h, benchTokensPerOp); err != nil {
 		b.Fatal(err)
 	}
-	if err := c.Free("s"); err != nil {
+	if err := c.Free(h); err != nil {
 		b.Fatal(err)
 	}
 	return c
 }
 
 // BenchmarkKVAppend measures the same lifecycle as BenchmarkKVAppendToken
-// through the bulk handle path the engine uses: one Lookup, one chunked
-// AppendTokensH per decode event (the engine's admission grain is 16–32
-// steps), one FreeH. Tracked in BENCH_serve.json by scripts/bench.sh.
+// through the bulk path the engine uses: one Allocate, one chunked
+// Append per decode event (the engine's admission grain is 16–32 steps),
+// one Free. Tracked in BENCH_serve.json by scripts/bench.sh.
 func BenchmarkKVAppend(b *testing.B) {
 	c := newBenchCache(b)
 	const chunk = 32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Allocate("s", 1); err != nil {
-			b.Fatal(err)
-		}
-		h, err := c.Lookup("s")
+		h, err := c.Allocate(1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for t := 0; t < benchTokensPerOp; t += chunk {
-			if err := c.AppendTokensH(h, chunk); err != nil {
+			if err := c.Append(h, chunk); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := c.FreeH(h); err != nil {
+		if err := c.Free(h); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkKVAppendToken measures one sequence lifecycle — allocate,
-// append a long reasoning trace one token at a time, free — through the
-// per-token path the engine used before bulk accounting landed.
+// append a long reasoning trace one token at a time, free — through
+// Append(h, 1), the per-token path the engine used before bulk
+// accounting landed.
 func BenchmarkKVAppendToken(b *testing.B) {
 	c := newBenchCache(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Allocate("s", 1); err != nil {
+		h, err := c.Allocate(1, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
 		for t := 0; t < benchTokensPerOp; t++ {
-			if err := c.AppendToken("s"); err != nil {
+			if err := c.Append(h, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := c.Free("s"); err != nil {
+		if err := c.Free(h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,12 @@
 // to account for memory capacity and to share prompt KV across parallel
 // test-time-scaling decoders (§V-E: "the prefill phase is executed once
 // ... during the decode phase we increase the batch size").
+//
+// A sequence is named only by the Handle that created it. Allocate, Fork
+// and PrefixIndex.Acquire create one with its block table already sized
+// to its final length; Append grows it, and Free or PrefixIndex.Release
+// ends it. The cache keeps no map from request IDs, so a caller's IDs are
+// labels it need not keep unique.
 package kvcache
 
 import (
@@ -15,10 +21,9 @@ import (
 var (
 	// ErrOutOfBlocks means the allocation would exceed cache capacity.
 	ErrOutOfBlocks = errors.New("kvcache: out of blocks")
-	// ErrUnknownSequence means the sequence ID has no allocation.
+	// ErrUnknownSequence means the Handle is stale (its sequence was
+	// freed) or was issued by another cache.
 	ErrUnknownSequence = errors.New("kvcache: unknown sequence")
-	// ErrSequenceExists means Allocate was called twice for one ID.
-	ErrSequenceExists = errors.New("kvcache: sequence already allocated")
 )
 
 // Config sizes a cache.
@@ -52,7 +57,8 @@ func ConfigForMemory(budgetBytes int64, blockSize int, bytesPerToken int64) Conf
 	return Config{BlockSize: blockSize, NumBlocks: n, BytesPerToken: bytesPerToken}
 }
 
-// sequence is a live allocation.
+// sequence is a sequence shell: a live allocation, or a freed one
+// waiting in the pool for reuse.
 type sequence struct {
 	blocks []int // indices into the block pool
 	length int   // tokens stored
@@ -85,7 +91,11 @@ type Cache struct {
 	cfg      Config
 	refcount []int // per grabbed block; 0 = free; len is the watermark
 	free     []int // recycled blocks below the watermark (LIFO)
-	seqs     map[string]*sequence
+	// shells is every sequence shell the cache has made, in creation
+	// order, live or pooled; live counts the live ones. Only
+	// CheckInvariants and Stats read them.
+	shells []*sequence
+	live   int
 	// pool recycles freed sequence shells (and their block-table
 	// capacity) so steady-state admit/free churn is allocation-free.
 	pool []*sequence
@@ -110,7 +120,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, seqs: make(map[string]*sequence)}, nil
+	return &Cache{cfg: cfg}, nil
 }
 
 // blocksFor returns the block count holding n tokens.
@@ -180,41 +190,66 @@ func (c *Cache) release(b int) {
 	}
 }
 
-// Allocate reserves blocks for a new sequence of the given token length.
-// On failure nothing is allocated.
-func (c *Cache) Allocate(seqID string, tokens int) error {
-	return c.AllocateReserve(seqID, tokens, tokens)
+// Handle names a live sequence: Allocate, Fork and PrefixIndex.Acquire
+// return one, and Append, Free and PrefixIndex.Release take it. A Handle
+// is invalidated by Free or Release; using it afterwards returns
+// ErrUnknownSequence. Handles are only valid on the cache that issued
+// them.
+type Handle struct {
+	c   *Cache
+	s   *sequence
+	gen int
 }
 
-// AllocateReserve is Allocate with the sequence's final token length
-// known up front: blocks are grabbed for tokens only, but the block
-// table is sized for reserveTokens so later appends never reallocate it
-// — one table allocation per sequence lifetime, as ReserveH promises,
-// without a grow-then-copy on admission.
-func (c *Cache) AllocateReserve(seqID string, tokens, reserveTokens int) error {
-	if _, ok := c.seqs[seqID]; ok {
-		return ErrSequenceExists
-	}
+// valid reports whether h is a live handle issued by this cache for the
+// current lifetime of its sequence shell.
+//
+//edgereasoning:hotpath bench=BenchmarkKVAppend
+func (c *Cache) valid(h Handle) bool {
+	return h.c == c && h.s != nil && !h.s.freed && h.s.gen == h.gen
+}
+
+// handle issues the Handle for a shell just taken from newSequence.
+func (c *Cache) handle(s *sequence) Handle { return Handle{c: c, s: s, gen: s.gen} }
+
+// Allocate creates a sequence of the given token length. Blocks are
+// grabbed for tokens only, but the block table is sized for the final
+// length reserveTokens, so the sequence's appends never reallocate it.
+// On failure nothing is allocated.
+func (c *Cache) Allocate(tokens, reserveTokens int) (Handle, error) {
 	need := c.blocksFor(tokens)
 	if need > c.FreeBlocks() {
-		return ErrOutOfBlocks
+		return Handle{}, ErrOutOfBlocks
 	}
-	capBlocks := c.blocksFor(reserveTokens)
-	if capBlocks < need {
-		capBlocks = need
-	}
-	s := c.newSequence(capBlocks)
+	s := c.newSequence(max(need, c.blocksFor(reserveTokens)))
 	s.length = tokens
 	for i := 0; i < need; i++ {
 		b, _ := c.grab() // cannot fail: capacity checked above
 		s.blocks = append(s.blocks, b)
 	}
-	c.seqs[seqID] = s
-	return nil
+	return c.handle(s), nil
 }
 
-// newSequence returns an empty sequence shell with room for capBlocks,
-// recycled from the free pool when possible.
+// Fork creates a sequence sharing all of parent's blocks copy-on-write,
+// with its block table sized for the final length reserveTokens. This is
+// how parallel test-time scaling reuses one prefill across SF decoders
+// at near-zero memory cost.
+func (c *Cache) Fork(parent Handle, reserveTokens int) (Handle, error) {
+	if !c.valid(parent) {
+		return Handle{}, ErrUnknownSequence
+	}
+	p := parent.s
+	child := c.newSequence(max(len(p.blocks), c.blocksFor(reserveTokens)))
+	child.length = p.length
+	child.blocks = append(child.blocks, p.blocks...)
+	for _, b := range p.blocks {
+		c.retain(b)
+	}
+	return c.handle(child), nil
+}
+
+// newSequence returns an empty live sequence shell with room for
+// capBlocks, recycled from the free pool when possible.
 func (c *Cache) newSequence(capBlocks int) *sequence {
 	// Size every block table to the high-water reservation seen so far:
 	// once one large sequence has passed through, recycled shells fit all
@@ -225,6 +260,7 @@ func (c *Cache) newSequence(capBlocks int) *sequence {
 	} else {
 		c.tableCap = capBlocks
 	}
+	c.live++
 	if n := len(c.pool); n > 0 {
 		s := c.pool[n-1]
 		c.pool[n-1] = nil
@@ -236,38 +272,27 @@ func (c *Cache) newSequence(capBlocks int) *sequence {
 		}
 		return s
 	}
-	return &sequence{blocks: make([]int, 0, capBlocks)}
+	s := &sequence{blocks: make([]int, 0, capBlocks)}
+	c.shells = append(c.shells, s)
+	return s
 }
 
-// AppendToken extends a sequence by one token, allocating a fresh block at
-// block boundaries and copying a shared tail block (copy-on-write) before
-// writing into it. It is a thin wrapper over the bulk path; callers
-// appending many tokens should use AppendTokens (or a Handle) instead of
-// paying one map lookup per token.
-func (c *Cache) AppendToken(seqID string) error {
-	return c.AppendTokens(seqID, 1)
-}
-
-// AppendTokens extends a sequence by n tokens in one call: one map
-// lookup, one copy-on-write check on the shared tail, and O(new blocks)
-// grabs — the engine's decode loop advances whole chunks this way
-// instead of once per token. n <= 0 is a no-op.
+// Append extends the handle's sequence by n tokens in one call: one
+// copy-on-write check on the shared tail and O(new blocks) grabs — the
+// engine's decode loop advances whole chunks this way instead of once
+// per token. n <= 0 is a no-op.
 //
 // On ErrOutOfBlocks the sequence keeps the partial progress a token-wise
 // loop would have made (the tail and every grabbed block filled), so the
-// call remains exactly equivalent to n consecutive AppendToken calls,
+// call remains exactly equivalent to n consecutive Append(h, 1) calls,
 // error point included.
-func (c *Cache) AppendTokens(seqID string, n int) error {
-	s, ok := c.seqs[seqID]
-	if !ok {
+//
+//edgereasoning:hotpath bench=BenchmarkKVAppend
+func (c *Cache) Append(h Handle, n int) error {
+	if !c.valid(h) {
 		return ErrUnknownSequence
 	}
-	return c.appendTokens(s, n)
-}
-
-// appendTokens is the shared bulk core behind AppendToken(s) and
-// AppendTokensH.
-func (c *Cache) appendTokens(s *sequence, n int) error {
+	s := h.s
 	if n <= 0 {
 		return nil
 	}
@@ -307,124 +332,20 @@ func (c *Cache) appendTokens(s *sequence, n int) error {
 	return nil
 }
 
-// Handle is a resolved reference to a live sequence: the engine looks a
-// sequence up once per lifetime and then appends and frees through the
-// handle without further map traffic. A Handle is invalidated by Free or
-// FreeH; using it afterwards returns ErrUnknownSequence. Handles are only
-// valid on the cache that issued them.
-type Handle struct {
-	c   *Cache
-	s   *sequence
-	id  string
-	gen int
-}
-
-// ID returns the sequence ID the handle resolves.
-func (h Handle) ID() string { return h.id }
-
-// Lookup resolves a sequence ID to a Handle for the map-free fast path.
+// Free releases the handle's sequence and invalidates the handle.
 //
 //edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) Lookup(seqID string) (Handle, error) {
-	s, ok := c.seqs[seqID]
-	if !ok {
-		return Handle{}, ErrUnknownSequence
-	}
-	return Handle{c: c, s: s, id: seqID, gen: s.gen}, nil
-}
-
-// valid reports whether h is a live handle issued by this cache for the
-// current lifetime of its sequence shell.
-//
-//edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) valid(h Handle) bool {
-	return h.c == c && h.s != nil && !h.s.freed && h.s.gen == h.gen
-}
-
-// ReserveH grows the handle's block-table capacity to cover a final
-// length of `tokens`, so a sequence whose total (prompt + output) is
-// known at admission pays at most one table allocation for its whole
-// lifetime. Only table capacity is reserved — no cache blocks are taken.
-//
-//edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) ReserveH(h Handle, tokens int) error {
+func (c *Cache) Free(h Handle) error {
 	if !c.valid(h) {
 		return ErrUnknownSequence
 	}
-	if need := c.blocksFor(tokens); cap(h.s.blocks) < need {
-		nb := make([]int, len(h.s.blocks), need) //edgereasoning:allow hotpath -- at most one table growth per sequence lifetime
-		copy(nb, h.s.blocks)
-		h.s.blocks = nb
-	}
-	return nil
-}
-
-// AppendTokensH is AppendTokens through a resolved Handle: zero map
-// lookups on the decode hot path.
-//
-//edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) AppendTokensH(h Handle, n int) error {
-	if !c.valid(h) {
-		return ErrUnknownSequence
-	}
-	return c.appendTokens(h.s, n)
-}
-
-// LengthH returns the handle's token count.
-//
-//edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) LengthH(h Handle) (int, error) {
-	if !c.valid(h) {
-		return 0, ErrUnknownSequence
-	}
-	return h.s.length, nil
-}
-
-// FreeH releases the handle's sequence and invalidates the handle.
-//
-//edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) FreeH(h Handle) error {
-	if !c.valid(h) {
-		return ErrUnknownSequence
-	}
-	c.freeSeq(h.id, h.s)
-	return nil
-}
-
-// Fork creates childID sharing all of parentID's blocks copy-on-write.
-// This is how parallel test-time scaling reuses one prefill across SF
-// decoders at near-zero memory cost.
-func (c *Cache) Fork(parentID, childID string) error {
-	p, ok := c.seqs[parentID]
-	if !ok {
-		return ErrUnknownSequence
-	}
-	if _, ok := c.seqs[childID]; ok {
-		return ErrSequenceExists
-	}
-	child := c.newSequence(len(p.blocks))
-	child.length = p.length
-	child.blocks = append(child.blocks, p.blocks...)
-	for _, b := range p.blocks {
-		c.retain(b)
-	}
-	c.seqs[childID] = child
-	return nil
-}
-
-// Free releases a sequence's blocks.
-func (c *Cache) Free(seqID string) error {
-	s, ok := c.seqs[seqID]
-	if !ok {
-		return ErrUnknownSequence
-	}
-	c.freeSeq(seqID, s)
+	c.freeSeq(h.s)
 	return nil
 }
 
 // freeSeq releases the blocks, invalidates outstanding handles, and
 // recycles the shell.
-func (c *Cache) freeSeq(seqID string, s *sequence) {
+func (c *Cache) freeSeq(s *sequence) {
 	for _, b := range s.blocks {
 		c.release(b)
 	}
@@ -434,22 +355,13 @@ func (c *Cache) freeSeq(seqID string, s *sequence) {
 	// A pooled shell pins no prefix entry and no syms.
 	clear(s.chain)
 	s.chain, s.chainSym0 = s.chain[:0], nil
-	delete(c.seqs, seqID)
+	c.live--
 	if c.pool == nil {
 		// The pool peaks at the max live sequence count (~the batch size);
 		// a 16-shell floor skips the early append-growth doublings.
 		c.pool = make([]*sequence, 0, 16)
 	}
 	c.pool = append(c.pool, s)
-}
-
-// Length returns a sequence's token count.
-func (c *Cache) Length(seqID string) (int, error) {
-	s, ok := c.seqs[seqID]
-	if !ok {
-		return 0, ErrUnknownSequence
-	}
-	return s.length, nil
 }
 
 // Stats summarizes occupancy.
@@ -501,7 +413,7 @@ func (c *Cache) Stats() Stats {
 		FreeBlocks:   free,
 		UsedBlocks:   used,
 		PeakUsed:     c.peakUsed,
-		Sequences:    len(c.seqs),
+		Sequences:    c.live,
 		UsedBytes:    int64(used) * blockBytes,
 		TotalBytes:   int64(c.cfg.NumBlocks) * blockBytes,
 		SharedBlocks: c.shared,
@@ -522,23 +434,32 @@ func (c *Cache) sharedScan() int {
 
 // CheckInvariants verifies internal consistency: every block is either on
 // the free list with refcount 0 or referenced by exactly refcount holders
-// (sequences plus any attached prefix index), per-sequence block counts
-// match lengths, and the O(1) shared-block counter agrees with a full
-// scan. Used by property tests.
+// (live sequences plus any attached prefix index), per-sequence block
+// counts match lengths, the live-sequence counter matches the shells,
+// and the O(1) shared-block counter agrees with a full scan. Used by
+// property tests.
 func (c *Cache) CheckInvariants() error {
 	// Only the watermark region has live state; blocks past it were never
 	// grabbed and can hold no references.
 	refs := make([]int, len(c.refcount))
-	for id, s := range c.seqs {
+	live := 0
+	for i, s := range c.shells {
+		if s.freed {
+			continue
+		}
+		live++
 		if got, want := len(s.blocks), c.blocksFor(s.length); got != want {
-			return fmt.Errorf("kvcache: seq %s holds %d blocks for %d tokens (want %d)", id, got, s.length, want)
+			return fmt.Errorf("kvcache: seq #%d holds %d blocks for %d tokens (want %d)", i, got, s.length, want)
 		}
 		for _, b := range s.blocks {
 			if b >= len(refs) {
-				return fmt.Errorf("kvcache: seq %s holds block %d past watermark %d", id, b, len(refs))
+				return fmt.Errorf("kvcache: seq #%d holds block %d past watermark %d", i, b, len(refs))
 			}
 			refs[b]++
 		}
+	}
+	if live != c.live {
+		return fmt.Errorf("kvcache: %d live sequence shells, counter says %d", live, c.live)
 	}
 	if c.indexRefs != nil {
 		for b, n := range c.indexRefs {

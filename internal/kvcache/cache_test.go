@@ -1,7 +1,6 @@
 package kvcache
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -16,19 +15,41 @@ func newTestCache(t *testing.T, blocks int) *Cache {
 	return c
 }
 
-func TestAllocateAndFree(t *testing.T) {
-	c := newTestCache(t, 64)
-	if err := c.Allocate("a", 100); err != nil {
+// alloc creates a sequence of the given length, failing the test on
+// error.
+func alloc(t *testing.T, c *Cache, tokens int) Handle {
+	t.Helper()
+	h, err := c.Allocate(tokens, tokens)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return h
+}
+
+// fork forks parent, failing the test on error.
+func fork(t *testing.T, c *Cache, parent Handle) Handle {
+	t.Helper()
+	h, err := c.Fork(parent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+func TestAllocateAndFree(t *testing.T) {
+	c := newTestCache(t, 64)
+	h := alloc(t, c, 100)
 	st := c.Stats()
 	if st.UsedBlocks != 7 { // ceil(100/16)
 		t.Errorf("used blocks = %d, want 7", st.UsedBlocks)
 	}
-	if err := c.Free("a"); err != nil {
+	if st.Sequences != 1 {
+		t.Errorf("sequences = %d, want 1", st.Sequences)
+	}
+	if err := c.Free(h); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.UsedBlocks != 0 || st.FreeBlocks != 64 {
+	if st := c.Stats(); st.UsedBlocks != 0 || st.FreeBlocks != 64 || st.Sequences != 0 {
 		t.Errorf("after free: %+v", st)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -36,57 +57,40 @@ func TestAllocateAndFree(t *testing.T) {
 	}
 }
 
-func TestAllocateDuplicate(t *testing.T) {
-	c := newTestCache(t, 8)
-	if err := c.Allocate("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Allocate("a", 1); err != ErrSequenceExists {
-		t.Errorf("got %v, want ErrSequenceExists", err)
-	}
-}
-
 func TestAllocateOutOfBlocks(t *testing.T) {
 	c := newTestCache(t, 4)
-	err := c.Allocate("big", 100) // needs 7 blocks
+	_, err := c.Allocate(100, 100) // needs 7 blocks
 	if err != ErrOutOfBlocks {
 		t.Fatalf("got %v, want ErrOutOfBlocks", err)
 	}
 	// Failed allocation must not leak.
-	if st := c.Stats(); st.UsedBlocks != 0 {
-		t.Errorf("leaked blocks after failed allocation: %+v", st)
+	if st := c.Stats(); st.UsedBlocks != 0 || st.Sequences != 0 {
+		t.Errorf("leaked after failed allocation: %+v", st)
 	}
 }
 
 func TestAppendTokenBlockBoundary(t *testing.T) {
 	c := newTestCache(t, 8)
-	if err := c.Allocate("a", 16); err != nil {
-		t.Fatal(err)
-	}
+	h := alloc(t, c, 16)
 	if st := c.Stats(); st.UsedBlocks != 1 {
 		t.Fatalf("want 1 block, got %d", st.UsedBlocks)
 	}
-	if err := c.AppendToken("a"); err != nil { // crosses into block 2
+	if err := c.Append(h, 1); err != nil { // crosses into block 2
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.UsedBlocks != 2 {
 		t.Errorf("after boundary append: %d blocks, want 2", st.UsedBlocks)
 	}
-	n, err := c.Length("a")
-	if err != nil || n != 17 {
-		t.Errorf("length = %d/%v, want 17", n, err)
+	if n := h.s.length; n != 17 {
+		t.Errorf("length = %d, want 17", n)
 	}
 }
 
 func TestForkSharesBlocks(t *testing.T) {
 	c := newTestCache(t, 32)
-	if err := c.Allocate("parent", 64); err != nil { // 4 blocks
-		t.Fatal(err)
-	}
+	parent := alloc(t, c, 64) // 4 blocks
 	for i := 0; i < 7; i++ {
-		if err := c.Fork("parent", fmt.Sprintf("child%d", i)); err != nil {
-			t.Fatal(err)
-		}
+		fork(t, c, parent)
 	}
 	st := c.Stats()
 	if st.UsedBlocks != 4 {
@@ -94,6 +98,9 @@ func TestForkSharesBlocks(t *testing.T) {
 	}
 	if st.SharedBlocks != 4 {
 		t.Errorf("shared blocks = %d, want 4", st.SharedBlocks)
+	}
+	if st.Sequences != 8 {
+		t.Errorf("sequences = %d, want 8", st.Sequences)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -103,14 +110,10 @@ func TestForkSharesBlocks(t *testing.T) {
 func TestCopyOnWriteOnSharedTail(t *testing.T) {
 	c := newTestCache(t, 32)
 	// 20 tokens: tail block holds 4 tokens (not at boundary).
-	if err := c.Allocate("p", 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Fork("p", "c"); err != nil {
-		t.Fatal(err)
-	}
+	p := alloc(t, c, 20)
+	child := fork(t, c, p)
 	before := c.Stats().UsedBlocks // 2 shared blocks
-	if err := c.AppendToken("c"); err != nil {
+	if err := c.Append(child, 1); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Stats().UsedBlocks
@@ -118,7 +121,7 @@ func TestCopyOnWriteOnSharedTail(t *testing.T) {
 		t.Errorf("CoW append must copy the shared tail: %d -> %d blocks", before, after)
 	}
 	// Parent unaffected.
-	if n, _ := c.Length("p"); n != 20 {
+	if n := p.s.length; n != 20 {
 		t.Errorf("parent length changed to %d", n)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -128,20 +131,16 @@ func TestCopyOnWriteOnSharedTail(t *testing.T) {
 
 func TestForkThenFreeParent(t *testing.T) {
 	c := newTestCache(t, 32)
-	if err := c.Allocate("p", 48); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Fork("p", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Free("p"); err != nil {
+	p := alloc(t, c, 48)
+	child := fork(t, c, p)
+	if err := c.Free(p); err != nil {
 		t.Fatal(err)
 	}
 	// Child still owns the blocks.
 	if st := c.Stats(); st.UsedBlocks != 3 {
 		t.Errorf("blocks freed under the child: %+v", st)
 	}
-	if err := c.Free("c"); err != nil {
+	if err := c.Free(child); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.UsedBlocks != 0 {
@@ -149,19 +148,27 @@ func TestForkThenFreeParent(t *testing.T) {
 	}
 }
 
+// TestUnknownSequenceErrors checks that the zero Handle and a handle
+// whose sequence was freed are rejected by every lifecycle call.
 func TestUnknownSequenceErrors(t *testing.T) {
 	c := newTestCache(t, 8)
-	if err := c.AppendToken("ghost"); err != ErrUnknownSequence {
-		t.Error("AppendToken on ghost should fail")
+	stale := alloc(t, c, 4)
+	if err := c.Free(stale); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.Free("ghost"); err != ErrUnknownSequence {
-		t.Error("Free on ghost should fail")
+	for name, h := range map[string]Handle{"zero": {}, "stale": stale} {
+		if err := c.Append(h, 1); err != ErrUnknownSequence {
+			t.Errorf("Append on %s handle = %v, want ErrUnknownSequence", name, err)
+		}
+		if err := c.Free(h); err != ErrUnknownSequence {
+			t.Errorf("Free on %s handle = %v, want ErrUnknownSequence", name, err)
+		}
+		if _, err := c.Fork(h, 0); err != ErrUnknownSequence {
+			t.Errorf("Fork from %s handle = %v, want ErrUnknownSequence", name, err)
+		}
 	}
-	if err := c.Fork("ghost", "x"); err != ErrUnknownSequence {
-		t.Error("Fork from ghost should fail")
-	}
-	if _, err := c.Length("ghost"); err != ErrUnknownSequence {
-		t.Error("Length on ghost should fail")
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -190,9 +197,11 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPeakUsedHighWaterMark(t *testing.T) {
 	c := newTestCache(t, 16)
-	_ = c.Allocate("a", 64) // 4 blocks
-	_ = c.Allocate("b", 64) // 4 blocks
-	_ = c.Free("a")
+	a := alloc(t, c, 64) // 4 blocks
+	alloc(t, c, 64)      // 4 blocks
+	if err := c.Free(a); err != nil {
+		t.Fatal(err)
+	}
 	st := c.Stats()
 	if st.PeakUsed != 8 {
 		t.Errorf("peak = %d, want 8", st.PeakUsed)
@@ -212,26 +221,22 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		live := []string{}
-		next := 0
+		var live []Handle
 		for op := 0; op < 200; op++ {
 			switch r.IntN(4) {
 			case 0: // allocate
-				id := fmt.Sprintf("s%d", next)
-				next++
-				if c.Allocate(id, 1+r.IntN(100)) == nil {
-					live = append(live, id)
+				n := 1 + r.IntN(100)
+				if h, err := c.Allocate(n, n); err == nil {
+					live = append(live, h)
 				}
 			case 1: // append
 				if len(live) > 0 {
-					_ = c.AppendToken(live[r.IntN(len(live))])
+					_ = c.Append(live[r.IntN(len(live))], 1)
 				}
 			case 2: // fork
 				if len(live) > 0 {
-					id := fmt.Sprintf("s%d", next)
-					next++
-					if c.Fork(live[r.IntN(len(live))], id) == nil {
-						live = append(live, id)
+					if h, err := c.Fork(live[r.IntN(len(live))], 0); err == nil {
+						live = append(live, h)
 					}
 				}
 			case 3: // free
@@ -243,17 +248,17 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 					live = append(live[:i], live[i+1:]...)
 				}
 			}
-			if c.CheckInvariants() != nil {
+			if c.CheckInvariants() != nil || c.Stats().Sequences != len(live) {
 				return false
 			}
 		}
-		for _, id := range live {
-			if c.Free(id) != nil {
+		for _, h := range live {
+			if c.Free(h) != nil {
 				return false
 			}
 		}
 		st := c.Stats()
-		return st.UsedBlocks == 0 && st.FreeBlocks == st.TotalBlocks && c.CheckInvariants() == nil
+		return st.UsedBlocks == 0 && st.FreeBlocks == st.TotalBlocks && st.Sequences == 0 && c.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

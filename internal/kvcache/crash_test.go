@@ -66,20 +66,15 @@ func TestCrashResetKeepHostSurvivesAllHostChains(t *testing.T) {
 	}
 
 	// The surviving history promotes back on the next matching turn.
-	matched, err := ix.Acquire("a1", probeSyms(prompt))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, matched := ix.Acquire(probeSyms(prompt), 0)
 	if matched != 8 {
 		t.Fatalf("post-crash acquire matched %d tokens, want 8 (host restore)", matched)
 	}
 	if m := ix.Metrics(); m.Promotions != 2 || m.HostHits != 1 {
 		t.Fatalf("promotions %d hostHits %d, want 2/1", m.Promotions, m.HostHits)
 	}
-	if h, err := c.Lookup("a1"); err == nil {
-		if err := ix.Release(h, probeSyms(prompt), nil); err != nil {
-			t.Fatal(err)
-		}
+	if err := ix.Release(h, probeSyms(prompt), nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestForkAppendProperty drives interleaved Fork / AppendTokensH / FreeH
+// TestForkAppendProperty drives interleaved Fork / Append / Free
 // traffic — the exact path the prefix index leans on — and checks the
 // full invariant set after every operation: refcounts reconcile against
 // sequence block tables, copy-on-write tail copies never corrupt the
@@ -28,13 +28,6 @@ func TestForkAppendProperty(t *testing.T) {
 			}
 			var seqs []live
 			next := 0
-			handleOf := func(id string) Handle {
-				h, err := c.Lookup(id)
-				if err != nil {
-					t.Fatalf("lookup %s: %v", id, err)
-				}
-				return h
-			}
 			check := func(op string) {
 				t.Helper()
 				if err := c.CheckInvariants(); err != nil {
@@ -48,23 +41,21 @@ func TestForkAppendProperty(t *testing.T) {
 					id := fmt.Sprintf("s%d", next)
 					next++
 					tokens := 1 + rng.IntN(10)
-					if err := c.Allocate(id, tokens); err != nil {
+					h, err := c.Allocate(tokens, tokens)
+					if err != nil {
 						if err != ErrOutOfBlocks {
 							t.Fatalf("allocate %s: %v", id, err)
 						}
 						check("failed allocate")
 						continue
 					}
-					seqs = append(seqs, live{id: id, handle: handleOf(id), length: tokens})
+					seqs = append(seqs, live{id: id, handle: h, length: tokens})
 					check("allocate " + id)
 				case k < 6 && len(seqs) > 0: // append through the handle
 					i := rng.IntN(len(seqs))
 					n := 1 + rng.IntN(9)
-					err := c.AppendTokensH(seqs[i].handle, n)
-					got, lerr := c.LengthH(seqs[i].handle)
-					if lerr != nil {
-						t.Fatalf("length %s: %v", seqs[i].id, lerr)
-					}
+					err := c.Append(seqs[i].handle, n)
+					got := seqs[i].handle.s.length
 					if err != nil {
 						if err != ErrOutOfBlocks {
 							t.Fatalf("append %s: %v", seqs[i].id, err)
@@ -83,18 +74,19 @@ func TestForkAppendProperty(t *testing.T) {
 					i := rng.IntN(len(seqs))
 					id := fmt.Sprintf("s%d", next)
 					next++
-					if err := c.Fork(seqs[i].id, id); err != nil {
+					h, err := c.Fork(seqs[i].handle, 0)
+					if err != nil {
 						t.Fatalf("fork %s -> %s: %v", seqs[i].id, id, err)
 					}
-					seqs = append(seqs, live{id: id, handle: handleOf(id), length: seqs[i].length})
+					seqs = append(seqs, live{id: id, handle: h, length: seqs[i].length})
 					check("fork " + id)
 				case len(seqs) > 0: // free
 					i := rng.IntN(len(seqs))
-					if err := c.FreeH(seqs[i].handle); err != nil {
+					if err := c.Free(seqs[i].handle); err != nil {
 						t.Fatalf("free %s: %v", seqs[i].id, err)
 					}
 					// The handle is dead now; every path must reject it.
-					if err := c.AppendTokensH(seqs[i].handle, 1); err != ErrUnknownSequence {
+					if err := c.Append(seqs[i].handle, 1); err != ErrUnknownSequence {
 						t.Fatalf("stale handle append: got %v, want ErrUnknownSequence", err)
 					}
 					seqs[i] = seqs[len(seqs)-1]
@@ -104,7 +96,7 @@ func TestForkAppendProperty(t *testing.T) {
 			}
 
 			for _, s := range seqs {
-				if err := c.FreeH(s.handle); err != nil {
+				if err := c.Free(s.handle); err != nil {
 					t.Fatalf("final free %s: %v", s.id, err)
 				}
 			}

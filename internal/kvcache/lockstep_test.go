@@ -58,10 +58,7 @@ func (ix *refIndex) Probe(syms []uint64) int {
 	return len(chain)
 }
 
-func (ix *refIndex) Acquire(seqID string, syms []uint64) (int, error) {
-	if _, ok := ix.c.seqs[seqID]; ok {
-		return 0, ErrSequenceExists
-	}
+func (ix *refIndex) Acquire(syms []uint64, reserveTokens int) (Handle, int) {
 	ix.m.Lookups++
 	chain := ix.walk(syms)
 	promoted := 0
@@ -79,18 +76,17 @@ func (ix *refIndex) Acquire(seqID string, syms []uint64) (int, error) {
 		ix.m.HostHits++
 		ix.m.RestoreSeconds += ix.restoreCost(promoted)
 	}
-	s := ix.c.newSequence(len(chain))
+	s := ix.c.newSequence(max(len(chain), ix.c.blocksFor(reserveTokens)))
 	for _, e := range chain {
 		ix.c.retain(e.block)
 		s.blocks = append(s.blocks, e.block)
 	}
 	s.length = len(chain) * ix.c.cfg.BlockSize
-	ix.c.seqs[seqID] = s
 	if s.length > 0 {
 		ix.m.Hits++
 		ix.m.SavedTokens += s.length
 	}
-	return s.length, nil
+	return ix.c.handle(s), s.length
 }
 
 func (ix *refIndex) Release(h Handle, promptSyms, outputSyms []uint64) error {
@@ -137,7 +133,7 @@ func (ix *refIndex) Release(h Handle, promptSyms, outputSyms []uint64) error {
 		}
 		parent = e
 	}
-	ix.c.freeSeq(h.id, s)
+	ix.c.freeSeq(s)
 	return nil
 }
 
@@ -147,11 +143,12 @@ type lockstepConfig struct {
 	blockSize, numBlocks, hostBlocks int
 }
 
-// lockSeq is a live sequence of a lockstep run: its ID and the prompt
-// slice it was acquired with (Release passes the same slice, as the
-// engine does).
+// lockSeq is a live sequence of a lockstep run: its label, its handles
+// on the index's and the reference's caches, and the prompt slice it was
+// acquired with (Release passes the same slice, as the engine does).
 type lockSeq struct {
 	id     string
+	h, rh  Handle
 	prompt []uint64
 }
 
@@ -251,15 +248,12 @@ func (l *lockstep) step() {
 		id := fmt.Sprintf("q%d", l.nextID)
 		l.nextID++
 		op = fmt.Sprintf("acquire %s (%d syms)", id, len(l.cand))
-		m, err := l.ix.Acquire(id, l.cand)
-		rm, rerr := l.rx.Acquire(id, l.cand)
+		h, m := l.ix.Acquire(l.cand, len(l.cand))
+		rh, rm := l.rx.Acquire(l.cand, len(l.cand))
 		l.same(op, m, rm)
-		l.sameErr(op, err, rerr)
-		if err != nil {
-			break
-		}
-		if l.appendBoth(id, len(l.cand)-m) {
-			l.live = append(l.live, lockSeq{id: id, prompt: l.cand})
+		s := lockSeq{id: id, h: h, rh: rh, prompt: l.cand}
+		if l.appendBoth(s, len(l.cand)-m) {
+			l.live = append(l.live, s)
 		}
 	case k < 19: // decode: append output tokens to a live sequence
 		if len(l.live) == 0 {
@@ -268,7 +262,7 @@ func (l *lockstep) step() {
 		j := l.pick(len(l.live))
 		n := l.pick(3 * l.c.cfg.BlockSize)
 		op = fmt.Sprintf("append %s %d", l.live[j].id, n)
-		if !l.appendBoth(l.live[j].id, n) {
+		if !l.appendBoth(l.live[j], n) {
 			l.live = append(l.live[:j], l.live[j+1:]...)
 		}
 	case k < 22: // finish: release with retention
@@ -291,8 +285,7 @@ func (l *lockstep) step() {
 			prompt = l.fresh(len(prompt))
 		}
 		op = fmt.Sprintf("release %s (%d+%d syms)", s.id, len(prompt), len(out))
-		h, rh := l.handles(s.id)
-		l.sameErr(op, l.ix.Release(h, prompt, out), l.rx.Release(rh, prompt, out))
+		l.sameErr(op, l.ix.Release(s.h, prompt, out), l.rx.Release(s.rh, prompt, out))
 		l.histories = append(l.histories, append(append([]uint64{}, s.prompt...), out...))
 		if len(l.histories) > 16 {
 			l.histories = l.histories[1:]
@@ -302,10 +295,10 @@ func (l *lockstep) step() {
 			return
 		}
 		j := l.pick(len(l.live))
-		id := l.live[j].id
+		s := l.live[j]
 		l.live = append(l.live[:j], l.live[j+1:]...)
-		op = "free " + id
-		l.sameErr(op, l.c.Free(id), l.rc.Free(id))
+		op = "free " + s.id
+		l.sameErr(op, l.c.Free(s.h), l.rc.Free(s.rh))
 	default: // device crash; live sequences stay and release later
 		keep := l.pick(2) == 1
 		op = fmt.Sprintf("crash-reset keepHost=%v", keep)
@@ -315,29 +308,16 @@ func (l *lockstep) step() {
 	l.compare(op)
 }
 
-// appendBoth appends n tokens to id on both caches; on running out of
+// appendBoth appends n tokens to s on both caches; on running out of
 // blocks the sequence is abandoned on both, and appendBoth reports false.
-func (l *lockstep) appendBoth(id string, n int) bool {
-	h, rh := l.handles(id)
-	err, rerr := l.c.AppendTokensH(h, n), l.rc.AppendTokensH(rh, n)
-	l.sameErr("append "+id, err, rerr)
+func (l *lockstep) appendBoth(s lockSeq, n int) bool {
+	err, rerr := l.c.Append(s.h, n), l.rc.Append(s.rh, n)
+	l.sameErr("append "+s.id, err, rerr)
 	if err == nil {
 		return true
 	}
-	l.sameErr("free "+id, l.c.Free(id), l.rc.Free(id))
+	l.sameErr("free "+s.id, l.c.Free(s.h), l.rc.Free(s.rh))
 	return false
-}
-
-func (l *lockstep) handles(id string) (Handle, Handle) {
-	h, err := l.c.Lookup(id)
-	if err != nil {
-		l.t.Fatalf("lookup %s: %v", id, err)
-	}
-	rh, err := l.rc.Lookup(id)
-	if err != nil {
-		l.t.Fatalf("reference lookup %s: %v", id, err)
-	}
-	return h, rh
 }
 
 func (l *lockstep) same(op string, got, want int) {

@@ -258,11 +258,12 @@ func (ix *PrefixIndex) Probe(syms []uint64) int {
 	return len(chain)
 }
 
-// Acquire creates seqID seeded with the longest indexed prefix of syms
-// (fork-style: matched blocks are shared copy-on-write via refcount
-// bumps) and returns the number of tokens reused. A zero return means a
-// cold start; the sequence then exists with length 0 and the caller
-// appends the whole prompt. A match that walks onto a host-resident
+// Acquire creates a sequence seeded with the longest indexed prefix of
+// syms (fork-style: matched blocks are shared copy-on-write via refcount
+// bumps), its block table sized for the final length reserveTokens, and
+// returns its handle and the number of tokens reused. A zero match means
+// a cold start; the sequence then has length 0 and the caller appends
+// the whole prompt. A match that walks onto a host-resident
 // chain tail promotes it back to the device tier block by block,
 // charging RestoreSeconds for the host-link transfer; if the cache runs
 // out of blocks mid-promotion the chain is truncated there (the
@@ -270,10 +271,7 @@ func (ix *PrefixIndex) Probe(syms []uint64) int {
 // chain, so Release with the same syms slice does not look it up again.
 // The caller must not evict between a Probe and the Acquire that relies
 // on it — both walk the same index state.
-func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
-	if _, ok := ix.c.seqs[seqID]; ok {
-		return 0, ErrSequenceExists
-	}
+func (ix *PrefixIndex) Acquire(syms []uint64, reserveTokens int) (h Handle, matched int) {
 	ix.m.Lookups++
 	chain := ix.walk(syms)
 	promoted := 0
@@ -291,7 +289,7 @@ func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 		ix.m.HostHits++
 		ix.m.RestoreSeconds += ix.restoreCost(promoted)
 	}
-	s := ix.c.newSequence(len(chain))
+	s := ix.c.newSequence(max(len(chain), ix.c.blocksFor(reserveTokens)))
 	for _, l := range chain {
 		ix.c.retain(l.e.block)
 		s.blocks = append(s.blocks, l.e.block)
@@ -301,12 +299,11 @@ func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 		s.chainSym0 = &syms[0]
 	}
 	s.length = len(chain) * ix.c.cfg.BlockSize
-	ix.c.seqs[seqID] = s
 	if s.length > 0 {
 		ix.m.Hits++
 		ix.m.SavedTokens += s.length
 	}
-	return s.length, nil
+	return ix.c.handle(s), s.length
 }
 
 // Release frees the handle's sequence while retaining every full block
@@ -380,7 +377,7 @@ func (ix *PrefixIndex) Release(h Handle, promptSyms, outputSyms []uint64) error 
 		}
 		parent = e
 	}
-	ix.c.freeSeq(h.id, s)
+	ix.c.freeSeq(s)
 	return nil
 }
 

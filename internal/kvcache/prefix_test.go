@@ -25,15 +25,8 @@ func newPrefixCache(t *testing.T, blockSize, numBlocks int) (*Cache, *PrefixInde
 // prompt suffix plus the output, and releases it with retention.
 func runTurn(t *testing.T, c *Cache, ix *PrefixIndex, id string, promptSyms, outputSyms []uint64) int {
 	t.Helper()
-	matched, err := ix.Acquire(id, promptSyms)
-	if err != nil {
-		t.Fatalf("%s: acquire: %v", id, err)
-	}
-	h, err := c.Lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AppendTokensH(h, len(promptSyms)-matched+len(outputSyms)); err != nil {
+	h, matched := ix.Acquire(promptSyms, len(promptSyms)+len(outputSyms))
+	if err := c.Append(h, len(promptSyms)-matched+len(outputSyms)); err != nil {
 		t.Fatalf("%s: append: %v", id, err)
 	}
 	if err := ix.Release(h, promptSyms, outputSyms); err != nil {
@@ -88,10 +81,10 @@ func TestPrefixSharedBlocksWhileLive(t *testing.T) {
 
 	// Two concurrent branches off the same retained history: both share
 	// the retained blocks fork-style.
-	for _, id := range []string{"b0", "b1"} {
-		if _, err := ix.Acquire(id, prompt); err != nil {
-			t.Fatal(err)
-		}
+	var branches []Handle
+	for range 2 {
+		h, _ := ix.Acquire(prompt, len(prompt))
+		branches = append(branches, h)
 	}
 	if got := c.Stats().SharedBlocks; got != 2 {
 		t.Fatalf("SharedBlocks = %d, want 2 (index + two branches on 2 blocks)", got)
@@ -99,8 +92,8 @@ func TestPrefixSharedBlocksWhileLive(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"b0", "b1"} {
-		if err := c.Free(id); err != nil {
+	for _, h := range branches {
+		if err := c.Free(h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,23 +107,15 @@ func TestPrefixDuplicateContentKeepsOneCopy(t *testing.T) {
 	prompt := syms(100, 8)
 	// Two sequences with identical content complete without ever seeing
 	// each other (both cold). The second release must not double-retain.
-	for _, id := range []string{"a", "b"} {
-		if _, err := ix.Acquire(id, prompt); err != nil {
+	var seqs []Handle
+	for range 2 {
+		h, _ := ix.Acquire(prompt, len(prompt))
+		if err := c.Append(h, len(prompt)); err != nil {
 			t.Fatal(err)
 		}
-		h, err := c.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.AppendTokensH(h, len(prompt)); err != nil {
-			t.Fatal(err)
-		}
+		seqs = append(seqs, h)
 	}
-	for _, id := range []string{"a", "b"} {
-		h, err := c.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, h := range seqs {
 		if err := ix.Release(h, prompt, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +180,9 @@ func TestPrefixEvictSharedBlockDoesNotFreeIt(t *testing.T) {
 	prompt := syms(100, 8)
 	runTurn(t, c, ix, "t0", prompt, nil) // retains 2 blocks
 	// A live sequence shares both retained blocks.
-	if m, err := ix.Acquire("live", append(append([]uint64{}, prompt...), 9)); err != nil || m != 8 {
-		t.Fatalf("acquire = %d, %v; want 8 matched", m, err)
+	live, m := ix.Acquire(append(append([]uint64{}, prompt...), 9), 0)
+	if m != 8 {
+		t.Fatalf("acquire matched %d, want 8", m)
 	}
 	// Evicting a shared leaf drops only the index ref and frees nothing;
 	// EnsureFree notices the zero-reclaim round and stops instead of
@@ -214,7 +200,7 @@ func TestPrefixEvictSharedBlockDoesNotFreeIt(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Free("live"); err != nil {
+	if err := c.Free(live); err != nil {
 		t.Fatal(err)
 	}
 	// The evicted leaf's block frees with the sequence; the surviving
@@ -239,8 +225,8 @@ func TestEnsureFreeSharedLeavesDoNotDrainIndex(t *testing.T) {
 	runTurn(t, c, ix, "a0", promptA, nil) // chain A: 2 blocks
 	// A live sequence shares chain A, then warmer chain B retains after,
 	// leaving A's leaf at the LRU head.
-	if m, err := ix.Acquire("liveA", append(append([]uint64{}, promptA...), 9)); err != nil || m != 8 {
-		t.Fatalf("acquire = %d, %v; want 8 matched", m, err)
+	if _, m := ix.Acquire(append(append([]uint64{}, promptA...), 9), 0); m != 8 {
+		t.Fatalf("acquire matched %d, want 8", m)
 	}
 	runTurn(t, c, ix, "b0", promptB, nil) // chain B: 2 blocks
 	// 4 retained + 2 shared-live = 6 used, 2 free. An unreachable target
@@ -300,27 +286,10 @@ func TestPrefixReLeafedParentKeepsItsRecency(t *testing.T) {
 	}
 }
 
-func TestPrefixAcquireDuplicateID(t *testing.T) {
-	c, ix := newPrefixCache(t, 4, 8)
-	if _, err := ix.Acquire("a", syms(0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Acquire("a", syms(0, 5)); err != ErrSequenceExists {
-		t.Fatalf("duplicate acquire: got %v, want ErrSequenceExists", err)
-	}
-	_ = c
-}
-
 func TestPrefixReleaseStaleHandle(t *testing.T) {
 	c, ix := newPrefixCache(t, 4, 8)
-	if _, err := ix.Acquire("a", syms(0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Lookup("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FreeH(h); err != nil {
+	h, _ := ix.Acquire(syms(0, 5), 5)
+	if err := c.Free(h); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Release(h, syms(0, 5), nil); err != ErrUnknownSequence {

@@ -69,10 +69,7 @@ func TestTierPromoteOnAcquireChargesRestore(t *testing.T) {
 	if m := ix.Metrics(); m.HostRetained != 2 {
 		t.Fatalf("hostRetained %d after pressure, want 2", m.HostRetained)
 	}
-	matched, err := ix.Acquire("a1", probeSyms(prompt))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, matched := ix.Acquire(probeSyms(prompt), 0)
 	if matched != 8 {
 		t.Fatalf("acquire matched %d tokens, want 8 (host segment promoted)", matched)
 	}
@@ -90,7 +87,7 @@ func TestTierPromoteOnAcquireChargesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-demotion after the promoted turn completes a full cycle.
-	if err := c.Free("a1"); err != nil {
+	if err := c.Free(h); err != nil {
 		t.Fatal(err)
 	}
 	ix.EnsureFree(8)
@@ -139,10 +136,7 @@ func TestTierReleaseBelowHostSegmentTruncates(t *testing.T) {
 	// front of its history is host-resident (demoted between its
 	// admission and completion).
 	ext := append(append([]uint64{}, prompt...), syms(9000, 4)...)
-	if err := c.Allocate("ext", len(ext)); err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Lookup("ext")
+	h, err := c.Allocate(len(ext), len(ext))
 	if err != nil {
 		t.Fatal(err)
 	}

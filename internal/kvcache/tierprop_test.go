@@ -33,6 +33,7 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 
 	type liveSeq struct {
 		id     string
+		h      Handle
 		prompt []uint64
 	}
 	var (
@@ -68,26 +69,18 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 			nextID++
 			ix.EnsureFree((len(prompt) + 3) / 4)
 			check("ensure-before-acquire")
-			matched, err := ix.Acquire(id, prompt)
-			if err != nil {
-				check("acquire-failed")
-				continue
-			}
+			h, matched := ix.Acquire(prompt, len(prompt))
 			check("acquire")
-			h, err := c.Lookup(id)
-			if err != nil {
-				t.Fatalf("lookup %s: %v", id, err)
-			}
-			if err := c.AppendTokensH(h, len(prompt)-matched); err != nil {
+			if err := c.Append(h, len(prompt)-matched); err != nil {
 				// Out of capacity mid-turn: abandon the sequence.
-				if err := c.Free(id); err != nil {
+				if err := c.Free(h); err != nil {
 					t.Fatalf("free %s: %v", id, err)
 				}
 				check("append-failed-free")
 				continue
 			}
 			check("append")
-			live = append(live, liveSeq{id: id, prompt: prompt})
+			live = append(live, liveSeq{id: id, h: h, prompt: prompt})
 		case k < 6: // finish a turn: release with retention
 			if len(live) == 0 {
 				continue
@@ -95,12 +88,8 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 			j := rng.Intn(len(live))
 			s := live[j]
 			live = append(live[:j], live[j+1:]...)
-			h, err := c.Lookup(s.id)
-			if err != nil {
-				t.Fatalf("lookup %s: %v", s.id, err)
-			}
 			out := freshSyms(rng.Intn(6))
-			if err := ix.Release(h, s.prompt, out); err != nil {
+			if err := ix.Release(s.h, s.prompt, out); err != nil {
 				t.Fatalf("release %s: %v", s.id, err)
 			}
 			check("release")
@@ -115,7 +104,7 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 			j := rng.Intn(len(live))
 			s := live[j]
 			live = append(live[:j], live[j+1:]...)
-			if err := c.Free(s.id); err != nil {
+			if err := c.Free(s.h); err != nil {
 				t.Fatalf("free %s: %v", s.id, err)
 			}
 			check("free")
@@ -134,7 +123,7 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 		}
 	}
 	for _, s := range live {
-		if err := c.Free(s.id); err != nil {
+		if err := c.Free(s.h); err != nil {
 			t.Fatalf("final free %s: %v", s.id, err)
 		}
 		check("final-free")

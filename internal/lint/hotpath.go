@@ -23,8 +23,8 @@ import (
 //   - append into a slice declared fresh in the function without
 //     pre-allocation
 //
-// A deliberate, measured allocation (e.g. kvcache.ReserveH's at most
-// one block-table growth per sequence lifetime) carries an
+// A deliberate, measured allocation (e.g. a queue.Queue's buffer, made
+// at its floor capacity once per queue) carries an
 // //edgereasoning:allow hotpath directive with its justification.
 //
 // The optional bench=BenchmarkName argument names the BENCH_serve.json

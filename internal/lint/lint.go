@@ -39,8 +39,8 @@
 //	//edgereasoning:allow <analyzer> [-- <reason>]
 //	    on or immediately above a statement: suppresses that analyzer's
 //	    diagnostics for the annotated line. Used for the handful of
-//	    deliberate exceptions (e.g. the one-time block-table allocation
-//	    inside kvcache.ReserveH).
+//	    deliberate exceptions (e.g. the one-time floor allocation of a
+//	    queue.Queue's buffer).
 package lint
 
 import (
