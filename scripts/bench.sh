@@ -12,7 +12,8 @@
 # (multi-turn agentic stream, warm prefix cache vs cold), the tiered
 # serving loop (the same agentic stream on a starved device cache with
 # the host-DRAM KV tier demoting and promoting continuously), the
-# KV-cache append paths (bulk handle-based vs per-token), the
+# KV-cache append paths (one sequence lifecycle through its Handle,
+# appending in 32-token chunks vs one token per Append call), the
 # elastic-fleet serving path (fleet.Serve with autoscaling and shed
 # admission), the chaos serving path (fleet.Serve under a generated
 # fault schedule with retry re-admission, circuit breakers, and
