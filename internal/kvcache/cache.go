@@ -251,15 +251,12 @@ func (c *Cache) Fork(parent Handle, reserveTokens int) (Handle, error) {
 // newSequence returns an empty live sequence shell with room for
 // capBlocks, recycled from the free pool when possible.
 func (c *Cache) newSequence(capBlocks int) *sequence {
-	// Size every block table to the high-water reservation seen so far:
-	// once one large sequence has passed through, recycled shells fit all
-	// smaller ones and admit/free churn stops reallocating tables whose
-	// sizes merely vary request to request.
-	if capBlocks < c.tableCap {
-		capBlocks = c.tableCap
-	} else {
-		c.tableCap = capBlocks
-	}
+	// A recycled table is kept whenever it fits; a new one is sized to the
+	// high-water reservation seen so far, so once one large sequence has
+	// passed through, recycled shells fit all smaller ones and admit/free
+	// churn stops reallocating tables whose sizes merely vary request to
+	// request.
+	c.tableCap = max(c.tableCap, capBlocks)
 	c.live++
 	if n := len(c.pool); n > 0 {
 		s := c.pool[n-1]
@@ -268,11 +265,16 @@ func (c *Cache) newSequence(capBlocks int) *sequence {
 		s.freed = false
 		s.length = 0
 		if cap(s.blocks) < capBlocks {
-			s.blocks = make([]int, 0, capBlocks)
+			s.blocks = make([]int, 0, c.tableCap)
 		}
 		return s
 	}
-	s := &sequence{blocks: make([]int, 0, capBlocks)}
+	s := &sequence{blocks: make([]int, 0, c.tableCap)}
+	if c.shells == nil {
+		// Like the pool, the list peaks at the max live sequence count; a
+		// 16-shell floor skips the early append-growth doublings.
+		c.shells = make([]*sequence, 0, 16)
+	}
 	c.shells = append(c.shells, s)
 	return s
 }
