@@ -382,8 +382,9 @@ func label(r experiments.Result, bySeed bool) string {
 // emit consumes an ordered result stream under an interrupt-aware
 // context, rendering each successful result's tables to stdout (and CSV)
 // as they arrive and collecting failures instead of aborting on the
-// first one. bySeed switches on the sweep dressing: per-result seed
-// headers and seed-tagged CSV names.
+// first one. Failed claims are summed per result into one stderr line,
+// in report order. bySeed switches on the sweep dressing: per-result
+// seed headers and seed-tagged CSV names.
 func emit(cfg config, total int, bySeed bool, stream func(context.Context) <-chan experiments.Result) error {
 	if cfg.csvDir != "" {
 		if err := os.MkdirAll(cfg.csvDir, 0o755); err != nil {
@@ -395,8 +396,9 @@ func emit(cfg config, total int, bySeed bool, stream func(context.Context) <-cha
 
 	start := time.Now()
 	var stats []driverStat
-	var failed []string
+	var failed, claims []string
 	var firstErr error
+	failedClaims := 0
 	interrupted := 0
 	for res := range stream(ctx) {
 		stats = append(stats, driverStat{
@@ -423,6 +425,10 @@ func emit(cfg config, total int, bySeed bool, stream func(context.Context) <-cha
 			}
 			continue
 		}
+		if n := res.Failed(); n > 0 {
+			failedClaims += n
+			claims = append(claims, fmt.Sprintf("%s %d", label(res, bySeed), n))
+		}
 		if bySeed {
 			fmt.Printf("-- %s @ seed %d --\n", res.ID, res.Seed)
 		}
@@ -443,6 +449,9 @@ func emit(cfg config, total int, bySeed bool, stream func(context.Context) <-cha
 	}
 	if cfg.metrics {
 		printMetrics(stats, time.Since(start))
+	}
+	if failedClaims > 0 {
+		fmt.Fprintf(os.Stderr, "edgereasoning: %d claims FAIL (%s)\n", failedClaims, strings.Join(claims, ", "))
 	}
 	switch {
 	case len(failed) == 0 && interrupted == 0:

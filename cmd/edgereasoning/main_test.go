@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -415,5 +416,42 @@ func TestExecuteFailSoft(t *testing.T) {
 	}
 	if _, statErr := os.Stat(filepath.Join(dir, "saturation.csv")); statErr != nil {
 		t.Errorf("driver after the broken one must still run: %v", statErr)
+	}
+}
+
+// TestEmitCountsFailedClaims: failed claims are summed per result into
+// one stderr line, in report order, and do not make emit fail.
+func TestEmitCountsFailedClaims(t *testing.T) {
+	drills := experiments.Table{ID: "drills-verify", Columns: []string{"claim", "check"}}
+	drills.Claim(true, "served")
+	drills.Claim(false, "hit_rate_pct")
+	verify := experiments.Table{ID: "verify", Columns: []string{"anchor", "status"}}
+	verify.Claim(false, "cost_per_1M_b30")
+	stream := func(context.Context) <-chan experiments.Result {
+		ch := make(chan experiments.Result, 2)
+		ch <- experiments.Result{ID: "drills", Tables: []experiments.Table{drills}}
+		ch <- experiments.Result{ID: "verify", Tables: []experiments.Table{verify}}
+		close(ch)
+		return ch
+	}
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := [2]*os.File{os.Stdout, os.Stderr}
+	os.Stdout, os.Stderr = stdout, stderr
+	err = emit(config{}, 2, false, stream)
+	os.Stdout, os.Stderr = saved[0], saved[1]
+	if err != nil {
+		t.Fatalf("failed claims must not fail emit: %v", err)
+	}
+	got, _ := os.ReadFile(stderr.Name())
+	if want := "edgereasoning: 2 claims FAIL (drills 1, verify 1)\n"; string(got) != want {
+		t.Errorf("stderr %q, want %q", got, want)
 	}
 }

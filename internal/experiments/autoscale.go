@@ -191,12 +191,9 @@ func autoscaleStudy(opts Options) ([]Table, error) {
 			"shed admission must strictly beat blocking FIFO on hit rate under overload",
 		},
 	}
-	verify.AddRow("p99_s (fixed-equal-cost vs autoscaled)", f2(fixed.P99Latency), f2(elastic.P99Latency),
-		check(elastic.P99Latency < fixed.P99Latency))
-	verify.AddRow("hit_rate_pct (fixed-equal-cost vs autoscaled)", f1(fixed.HitRate()*100), f1(elastic.HitRate()*100),
-		check(elastic.HitRate() > fixed.HitRate()))
+	verify.Claim(elastic.P99Latency < fixed.P99Latency, "p99_s (fixed-equal-cost vs autoscaled)", f2(fixed.P99Latency), f2(elastic.P99Latency))
+	verify.Claim(elastic.HitRate() > fixed.HitRate(), "hit_rate_pct (fixed-equal-cost vs autoscaled)", f1(fixed.HitRate()*100), f1(elastic.HitRate()*100))
 	fifoM, shedM := byDiscipline[fleet.FIFO], byDiscipline[fleet.Shed]
-	verify.AddRow("hit_rate_pct (fifo vs shed, overload)", f1(fifoM.HitRate()*100), f1(shedM.HitRate()*100),
-		check(shedM.HitRate() > fifoM.HitRate()))
+	verify.Claim(shedM.HitRate() > fifoM.HitRate(), "hit_rate_pct (fifo vs shed, overload)", f1(fifoM.HitRate()*100), f1(shedM.HitRate()*100))
 	return []Table{pools, events, disciplines, verify}, nil
 }

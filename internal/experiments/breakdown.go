@@ -132,9 +132,9 @@ func breakdownStudy(opts Options) ([]Table, error) {
 		if lat, ok := measured[r.ID]; ok {
 			tile = tile && math.Abs(r.E2E()-lat) <= 1e-9
 		}
-		head.AddRow(r.ID, r.Track, di(r.Attempts), f3(r.Ingress), f3(r.RetryWait),
+		head.Claim(tile, r.ID, r.Track, di(r.Attempts), f3(r.Ingress), f3(r.RetryWait),
 			f3(r.AbortedWall), f3(r.ReplicaWait), f3(r.Stall), f3(r.Restore),
-			f3(r.Prefill), f3(r.Decode), f3(r.Gap), f3(r.E2E()), check(tile))
+			f3(r.Prefill), f3(r.Decode), f3(r.Gap), f3(r.E2E()))
 	}
 
 	phases := Table{
@@ -215,17 +215,15 @@ func breakdownStudy(opts Options) ([]Table, error) {
 			"transparent requires the traced run's Metrics to be deep-equal to an untraced run of the same stream and schedule",
 		},
 	}
-	verify.AddRow("served_rows", di(len(rows)), di(traced.Served), check(len(rows) == traced.Served))
-	verify.AddRow("measured_matched", di(matched), di(len(rows)), check(matched == len(rows)))
-	verify.AddRow("max_tile_residual_s", sci(maxResidual), "<=1e-9", check(maxResidual <= 1e-9))
-	verify.AddRow("max_vs_measured_s", sci(maxVsMeasured), "<=1e-9", check(maxVsMeasured <= 1e-9))
-	verify.AddRow("abort_spans", di(abortSpans), di(traced.Aborted), check(abortSpans == traced.Aborted))
-	verify.AddRow("retry_wait_spans", di(retrySpans), di(traced.Retried), check(retrySpans == traced.Retried))
-	verify.AddRow("spans_nested", nested, "pass", check(nestErr == nil))
-	verify.AddRow("conserved", di(traced.Served+traced.Dropped), di(traced.Offered),
-		check(traced.Served+traced.Dropped == traced.Offered))
-	verify.AddRow("transparent", fmt.Sprintf("%v", reflect.DeepEqual(plain, traced)), "true",
-		check(reflect.DeepEqual(plain, traced)))
+	verify.Claim(len(rows) == traced.Served, "served_rows", di(len(rows)), di(traced.Served))
+	verify.Claim(matched == len(rows), "measured_matched", di(matched), di(len(rows)))
+	verify.Claim(maxResidual <= 1e-9, "max_tile_residual_s", sci(maxResidual), "<=1e-9")
+	verify.Claim(maxVsMeasured <= 1e-9, "max_vs_measured_s", sci(maxVsMeasured), "<=1e-9")
+	verify.Claim(abortSpans == traced.Aborted, "abort_spans", di(abortSpans), di(traced.Aborted))
+	verify.Claim(retrySpans == traced.Retried, "retry_wait_spans", di(retrySpans), di(traced.Retried))
+	verify.Claim(nestErr == nil, "spans_nested", nested, "pass")
+	verify.Claim(traced.Served+traced.Dropped == traced.Offered, "conserved", di(traced.Served+traced.Dropped), di(traced.Offered))
+	verify.Claim(reflect.DeepEqual(plain, traced), "transparent", fmt.Sprintf("%v", reflect.DeepEqual(plain, traced)), "true")
 	return []Table{head, phases, ttft, verify}, nil
 }
 

@@ -142,14 +142,11 @@ func drillsStudy(opts Options) ([]Table, error) {
 		}
 		none, rec := byLeg[0], byLeg[1]
 		label := fmt.Sprintf("cr=%.0f,thr=%.0fx", p.crashRate, p.factor)
-		verify.AddRow(label, "served", di(none.Served), di(rec.Served),
-			check(rec.Served > none.Served))
-		verify.AddRow(label, "hit_rate_pct", f1(none.HitRate()*100), f1(rec.HitRate()*100),
-			check(rec.HitRate() > none.HitRate()))
+		verify.Claim(rec.Served > none.Served, label, "served", di(none.Served), di(rec.Served))
+		verify.Claim(rec.HitRate() > none.HitRate(), label, "hit_rate_pct", f1(none.HitRate()*100), f1(rec.HitRate()*100))
 		conserved := none.Served+none.Dropped == none.Offered && rec.Served+rec.Dropped == rec.Offered &&
 			none.Offered == len(reqs) && rec.Offered == len(reqs)
-		verify.AddRow(label, "conserved", di(none.Served+none.Dropped), di(rec.Served+rec.Dropped),
-			check(conserved))
+		verify.Claim(conserved, label, "conserved", di(none.Served+none.Dropped), di(rec.Served+rec.Dropped))
 	}
 	return []Table{sweep, verify}, nil
 }

@@ -127,9 +127,9 @@ func fleetSweep(opts Options) ([]Table, error) {
 		Columns: []string{"metric", "round-robin", "deadline-aware", "check"},
 		Notes:   []string{"deadline-aware must match or beat the blind baseline on both the tail and the SLA"},
 	}
-	verify.AddRow("p99_s", f2(rr.P99Latency), f2(dl.P99Latency), check(dl.P99Latency <= rr.P99Latency))
-	verify.AddRow("hit_rate_pct", f1(rr.HitRate()*100), f1(dl.HitRate()*100), check(dl.HitRate() >= rr.HitRate()))
-	verify.AddRow("dropped", di(rr.Dropped), di(dl.Dropped), check(dl.Dropped <= rr.Dropped))
+	verify.Claim(dl.P99Latency <= rr.P99Latency, "p99_s", f2(rr.P99Latency), f2(dl.P99Latency))
+	verify.Claim(dl.HitRate() >= rr.HitRate(), "hit_rate_pct", f1(rr.HitRate()*100), f1(dl.HitRate()*100))
+	verify.Claim(dl.Dropped <= rr.Dropped, "dropped", di(rr.Dropped), di(dl.Dropped))
 	return []Table{sweep, verify}, nil
 }
 

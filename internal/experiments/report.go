@@ -144,10 +144,27 @@ type Table struct {
 	Rows    [][]string
 	// Notes carry caveats (interpolated cells, known deviations).
 	Notes []string
+	// Failed names each claim row marked FAIL by its first cell, in order.
+	Failed []string
 }
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+
+// Claim appends a claim row: the cells, then its verdict mark, "pass"
+// or "FAIL". A failed claim is also recorded in Failed.
+func (t *Table) Claim(ok bool, cells ...string) { t.claim(ok, "pass", cells...) }
+
+// claim is Claim with the passing mark spelled pass. It copies cells, so
+// a call's variadic cells stay on the caller's stack.
+func (t *Table) claim(ok bool, pass string, cells ...string) {
+	if !ok {
+		pass = "FAIL"
+		t.Failed = append(t.Failed, cells[0])
+	}
+	row := append(make([]string, 0, len(cells)+1), cells...)
+	t.Rows = append(t.Rows, append(row, pass))
+}
 
 // Render writes an aligned text table.
 func (t *Table) Render(w io.Writer) error {
@@ -226,14 +243,6 @@ func f4(x float64) string  { return fmt.Sprintf("%.4f", x) }
 func sci(x float64) string { return fmt.Sprintf("%.3g", x) }
 func pct(x float64) string { return fmt.Sprintf("%.1f", x*100) }
 func di(x int) string      { return fmt.Sprintf("%d", x) }
-
-// check renders a verify-table mark.
-func check(ok bool) string {
-	if ok {
-		return "pass"
-	}
-	return "FAIL"
-}
 
 // Driver produces one or more artifacts.
 type Driver func(Options) ([]Table, error)

@@ -62,6 +62,14 @@ type Result struct {
 // TableCount reports how many artifacts the driver produced.
 func (r Result) TableCount() int { return len(r.Tables) }
 
+// Failed counts the failed claims across the driver's tables.
+func (r Result) Failed() (n int) {
+	for _, t := range r.Tables {
+		n += len(t.Failed)
+	}
+	return n
+}
+
 // job is one unit of pool work: run driver id with opts, deliver at index.
 type job struct {
 	index int

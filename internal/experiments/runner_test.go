@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -340,5 +341,44 @@ func TestRunAllEmptyIDs(t *testing.T) {
 	results := RunAll(context.Background(), nil, Options{}, RunnerOptions{})
 	if len(results) != 0 {
 		t.Errorf("empty ID list produced %d results", len(results))
+	}
+}
+
+// TestClaimsMatchRenderedMarks runs every driver at quick seeds 3 and 7:
+// each table's Failed must name exactly the rows whose last cell renders
+// FAIL, by first cell and in row order, and the per-driver failed-claim
+// counts must be the known ones (seed 3 ties two drills claims and
+// misses four verify anchors; seed 7 passes every claim).
+func TestClaimsMatchRenderedMarks(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		want map[string]int
+	}{
+		{3, map[string]int{"drills": 4, "tiering": 1, "verify": 4}},
+		{7, map[string]int{}},
+	} {
+		got := map[string]int{}
+		for _, r := range RunAll(context.Background(), IDs(), Options{Seed: tc.seed, Quick: true}, RunnerOptions{}) {
+			if r.Err != nil {
+				t.Fatalf("seed %d: %s: %v", tc.seed, r.ID, r.Err)
+			}
+			for _, tb := range r.Tables {
+				var marked []string
+				for _, row := range tb.Rows {
+					if row[len(row)-1] == "FAIL" {
+						marked = append(marked, row[0])
+					}
+				}
+				if !reflect.DeepEqual(tb.Failed, marked) {
+					t.Errorf("seed %d: %s: Failed %q, rows marked FAIL %q", tc.seed, tb.ID, tb.Failed, marked)
+				}
+			}
+			if n := r.Failed(); n > 0 {
+				got[r.ID] = n
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("seed %d: failed claims per driver %v, want %v", tc.seed, got, tc.want)
+		}
 	}
 }

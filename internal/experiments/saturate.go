@@ -140,36 +140,35 @@ func saturateStudy(opts Options) ([]Table, error) {
 			monotone = false
 		}
 	}
-	verify.AddRow("knee QPS non-decreasing in fleet size",
-		fmt.Sprintf("%s -> %s -> %s", f2(results[0].QPS), f2(results[1].QPS), f2(results[2].QPS)),
-		check(monotone))
+	verify.Claim(monotone, "knee QPS non-decreasing in fleet size",
+		fmt.Sprintf("%s -> %s -> %s", f2(results[0].QPS), f2(results[1].QPS), f2(results[2].QPS)))
 	tight := true
 	for _, k := range results {
 		if !(k.QPS < k.ViolatedQPS && k.ViolatedQPS-k.QPS <= searchOpts.Resolution*k.QPS+1e-9) {
 			tight = false
 		}
 	}
-	verify.AddRow(fmt.Sprintf("brackets closed to %.0f%% resolution", searchOpts.Resolution*100),
-		fmt.Sprintf("widest %.3f QPS", widestBracket(results)), check(tight))
+	verify.Claim(tight, fmt.Sprintf("brackets closed to %.0f%% resolution", searchOpts.Resolution*100),
+		fmt.Sprintf("widest %.3f QPS", widestBracket(results)))
 	bounded := true
 	for _, k := range results {
 		if len(k.Probes) > searchOpts.MaxProbes {
 			bounded = false
 		}
 	}
-	verify.AddRow(fmt.Sprintf("probe budget respected (<= %d)", searchOpts.MaxProbes),
-		fmt.Sprintf("max %d", maxProbes(results)), check(bounded))
+	verify.Claim(bounded, fmt.Sprintf("probe budget respected (<= %d)", searchOpts.MaxProbes),
+		fmt.Sprintf("max %d", maxProbes(results)))
 
 	// Edge legs: drive the analyzer into both terminal conditions on the
 	// real fleet probe and verify the typed errors come back.
 	_, errNever := capacity.FindKnee(probeFor(1, impossibleSLO(metric)), capacity.Options{
 		MinQPS: 0.25, MaxQPS: 1, MaxProbes: 4})
-	verify.AddRow("unreachable SLO -> ErrSLONeverMet",
-		errString(errNever), check(errors.Is(errNever, capacity.ErrSLONeverMet)))
+	verify.Claim(errors.Is(errNever, capacity.ErrSLONeverMet), "unreachable SLO -> ErrSLONeverMet",
+		errString(errNever))
 	_, errAlways := capacity.FindKnee(probeFor(1, trivialSLO(metric)), capacity.Options{
 		MinQPS: 0.25, MaxQPS: 0.5, MaxProbes: 4})
-	verify.AddRow("never-stressed bracket -> ErrSLOAlwaysMet",
-		errString(errAlways), check(errors.Is(errAlways, capacity.ErrSLOAlwaysMet)))
+	verify.Claim(errors.Is(errAlways, capacity.ErrSLOAlwaysMet), "never-stressed bracket -> ErrSLOAlwaysMet",
+		errString(errAlways))
 
 	return []Table{knees, verify}, nil
 }

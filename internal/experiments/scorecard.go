@@ -193,15 +193,9 @@ func scorecard(opts Options) ([]Table, error) {
 		ID: "verify", Title: "Reproduction scorecard: paper anchors vs this build",
 		Columns: []string{"anchor", "paper", "measured", "tolerance", "status"},
 	}
-	passed := 0
 	for _, a := range anchors {
-		status := "FAIL"
-		if a.Pass() {
-			status = "ok"
-			passed++
-		}
-		t.AddRow(a.Name, f3(a.Paper), f3(a.Measured), fmt.Sprintf("±%.0f%%", a.TolFrac*100), status)
+		t.claim(a.Pass(), "ok", a.Name, f3(a.Paper), f3(a.Measured), fmt.Sprintf("±%.0f%%", a.TolFrac*100))
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("%d/%d anchors within tolerance", passed, len(anchors)))
+	t.Notes = append(t.Notes, fmt.Sprintf("%d/%d anchors within tolerance", len(anchors)-len(t.Failed), len(anchors)))
 	return []Table{t}, nil
 }

@@ -130,11 +130,9 @@ func sessionStudy(opts Options) ([]Table, error) {
 		Columns: []string{"metric", "baseline", "prefix-aware", "check"},
 		Notes:   []string{"warm-prefix must strictly beat cold prefill on tail TTFT and saved prefill; affinity must beat round-robin on hit rate"},
 	}
-	verify.AddRow("p99_ttft_s (cold vs warm)", f2(coldTTFT[1]), f2(warmTTFT[1]), check(warmTTFT[1] < coldTTFT[1]))
-	verify.AddRow("saved_prefill_tok (cold vs warm)", di(cold.SavedPrefillTokens), di(warm.SavedPrefillTokens),
-		check(warm.SavedPrefillTokens > cold.SavedPrefillTokens))
-	verify.AddRow("fleet_hit_rate_pct (rr vs affinity)", f1(rr.PrefixHitRate()*100), f1(aff.PrefixHitRate()*100),
-		check(aff.PrefixHitRate() > rr.PrefixHitRate()))
+	verify.Claim(warmTTFT[1] < coldTTFT[1], "p99_ttft_s (cold vs warm)", f2(coldTTFT[1]), f2(warmTTFT[1]))
+	verify.Claim(warm.SavedPrefillTokens > cold.SavedPrefillTokens, "saved_prefill_tok (cold vs warm)", di(cold.SavedPrefillTokens), di(warm.SavedPrefillTokens))
+	verify.Claim(aff.PrefixHitRate() > rr.PrefixHitRate(), "fleet_hit_rate_pct (rr vs affinity)", f1(rr.PrefixHitRate()*100), f1(aff.PrefixHitRate()*100))
 	return []Table{single, affinity, verify}, nil
 }
 

@@ -154,9 +154,9 @@ func tieringStudy(opts Options) ([]Table, error) {
 		Columns: []string{"metric", "tier_off", "tier_on", "check"},
 		Notes:   []string{"the host tier may only change timing: per-request prompt/output token counts must match the untiered run at every sweep point"},
 	}
-	verify.AddRow("hit_rate_pct", f1(offHit*100), f1(onHit*100), check(onHit > offHit))
-	verify.AddRow("warm_p99_ttft_s", f3(offWarm), f3(onWarm), check(onWarm < offWarm))
-	verify.AddRow("tokens_identical", di(totalTokens(starved.off.sm)), di(totalTokens(starved.on.sm)), check(tokensSame))
+	verify.Claim(onHit > offHit, "hit_rate_pct", f1(offHit*100), f1(onHit*100))
+	verify.Claim(onWarm < offWarm, "warm_p99_ttft_s", f3(offWarm), f3(onWarm))
+	verify.Claim(tokensSame, "tokens_identical", di(totalTokens(starved.off.sm)), di(totalTokens(starved.on.sm)))
 	return []Table{sweep, verify}, nil
 }
 

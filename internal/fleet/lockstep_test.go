@@ -124,28 +124,92 @@ func TestCrashAbortsWhatTheEngineHolds(t *testing.T) {
 	}
 }
 
+// propertyGrid calls check for seeds 1–8 × every routing policy × every
+// admission discipline, with a config of 3 heterogeneous replicas (retry
+// on) and that seed's 120-request interactive stream at 6 QPS with 3–9 s
+// of deadline slack: enough load that most runs miss deadlines and the
+// Shed discipline sheds.
+func propertyGrid(t *testing.T, check func(seed uint64, cfg func() Config, reqs []engine.TimedRequest)) {
+	t.Helper()
+	spec := model.MustLookup(model.Qwen25_1_5Bit)
+	for seed := uint64(1); seed <= 8; seed++ {
+		profile := workload.InteractiveAssistant(6, 120)
+		profile.DeadlineSlack = 3
+		profile.DeadlineSlackMax = 9
+		reqs, err := workload.Generate(profile, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range Policies() {
+			for _, a := range Admissions() {
+				check(seed, func() Config {
+					return Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), spec),
+						Policy: p, Admission: a, Retry: &RetryPolicy{}}
+				}, reqs)
+			}
+		}
+	}
+}
+
 // TestZeroRateFaultsMatchFaultsOff: a generated schedule with every rate
-// at zero injects nothing, so the run deep-equals one with Faults nil.
+// at zero injects nothing, so over the property grid, with health-aware
+// routing on and off, the run deep-equals one with Faults nil.
 func TestZeroRateFaultsMatchFaultsOff(t *testing.T) {
-	sched, err := faults.Generate(faults.GenConfig{Replicas: 3, Horizon: 60}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := burst(40, 0.3, 6)
-	cfg := homogeneousFleet(3, DeadlineAware)
-	off, err := Serve(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = &sched
-	cfg.Retry = &RetryPolicy{}
-	on, err := Serve(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(on, off) {
-		t.Fatalf("zero-rate faults perturbed the run:\n on %+v\noff %+v", on, off)
-	}
+	propertyGrid(t, func(seed uint64, base func() Config, reqs []engine.TimedRequest) {
+		sched, err := faults.Generate(faults.GenConfig{Replicas: 3, Horizon: reqs[len(reqs)-1].Arrival}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, health := range []bool{false, true} {
+			cfg := base()
+			if health {
+				cfg.Health = &HealthConfig{}
+			}
+			off, err := Serve(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = &sched
+			on, err := Serve(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(on, off) {
+				t.Fatalf("seed %d %s/%s health %v: zero-rate faults perturbed the run:\n on %+v\noff %+v",
+					seed, cfg.Policy, cfg.Admission, health, on, off)
+			}
+		}
+	})
+}
+
+// TestAutoscaleMinEqualsMaxMatchesFixedPool: an autoscaler pinned at
+// Min = Max = the pool size never provisions or retires, so over the
+// property grid its Metrics deep-equal the fixed pool's apart from the
+// autoscale accounting, which must bill all three replicas for the whole
+// run and log no scale events.
+func TestAutoscaleMinEqualsMaxMatchesFixedPool(t *testing.T) {
+	spec := model.MustLookup(model.Qwen25_1_5Bit)
+	propertyGrid(t, func(seed uint64, base func() Config, reqs []engine.TimedRequest) {
+		cfg := base()
+		fixed, err := Serve(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Autoscale = &AutoscaleConfig{Min: 3, Max: 3, Spec: spec}
+		elastic, err := Serve(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("seed %d %s/%s", seed, cfg.Policy, cfg.Admission)
+		if elastic.PeakReplicas != 3 || len(elastic.ScaleEvents) != 0 || elastic.ReplicaSeconds != 3*elastic.WallTime {
+			t.Fatalf("%s: peak %d, %d scale events, %v replica-seconds over wall %v; want 3, none, 3 × wall",
+				name, elastic.PeakReplicas, len(elastic.ScaleEvents), elastic.ReplicaSeconds, elastic.WallTime)
+		}
+		elastic.PeakReplicas, elastic.ScaleEvents, elastic.ReplicaSeconds = 0, nil, 0
+		if !reflect.DeepEqual(elastic, fixed) {
+			t.Fatalf("%s: Min = Max autoscaler diverged from the fixed pool:\nelastic %+v\n  fixed %+v", name, elastic, fixed)
+		}
+	})
 }
 
 // offer is one dispatch as its replica's engine received it.
