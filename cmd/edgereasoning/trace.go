@@ -60,8 +60,8 @@ func traceCmd(fs *flag.FlagSet, cfg *config) func(string) error {
 			fmt.Printf("  wrote %s (Prometheus text format)\n", *metricsOut)
 		}
 		fmt.Printf("  %-16s %8s %8s %8s\n", "replica", "served", "busy_s", "crashes")
-		for _, rb := range m.PerReplica() {
-			fmt.Printf("  %-16s %8d %8.1f %8d\n", rb.Name, rb.Served, rb.BusySeconds, rb.Crashes)
+		for _, r := range m.Replicas {
+			fmt.Printf("  %-16s %8d %8.1f %8d\n", r.Name, r.Served, r.BusyTime, r.Crashes)
 		}
 		return nil
 	}

@@ -2,7 +2,10 @@
 // that admits requests, prefills prompts, decodes with continuous
 // batching over a paged KV cache, and accounts wall time, power, and
 // energy through the GPU simulator. It is the substrate every
-// latency/energy experiment in the paper runs on.
+// latency/energy experiment in the paper runs on. A serve run reports
+// its additive counters (served requests, deadlines, prefix-cache and
+// host-tier accounting) as ServeCounters, which a fleet adds up across
+// its replicas.
 package engine
 
 import (
@@ -44,15 +47,18 @@ func (o Overhead) normalized() Overhead {
 	return o
 }
 
+const (
+	// blockSize is the KV page size in tokens (vLLM's default).
+	blockSize = 16
+	// memReserve is the fraction of DRAM withheld from the KV cache for
+	// activations and runtime overheads.
+	memReserve = 0.10
+)
+
 // Config assembles an engine.
 type Config struct {
 	Spec   model.Spec
 	Device *hw.Device
-	// BlockSize is the KV page size in tokens (default 16).
-	BlockSize int
-	// MemReserve is the fraction of DRAM withheld from the KV cache for
-	// activations and runtime overheads (default 0.10).
-	MemReserve float64
 	// Framework is the host-side overhead profile (default vLLM).
 	Framework Overhead
 	// PrefixCache attaches a cross-request prefix index to the KV cache:
@@ -211,12 +217,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Spec.Arch.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 16
-	}
-	if cfg.MemReserve <= 0 {
-		cfg.MemReserve = 0.10
-	}
 	cfg.Framework = cfg.Framework.normalized()
 	if cfg.HostTierBlocks > 0 && !cfg.PrefixCache {
 		return nil, fmt.Errorf("engine: HostTierBlocks requires PrefixCache (the tier holds prefix entries)")
@@ -241,13 +241,13 @@ func New(cfg Config) (*Engine, error) {
 // like a fresh one.
 func buildCache(cfg Config) (*kvcache.Cache, *kvcache.PrefixIndex, error) {
 	weights := cfg.Spec.Arch.WeightBytes(cfg.Spec.DType)
-	reserve := int64(float64(cfg.Device.MemCapacity) * cfg.MemReserve)
+	reserve := int64(float64(cfg.Device.MemCapacity) * memReserve)
 	kvBudget := cfg.Device.MemCapacity - weights - reserve
 	if kvBudget <= 0 {
 		return nil, nil, fmt.Errorf("engine: %s (%0.1f GB weights) does not fit %s",
 			cfg.Spec.ID, float64(weights)/1e9, cfg.Device.Name)
 	}
-	cacheCfg := kvcache.ConfigForMemory(kvBudget, cfg.BlockSize, cfg.Spec.Arch.KVBytesPerToken())
+	cacheCfg := kvcache.ConfigForMemory(kvBudget, blockSize, cfg.Spec.Arch.KVBytesPerToken())
 	if cfg.DeviceBlocks > 0 && cfg.DeviceBlocks < cacheCfg.NumBlocks {
 		cacheCfg.NumBlocks = cfg.DeviceBlocks
 	}
@@ -323,7 +323,7 @@ func (e *Engine) blocksFor(tokens int) int {
 	if tokens <= 0 {
 		return 0
 	}
-	return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
+	return (tokens + blockSize - 1) / blockSize
 }
 
 // Generate executes one request in isolation (batch 1).

@@ -46,24 +46,21 @@ func (p SchedPolicy) String() string {
 	return "FCFS"
 }
 
-// ServeMetrics extends BatchMetrics with latency percentiles, deadline
-// accounting, and prefix-cache accounting over an open-loop run.
-type ServeMetrics struct {
-	BatchMetrics
-	P50Latency     float64
-	P95Latency     float64
-	P99Latency     float64
-	MeanLatency    float64
-	DeadlinesMet   int
-	DeadlinesTotal int
-	// Served counts completed requests. It equals len(Latencies) and — in
-	// full-metrics mode — len(Requests), but survives LeanMetrics.
+// ServeCounters are the additive counters of a serve run: one engine's
+// run reports them in ServeMetrics, and a fleet's total is the Add of its
+// replicas' runs.
+type ServeCounters struct {
+	// Served counts completed requests. In one engine's run it equals
+	// len(Latencies) and — in full-metrics mode — len(Requests), but
+	// survives LeanMetrics.
 	Served int
 	// Events counts clock-advancing simulation events (prefills and
 	// decode chunks) — the unit soak throughput is reported in.
 	Events int
-	// Latencies holds per-request (finish − arrival), in completion order.
-	Latencies []float64
+	// DeadlinesTotal counts served requests that carry a deadline;
+	// DeadlinesMet those that finished by it.
+	DeadlinesMet   int
+	DeadlinesTotal int
 	// PrefixLookups counts admissions that consulted the prefix cache;
 	// PrefixHits those that matched at least one block;
 	// PrefixLookupTokens sums the prompt tokens of consulted admissions.
@@ -82,23 +79,51 @@ type ServeMetrics struct {
 	RestoreSeconds float64
 }
 
+// Add adds one run's counters into the total c.
+func (c *ServeCounters) Add(o ServeCounters) {
+	c.Served += o.Served
+	c.Events += o.Events
+	c.DeadlinesMet += o.DeadlinesMet
+	c.DeadlinesTotal += o.DeadlinesTotal
+	c.PrefixLookups += o.PrefixLookups
+	c.PrefixHits += o.PrefixHits
+	c.PrefixLookupTokens += o.PrefixLookupTokens
+	c.SavedPrefillTokens += o.SavedPrefillTokens
+	c.HostHits += o.HostHits
+	c.RestoreSeconds += o.RestoreSeconds
+}
+
 // PrefixHitRate is the token-weighted cache hit rate — saved prefill
 // tokens over prompt tokens that consulted the cache (the convention
 // vLLM and SGLang report) — or 0 when the cache was never consulted.
-func (s ServeMetrics) PrefixHitRate() float64 {
-	if s.PrefixLookupTokens == 0 {
+func (c ServeCounters) PrefixHitRate() float64 {
+	if c.PrefixLookupTokens == 0 {
 		return 0
 	}
-	return float64(s.SavedPrefillTokens) / float64(s.PrefixLookupTokens)
+	return float64(c.SavedPrefillTokens) / float64(c.PrefixLookupTokens)
 }
 
 // HitRate returns the fraction of deadline-bearing requests that met
 // their deadline (1.0 when none carry deadlines).
-func (s ServeMetrics) HitRate() float64 {
-	if s.DeadlinesTotal == 0 {
+func (c ServeCounters) HitRate() float64 {
+	if c.DeadlinesTotal == 0 {
 		return 1
 	}
-	return float64(s.DeadlinesMet) / float64(s.DeadlinesTotal)
+	return float64(c.DeadlinesMet) / float64(c.DeadlinesTotal)
+}
+
+// ServeMetrics extends BatchMetrics with latency percentiles and the
+// serve counters (deadline and prefix-cache accounting) over an
+// open-loop run.
+type ServeMetrics struct {
+	BatchMetrics
+	ServeCounters
+	P50Latency  float64
+	P95Latency  float64
+	P99Latency  float64
+	MeanLatency float64
+	// Latencies holds per-request (finish − arrival), in completion order.
+	Latencies []float64
 }
 
 // ServeOpts tunes a streaming serve run.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -340,30 +341,35 @@ func TestServeAdmissionGrain(t *testing.T) {
 }
 
 // TestRunMatchesServeAtClock pins Run as the scheduler over a closed
-// batch: the same requests all arriving at the clock, served FCFS,
-// produce identical per-request metrics, wall time, energy and KV peak.
+// batch: over seeds 1–8 of random prompt and output lengths and every
+// batch size from 1 to 16, the same requests all arriving at the clock,
+// served FCFS, produce identical per-request metrics, wall time, energy,
+// token count and KV peak.
 func TestRunMatchesServeAtClock(t *testing.T) {
-	var reqs []Request
-	var timedReqs []TimedRequest
-	for i := 0; i < 12; i++ {
-		r := Request{ID: fmt.Sprintf("q%d", i), PromptTokens: 64 + 32*i, OutputTokens: 40 + 37*i}
-		reqs = append(reqs, r)
-		timedReqs = append(timedReqs, TimedRequest{Request: r})
-	}
-	for _, maxBatch := range []int{1, 4, 12} {
-		run, err := newOrinEngine(t, model.DSR1Llama8B).Run(reqs, maxBatch)
-		if err != nil {
-			t.Fatal(err)
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xc10c))
+		var reqs []Request
+		var timedReqs []TimedRequest
+		for i := 1 + rng.IntN(24); i > 0; i-- {
+			r := Request{ID: fmt.Sprintf("q%d", len(reqs)), PromptTokens: 1 + rng.IntN(1024), OutputTokens: 1 + rng.IntN(1024)}
+			reqs = append(reqs, r)
+			timedReqs = append(timedReqs, TimedRequest{Request: r})
 		}
-		serve, err := newOrinEngine(t, model.DSR1Llama8B).Serve(timedReqs, maxBatch, FCFS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(run.Requests, serve.Requests) || run.WallTime != serve.WallTime ||
-			run.TotalEnergy != serve.TotalEnergy || run.TotalTokens != serve.TotalTokens ||
-			run.PeakKVBlocks != serve.PeakKVBlocks {
-			t.Errorf("maxBatch %d: Run and Serve at the clock disagree:\nrun   %+v\nserve %+v",
-				maxBatch, run, serve.BatchMetrics)
+		for maxBatch := 1; maxBatch <= 16; maxBatch++ {
+			run, err := newOrinEngine(t, model.DSR1Llama8B).Run(reqs, maxBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve, err := newOrinEngine(t, model.DSR1Llama8B).Serve(timedReqs, maxBatch, FCFS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(run.Requests, serve.Requests) || run.WallTime != serve.WallTime ||
+				run.TotalEnergy != serve.TotalEnergy || run.TotalTokens != serve.TotalTokens ||
+				run.PeakKVBlocks != serve.PeakKVBlocks {
+				t.Fatalf("seed %d maxBatch %d: Run and Serve at the clock disagree:\nrun   %+v\nserve %+v",
+					seed, maxBatch, run, serve.BatchMetrics)
+			}
 		}
 	}
 }

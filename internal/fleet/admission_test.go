@@ -88,7 +88,6 @@ func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedReque
 	t.Helper()
 	cfg := homogeneousFleet(1, RoundRobin)
 	cfg.Replicas[0].Capacity = 1
-	cfg.Replicas[0].MaxBatch = 1
 	cfg.Admission = admission
 	m, err := Serve(cfg, reqs)
 	if err != nil {

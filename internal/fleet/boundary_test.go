@@ -43,8 +43,8 @@ func TestDeadAtBirthReplicaTakesNothing(t *testing.T) {
 	if m.Served != len(reqs) || m.Dropped != 0 {
 		t.Fatalf("served %d dropped %d, want all served on the live replica", m.Served, m.Dropped)
 	}
-	if m.Replicas[1].Assigned != 0 {
-		t.Errorf("dead-at-birth replica took %d requests", m.Replicas[1].Assigned)
+	if m.Replicas[1].Served != 0 {
+		t.Errorf("dead-at-birth replica took %d requests", m.Replicas[1].Served)
 	}
 
 	// Alone, the same replica is a permanent outage from t=0.
@@ -90,7 +90,7 @@ func TestTotalOutageMidStreamConservation(t *testing.T) {
 	// ingress queue when the pool dies, not only later arrivals.
 	var assigned int
 	for _, rm := range m.Replicas {
-		assigned += rm.Assigned
+		assigned += rm.Served
 	}
 	if assigned != m.Served {
 		t.Errorf("assigned %d != served %d: outage must not strand dispatched work", assigned, m.Served)

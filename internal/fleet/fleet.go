@@ -7,7 +7,10 @@
 // serve run (engine.Serving) the moment it is routed, and an engine is
 // advanced to the instants that need its state — a dispatch to it, a
 // tiered warmth read, a crash on it. Per-replica results are folded
-// into fleet-wide Metrics once dispatch ends and every run is closed.
+// into fleet-wide Metrics once dispatch ends and every run is closed:
+// the fleet's counters are the replicas' engine.ServeCounters added in
+// replica order, beside the fleet's own drop, crash and autoscale
+// ledger.
 // An advance commits (see engine.Serving): a replica read or crashed
 // after its last dispatch caps its decode chunks at the admission grain
 // up to that instant, so its results match a standalone run advanced
@@ -39,14 +42,15 @@ import (
 	"edgereasoning/internal/telemetry"
 )
 
+// maxBatch bounds concurrent decoders on each replica.
+const maxBatch = 4
+
 // ReplicaConfig describes one engine in the fleet.
 type ReplicaConfig struct {
 	// Name labels the replica in metrics (default "r<i>-<device>").
 	Name   string
 	Spec   model.Spec
 	Device *hw.Device
-	// MaxBatch bounds concurrent decoders on the replica (default 4).
-	MaxBatch int
 	// Capacity bounds outstanding (queued + executing) requests the
 	// router may park on the replica (default 16).
 	Capacity int
@@ -61,9 +65,6 @@ type ReplicaConfig struct {
 }
 
 func (rc ReplicaConfig) withDefaults(i int) ReplicaConfig {
-	if rc.MaxBatch <= 0 {
-		rc.MaxBatch = 4
-	}
 	if rc.Capacity <= 0 {
 		rc.Capacity = 16
 	}
@@ -125,9 +126,8 @@ type ReplicaMetrics struct {
 	Name   string
 	Device string
 	Model  string
-	// Assigned counts requests routed to the replica and not aborted
-	// there by a crash.
-	Assigned int
+	// ServeMetrics is the replica's engine run; its Served counts the
+	// requests routed to the replica and not aborted there by a crash.
 	engine.ServeMetrics
 	// BusyTime sums per-request service time (prefill + decode); batched
 	// decode double-counts overlap, so compare it across replicas, not
@@ -146,31 +146,26 @@ type ReplicaMetrics struct {
 type Metrics struct {
 	Policy   Policy
 	Replicas []ReplicaMetrics
+	// ServeCounters is the sum of the replicas' counters (Served,
+	// Events, deadline and prefix-cache accounting), in replica order,
+	// except that DeadlinesTotal also counts each dropped
+	// deadline-bearing request, as a missed deadline.
+	engine.ServeCounters
 	// Offered counts every request that entered the fleet's ingress;
 	// conservation holds as Served + Dropped == Offered on every run.
 	Offered int
-	// Served counts completed requests; Dropped counts requests that
-	// never reached a replica — either no replica could ever take them
-	// (all failed or never warm) or the Shed admission discipline
-	// dropped them as hopeless. Shed is the subset of Dropped removed
-	// by deadline shedding.
-	Served  int
+	// Dropped counts requests that never reached a replica — either no
+	// replica could ever take them (all failed or never warm) or the
+	// Shed admission discipline dropped them as hopeless. Shed is the
+	// subset of Dropped removed by deadline shedding.
 	Dropped int
 	Shed    int
-	// Events sums the replicas' clock-advancing simulation events
-	// (prefills and decode chunks) — the unit soak throughput is
-	// reported in.
-	Events int
 	// Fleet-wide latency distribution over all completions.
 	P50Latency  float64
 	P95Latency  float64
 	P99Latency  float64
 	MeanLatency float64
-	// Deadline accounting; dropped deadline-bearing requests count as
-	// missed.
-	DeadlinesMet   int
-	DeadlinesTotal int
-	TotalEnergy    float64 // joules across the fleet
+	TotalEnergy float64 // joules across the fleet
 	// WallTime is the last completion time on any replica.
 	WallTime float64
 	// Imbalance is the coefficient of variation of per-replica BusyTime:
@@ -186,20 +181,10 @@ type Metrics struct {
 	ScaleDowns     int
 	PeakReplicas   int
 	ReplicaSeconds float64
-	// Prefix-cache accounting summed over replicas (zero without
-	// Config.PrefixCache or without PromptSyms on the stream).
-	PrefixLookups      int
-	PrefixHits         int
-	PrefixLookupTokens int
-	SavedPrefillTokens int
-	// Host-tier accounting summed over replicas (zero without
-	// Config.HostTierBlocks): demote/promote traffic, admissions whose
-	// matched prefix was restored from host DRAM, and the host-link
-	// seconds those restores charged into TTFT.
+	// Host-tier demote/promote traffic summed over replicas (zero
+	// without Config.HostTierBlocks).
 	TierDemotions  int
 	TierPromotions int
-	HostHits       int
-	RestoreSeconds float64
 	// Fault-injection and recovery accounting (zero without
 	// Config.Faults). Crashes counts crash events striking the
 	// pool; Aborted the dispatches they destroyed — whatever the struck
@@ -219,25 +204,6 @@ type Metrics struct {
 	AbortedDropped  int
 	LostWorkSeconds float64
 	BreakerOpens    int
-}
-
-// HitRate returns the fraction of deadline-bearing requests that met
-// their deadline (1.0 when none carry deadlines).
-func (m Metrics) HitRate() float64 {
-	if m.DeadlinesTotal == 0 {
-		return 1
-	}
-	return float64(m.DeadlinesMet) / float64(m.DeadlinesTotal)
-}
-
-// PrefixHitRate is the fleet-wide token-weighted cache hit rate — saved
-// prefill tokens over prompt tokens that consulted a replica's cache (0
-// when never consulted).
-func (m Metrics) PrefixHitRate() float64 {
-	if m.PrefixLookupTokens == 0 {
-		return 0
-	}
-	return float64(m.SavedPrefillTokens) / float64(m.PrefixLookupTokens)
 }
 
 // drop records a request that leaves the fleet unserved; a
@@ -309,7 +275,7 @@ func newReplica(rc ReplicaConfig, fc Config, tl *timeline) (*replica, error) {
 	return &replica{
 		cfg:           rc,
 		eng:           eng,
-		sv:            eng.Open(rc.MaxBatch, fc.Admission.localDiscipline(fc.Policy), opts),
+		sv:            eng.Open(maxBatch, fc.Admission.localDiscipline(fc.Policy), opts),
 		prefillPerTok: prefillPerTok,
 		decodePerTok:  decodePerTok,
 		tl:            tl,
@@ -552,7 +518,6 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 			Name:          r.cfg.Name,
 			Device:        r.cfg.Device.Name,
 			Model:         string(r.cfg.Spec.ID),
-			Assigned:      sm.Served,
 			ServeMetrics:  sm,
 			Crashes:       r.crashes,
 			ProvisionedAt: r.provisionedAt,
@@ -562,17 +527,8 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 			rm.BusyTime += m.TotalTime()
 		}
 		out.Replicas = append(out.Replicas, rm)
-		out.Served += sm.Served
-		out.Events += sm.Events
-		out.DeadlinesMet += sm.DeadlinesMet
-		out.DeadlinesTotal += sm.DeadlinesTotal
+		out.Add(sm.ServeCounters)
 		out.TotalEnergy += sm.TotalEnergy
-		out.PrefixLookups += sm.PrefixLookups
-		out.PrefixHits += sm.PrefixHits
-		out.PrefixLookupTokens += sm.PrefixLookupTokens
-		out.SavedPrefillTokens += sm.SavedPrefillTokens
-		out.HostHits += sm.HostHits
-		out.RestoreSeconds += sm.RestoreSeconds
 		pm := r.eng.PrefixMetrics()
 		out.TierDemotions += pm.Demotions
 		out.TierPromotions += pm.Promotions

@@ -150,7 +150,7 @@ func TestServeAllPoliciesCompleteEverything(t *testing.T) {
 		}
 		total := 0
 		for _, rm := range m.Replicas {
-			total += rm.Assigned
+			total += rm.Served
 		}
 		if total != len(reqs) {
 			t.Errorf("%s: assignments sum to %d, want %d", p, total, len(reqs))
@@ -164,8 +164,8 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rm := range m.Replicas {
-		if rm.Assigned != 5 {
-			t.Errorf("%s assigned %d, want 5", rm.Name, rm.Assigned)
+		if rm.Served != 5 {
+			t.Errorf("%s assigned %d, want 5", rm.Name, rm.Served)
 		}
 	}
 	if m.Imbalance > 0.05 {
@@ -187,9 +187,9 @@ func TestLatencyWeightedFavorsFastReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Replicas[0].Assigned <= m.Replicas[1].Assigned {
+	if m.Replicas[0].Served <= m.Replicas[1].Served {
 		t.Errorf("latency-weighted sent %d to fast vs %d to slow; fast must get more",
-			m.Replicas[0].Assigned, m.Replicas[1].Assigned)
+			m.Replicas[0].Served, m.Replicas[1].Served)
 	}
 }
 
@@ -201,9 +201,9 @@ func TestLeastQueueTracksBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := m.Replicas[0].Assigned - m.Replicas[1].Assigned
+	diff := m.Replicas[0].Served - m.Replicas[1].Served
 	if diff < -1 || diff > 1 {
-		t.Errorf("least-queue split %d/%d, want near-even", m.Replicas[0].Assigned, m.Replicas[1].Assigned)
+		t.Errorf("least-queue split %d/%d, want near-even", m.Replicas[0].Served, m.Replicas[1].Served)
 	}
 }
 
@@ -215,11 +215,11 @@ func TestWarmupKeepsReplicaColdThenRoutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Replicas[0].Assigned != 6 {
-		t.Errorf("cold replica stole traffic: warm got %d of 6 early requests", m.Replicas[0].Assigned)
+	if m.Replicas[0].Served != 6 {
+		t.Errorf("cold replica stole traffic: warm got %d of 6 early requests", m.Replicas[0].Served)
 	}
-	if m.Replicas[1].Assigned != 1 {
-		t.Errorf("warmed-up replica got %d requests, want the late one", m.Replicas[1].Assigned)
+	if m.Replicas[1].Served != 1 {
+		t.Errorf("warmed-up replica got %d requests, want the late one", m.Replicas[1].Served)
 	}
 }
 

@@ -212,6 +212,95 @@ func TestAutoscaleMinEqualsMaxMatchesFixedPool(t *testing.T) {
 	})
 }
 
+// TestFleetTotalsAreReplicaSums: over the property grid with generated
+// crashes, stalls and throttles, the fleet's counters are the sums of its
+// replicas' runs (DeadlinesTotal also counts each dropped deadline-bearing
+// request), WallTime is the latest replica clock, TotalEnergy and Crashes
+// fold in replica order, and every offered request is served or dropped.
+func TestFleetTotalsAreReplicaSums(t *testing.T) {
+	propertyGrid(t, func(seed uint64, base func() Config, reqs []engine.TimedRequest) {
+		sched, err := faults.Generate(faults.GenConfig{
+			Replicas: 3, Horizon: reqs[len(reqs)-1].Arrival,
+			CrashRate: 1, RestartDelay: 5,
+			StallRate: 1, StallDuration: 2,
+			ThrottleRate: 1, ThrottleDuration: 5, ThrottleFactor: 2,
+		}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := base()
+		cfg.Faults = &sched
+		m, err := Serve(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("seed %d %s/%s", seed, cfg.Policy, cfg.Admission)
+		if m.Served+m.Dropped != m.Offered || m.Offered != len(reqs) {
+			t.Fatalf("%s: served %d + dropped %d != offered %d of %d", name, m.Served, m.Dropped, m.Offered, len(reqs))
+		}
+		var sum engine.ServeCounters
+		var wall, energy float64
+		crashes := 0
+		served := map[string]bool{}
+		for _, rm := range m.Replicas {
+			sum.Add(rm.ServeCounters)
+			wall = max(wall, rm.WallTime)
+			energy += rm.TotalEnergy
+			crashes += rm.Crashes
+			for _, q := range rm.Requests {
+				served[q.ID] = true
+			}
+		}
+		dropped := 0
+		for _, tr := range reqs {
+			if !served[tr.ID] && tr.Deadline > 0 {
+				dropped++
+			}
+		}
+		sum.DeadlinesTotal += dropped
+		if m.ServeCounters != sum {
+			t.Fatalf("%s: fleet counters %+v, replica sums %+v", name, m.ServeCounters, sum)
+		}
+		if m.WallTime != wall || m.TotalEnergy != energy || m.Crashes != crashes {
+			t.Fatalf("%s: wall %v energy %v crashes %d, replicas fold to %v, %v, %d",
+				name, m.WallTime, m.TotalEnergy, m.Crashes, wall, energy, crashes)
+		}
+	})
+}
+
+// TestServeCountersAddCoversEveryField gives each counter a distinct
+// value and adds the struct to itself: every field must double, so a
+// counter added to engine.ServeCounters cannot miss the fleet total. No
+// field of Metrics may shadow a promoted counter either.
+func TestServeCountersAddCoversEveryField(t *testing.T) {
+	var c engine.ServeCounters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("counter %s has kind %s, not int or float64", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	want := c
+	c.Add(c)
+	got := reflect.ValueOf(c)
+	mt := reflect.TypeOf(Metrics{})
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		w, g := reflect.ValueOf(want).Field(i), got.Field(i)
+		if (g.CanInt() && g.Int() != 2*w.Int()) || (g.CanFloat() && g.Float() != 2*w.Float()) {
+			t.Errorf("Add left %s at %v, want twice %v", name, g, w)
+		}
+		if f, ok := mt.FieldByName(name); !ok || len(f.Index) != 2 {
+			t.Errorf("Metrics.%s is not the embedded engine counter", name)
+		}
+	}
+}
+
 // offer is one dispatch as its replica's engine received it.
 type offer struct {
 	tr engine.TimedRequest
@@ -297,7 +386,7 @@ func TestReplicasMatchStandaloneServe(t *testing.T) {
 				o.tr.Arrival = o.at
 				stream = append(stream, o.tr)
 			}
-			want, err := eng.ServeSource(engine.NewSliceSource(stream), rc.MaxBatch,
+			want, err := eng.ServeSource(engine.NewSliceSource(stream), maxBatch,
 				tc.admission.localDiscipline(tc.policy), engine.ServeOpts{})
 			if err != nil {
 				t.Fatal(err)
@@ -359,7 +448,7 @@ func TestWarmthReadCommitsTheReadReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv := eng.Open(rc.MaxBatch, engine.FCFS, engine.ServeOpts{})
+			sv := eng.Open(maxBatch, engine.FCFS, engine.ServeOpts{})
 			for _, o := range sub[rm.Name] {
 				if err := sv.AdvanceTo(o.at); err != nil {
 					t.Fatal(err)

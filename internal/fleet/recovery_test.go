@@ -193,7 +193,7 @@ func TestCrashAbortsInFlightWork(t *testing.T) {
 	}
 	assigned := 0
 	for _, rm := range m.Replicas {
-		assigned += rm.Assigned
+		assigned += rm.Served
 	}
 	if assigned != m.Served {
 		t.Errorf("assigned %d != served %d: aborts must leave the drained sub-streams", assigned, m.Served)
@@ -225,7 +225,7 @@ func TestRetryRecoversCrashedWork(t *testing.T) {
 			m.Served, m.Dropped, len(reqs))
 	}
 	// The crashed replica's restart lands a cache wipe on its next take.
-	if m.Replicas[0].Assigned == 0 {
+	if m.Replicas[0].Served == 0 {
 		t.Error("restarted replica took no post-crash work")
 	}
 }
@@ -246,14 +246,14 @@ func TestHealthAwareRoutingAvoidsStalledReplica(t *testing.T) {
 		return m
 	}
 	aware := run(&HealthConfig{})
-	if aware.Replicas[0].Assigned != 0 {
-		t.Errorf("health-aware router sent %d requests into the stall window", aware.Replicas[0].Assigned)
+	if aware.Replicas[0].Served != 0 {
+		t.Errorf("health-aware router sent %d requests into the stall window", aware.Replicas[0].Served)
 	}
 	if aware.Served != 8 {
 		t.Errorf("aware fleet served %d of 8", aware.Served)
 	}
 	blind := run(nil)
-	if blind.Replicas[0].Assigned == 0 {
+	if blind.Replicas[0].Served == 0 {
 		t.Error("blind router should keep dispatching into the stall")
 	}
 	// The blind fleet pays the freeze physically at drain time.

@@ -98,7 +98,7 @@ func TestSessionAffinityOnSessionlessStreamActsLikeLeastQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range aff.Replicas {
-		if aff.Replicas[i].Assigned != lq.Replicas[i].Assigned {
+		if aff.Replicas[i].Served != lq.Replicas[i].Served {
 			t.Fatalf("sessionless affinity diverged from least-queue: %v vs %v",
 				assignments(aff), assignments(lq))
 		}
@@ -108,7 +108,7 @@ func TestSessionAffinityOnSessionlessStreamActsLikeLeastQueue(t *testing.T) {
 func assignments(m Metrics) []int {
 	out := make([]int, len(m.Replicas))
 	for i, r := range m.Replicas {
-		out[i] = r.Assigned
+		out[i] = r.Served
 	}
 	return out
 }

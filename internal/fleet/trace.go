@@ -164,30 +164,9 @@ func (ft *fleetTracer) finalize(out *Metrics, initial int) {
 	for _, ev := range out.ScaleEvents {
 		live.Sample(ev.Time, float64(ev.Live))
 	}
-	for _, rb := range out.PerReplica() {
-		ft.trace.GaugeSeries("replica_served", rb.Name).Sample(out.WallTime, float64(rb.Served))
-		ft.trace.GaugeSeries("replica_busy_seconds", rb.Name).Sample(out.WallTime, rb.BusySeconds)
-		ft.trace.GaugeSeries("replica_crashes", rb.Name).Sample(out.WallTime, float64(rb.Crashes))
+	for _, r := range out.Replicas {
+		ft.trace.GaugeSeries("replica_served", r.Name).Sample(out.WallTime, float64(r.Served))
+		ft.trace.GaugeSeries("replica_busy_seconds", r.Name).Sample(out.WallTime, r.BusyTime)
+		ft.trace.GaugeSeries("replica_crashes", r.Name).Sample(out.WallTime, float64(r.Crashes))
 	}
-}
-
-// ReplicaBreakdown is one replica's run totals — the compact per-replica
-// view the trace exporter and the CLI summary table share.
-type ReplicaBreakdown struct {
-	Name        string
-	Served      int
-	BusySeconds float64
-	Crashes     int
-}
-
-// PerReplica summarizes each replica's share of the run, in pool order.
-func (m Metrics) PerReplica() []ReplicaBreakdown {
-	out := make([]ReplicaBreakdown, len(m.Replicas))
-	for i, r := range m.Replicas {
-		out[i] = ReplicaBreakdown{
-			Name: r.Name, Served: r.Served,
-			BusySeconds: r.BusyTime, Crashes: r.Crashes,
-		}
-	}
-	return out
 }

@@ -105,49 +105,3 @@ func TestTracingTransparencyProperties(t *testing.T) {
 		}
 	}
 }
-
-// TestPerReplicaBreakdown pins the Metrics.PerReplica satellite: rows
-// come back in replica order and fold served counts, busy seconds, and
-// crash strikes consistent with the per-replica metrics they summarize.
-func TestPerReplicaBreakdown(t *testing.T) {
-	spec := model.MustLookup(model.Qwen25_1_5Bit)
-	profile := workload.InteractiveAssistant(2, 60)
-	reqs, err := workload.Generate(profile, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := faults.Generate(faults.GenConfig{
-		Replicas: 2, Horizon: 30, CrashRate: 1, RestartDelay: 4,
-	}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ServeSource(Config{
-		Replicas: HeterogeneousReplicas(2, DefaultDevices(), spec),
-		Faults:   &sched,
-		Retry:    &RetryPolicy{},
-	}, engine.NewSliceSource(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := m.PerReplica()
-	if len(rows) != len(m.Replicas) {
-		t.Fatalf("%d rows for %d replicas", len(rows), len(m.Replicas))
-	}
-	served, crashes := 0, 0
-	for i, rb := range rows {
-		rm := m.Replicas[i]
-		if rb.Name != rm.Name || rb.Served != rm.Served || rb.Crashes != rm.Crashes {
-			t.Errorf("row %d = %+v diverges from ReplicaMetrics %s served=%d crashes=%d",
-				i, rb, rm.Name, rm.Served, rm.Crashes)
-		}
-		if rb.BusySeconds < 0 {
-			t.Errorf("row %d: negative busy seconds %v", i, rb.BusySeconds)
-		}
-		served += rb.Served
-		crashes += rb.Crashes
-	}
-	if served != m.Served || crashes != m.Crashes {
-		t.Errorf("rows fold to served=%d crashes=%d, metrics say %d/%d", served, crashes, m.Served, m.Crashes)
-	}
-}

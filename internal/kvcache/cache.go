@@ -373,8 +373,6 @@ type Stats struct {
 	UsedBlocks   int
 	PeakUsed     int
 	Sequences    int
-	UsedBytes    int64
-	TotalBytes   int64
 	SharedBlocks int // blocks with refcount > 1
 }
 
@@ -408,16 +406,12 @@ func (c *Cache) UsedBlocks() int { return c.cfg.NumBlocks - c.FreeBlocks() }
 // kept as a test-only cross-check (CheckInvariants compares the two).
 func (c *Cache) Stats() Stats {
 	free := c.FreeBlocks()
-	used := c.cfg.NumBlocks - free
-	blockBytes := int64(c.cfg.BlockSize) * c.cfg.BytesPerToken
 	return Stats{
 		TotalBlocks:  c.cfg.NumBlocks,
 		FreeBlocks:   free,
-		UsedBlocks:   used,
+		UsedBlocks:   c.cfg.NumBlocks - free,
 		PeakUsed:     c.peakUsed,
 		Sequences:    c.live,
-		UsedBytes:    int64(used) * blockBytes,
-		TotalBytes:   int64(c.cfg.NumBlocks) * blockBytes,
 		SharedBlocks: c.shared,
 	}
 }

@@ -37,7 +37,7 @@ type Series struct {
 	Label string // track attribution ("" for fleet-wide series)
 	Kind  SeriesKind
 
-	minGap float64
+	minGap float64 // 0 (keep every sample) until the first thin
 	pts    []Point // cap fixed at creation; thinning keeps it bounded
 	total  float64 // Counter accumulator
 }

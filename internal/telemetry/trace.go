@@ -31,11 +31,6 @@ type Config struct {
 	// SeriesCap bounds points per series; overflow thins uniformly in
 	// time. Default 4096.
 	SeriesCap int
-	// SampleInterval is the minimum simulated-seconds gap between stored
-	// samples of one series (closer samples update the last point in
-	// place). Default 0 — keep every sample until SeriesCap forces
-	// thinning.
-	SampleInterval float64
 }
 
 func (c Config) withDefaults() Config {
@@ -132,8 +127,7 @@ func (t *Trace) seriesFor(name, label string, kind SeriesKind) *Series {
 	}
 	s := &Series{
 		Name: name, Label: label, Kind: kind,
-		minGap: t.cfg.SampleInterval,
-		pts:    make([]Point, 0, t.cfg.SeriesCap),
+		pts: make([]Point, 0, t.cfg.SeriesCap),
 	}
 	t.byKey[key] = s
 	t.series = append(t.series, s)

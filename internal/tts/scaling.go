@@ -45,7 +45,6 @@ func MajorityVote(gens []llm.Generation) (answer int, votes int) {
 // QuestionResult is one question evaluated at a scaling factor.
 type QuestionResult struct {
 	Correct      bool
-	VotedAnswer  int
 	Agreement    float64 // winning votes / SF
 	OutputTokens int     // summed across branches
 	MaxTokens    int     // longest branch (drives latency)
@@ -55,9 +54,8 @@ type QuestionResult struct {
 func score(gens []llm.Generation) QuestionResult {
 	answer, votes := MajorityVote(gens)
 	res := QuestionResult{
-		Correct:     answer == 0,
-		VotedAnswer: answer,
-		Agreement:   float64(votes) / float64(len(gens)),
+		Correct:   answer == 0,
+		Agreement: float64(votes) / float64(len(gens)),
 	}
 	for _, g := range gens {
 		res.OutputTokens += g.OutputTokens
