@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -453,5 +454,42 @@ func TestEmitCountsFailedClaims(t *testing.T) {
 	got, _ := os.ReadFile(stderr.Name())
 	if want := "edgereasoning: 2 claims FAIL (drills 1, verify 1)\n"; string(got) != want {
 		t.Errorf("stderr %q, want %q", got, want)
+	}
+}
+
+// TestTraceSummaryColumnsAlign: the trace command's per-replica summary
+// sizes its name column to the longest replica name, so the right-aligned
+// served column ends at the same offset on the header and every row.
+func TestTraceSummaryColumnsAlign(t *testing.T) {
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = stdout
+	err = run([]string{"trace", "-requests", "60", "-out", filepath.Join(dir, "trace.json")})
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, summary, ok := strings.Cut(string(out), "\n  replica ")
+	if !ok {
+		t.Fatalf("no replica summary in trace stdout:\n%s", out)
+	}
+	rows := strings.Split(strings.TrimSuffix("  replica "+summary, "\n"), "\n")
+	if len(rows) < 3 {
+		t.Fatalf("summary has %d replica rows, want at least 2:\n%s", len(rows)-1, out)
+	}
+	field := regexp.MustCompile(`^  \S+\s+\S+`)
+	want := len(field.FindString(rows[0]))
+	for _, row := range rows[1:] {
+		if got := len(field.FindString(row)); got != want {
+			t.Errorf("served column ends at %d, header at %d:\n%s", got, want, strings.Join(rows, "\n"))
+		}
 	}
 }

@@ -59,9 +59,13 @@ func traceCmd(fs *flag.FlagSet, cfg *config) func(string) error {
 			}
 			fmt.Printf("  wrote %s (Prometheus text format)\n", *metricsOut)
 		}
-		fmt.Printf("  %-16s %8s %8s %8s\n", "replica", "served", "busy_s", "crashes")
+		w := len("replica")
 		for _, r := range m.Replicas {
-			fmt.Printf("  %-16s %8d %8.1f %8d\n", r.Name, r.Served, r.BusyTime, r.Crashes)
+			w = max(w, len(r.Name))
+		}
+		fmt.Printf("  %-*s %8s %8s %8s\n", w, "replica", "served", "busy_s", "crashes")
+		for _, r := range m.Replicas {
+			fmt.Printf("  %-*s %8d %8.1f %8d\n", w, r.Name, r.Served, r.BusyTime, r.Crashes)
 		}
 		return nil
 	}

@@ -92,9 +92,9 @@ type Config struct {
 // execution by the model twin (the engine transports tokens; it does not
 // decide how many the model emits).
 type Request struct {
-	// ID labels the request's Metrics, trace spans and errors; the engine
-	// never looks a request up by it, so IDs need not be unique for
-	// serving. telemetry.Breakdown groups spans by ID, so a traced run
+	// ID labels the request's Metrics, trace spans and errors; neither
+	// the engine nor a fleet looks a request up by it, so IDs need not be
+	// unique for serving. telemetry.Breakdown groups spans by ID, so a traced run
 	// that is broken down needs them unique within the run.
 	ID           string
 	PromptTokens int

@@ -26,6 +26,10 @@ type TimedRequest struct {
 	// let a finished sequence's full prompt+output history be retained
 	// for the session's next turn.
 	OutputSyms []uint64
+	// Attempt counts the dispatches of this request that crashes
+	// destroyed before this one. The engine carries it untouched and
+	// returns it in Abort; a fleet's retry reads it there.
+	Attempt int
 }
 
 // SchedPolicy selects the ready-queue discipline.

@@ -86,6 +86,18 @@ func ParseAdmission(s string) (Admission, error) {
 	return 0, fmt.Errorf("fleet: unknown admission discipline %q (have fifo, edf, sjf, shed)", s)
 }
 
+// entry is one request waiting at the fleet's front door: in the
+// ingress, or in the retry queue after a crash aborted it. since is when
+// it last entered, its arrival or its re-admission instant, and flow the
+// trace flow its abort opened (0 on a first attempt or untraced). A
+// retry carries its own state, its attempt count in
+// TimedRequest.Attempt, so dispatch looks nothing up by request ID.
+type entry struct {
+	engine.TimedRequest
+	since float64
+	flow  uint64
+}
+
 // ingress is the fleet's shared admission queue. Requests are pushed in
 // arrival order; pick selects the next dispatch per the discipline. The
 // in-order disciplines (FIFO, Shed) take the head in O(1) amortized; the
@@ -93,14 +105,14 @@ func ParseAdmission(s string) (Admission, error) {
 // cost of looking at the whole waiting set.
 type ingress struct {
 	discipline Admission
-	queue.Queue[engine.TimedRequest]
+	queue.Queue[entry]
 }
 
 // newIngress returns an empty ingress. A 64-slot floor skips the early
 // append-growth doublings; a congested ingress grows geometrically from
 // there.
 func newIngress(discipline Admission) *ingress {
-	return &ingress{discipline, queue.New[engine.TimedRequest](64)}
+	return &ingress{discipline, queue.New[entry](64)}
 }
 
 // pick returns the position in the waiting queue of the request to
@@ -138,24 +150,24 @@ func (q *ingress) pick() int {
 // arrival order of the rest.
 //
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
-func (q *ingress) take(i int) engine.TimedRequest {
-	tr := q.Live()[i]
+func (q *ingress) take(i int) entry {
+	e := q.Live()[i]
 	q.RemoveAt(i)
-	return tr
+	return e
 }
 
 // drain removes every waiting request, reporting each through drop —
 // the permanent-outage path.
 func (q *ingress) drain(drop func(engine.TimedRequest)) {
-	q.Filter(func(*engine.TimedRequest) bool { return false },
-		func(tr *engine.TimedRequest) { drop(*tr) })
+	q.Filter(func(*entry) bool { return false },
+		func(e *entry) { drop(e.TimedRequest) })
 }
 
 // dropLate removes every waiting request whose deadline precedes t,
 // reporting each through drop — the Shed discipline's queue purge.
 func (q *ingress) dropLate(t float64, drop func(engine.TimedRequest)) {
-	q.Filter(func(tr *engine.TimedRequest) bool { return !(tr.Deadline > 0 && tr.Deadline < t) },
-		func(tr *engine.TimedRequest) { drop(*tr) })
+	q.Filter(func(e *entry) bool { return !(e.Deadline > 0 && e.Deadline < t) },
+		func(e *entry) { drop(e.TimedRequest) })
 }
 
 // missPressure counts waiting deadline-bearing requests that will

@@ -44,7 +44,7 @@ func TestIngressPickOrder(t *testing.T) {
 	fill := func(d Admission) *ingress {
 		q := newIngress(d)
 		for _, tr := range reqs {
-			q.Push(tr)
+			q.Push(entry{TimedRequest: tr, since: tr.Arrival})
 		}
 		return q
 	}

@@ -264,7 +264,7 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 // accounting honest.
 func (as *autoscaler) retireIdle(ro *router, t float64) {
 	for i, r := range ro.replicas {
-		if !r.liveAt(t) || r.depth(t) > 0 {
+		if !r.liveAt(t) || r.outstanding(t) > 0 {
 			continue
 		}
 		// The idle timer starts when the estimated backlog drains, and

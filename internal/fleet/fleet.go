@@ -19,7 +19,10 @@
 // The router works on calibrated estimates (a batch-1 probe of each
 // replica's prefill and decode rates) for capacity and completion,
 // mirroring a real load balancer that routes on cheap health signals
-// rather than ground truth. Admission is a shared ingress
+// rather than ground truth. Reading them changes nothing; only a
+// dispatch drops finished ones. A crash-aborted retry carries its own
+// attempt count (engine.TimedRequest.Attempt), so request IDs are only
+// labels. Admission is a shared ingress
 // queue with per-replica capacity and a pluggable discipline
 // (Config.Admission): the default FIFO blocks the stream head when every
 // routable replica is at capacity, while EDF and SJF reorder the waiting
@@ -394,16 +397,11 @@ func (r *replica) liveAt(t float64) bool {
 	return true
 }
 
-// depth drops completed estimates and returns outstanding count at t.
-// Completed entries are compacted away in place — reslicing the head off
-// would orphan the preallocated backing array and make every later take
-// regrow it.
-func (r *replica) depth(t float64) int {
-	if done := r.completed(t); done > 0 {
-		n := copy(r.finishes, r.finishes[done:])
-		r.finishes = r.finishes[:n]
-	}
-	return len(r.finishes)
+// outstanding counts the estimates still unfinished at t. Like every
+// router read it changes nothing, so dispatch may read a replica at an
+// instant and then re-route from an earlier one.
+func (r *replica) outstanding(t float64) int {
+	return len(r.finishes) - r.completed(t)
 }
 
 // completed counts the outstanding estimates finished by t, which lead
@@ -413,8 +411,13 @@ func (r *replica) completed(t float64) int {
 }
 
 // take records the dispatch of tr at time t and offers it to the
-// replica's engine, advanced to t first.
+// replica's engine, advanced to t first. Estimates finished by t are
+// dropped here, since the dispatch clock never goes back past a
+// dispatch, and compacted in place so the preallocated array is kept.
 func (r *replica) take(tr engine.TimedRequest, t float64) {
+	if done := r.completed(t); done > 0 {
+		r.finishes = r.finishes[:copy(r.finishes, r.finishes[done:])]
+	}
 	est := math.Max(r.estFreeAt, t) + r.estService(tr)
 	r.estFreeAt = est
 	// finishes stays ascending without a sorted insert: estFreeAt never
@@ -578,10 +581,10 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			}
 			stream.Next()
 			out.Offered++
-			q.Push(tr)
+			q.Push(entry{TimedRequest: tr, since: tr.Arrival})
 		}
-		for w := cx.pending.Live(); len(w) > 0 && w[0].at <= t; w = cx.pending.Live() {
-			q.Push(w[0].tr)
+		for w := cx.pending.Live(); len(w) > 0 && w[0].since <= t; w = cx.pending.Live() {
+			q.Push(w[0])
 			cx.pending.PopFront()
 		}
 	}
@@ -607,8 +610,8 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			if tr, ok := stream.Peek(); ok {
 				next = tr.Arrival
 			}
-			if w := cx.pending.Live(); len(w) > 0 && w[0].at < next {
-				next = w[0].at
+			if w := cx.pending.Live(); len(w) > 0 && w[0].since < next {
+				next = w[0].since
 			}
 			// Never advance past an unprocessed crash: its aborts may
 			// spawn retries due before the next arrival.
@@ -683,7 +686,8 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 				continue
 			}
 		}
-		tr := q.take(q.pick())
+		e := q.take(q.pick())
+		tr := e.TimedRequest
 		if admission == Shed && tr.Deadline > 0 && t+ro.bestService(tr, t) > tr.Deadline {
 			// Even starting immediately on the fastest replica that could
 			// take it, the batch-1 service time alone overruns the
@@ -699,7 +703,7 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 		}
 		ro.chooseAt(tr, t).take(tr, t)
 		if ft != nil {
-			ft.dispatched(tr, t)
+			ft.dispatched(e, t)
 			ft.sampleQueue(t, q.Len())
 		}
 		now = t
@@ -787,13 +791,10 @@ type router struct {
 // changes replica state, so the set stays exact. ok is false when no
 // replica will ever accept again — a permanent outage.
 //
-// Each instant visited checks every replica's availability once. At an
-// instant without a taker the scan prunes the completed work of every
-// routable replica; at the returned instant it prunes only the replicas
-// up to the first taker and counts later takers without pruning. What
-// is pruned is part of the routing outcome: a crash due before the
-// returned instant sends dispatch back to an earlier one, and the
-// outstanding counts read there depend on it.
+// Each instant visited checks every replica's availability once. The
+// scan reads the replicas and changes none of them, so when a crash due
+// before the returned instant sends dispatch back to an earlier one,
+// the backlog read there is the one a scan from there would have seen.
 func (ro *router) nextFree(t float64) (float64, bool) {
 	for {
 		ro.scratch = ro.scratch[:0]
@@ -809,21 +810,16 @@ func (ro *router) nextFree(t float64) (float64, bool) {
 				next = math.Min(next, at)
 				continue
 			}
-			var n int
-			if len(ro.scratch) == 0 {
-				n = r.depth(t)
-			} else {
-				n = len(r.finishes) - r.completed(t)
-			}
-			if n < r.cfg.Capacity {
+			unfinished := r.finishes[r.completed(t):]
+			if len(unfinished) < r.cfg.Capacity {
 				ro.scratch = append(ro.scratch, i)
 				continue
 			}
-			if len(ro.scratch) == 0 && len(r.finishes) > 0 {
-				// Available but at capacity: its earliest outstanding
-				// completion frees a slot, provided it is still available
+			if len(ro.scratch) == 0 && len(unfinished) > 0 {
+				// Available but at capacity: its earliest unfinished
+				// estimate frees a slot, provided it is still available
 				// then. Only needed while no replica can take work now.
-				free := r.finishes[0]
+				free := unfinished[0]
 				if at2, never2 := r.availAt(free); !never2 {
 					next = math.Min(next, math.Max(free, at2))
 				}
@@ -858,7 +854,7 @@ func (ro *router) bestService(tr engine.TimedRequest, t float64) float64 {
 func (ro *router) idleReplicas(t float64) int {
 	n := 0
 	for _, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) == 0 {
+		if r.routableAt(t) && r.outstanding(t) == 0 {
 			n++
 		}
 	}
@@ -866,13 +862,8 @@ func (ro *router) idleReplicas(t float64) int {
 }
 
 // chooseAt applies the routing policy at time t over the candidates
-// nextFree left for t, which is never empty there. The policies read the
-// candidates' outstanding counts, so their completed work is pruned
-// first.
+// nextFree left for t, which is never empty there.
 func (ro *router) chooseAt(tr engine.TimedRequest, t float64) *replica {
-	for _, i := range ro.scratch {
-		ro.replicas[i].depth(t)
-	}
 	return ro.replicas[ro.choose(ro.scratch, tr, t)]
 }
 
@@ -898,7 +889,7 @@ func (ro *router) purge(idx int) {
 func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) int {
 	switch ro.policy {
 	case LeastQueue:
-		return leastQueued(ro.replicas, candidates)
+		return leastQueued(ro.replicas, candidates, t)
 	case SessionAffinity:
 		// A session's turns chase their prefix KV: stay on the pinned
 		// replica while it can take the request. A new session pins to
@@ -909,7 +900,7 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 		// re-pins the same way, except that tiered fleets first rank the
 		// candidates by how much of the turn's history each still holds.
 		if tr.SessionID == "" {
-			return leastQueued(ro.replicas, candidates)
+			return leastQueued(ro.replicas, candidates, t)
 		}
 		p, seen := ro.sticky[tr.SessionID]
 		if seen && p >= 0 {
@@ -933,7 +924,7 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 			w := ro.warmth(i, tr, t, seen)
 			if w > bestWarm ||
 				(w == bestWarm && (ro.pinned[i] < ro.pinned[best] ||
-					(ro.pinned[i] == ro.pinned[best] && len(ro.replicas[i].finishes) < len(ro.replicas[best].finishes)))) {
+					(ro.pinned[i] == ro.pinned[best] && ro.replicas[i].outstanding(t) < ro.replicas[best].outstanding(t)))) {
 				best, bestWarm = i, w
 			}
 		}
@@ -1003,12 +994,12 @@ func (ro *router) warmth(i int, tr engine.TimedRequest, t float64, repin bool) i
 	return (dev+host)*(len(tr.PromptSyms)+1) + dev
 }
 
-// leastQueued picks the candidate with the fewest outstanding requests,
-// breaking ties by index.
-func leastQueued(replicas []*replica, candidates []int) int {
+// leastQueued picks the candidate with the fewest outstanding requests
+// at t, breaking ties by index.
+func leastQueued(replicas []*replica, candidates []int, t float64) int {
 	best := candidates[0]
 	for _, i := range candidates[1:] {
-		if len(replicas[i].finishes) < len(replicas[best].finishes) {
+		if replicas[i].outstanding(t) < replicas[best].outstanding(t) {
 			best = i
 		}
 	}

@@ -269,24 +269,16 @@ func compileFaults(cfg Config) ([]*timeline, error) {
 	return tls, nil
 }
 
-// retryItem is one crash-aborted request waiting for re-admission; tr
-// carries its true arrival so end-to-end latency accounting spans every
-// attempt.
-type retryItem struct {
-	at float64
-	tr engine.TimedRequest
-}
-
 // chaos owns the dispatch-time fault machinery for one run: firing the
 // replicas' timeline crashes, the retry queue, and the recovery
-// accounting.
+// accounting. A waiting retry keeps its true arrival, so end-to-end
+// latency accounting spans every attempt.
 type chaos struct {
-	ro       *router
-	retry    *RetryPolicy           // defaults applied; nil drops every abort
-	pending  queue.Queue[retryItem] // sorted ascending by at
-	attempts map[string]int
-	out      *Metrics
-	ft       *fleetTracer // nil when tracing is off
+	ro      *router
+	retry   *RetryPolicy       // defaults applied; nil drops every abort
+	pending queue.Queue[entry] // sorted ascending by since
+	out     *Metrics
+	ft      *fleetTracer // nil when tracing is off
 }
 
 // nextCrash returns the replica struck by the earliest unfired crash on
@@ -305,13 +297,13 @@ func (cx *chaos) nextCrash() (i int, at float64, ok bool) {
 // drainRetries abandons everything in the retry queue — the permanent-
 // outage path, where re-admission can no longer help.
 func (cx *chaos) drainRetries() {
-	cx.pending.Filter(func(*retryItem) bool { return false }, func(it *retryItem) { cx.abandon(it.tr) })
+	cx.pending.Filter(func(*entry) bool { return false }, func(e *entry) { cx.abandon(e.TimedRequest) })
 }
 
 // pushRetry inserts sorted by re-admission time, after equal keys.
-func (cx *chaos) pushRetry(it retryItem) {
+func (cx *chaos) pushRetry(e entry) {
 	w := cx.pending.Live()
-	cx.pending.Insert(sort.Search(len(w), func(k int) bool { return w[k].at > it.at }), it)
+	cx.pending.Insert(sort.Search(len(w), func(k int) bool { return w[k].since > e.since }), e)
 }
 
 // processUpTo fires every crash at or before t, in global (instant,
@@ -360,10 +352,11 @@ func (cx *chaos) crash(i int) {
 	for _, ab := range r.sv.Aborted() {
 		cx.out.Aborted++
 		cx.out.LostWorkSeconds += ab.Lost
+		var flow uint64
 		if cx.ft != nil {
-			cx.ft.aborted(ab.TimedRequest, ab.OfferedAt, at, ab.Lost, r.cfg.Name, cx.attempts[ab.ID])
+			flow = cx.ft.aborted(ab.TimedRequest, ab.OfferedAt, at, ab.Lost, r.cfg.Name)
 		}
-		cx.requeue(ab.TimedRequest, at)
+		cx.requeue(ab.TimedRequest, at, flow)
 	}
 	// The replica holds nothing after the crash, so the outstanding
 	// estimates empty wholesale.
@@ -386,19 +379,17 @@ func (cx *chaos) crash(i int) {
 	cx.ro.purge(i)
 }
 
-// requeue routes one aborted request: back into the ingress at its
-// backoff-delayed re-admission time when the retry policy allows, to the
-// drop ledger otherwise.
-func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
+// requeue routes one request that a crash at instant at aborted, as the
+// engine returned it, with the trace flow its abort opened (0 untraced):
+// back into the ingress at its backoff-delayed re-admission time when
+// the retry policy allows, to the drop ledger otherwise.
+func (cx *chaos) requeue(tr engine.TimedRequest, at float64, flow uint64) {
 	if cx.retry == nil {
 		cx.abandon(tr)
 		return
 	}
-	if cx.attempts == nil {
-		cx.attempts = make(map[string]int)
-	}
-	n := cx.attempts[tr.ID] + 1 // the n-th abort of this request
-	cx.attempts[tr.ID] = n
+	tr.Attempt++
+	n := tr.Attempt // the n-th abort of this request
 	if n+1 > cx.retry.MaxAttempts {
 		cx.abandon(tr)
 		return
@@ -416,9 +407,9 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
 	}
 	cx.out.Retried++
 	if cx.ft != nil {
-		cx.ft.retryScheduled(tr, at, re, n)
+		cx.ft.retryScheduled(tr, at, re)
 	}
-	cx.pushRetry(retryItem{at: re, tr: tr})
+	cx.pushRetry(entry{TimedRequest: tr, since: re, flow: flow})
 }
 
 // abandon drops an aborted request for good.

@@ -49,20 +49,24 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	}
 
 	// Backoff doubles per abort; MaxAttempts bounds total dispatches.
+	// Each abort requeues the request as its retry carried it, so the
+	// retry's own Attempt, not its ID, counts the aborts.
 	cx, out := mk(RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
 	tr := timed("r1", 0, 64, 40, 0)
-	cx.requeue(tr, 10) // first abort: attempt 2 allowed at 10.5
-	cx.requeue(tr, 20) // second abort: attempt 3 allowed at 21
+	cx.requeue(tr, 10, 7) // first abort: attempt 2 allowed at 10.5
+	first := cx.pending.Live()[0]
+	if first.since != 10.5 || first.Attempt != 1 || first.flow != 7 {
+		t.Errorf("first retry since %v attempt %d flow %d, want 10.5/1/7", first.since, first.Attempt, first.flow)
+	}
+	cx.requeue(first.TimedRequest, 20, 0) // second abort: attempt 3 allowed at 21
 	if out.Retried != 2 || out.AbortedDropped != 0 {
 		t.Fatalf("retried %d abortedDropped %d, want 2/0", out.Retried, out.AbortedDropped)
 	}
-	if got := cx.pending.Live()[0].at; got != 10.5 {
-		t.Errorf("first re-admission at %v, want 10.5", got)
+	second := cx.pending.Live()[1]
+	if second.since != 21 || second.Attempt != 2 {
+		t.Errorf("second retry since %v attempt %d, want 21 (backoff doubled)/2", second.since, second.Attempt)
 	}
-	if got := cx.pending.Live()[1].at; got != 21 {
-		t.Errorf("second re-admission at %v, want 21 (backoff doubled)", got)
-	}
-	cx.requeue(tr, 30) // third abort: attempts exhausted
+	cx.requeue(second.TimedRequest, 30, 0) // third abort: attempts exhausted
 	if out.Retried != 2 || out.AbortedDropped != 1 || out.Dropped != 1 {
 		t.Errorf("after exhaustion: retried %d abortedDropped %d dropped %d, want 2/1/1",
 			out.Retried, out.AbortedDropped, out.Dropped)
@@ -70,19 +74,19 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 
 	// Hedge: the first re-admission is immediate, later ones back off.
 	cx, _ = mk(RetryPolicy{Hedge: true})
-	cx.requeue(tr, 10)
-	if got := cx.pending.Live()[0].at; got != 10 {
+	cx.requeue(tr, 10, 0)
+	if got := cx.pending.Live()[0].since; got != 10 {
 		t.Errorf("hedged re-admission at %v, want 10 (no backoff)", got)
 	}
-	cx.requeue(tr, 20)
-	if got := cx.pending.Live()[1].at; got != 21 {
+	cx.requeue(cx.pending.Live()[0].TimedRequest, 20, 0)
+	if got := cx.pending.Live()[1].since; got != 21 {
 		t.Errorf("post-hedge re-admission at %v, want 21 (default 0.5 doubled once)", got)
 	}
 
 	// Deadline budget: a re-admission at or past the deadline is dropped.
 	cx, out = mk(RetryPolicy{Backoff: 2})
 	dl := timed("d1", 0, 64, 40, 11.9)
-	cx.requeue(dl, 10) // re-admit at 12 >= deadline 11.9
+	cx.requeue(dl, 10, 0) // re-admit at 12 >= deadline 11.9
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("deadline-budget abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
 	}
@@ -93,7 +97,7 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	// Retry disabled: every abort drops.
 	cx, out = mk(RetryPolicy{})
 	cx.retry = nil
-	cx.requeue(tr, 5)
+	cx.requeue(tr, 5, 0)
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("no-retry abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
 	}
@@ -449,8 +453,8 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 
 // TestTakeKeepsFinishesSorted drives random dispatches and crashes,
 // restarting and permanent, through one replica and checks that take's
-// append leaves the outstanding estimates ascending, as depth's binary
-// search and nextFree's head read require.
+// append leaves the outstanding estimates ascending, as completed's
+// binary search requires, and within the Capacity preallocated for them.
 func TestTakeKeepsFinishesSorted(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0xf1215))
 	takes, crashes := 0, 0
@@ -479,12 +483,12 @@ func TestTakeKeepsFinishesSorted(t *testing.T) {
 		for k := 0; k < 60; k++ {
 			now += rng.ExpFloat64() * 0.5
 			cx.processUpTo(now)
-			if r.routableAt(now) && r.depth(now) < r.cfg.Capacity {
+			if r.routableAt(now) && r.outstanding(now) < r.cfg.Capacity {
 				r.take(timed(fmt.Sprintf("t%d-%d", trial, k), now, 16+rng.IntN(512), 1+rng.IntN(200), 0), now)
 				takes++
 			}
-			if !sort.Float64sAreSorted(r.finishes) {
-				t.Fatalf("trial %d step %d: finishes out of order: %v", trial, k, r.finishes)
+			if !sort.Float64sAreSorted(r.finishes) || len(r.finishes) > r.cfg.Capacity {
+				t.Fatalf("trial %d step %d: finishes out of order or over capacity %d: %v", trial, k, r.cfg.Capacity, r.finishes)
 			}
 		}
 		crashes += out.Crashes

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -14,12 +15,13 @@ import (
 // nextFreeRef, bestServiceRef and chooseAtRef are the router's dispatch
 // scans as they stood before nextFree became one availability pass that
 // leaves the candidate set: each re-derives availability and capacity
-// for every replica. Kept verbatim as the oracle for
-// TestRouterMatchesReference.
+// for every replica. Kept as the oracle for TestRouterMatchesReference,
+// verbatim apart from reading the backlog through the pure outstanding
+// and the first unfinished estimate where they once pruned.
 func nextFreeRef(ro *router, t float64) (float64, bool) {
 	for {
 		for _, r := range ro.replicas {
-			if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
+			if r.routableAt(t) && r.outstanding(t) < r.cfg.Capacity {
 				return t, true
 			}
 		}
@@ -39,8 +41,8 @@ func nextFreeRef(ro *router, t float64) (float64, bool) {
 				next = math.Min(next, at)
 				continue
 			}
-			if len(r.finishes) > 0 {
-				free := r.finishes[0]
+			if done := r.completed(t); done < len(r.finishes) {
+				free := r.finishes[done]
 				if at2, never2 := r.availAt(free); !never2 {
 					next = math.Min(next, math.Max(free, at2))
 				}
@@ -56,7 +58,7 @@ func nextFreeRef(ro *router, t float64) (float64, bool) {
 func bestServiceRef(ro *router, tr engine.TimedRequest, t float64) float64 {
 	best := math.Inf(1)
 	for _, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
+		if r.routableAt(t) && r.outstanding(t) < r.cfg.Capacity {
 			if s := r.finishEstimate(tr, t) - t; s < best {
 				best = s
 			}
@@ -68,7 +70,7 @@ func bestServiceRef(ro *router, tr engine.TimedRequest, t float64) float64 {
 func chooseAtRef(ro *router, tr engine.TimedRequest, t float64) *replica {
 	ro.scratch = ro.scratch[:0]
 	for i, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
+		if r.routableAt(t) && r.outstanding(t) < r.cfg.Capacity {
 			ro.scratch = append(ro.scratch, i)
 		}
 	}
@@ -132,10 +134,8 @@ func cloneRouter(ro *router) *router {
 }
 
 // routerDiff names the first difference between two routers' state, or
-// returns "". Estimates finished by floor, the last dispatch instant,
-// are left out of the finishes compared: dispatch never reads the router
-// at an earlier instant again, and every read prunes or skips them.
-func routerDiff(a, b *router, floor float64) string {
+// returns "".
+func routerDiff(a, b *router) string {
 	if a.rrNext != b.rrNext || fmt.Sprint(a.sticky) != fmt.Sprint(b.sticky) || fmt.Sprint(a.pinned) != fmt.Sprint(b.pinned) {
 		return fmt.Sprintf("policy state: rr %d/%d sticky %v/%v pinned %v/%v", a.rrNext, b.rrNext, a.sticky, b.sticky, a.pinned, b.pinned)
 	}
@@ -144,7 +144,7 @@ func routerDiff(a, b *router, floor float64) string {
 		if math.Float64bits(ra.wrrCredit) != math.Float64bits(rb.wrrCredit) {
 			return fmt.Sprintf("replica %d credit %v, reference %v", i, ra.wrrCredit, rb.wrrCredit)
 		}
-		if fa, fb := ra.finishes[ra.completed(floor):], rb.finishes[rb.completed(floor):]; !slices.Equal(fa, fb) {
+		if !slices.Equal(ra.finishes, rb.finishes) {
 			return fmt.Sprintf("replica %d finishes %v, reference %v", i, ra.finishes, rb.finishes)
 		}
 	}
@@ -153,11 +153,10 @@ func routerDiff(a, b *router, floor float64) string {
 
 // TestRouterMatchesReference drives the single-pass nextFree, and the
 // bestService and chooseAt that read its candidate set, in lockstep with
-// the verbatim per-predicate scans over random router states. Each
-// nextFree is compared bit for bit, and so is the pruning it leaves:
+// the per-predicate reference scans over random router states. Each
+// nextFree is compared bit for bit, and so is the router state after it:
 // now and then the step re-routes from an instant before the one
-// returned, as dispatch does when a crash falls in between, and the
-// outstanding counts read there depend on what was pruned. Otherwise the
+// returned, as dispatch does when a crash falls in between. Otherwise the
 // step dispatches: the candidate set, bestService's bits, the chosen
 // replica and the policy state must match, and the take is bookkept on
 // both sides.
@@ -167,14 +166,14 @@ func TestRouterMatchesReference(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		ro, bounds := randomRouter(rng)
 		ref := cloneRouter(ro)
-		now, floor := float64(rng.IntN(20))/2, math.Inf(-1)
+		now := float64(rng.IntN(20)) / 2
 		for step := 0; step < 8; step++ {
 			got, ok := ro.nextFree(now)
 			want, wantOK := nextFreeRef(ref, now)
 			if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d step %d: nextFree(%v) = %v/%v, reference %v/%v", trial, step, now, got, ok, want, wantOK)
 			}
-			if d := routerDiff(ro, ref, floor); d != "" {
+			if d := routerDiff(ro, ref); d != "" {
 				t.Fatalf("trial %d step %d: after nextFree(%v): %s", trial, step, now, d)
 			}
 			if !ok {
@@ -212,8 +211,7 @@ func TestRouterMatchesReference(t *testing.T) {
 					r.hs.noteTake(got, est)
 				}
 			}
-			floor = got
-			if d := routerDiff(ro, ref, floor); d != "" {
+			if d := routerDiff(ro, ref); d != "" {
 				t.Fatalf("trial %d step %d: after dispatch at %v: %s", trial, step, got, d)
 			}
 			served++
@@ -225,5 +223,91 @@ func TestRouterMatchesReference(t *testing.T) {
 	}
 	if served == 0 || waited == 0 || rerouted == 0 || outages == 0 {
 		t.Fatalf("degenerate sample: %d dispatches, %d waits, %d re-routes, %d outages", served, waited, rerouted, outages)
+	}
+}
+
+// TestRouterReadsArePure runs nextFree, chooseAt and idleReplicas at a
+// later instant over random router states and then reads again at an
+// earlier one: every replica's outstanding count, nextFree's instant and
+// candidate set, and the idle count must read as they did before. That
+// is what dispatch relies on when a crash sends it back from the instant
+// nextFree planned for.
+func TestRouterReadsArePure(t *testing.T) {
+	type reads struct {
+		outstanding, candidates []int
+		at                      float64
+		ok                      bool
+		idle                    int
+	}
+	read := func(ro *router, t float64) reads {
+		var rd reads
+		for _, r := range ro.replicas {
+			rd.outstanding = append(rd.outstanding, r.outstanding(t))
+		}
+		rd.at, rd.ok = ro.nextFree(t)
+		rd.candidates = slices.Clone(ro.scratch)
+		rd.idle = ro.idleReplicas(t)
+		return rd
+	}
+	rng := rand.New(rand.NewPCG(28, 0x9a7e))
+	finishedBetween := 0
+	for trial := 0; trial < 3000; trial++ {
+		ro, _ := randomRouter(rng)
+		early := float64(rng.IntN(20)) / 2
+		late := early + float64(1+rng.IntN(40))/2
+		before := read(ro, early)
+		for _, r := range ro.replicas {
+			if r.routableAt(late) && r.completed(late) > r.completed(early) {
+				finishedBetween++
+				break
+			}
+		}
+		if at, ok := ro.nextFree(late); ok {
+			ro.chooseAt(timed(fmt.Sprintf("p%d", trial), late, 64, 40, 0), at)
+		}
+		ro.idleReplicas(late)
+		if after := read(ro, early); !reflect.DeepEqual(after, before) {
+			t.Fatalf("trial %d: reads at %v changed after reads at %v: %+v, before %+v", trial, early, late, after, before)
+		}
+	}
+	if finishedBetween == 0 {
+		t.Fatal("degenerate sample: no estimate finished between the two instants")
+	}
+}
+
+// TestCrashBeforePlannedDispatchKeepsBacklog is the fleet-level case of
+// TestRouterReadsArePure. Two replicas of capacity 1 each hold one
+// request when a third arrives, so dispatch plans it for the instant r0's
+// estimate finishes. A crash of r1 before that instant sends dispatch
+// back to the crash, where r0 is still full: the third request must still
+// wait for r0's estimate, so r0's run equals the one without the crash.
+func TestCrashBeforePlannedDispatchKeepsBacklog(t *testing.T) {
+	cfg := homogeneousFleet(2, RoundRobin)
+	for i := range cfg.Replicas {
+		cfg.Replicas[i].Capacity = 1
+	}
+	reqs := []engine.TimedRequest{
+		timed("short", 0, 64, 40, 0),
+		timed("long", 0, 64, 400, 0),
+		timed("third", 0, 64, 40, 0),
+	}
+	clean, err := Serve(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := newReplica(cfg.Replicas[0].withDefaults(0), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = crashSchedule(1, r0.estService(reqs[0])/2, 100)
+	crashed, err := Serve(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed.Aborted != 1 || len(crashed.Replicas[0].Requests) != 2 {
+		t.Fatalf("setup: %d aborted, r0 served %d; want the crash to abort r1's request and r0 to serve two", crashed.Aborted, len(crashed.Replicas[0].Requests))
+	}
+	if !reflect.DeepEqual(crashed.Replicas[0], clean.Replicas[0]) {
+		t.Fatalf("a crash on r1 moved r0's run:\ncrashed %+v\n  clean %+v", crashed.Replicas[0].Requests, clean.Replicas[0].Requests)
 	}
 }

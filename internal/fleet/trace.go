@@ -15,15 +15,6 @@ import (
 	"edgereasoning/internal/telemetry"
 )
 
-// retryMark remembers one scheduled re-admission so the retry's queue
-// span starts at the backoff end (not the original arrival) and carries
-// its attempt number and the crash flow linking it to the abort.
-type retryMark struct {
-	at      float64
-	attempt int
-	flow    uint64
-}
-
 // fleetTracer owns the dispatch-side telemetry for one run. It is nil
 // when tracing is off; every call site guards — a contract the traceoff
 // analyzer enforces via the directive below.
@@ -37,12 +28,6 @@ type fleetTracer struct {
 	breaker *telemetry.Series
 	lanes   telemetry.LaneAllocator // ingress lanes
 	flanes  telemetry.LaneAllocator // fault-track lanes
-	retries map[string]retryMark
-	// pendingFlow carries the most recent abort span's flow ID to the
-	// requeue decision that immediately follows it (crash processes each
-	// abort fully before the next), so the retry's queue span can close
-	// the flow arrow.
-	pendingFlow uint64
 }
 
 // newFleetTracer registers the shared tracks ahead of the replica
@@ -58,7 +43,6 @@ func newFleetTracer(t *telemetry.Trace) *fleetTracer {
 		faults:  t.Track("faults"),
 		qDepth:  t.GaugeSeries("ingress_queue_depth", ""),
 		breaker: t.CounterFor("breaker_opens", ""),
-		retries: make(map[string]retryMark),
 	}
 }
 
@@ -67,51 +51,44 @@ func (ft *fleetTracer) sampleQueue(t float64, depth int) {
 	ft.qDepth.Sample(t, float64(depth))
 }
 
-// dispatched records tr's shared-queue wait ending in a dispatch at t.
-// First attempts wait from their arrival; retries from their scheduled
-// re-admission instant, closing the crash flow arrow.
-func (ft *fleetTracer) dispatched(tr engine.TimedRequest, t float64) {
-	start := tr.Arrival
-	var attempt int
-	var flow uint64
-	if m, ok := ft.retries[tr.ID]; ok {
-		start, attempt, flow = m.at, m.attempt, m.flow
-		delete(ft.retries, tr.ID)
-	}
+// dispatched records e's shared-queue wait ending in a dispatch at t.
+// The wait starts when e last entered the ingress: a first attempt at its
+// arrival, a retry at its re-admission instant, where its queue span
+// closes the flow its abort opened.
+func (ft *fleetTracer) dispatched(e entry, t float64) {
 	ft.ingress.Record(telemetry.Span{
-		ID: tr.ID, Kind: telemetry.KindQueue,
-		Lane:  ft.lanes.Lane(start, t),
-		Start: start, End: t,
-		Session: tr.SessionID, Attempt: attempt, Flow: flow,
+		ID: e.ID, Kind: telemetry.KindQueue,
+		Lane:  ft.lanes.Lane(e.since, t),
+		Start: e.since, End: t,
+		Session: e.SessionID, Attempt: e.Attempt, Flow: e.flow,
 	})
 }
 
 // aborted records one crash-destroyed dispatch on the faults track and
-// opens a flow for the retry that may follow. The span covers the
-// attempt's time on the replica, from its dispatch to the crash.
-func (ft *fleetTracer) aborted(tr engine.TimedRequest, dispatched, at, lost float64, replica string, attempt int) {
+// returns the flow it opens for the retry that may follow. The span
+// covers the attempt's time on the replica, from its dispatch to the
+// crash.
+func (ft *fleetTracer) aborted(tr engine.TimedRequest, dispatched, at, lost float64, replica string) uint64 {
 	flow := ft.trace.NextFlow()
-	ft.pendingFlow = flow
 	ft.faults.Record(telemetry.Span{
 		ID: tr.ID, Kind: telemetry.KindAborted,
 		Lane:  ft.flanes.Lane(dispatched, at),
 		Start: dispatched, End: at,
-		Cause: replica, Lost: lost, Attempt: attempt,
+		Cause: replica, Lost: lost, Attempt: tr.Attempt,
 		Flow: flow, FlowStart: true,
 	})
+	return flow
 }
 
 // retryScheduled records the backoff window between an abort and its
-// re-admission (zero-length for a hedged retry) and marks the pending
-// retry so its eventual queue span starts at re.
-func (ft *fleetTracer) retryScheduled(tr engine.TimedRequest, at, re float64, attempt int) {
+// re-admission (zero-length for a hedged retry), carrying the retry's
+// attempt number.
+func (ft *fleetTracer) retryScheduled(tr engine.TimedRequest, at, re float64) {
 	ft.ingress.Record(telemetry.Span{
 		ID: tr.ID, Kind: telemetry.KindRetryWait,
 		Lane:  ft.lanes.Lane(at, re),
-		Start: at, End: re, Attempt: attempt,
+		Start: at, End: re, Attempt: tr.Attempt,
 	})
-	ft.retries[tr.ID] = retryMark{at: re, attempt: attempt, flow: ft.pendingFlow}
-	ft.pendingFlow = 0
 }
 
 // crashed drops a zero-length crash marker on the faults track.

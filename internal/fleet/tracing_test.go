@@ -19,8 +19,12 @@ import (
 // cleanly on every track lane, and the span ledger must match the
 // fleet's own accounting — one request span per served request, one
 // abort span per destroyed dispatch, one retry-wait span per scheduled
-// retry.
+// retry. Each retry's queue span must start where its retry-wait span
+// ends, carry that wait's attempt number, and close the flow that its
+// abort span opened, one attempt earlier; the streams' IDs are unique,
+// so the check pairs spans by request ID.
 func TestTracingTransparencyProperties(t *testing.T) {
+	retryQueues := 0
 	spec := model.MustLookup(model.Qwen25_1_5Bit)
 	devices := DefaultDevices()
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -79,6 +83,9 @@ func TestTracingTransparencyProperties(t *testing.T) {
 			t.Errorf("seed %d: recorded spans malformed: %v", seed, err)
 		}
 		requestSpans, abortSpans, retrySpans := 0, 0, 0
+		opened := map[uint64]telemetry.Span{} // abort spans by the flow they open
+		waits := map[string][]telemetry.Span{}
+		var queues []telemetry.Span // retries' ingress queue spans
 		for _, tr := range trace.Tracks() {
 			if tr.Dropped() > 0 {
 				t.Errorf("seed %d: track %s dropped %d spans under SpanCap", seed, tr.Name(), tr.Dropped())
@@ -89,11 +96,34 @@ func TestTracingTransparencyProperties(t *testing.T) {
 					requestSpans++
 				case telemetry.KindAborted:
 					abortSpans++
+					opened[s.Flow] = s
 				case telemetry.KindRetryWait:
 					retrySpans++
+					waits[s.ID] = append(waits[s.ID], s)
+				case telemetry.KindQueue:
+					if tr.Name() == "ingress" && (s.Attempt > 0 || s.Flow != 0) {
+						queues = append(queues, s)
+					}
 				}
 			}
 		}
+		for _, q := range queues {
+			ab, ok := opened[q.Flow]
+			if !ok || ab.ID != q.ID || ab.Attempt+1 != q.Attempt {
+				t.Errorf("seed %d: retry queue span %+v closes no open flow of its abort (found %v: %+v)", seed, q, ok, ab)
+				continue
+			}
+			delete(opened, q.Flow)
+			matched := false
+			for _, w := range waits[q.ID] {
+				matched = matched || (w.Start == ab.End && w.End == q.Start && w.Attempt == q.Attempt)
+			}
+			if !matched {
+				t.Errorf("seed %d: retry queue span %+v follows no retry-wait span of attempt %d ending at its start: %+v",
+					seed, q, q.Attempt, waits[q.ID])
+			}
+		}
+		retryQueues += len(queues)
 		if requestSpans != traced.Served {
 			t.Errorf("seed %d: %d request spans, served %d", seed, requestSpans, traced.Served)
 		}
@@ -103,5 +133,8 @@ func TestTracingTransparencyProperties(t *testing.T) {
 		if retrySpans != traced.Retried {
 			t.Errorf("seed %d: %d retry-wait spans, retried %d", seed, retrySpans, traced.Retried)
 		}
+	}
+	if retryQueues == 0 {
+		t.Fatal("degenerate sample: no retry was dispatched")
 	}
 }
