@@ -22,7 +22,7 @@
 // experiment drivers check their own arguments and reject a bad value
 // before they build their first engine.
 //
-// Experiments run on a worker pool but the report is emitted in registry
+// Experiments run on a worker pool but the report is emitted in suite
 // order, so output is byte-identical at any parallelism.
 package main
 
@@ -297,7 +297,7 @@ func parseSeeds(list string) ([]uint64, error) {
 }
 
 // execute runs the IDs on the worker pool and streams each result's
-// tables through Render/CSV in registry order as they become ready.
+// tables through Render/CSV in suite order as they become ready.
 // Driver failures are collected rather than aborting the suite.
 func execute(ids []string, cfg config) error {
 	return emit(cfg, len(ids), false, func(ctx context.Context) <-chan experiments.Result {

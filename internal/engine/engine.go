@@ -30,9 +30,6 @@ type Overhead struct {
 	PerStepHost   float64 // seconds of host work added per decode step
 }
 
-// VLLM is the baseline framework profile (the paper's engine).
-func VLLM() Overhead { return Overhead{Name: "vLLM", PrefillFactor: 1, StepFactor: 1} }
-
 // normalized returns the profile with zero fields defaulted to identity.
 func (o Overhead) normalized() Overhead {
 	if o.PrefillFactor == 0 {

@@ -22,16 +22,13 @@ type FaultInjection struct {
 	Throttles []ThrottleWindow
 	// Crashes are power losses, in ascending At order. A crash aborts
 	// everything the engine holds at its instant — the active set and
-	// every offer not yet admitted — and wipes the
-	// prefix index. No prefill or decode event straddles a crash: work
-	// in progress stops at the instant, and the service each aborted
+	// every offer not yet admitted — and wipes the prefix index on both
+	// tiers. No prefill or decode event straddles a crash: work in
+	// progress stops at the instant, and the service each aborted
 	// request had received is reported as lost. An open run executes a
 	// crash once advanced to its instant, so a caller must not offer
 	// past a crash it has not advanced to.
 	Crashes []float64
-	// KeepHost models persistent host DRAM: fully host-resident prefix
-	// chains survive every crash's wipe.
-	KeepHost bool
 }
 
 // StallWindow is one no-progress interval [From, To).

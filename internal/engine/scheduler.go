@@ -299,7 +299,7 @@ func (s *scheduler) crash() error {
 	})
 	s.split = 0
 	if e.prefix != nil {
-		e.prefix.CrashReset(s.fx.KeepHost)
+		e.prefix.CrashReset()
 	}
 	return nil
 }

@@ -14,14 +14,6 @@ import (
 	"edgereasoning/internal/power"
 )
 
-func init() {
-	register("specdec", ablationSpeculative)
-	register("offload", ablationHostOffload)
-	register("powermodes", ablationPowerModes)
-	register("batchsweep", ablationBatchSweep)
-	register("saturation", sequentialSaturation)
-}
-
 // ablationSpeculative explores §VI's speculative-decoding opportunity:
 // the 1.5B distill drafting for the 8B and 14B targets, swept over draft
 // length γ and acceptance rate α.

@@ -10,10 +10,6 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-func init() {
-	register("autoscale", autoscaleStudy)
-}
-
 // autoscaleStudy is the elastic-fleet experiment: a bursty deadline-
 // bearing stream (a steady trickle with a sharp spike riding on it) is
 // served three ways — a fixed pool at the autoscaler's floor, a fixed

@@ -13,10 +13,6 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-func init() {
-	register("breakdown", breakdownStudy)
-}
-
 // breakdownStudy is the TTFT/latency decomposition table: a faulted,
 // retry-enabled fleet run is traced end to end, and every served
 // request's latency is split into its phase spans — shared-ingress

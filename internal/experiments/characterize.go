@@ -14,17 +14,6 @@ import (
 	"edgereasoning/internal/power"
 )
 
-func init() {
-	register("fig2", fig2PrefillLatency)
-	register("fig3", fig3DecodeLatency)
-	register("table6", table6LatencyMAPE)
-	register("table7", table7PrefillDecodeRatios)
-	register("fig4", fig4PrefillPowerEnergy)
-	register("fig5", fig5DecodePowerEnergy)
-	register("table8", table8EnergyMAPE)
-	register("cpu", cpuVsGPU)
-}
-
 // fig2PrefillLatency reproduces Fig 2 (prefill latency vs input length,
 // with the 128-token steps) and Table IV (fitted Eqn 1 coefficients).
 func fig2PrefillLatency(opts Options) ([]Table, error) {

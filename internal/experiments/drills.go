@@ -10,10 +10,6 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-func init() {
-	register("drills", drillsStudy)
-}
-
 // drillsStudy is the fault-injection outage drill: a deadline-bearing
 // stream is served through a fleet under generated fault schedules —
 // lossy crashes with restarts, transient stalls, thermal-throttle

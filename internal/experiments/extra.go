@@ -4,19 +4,10 @@ import (
 	"edgereasoning/internal/control"
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/engine"
-	"edgereasoning/internal/frameworks"
 	"edgereasoning/internal/hw"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 )
-
-func init() {
-	register("table12", table12MMLU15k)
-	register("naturalplan", naturalPlan)
-}
-
-// frameworkProfiles and engine helpers shared with the Table IX driver.
-func frameworkProfiles() []engine.Overhead { return frameworks.Profiles() }
 
 func engineWithProfile(o engine.Overhead) (*engine.Engine, error) {
 	return engine.New(engine.Config{

@@ -9,10 +9,6 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-func init() {
-	register("fleet", fleetSweep)
-}
-
 // fleetSweep extends the single-device QPS study to a heterogeneous
 // fleet: one shared open-loop stream routed across mixed Orin power
 // modes and mixed FP16/W4A16 replicas under every routing policy, at

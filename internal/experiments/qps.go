@@ -7,11 +7,6 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-func init() {
-	register("qps", qpsSweep)
-	register("sched", schedulerComparison)
-}
-
 // qpsSweep extends §III-B into an open-loop study: an interactive
 // assistant workload (direct ~40-token responses on Qwen2.5-7B-it) under
 // Poisson arrivals, sweeping offered load against p50/p99 latency and

@@ -3,17 +3,13 @@ package experiments
 import (
 	"edgereasoning/internal/core"
 	"edgereasoning/internal/data"
+	"edgereasoning/internal/frameworks"
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
 	"edgereasoning/internal/quant"
 )
-
-func init() {
-	register("quant", quantSuite)
-	register("table9", table9Frameworks)
-}
 
 // quantSuite reproduces the §V-F quantization study: Figs 11–13 (latency,
 // power, energy sweeps for the W4 models), Fig 14 (base-vs-W4 accuracy,
@@ -105,7 +101,7 @@ func table9Frameworks(opts Options) ([]Table, error) {
 	combos := [][2]int{{16, 128}, {64, 128}, {128, 128}}
 	for _, combo := range combos {
 		times := map[string]float64{}
-		for _, profile := range frameworkProfiles() {
+		for _, profile := range frameworks.Profiles() {
 			eng, err := engineWithProfile(profile)
 			if err != nil {
 				return nil, err

@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -247,21 +246,71 @@ func di(x int) string      { return fmt.Sprintf("%d", x) }
 // Driver produces one or more artifacts.
 type Driver func(Options) ([]Table, error)
 
-// registry maps experiment IDs to drivers; populated by init functions in
-// the driver files.
-var registry = map[string]Driver{}
+// suite is every experiment in the order IDs, the suite runs and the CLI
+// list them: the paper's artifacts in paper order, then the extensions
+// beyond its measured artifacts (§VI future work and design-choice
+// ablations), then the supporting analyses and the reproduction
+// scorecard.
+var suite = []struct {
+	id  string
+	run Driver
+}{
+	{"fig1", fig1Tradeoff},
+	{"table2", table2ModelComparison},
+	{"table3", table3EdgeVsCloud},
+	{"fig2", fig2PrefillLatency},
+	{"fig3", fig3DecodeLatency},
+	{"table6", table6LatencyMAPE},
+	{"table7", table7PrefillDecodeRatios},
+	{"fig4", fig4PrefillPowerEnergy},
+	{"fig5", fig5DecodePowerEnergy},
+	{"table8", table8EnergyMAPE},
+	{"fig6", figAccuracyVsTokens},
+	{"fig7", figAccuracyVsLatency},
+	{"fig8", figAccuracyVsCost},
+	{"table10", table10BaseGrid},
+	{"table11", table11BudgetGrid},
+	{"fig9", fig9ParallelAccuracy},
+	{"fig10", fig10ParallelCost},
+	{"quant", quantSuite},
+	{"table9", table9Frameworks},
+	{"table12", table12MMLU15k},
+	{"naturalplan", naturalPlan},
+	{"cpu", cpuVsGPU},
+	{"pareto", paretoRegimes},
+	// Extensions beyond the paper's measured artifacts.
+	{"saturation", sequentialSaturation},
+	{"batchsweep", ablationBatchSweep},
+	{"powermodes", ablationPowerModes},
+	{"specdec", ablationSpeculative},
+	{"offload", ablationHostOffload},
+	{"fleet", fleetSweep},
+	{"sessions", sessionStudy},
+	{"tiering", tieringStudy},
+	{"autoscale", autoscaleStudy},
+	{"saturate", saturateStudy},
+	{"drills", drillsStudy},
+	{"breakdown", breakdownStudy},
+	// Supporting analyses and the reproduction scorecard.
+	{"qps", qpsSweep},
+	{"roofline", rooflineAnalysis},
+	{"sched", schedulerComparison},
+	{"verify", scorecard},
+}
 
-// register installs a driver (panics on duplicates — programmer error).
-func register(id string, d Driver) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate driver " + id)
+// lookup returns the driver of experiment id.
+func lookup(id string) (Driver, bool) {
+	for _, e := range suite {
+		if e.id == id {
+			return e.run, true
+		}
 	}
-	registry[id] = d
+	return nil, false
 }
 
 // Run executes one experiment by ID.
 func Run(id string, opts Options) ([]Table, error) {
-	d, ok := registry[id]
+	d, ok := lookup(id)
 	if !ok {
 		return nil, UnknownIDError(id)
 	}
@@ -276,48 +325,15 @@ func UnknownIDError(id string) error {
 
 // Known reports whether an experiment ID is registered.
 func Known(id string) bool {
-	_, ok := registry[id]
+	_, ok := lookup(id)
 	return ok
 }
 
-// IDs lists registered experiments in a stable order.
+// IDs lists every experiment in suite order.
 func IDs() []string {
-	order := []string{
-		"fig1", "table2", "table3",
-		"fig2", "fig3", "table6", "table7",
-		"fig4", "fig5", "table8",
-		"fig6", "fig7", "fig8", "table10", "table11",
-		"fig9", "fig10",
-		"quant", "table9",
-		"table12", "naturalplan", "cpu",
-		"pareto",
-		// Extensions beyond the paper's measured artifacts (§VI future
-		// work and design-choice ablations).
-		"saturation", "batchsweep", "powermodes", "specdec", "offload",
-		"fleet", "sessions", "tiering", "autoscale", "saturate", "drills",
-		"breakdown",
+	out := make([]string, len(suite))
+	for i, e := range suite {
+		out[i] = e.id
 	}
-	out := make([]string, 0, len(registry))
-	for _, id := range order {
-		if _, ok := registry[id]; ok {
-			out = append(out, id)
-		}
-	}
-	// Append anything registered but not in the preferred order, sorted
-	// for stable output.
-	var rest []string
-	for id := range registry {
-		found := false
-		for _, o := range out {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			rest = append(rest, id)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
+	return out
 }

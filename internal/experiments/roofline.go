@@ -6,10 +6,6 @@ import (
 	"edgereasoning/internal/model"
 )
 
-func init() {
-	register("roofline", rooflineAnalysis)
-}
-
 // rooflineAnalysis reproduces the §VI bandwidth-bound argument
 // quantitatively: the Orin's FLOPs-to-bytes machine balance (~1375 for
 // FP16 tensor ops against LPDDR5) versus the arithmetic intensity of each

@@ -1,5 +1,5 @@
-// Concurrent experiment runner: a worker-pool scheduler over the driver
-// registry. Drivers are independent pure functions of Options, so the
+// Concurrent experiment runner: a worker-pool scheduler over the
+// experiment suite. Drivers are independent pure functions of Options, so the
 // suite is embarrassingly parallel; the runner fans them out across
 // workers while keeping output deterministic — results are buffered and
 // emitted in the order the IDs were requested, so a parallel run renders
@@ -27,7 +27,7 @@ type RunnerOptions struct {
 	// progress past a stuck driver.
 	Timeout time.Duration
 
-	// lookup resolves an ID to a driver. Nil means the package registry;
+	// lookup resolves an ID to a driver. Nil means the suite table;
 	// tests inject their own to exercise the pool without touching it.
 	lookup func(id string) (Driver, bool)
 }
@@ -43,8 +43,7 @@ func (c RunnerOptions) resolve(id string) (Driver, bool) {
 	if c.lookup != nil {
 		return c.lookup(id)
 	}
-	d, ok := registry[id]
-	return d, ok
+	return lookup(id)
 }
 
 // Result is the outcome of one driver execution. Exactly one Result is

@@ -298,7 +298,7 @@ func TestRunSweep(t *testing.T) {
 }
 
 // TestSweepStochasticDriverVariance runs a real stochastic driver across
-// seeds and checks the sweep machinery against the registry end to end.
+// seeds and checks the sweep machinery against the suite end to end.
 func TestSweepStochasticDriverVariance(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	results := RunSweep(context.Background(), "table2", seeds, Options{Quick: true}, RunnerOptions{})

@@ -10,10 +10,6 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-func init() {
-	register("saturate", saturateStudy)
-}
-
 // saturateStudy is the capacity-planning experiment: for each fleet
 // size, binary-search the offered QPS to the saturation knee — the
 // highest load at which the SLO (a p99 latency bound, or a deadline

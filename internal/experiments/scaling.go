@@ -12,11 +12,6 @@ import (
 	"edgereasoning/internal/tts"
 )
 
-func init() {
-	register("fig9", fig9ParallelAccuracy)
-	register("fig10", fig10ParallelCost)
-}
-
 // fig9Models is the Fig 9 lineup: the DSR1 trio plus the budget-aware L1.
 func fig9Models() []model.ID {
 	return []model.ID{model.DSR1Qwen1_5B, model.DSR1Llama8B, model.DSR1Qwen14B, model.L1Max}

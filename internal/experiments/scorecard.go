@@ -8,6 +8,7 @@ import (
 	"edgereasoning/internal/cost"
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/frameworks"
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
 	"edgereasoning/internal/llm"
@@ -15,10 +16,6 @@ import (
 	"edgereasoning/internal/power"
 	"edgereasoning/internal/tts"
 )
-
-func init() {
-	register("verify", scorecard)
-}
 
 // Anchor is one paper-reported value the reproduction is scored against.
 type Anchor struct {
@@ -162,7 +159,7 @@ func Scorecard(opts Options) ([]Anchor, error) {
 
 	// Table IX: vLLM speedup over HF Transformers.
 	hft, err := engine.New(engine.Config{Spec: model.MustLookup(model.DSR1Llama8B), Device: hw.JetsonAGXOrin64GB(),
-		Framework: engine.Overhead{Name: "HFT", PrefillFactor: 1.10, StepFactor: 1.0, PerStepHost: 0.0115}})
+		Framework: frameworks.HFTransformers()})
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,6 @@ import (
 	"edgereasoning/internal/stats"
 )
 
-func init() {
-	register("sessions", sessionStudy)
-}
-
 // sessionStudy is the session-grade serving experiment: a multi-turn
 // agentic workload (think/act phases over a growing shared history, with
 // branch-of-N test-time scaling) served three ways. First on a single

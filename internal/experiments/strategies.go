@@ -13,18 +13,6 @@ import (
 	"edgereasoning/internal/model"
 )
 
-func init() {
-	register("fig1", fig1Tradeoff)
-	register("table2", table2ModelComparison)
-	register("table3", table3EdgeVsCloud)
-	register("fig6", figAccuracyVsTokens)
-	register("fig7", figAccuracyVsLatency)
-	register("fig8", figAccuracyVsCost)
-	register("table10", table10BaseGrid)
-	register("table11", table11BudgetGrid)
-	register("pareto", paretoRegimes)
-}
-
 // gridCandidates runs the planner once over MMLU-Redux: the full
 // (model × config) strategy grid behind Figs 6–8 and Tables X/XI.
 func gridCandidates(opts Options) ([]core.Candidate, error) {

@@ -13,10 +13,6 @@ import (
 	"edgereasoning/internal/stats"
 )
 
-func init() {
-	register("tiering", tieringStudy)
-}
-
 // defaultTierDeviceBlocks is the device-cache sweep: the smallest point
 // is starved (the agentic stream's working set overflows it, so the run
 // demotes and promotes continuously), the largest holds most histories

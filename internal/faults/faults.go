@@ -70,12 +70,6 @@ type Event struct {
 // Schedule is a deterministic fault plan for one serving run.
 type Schedule struct {
 	Events []Event
-	// HostSurvivesCrash models persistent host DRAM: a crash always
-	// wipes the device KV cache, but with this set the host tier of a
-	// tiered prefix index survives, so a restarted replica restores
-	// demoted session histories over the host link instead of
-	// re-prefilling them from scratch.
-	HostSurvivesCrash bool
 }
 
 // Validate rejects unusable schedules against a fleet of the given

@@ -87,7 +87,7 @@ func blockedStream(second, third engine.TimedRequest) []engine.TimedRequest {
 func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedRequest) []string {
 	t.Helper()
 	cfg := homogeneousFleet(1, RoundRobin)
-	cfg.Replicas[0].Capacity = 1
+	cfg.Replicas[0].capacity = 1
 	cfg.Admission = admission
 	m, err := Serve(cfg, reqs)
 	if err != nil {

@@ -33,8 +33,7 @@ type AutoscaleConfig struct {
 	Devices []*hw.Device
 	// ColdStart is the weight-loading warm-up a provisioned replica pays
 	// before it becomes routable: a replica provisioned at time t serves
-	// no request before t+ColdStart (modeled via ReplicaConfig.
-	// WarmupDelay). Default 5 s.
+	// no request before t+ColdStart. Default 5 s.
 	ColdStart float64
 	// DepthPerReplica is the queue-depth scale-up trigger: provision
 	// when more than DepthPerReplica x live requests wait at the
@@ -224,25 +223,12 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 	if ro.liveCount(t) >= as.cfg.Max {
 		return fmt.Errorf("fleet: autoscale provision at Max %d", as.cfg.Max)
 	}
-	k := as.provisioned
-	spec := as.cfg.Spec
-	if k%2 == 1 {
-		spec = spec.Quantized()
-	}
-	dev := as.cfg.Devices[k%len(as.cfg.Devices)]
-	name := fmt.Sprintf("as%d-%s", k, dev.Name)
-	if spec.IsQuantized() {
-		name += "-w4"
-	}
-	rc := ReplicaConfig{
-		Name:        name,
-		Spec:        spec,
-		Device:      dev,
-		WarmupDelay: t + as.cfg.ColdStart,
-	}.withDefaults(len(ro.replicas))
+	rc := cycleReplica("as", as.provisioned, as.cfg.Devices, as.cfg.Spec)
+	rc.warmupDelay = t + as.cfg.ColdStart
+	rc = rc.withDefaults(len(ro.replicas))
 	r, err := newReplica(rc, as.fleet, nil)
 	if err != nil {
-		return fmt.Errorf("fleet: autoscale provision %s: %w", name, err)
+		return fmt.Errorf("fleet: autoscale provision %s: %w", rc.Name, err)
 	}
 	r.provisionedAt = t
 	ro.replicas = append(ro.replicas, r)
@@ -269,7 +255,7 @@ func (as *autoscaler) retireIdle(ro *router, t float64) {
 		}
 		// The idle timer starts when the estimated backlog drains, and
 		// never before warm-up ends.
-		idleAt := math.Max(r.estFreeAt, r.cfg.WarmupDelay)
+		idleAt := math.Max(r.estFreeAt, r.cfg.warmupDelay)
 		if t-idleAt < as.cfg.IdleRetire {
 			continue
 		}

@@ -44,7 +44,7 @@ func stallEndScan(f *engine.FaultInjection, t float64) float64 {
 // the scans above and the ReplicaConfig.FailAt terms are gone with the
 // field.
 func routableAtRef(r *replica, t float64) bool {
-	if t < r.cfg.WarmupDelay {
+	if t < r.cfg.warmupDelay {
 		return false
 	}
 	if r.retired {
@@ -73,11 +73,11 @@ func availAtRef(r *replica, t float64) (float64, bool) {
 			return 0, true
 		case r.tl != nil && t >= r.tl.deadAt:
 			return 0, true
-		case t < r.cfg.WarmupDelay:
-			if r.tl != nil && r.cfg.WarmupDelay >= r.tl.deadAt {
+		case t < r.cfg.warmupDelay:
+			if r.tl != nil && r.cfg.warmupDelay >= r.tl.deadAt {
 				return 0, true // crash-dead at birth
 			}
-			t = r.cfg.WarmupDelay
+			t = r.cfg.warmupDelay
 			continue
 		}
 		if r.tl != nil {
@@ -117,9 +117,9 @@ func randomAvailReplica(rng *rand.Rand) (*replica, []float64) {
 	var bounds []float64
 	rc := ReplicaConfig{}.withDefaults(0)
 	if pick(0.5) {
-		rc.WarmupDelay = instant()
+		rc.warmupDelay = instant()
 	}
-	bounds = append(bounds, rc.WarmupDelay)
+	bounds = append(bounds, rc.warmupDelay)
 	var evs []faults.Event
 	for n := rng.IntN(4); n > 0; n-- {
 		ev := faults.Event{Kind: faults.Crash, At: instant()}

@@ -8,10 +8,10 @@ import (
 
 // TestDeadAtBirthNeverCountsLive locks the autoscaler's side of the
 // warm-up boundary: a replica whose permanent crash lands at or before
-// WarmupDelay never counts toward the live pool, and one with an open
+// warmupDelay never counts toward the live pool, and one with an open
 // window counts only until the crash.
 func TestDeadAtBirthNeverCountsLive(t *testing.T) {
-	rc := ReplicaConfig{WarmupDelay: 10}
+	rc := ReplicaConfig{warmupDelay: 10}
 	dead := &replica{cfg: rc, tl: crashedTimeline(t, rc, 10)}
 	for _, at := range []float64{0, 5, 10, 20} {
 		if dead.liveAt(at) {
@@ -28,12 +28,12 @@ func TestDeadAtBirthNeverCountsLive(t *testing.T) {
 }
 
 // TestDeadAtBirthReplicaTakesNothing runs the boundary end to end: with
-// a permanent crash at exactly WarmupDelay the replica must take no
+// a permanent crash at exactly warmupDelay the replica must take no
 // traffic, and the warm-up must not hold the ingress waiting for a
 // window that never opens.
 func TestDeadAtBirthReplicaTakesNothing(t *testing.T) {
 	cfg := homogeneousFleet(2, RoundRobin)
-	cfg.Replicas[1].WarmupDelay = 5
+	cfg.Replicas[1].warmupDelay = 5
 	permanentCrash(&cfg, 1, 5)
 	reqs := burst(8, 2, 0)
 	m, err := Serve(cfg, reqs)
@@ -49,7 +49,7 @@ func TestDeadAtBirthReplicaTakesNothing(t *testing.T) {
 
 	// Alone, the same replica is a permanent outage from t=0.
 	solo := homogeneousFleet(1, RoundRobin)
-	solo.Replicas[0].WarmupDelay = 5
+	solo.Replicas[0].warmupDelay = 5
 	permanentCrash(&solo, 0, 5)
 	m, err = Serve(solo, reqs)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
 // it interrupts.
 func TestOutageDropPreservesFIFOSemantics(t *testing.T) {
 	cfg := homogeneousFleet(1, RoundRobin)
-	cfg.Replicas[0].Capacity = 1
+	cfg.Replicas[0].capacity = 1
 	permanentCrash(&cfg, 0, 2)
 	reqs := []engine.TimedRequest{
 		timed("first", 0, 1024, 600, 0), // dispatched at t=0, still running at the crash
@@ -170,8 +170,8 @@ func TestOutageDropPreservesFIFOSemantics(t *testing.T) {
 
 // TestWarmupCrashBoundary pins the ReplicaConfig contract the
 // autoscaler's warm-up accounting relies on: with a permanent crash,
-// routability needs t >= WarmupDelay and t before the crash, so a crash
-// at or before WarmupDelay is dead at birth — the replica crashes before
+// routability needs t >= warmupDelay and t before the crash, so a crash
+// at or before warmupDelay is dead at birth — the replica crashes before
 // (or the instant) it would come up, and with no restart it never opens
 // a window.
 func TestWarmupCrashBoundary(t *testing.T) {
@@ -192,7 +192,7 @@ func TestWarmupCrashBoundary(t *testing.T) {
 		{"window closed again past crash", 10, 10 + eps, 10 + eps, false},
 	}
 	for _, tc := range cases {
-		rc := ReplicaConfig{WarmupDelay: tc.warmup}
+		rc := ReplicaConfig{warmupDelay: tc.warmup}
 		r := &replica{cfg: rc, tl: crashedTimeline(t, rc, tc.crash)}
 		if got := r.routableAt(tc.at); got != tc.routable {
 			t.Errorf("%s: routableAt(%v) = %v, want %v", tc.name, tc.at, got, tc.routable)

@@ -48,28 +48,31 @@ import (
 // maxBatch bounds concurrent decoders on each replica.
 const maxBatch = 4
 
-// ReplicaConfig describes one engine in the fleet.
+// ReplicaConfig describes one engine in the fleet. Every replica may
+// park at most 16 outstanding (queued + executing) requests, and a
+// configured replica is warm at t=0; only the autoscaler provisions
+// replicas that warm up later.
 type ReplicaConfig struct {
 	// Name labels the replica in metrics (default "r<i>-<device>").
 	Name   string
 	Spec   model.Spec
 	Device *hw.Device
-	// Capacity bounds outstanding (queued + executing) requests the
+	// capacity bounds outstanding (queued + executing) requests the
 	// router may park on the replica (default 16).
-	Capacity int
-	// WarmupDelay keeps the replica unroutable before this simulated
+	capacity int
+	// warmupDelay keeps the replica unroutable before this simulated
 	// time — a cold start loading weights. Zero means warm at t=0. A
 	// replica whose permanent crash (a Config.Faults crash with no
-	// restart) lands at or before WarmupDelay is dead at birth: there is
+	// restart) lands at or before warmupDelay is dead at birth: there is
 	// no instant at which it can take a request, even when the two are
 	// exactly equal. The autoscaler's warm-up accounting relies on this
 	// boundary.
-	WarmupDelay float64
+	warmupDelay float64
 }
 
 func (rc ReplicaConfig) withDefaults(i int) ReplicaConfig {
-	if rc.Capacity <= 0 {
-		rc.Capacity = 16
+	if rc.capacity <= 0 {
+		rc.capacity = 16
 	}
 	if rc.Name == "" && rc.Device != nil {
 		rc.Name = fmt.Sprintf("r%d-%s", i, rc.Device.Name)
@@ -282,9 +285,9 @@ func newReplica(rc ReplicaConfig, fc Config, tl *timeline) (*replica, error) {
 		prefillPerTok: prefillPerTok,
 		decodePerTok:  decodePerTok,
 		tl:            tl,
-		// finishes tracks at most Capacity outstanding estimates;
+		// finishes tracks at most capacity outstanding estimates;
 		// reserving that up front keeps every take allocation-free.
-		finishes: make([]float64, 0, rc.Capacity),
+		finishes: make([]float64, 0, rc.capacity),
 	}, nil
 }
 
@@ -349,8 +352,8 @@ func (r *replica) availAt(t float64) (float64, bool) {
 		if !r.liveAt(t) {
 			return 0, true
 		}
-		if t < r.cfg.WarmupDelay {
-			t = r.cfg.WarmupDelay
+		if t < r.cfg.warmupDelay {
+			t = r.cfg.warmupDelay
 			continue
 		}
 		if r.tl != nil {
@@ -390,7 +393,7 @@ func (r *replica) liveAt(t float64) bool {
 		if t >= r.tl.deadAt {
 			return false
 		}
-		if r.cfg.WarmupDelay >= r.tl.deadAt {
+		if r.cfg.warmupDelay >= r.tl.deadAt {
 			return false
 		}
 	}
@@ -482,14 +485,7 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if ft != nil {
 		ft.faultWindows(replicas)
 	}
-	cx := &chaos{ro: router, out: &out, ft: ft}
-	if cfg.Retry != nil {
-		if err := cfg.Retry.validate(); err != nil {
-			return Metrics{}, err
-		}
-		p := cfg.Retry.withDefaults()
-		cx.retry = &p
-	}
+	cx := &chaos{ro: router, retry: cfg.Retry, out: &out, ft: ft}
 	if cfg.Health != nil {
 		h := cfg.Health.withDefaults()
 		if err := h.validate(); err != nil {
@@ -811,7 +807,7 @@ func (ro *router) nextFree(t float64) (float64, bool) {
 				continue
 			}
 			unfinished := r.finishes[r.completed(t):]
-			if len(unfinished) < r.cfg.Capacity {
+			if len(unfinished) < r.cfg.capacity {
 				ro.scratch = append(ro.scratch, i)
 				continue
 			}

@@ -209,7 +209,7 @@ func TestLeastQueueTracksBacklog(t *testing.T) {
 
 func TestWarmupKeepsReplicaColdThenRoutable(t *testing.T) {
 	cfg := homogeneousFleet(2, RoundRobin)
-	cfg.Replicas[1].WarmupDelay = 50
+	cfg.Replicas[1].warmupDelay = 50
 	reqs := append(burst(6, 2, 0), timed("late", 100, 64, 40, 0))
 	m, err := Serve(cfg, reqs)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestAllReplicasDeadDropsWithDeadlineAccounting(t *testing.T) {
 
 func TestCapacityCausesHeadOfLineBlockingNotDrops(t *testing.T) {
 	cfg := homogeneousFleet(1, RoundRobin)
-	cfg.Replicas[0].Capacity = 1
+	cfg.Replicas[0].capacity = 1
 	m, err := Serve(cfg, burst(10, 0.01, 0))
 	if err != nil {
 		t.Fatal(err)

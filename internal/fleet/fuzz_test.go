@@ -77,13 +77,12 @@ func FuzzFleetServe(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fault generation: %v", err)
 		}
-		sched.HostSurvivesCrash = recovery&4 != 0
 		cfg.Faults = &sched
 		switch recovery % 4 {
 		case 1:
 			cfg.Retry = &RetryPolicy{}
 		case 2:
-			cfg.Retry = &RetryPolicy{Hedge: true, MaxAttempts: 4, Backoff: 0.25}
+			cfg.Retry = &RetryPolicy{Hedge: true}
 		}
 		if recovery&8 != 0 {
 			cfg.Health = &HealthConfig{ProbeAfter: 1}

@@ -41,8 +41,8 @@ func TestDisplacedSessionRePinsToLiveHistory(t *testing.T) {
 	cfg.PrefixCache = true
 	cfg.HostTierBlocks = 256
 	// Until t=30 only r0 is warm, so every first turn pins there.
-	cfg.Replicas[1].WarmupDelay = 30
-	cfg.Replicas[2].WarmupDelay = 30
+	cfg.Replicas[1].warmupDelay = 30
+	cfg.Replicas[2].warmupDelay = 30
 	cfg.Health = &HealthConfig{}
 	cfg.Faults = &faults.Schedule{Events: []faults.Event{
 		{Replica: 0, Kind: faults.Stall, At: 40, Duration: 3},
@@ -180,6 +180,58 @@ func TestZeroRateFaultsMatchFaultsOff(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTracedMatchesUntraced: tracing only records, so over the property
+// grid with generated crashes, stalls and throttles, with health-aware
+// routing on and off, a traced run's Metrics deep-equal the untraced
+// run's, its spans are well formed and no track drops a span.
+func TestTracedMatchesUntraced(t *testing.T) {
+	retried := 0
+	propertyGrid(t, func(seed uint64, base func() Config, reqs []engine.TimedRequest) {
+		sched, err := faults.Generate(faults.GenConfig{
+			Replicas: 3, Horizon: reqs[len(reqs)-1].Arrival,
+			CrashRate: 1, RestartDelay: 5,
+			StallRate: 1, StallDuration: 2,
+			ThrottleRate: 1, ThrottleDuration: 5, ThrottleFactor: 2,
+		}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, health := range []bool{false, true} {
+			cfg := base()
+			cfg.Faults = &sched
+			if health {
+				cfg.Health = &HealthConfig{}
+			}
+			name := fmt.Sprintf("seed %d %s/%s health %v", seed, cfg.Policy, cfg.Admission, health)
+			plain, err := Serve(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tra := telemetry.New(telemetry.Config{})
+			cfg.Trace = tra
+			traced, err := Serve(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(traced, plain) {
+				t.Fatalf("%s: tracing perturbed the run:\ntraced %+v\n plain %+v", name, traced, plain)
+			}
+			if err := telemetry.ValidateSpans(tra); err != nil {
+				t.Fatalf("%s: recorded spans malformed: %v", name, err)
+			}
+			for _, tk := range tra.Tracks() {
+				if tk.Dropped() > 0 {
+					t.Fatalf("%s: track %s dropped %d spans", name, tk.Name(), tk.Dropped())
+				}
+			}
+			retried += traced.Retried
+		}
+	})
+	if retried == 0 {
+		t.Fatal("degenerate grid: no run retried a request")
+	}
 }
 
 // TestAutoscaleMinEqualsMaxMatchesFixedPool: an autoscaler pinned at
@@ -369,7 +421,7 @@ func TestReplicasMatchStandaloneServe(t *testing.T) {
 	}{{LeastQueue, FIFO}, {DeadlineAware, EDF}, {RoundRobin, SJF}} {
 		cfg := Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), spec), Policy: tc.policy, Admission: tc.admission}
 		for i := range cfg.Replicas {
-			cfg.Replicas[i].Capacity = 2 // deep ingress waits
+			cfg.Replicas[i].capacity = 2 // deep ingress waits
 		}
 		m, sub := tracedServe(t, cfg, reqs)
 		waited := false
@@ -428,7 +480,7 @@ func TestWarmthReadCommitsTheReadReplica(t *testing.T) {
 	cfg := homogeneousFleet(3, SessionAffinity)
 	cfg.PrefixCache = true
 	cfg.HostTierBlocks = 256
-	cfg.Replicas[0].Capacity = 1
+	cfg.Replicas[0].capacity = 1
 	hist := sessHist(1<<40, 2048)
 	const repin = 2.0
 	reqs := []engine.TimedRequest{

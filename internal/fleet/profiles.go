@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"edgereasoning/internal/hw"
@@ -84,16 +85,23 @@ func HeterogeneousReplicas(n int, devices []*hw.Device, base model.Spec) []Repli
 	}
 	out := make([]ReplicaConfig, n)
 	for i := range out {
-		spec := base
-		if i%2 == 1 {
-			spec = base.Quantized()
-		}
-		dev := devices[i%len(devices)]
-		name := fmt.Sprintf("r%d-%s", i, dev.Name)
-		if spec.IsQuantized() {
-			name += "-w4"
-		}
-		out[i] = ReplicaConfig{Name: name, Spec: spec, Device: dev}
+		out[i] = cycleReplica("r", i, devices, base)
 	}
 	return out
+}
+
+// cycleReplica is slot k of the replica profile cycle: odd slots serve
+// base's W4A16 variant, devices repeat in order, and the name is
+// "<prefix><k>-<device>", with "-w4" appended for quantized weights.
+func cycleReplica(prefix string, k int, devices []*hw.Device, base model.Spec) ReplicaConfig {
+	spec := base
+	if k%2 == 1 {
+		spec = base.Quantized()
+	}
+	dev := devices[k%len(devices)]
+	w4 := ""
+	if spec.IsQuantized() {
+		w4 = "-w4"
+	}
+	return ReplicaConfig{Name: prefix + strconv.Itoa(k) + "-" + dev.Name + w4, Spec: spec, Device: dev}
 }

@@ -1,13 +1,13 @@
 // Fault injection and crash-consistent recovery for the fleet. A
 // Config.Faults schedule, the only source of crashes, compiles into
 // per-replica timelines: crashes abort the replica's in-flight
-// dispatches and wipe its device KV cache (the host tier optionally
-// survives), stall windows freeze it, and throttle windows stretch its
-// decode rate. The recovery side makes faults survivable: aborted
-// requests re-enter the shared ingress under a RetryPolicy (bounded
-// attempts, exponential backoff, a deadline budget), and HealthConfig
-// adds per-replica health to routing — a consecutive-failure circuit
-// breaker with half-open probes, plus stall-window avoidance.
+// dispatches and wipe its prefix cache on both tiers, stall windows
+// freeze it, and throttle windows stretch its decode rate. The recovery
+// side makes faults survivable: aborted requests re-enter the shared
+// ingress under a RetryPolicy (bounded attempts, exponential backoff, a
+// deadline budget), and HealthConfig adds per-replica health to routing
+// — a consecutive-failure circuit breaker with half-open probes, plus
+// stall-window avoidance.
 //
 // Crashes execute on the engines, which run in lockstep with dispatch:
 // the dispatcher advances the struck replica to the crash instant, and
@@ -33,37 +33,21 @@ import (
 )
 
 // RetryPolicy re-admits crash-aborted requests through the shared
-// ingress. A nil Config.Retry drops aborted work on the floor — the
+// ingress: at most 3 dispatch attempts per request, the first included,
+// with the n-th re-admission waiting 0.5·2^(n-1) seconds after the
+// abort. A nil Config.Retry drops aborted work on the floor — the
 // no-recovery baseline the drills experiment compares against.
 type RetryPolicy struct {
-	// MaxAttempts bounds total dispatch attempts per request, the first
-	// included (default 3).
-	MaxAttempts int
-	// Backoff is the wait before a request's first re-admission,
-	// doubling with every further abort (default 0.5 s).
-	Backoff float64
 	// Hedge skips the backoff on the first re-admission — an immediate
 	// hedged retry against the crashed attempt; later attempts back off
-	// exponentially from Backoff as usual.
+	// exponentially as usual.
 	Hedge bool
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 0.5
-	}
-	return p
-}
-
-func (p RetryPolicy) validate() error {
-	if math.IsNaN(p.Backoff) || math.IsInf(p.Backoff, 0) || p.Backoff < 0 {
-		return fmt.Errorf("fleet: retry Backoff must be finite and non-negative, got %v", p.Backoff)
-	}
-	return nil
-}
+const (
+	maxAttempts  = 3   // dispatch attempts per request, the first included
+	retryBackoff = 0.5 // seconds before the first re-admission
+)
 
 // HealthConfig enables health-aware routing: each replica carries a
 // consecutive-failure circuit breaker, and the router steers new work
@@ -221,7 +205,7 @@ func compileFaults(cfg Config) ([]*timeline, error) {
 			c.throttles++
 		}
 		if tls[ev.Replica] == nil {
-			tls[ev.Replica] = &timeline{fx: engine.FaultInjection{KeepHost: cfg.Faults.HostSurvivesCrash}, deadAt: math.Inf(1)}
+			tls[ev.Replica] = &timeline{deadAt: math.Inf(1)}
 		}
 	}
 	for i, tl := range tls {
@@ -275,7 +259,7 @@ func compileFaults(cfg Config) ([]*timeline, error) {
 // latency accounting spans every attempt.
 type chaos struct {
 	ro      *router
-	retry   *RetryPolicy       // defaults applied; nil drops every abort
+	retry   *RetryPolicy       // nil drops every abort
 	pending queue.Queue[entry] // sorted ascending by since
 	out     *Metrics
 	ft      *fleetTracer // nil when tracing is off
@@ -390,11 +374,11 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64, flow uint64) {
 	}
 	tr.Attempt++
 	n := tr.Attempt // the n-th abort of this request
-	if n+1 > cx.retry.MaxAttempts {
+	if n+1 > maxAttempts {
 		cx.abandon(tr)
 		return
 	}
-	back := cx.retry.Backoff * math.Pow(2, float64(n-1))
+	back := retryBackoff * math.Pow(2, float64(n-1))
 	if cx.retry.Hedge && n == 1 {
 		back = 0
 	}

@@ -44,14 +44,14 @@ func crashedTimeline(t *testing.T, rc ReplicaConfig, at float64) *timeline {
 func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	mk := func(p RetryPolicy) (*chaos, *Metrics) {
 		out := &Metrics{}
-		p = p.withDefaults()
 		return &chaos{retry: &p, out: out}, out
 	}
 
-	// Backoff doubles per abort; MaxAttempts bounds total dispatches.
-	// Each abort requeues the request as its retry carried it, so the
-	// retry's own Attempt, not its ID, counts the aborts.
-	cx, out := mk(RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
+	// The backoff starts at 0.5 s and doubles per abort; three attempts
+	// bound total dispatches. Each abort requeues the request as its
+	// retry carried it, so the retry's own Attempt, not its ID, counts
+	// the aborts.
+	cx, out := mk(RetryPolicy{})
 	tr := timed("r1", 0, 64, 40, 0)
 	cx.requeue(tr, 10, 7) // first abort: attempt 2 allowed at 10.5
 	first := cx.pending.Live()[0]
@@ -80,13 +80,13 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	}
 	cx.requeue(cx.pending.Live()[0].TimedRequest, 20, 0)
 	if got := cx.pending.Live()[1].since; got != 21 {
-		t.Errorf("post-hedge re-admission at %v, want 21 (default 0.5 doubled once)", got)
+		t.Errorf("post-hedge re-admission at %v, want 21 (0.5 doubled once)", got)
 	}
 
 	// Deadline budget: a re-admission at or past the deadline is dropped.
-	cx, out = mk(RetryPolicy{Backoff: 2})
-	dl := timed("d1", 0, 64, 40, 11.9)
-	cx.requeue(dl, 10, 0) // re-admit at 12 >= deadline 11.9
+	cx, out = mk(RetryPolicy{})
+	dl := timed("d1", 0, 64, 40, 10.4)
+	cx.requeue(dl, 10, 0) // re-admit at 10.5 >= deadline 10.4
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("deadline-budget abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
 	}
@@ -103,16 +103,14 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	}
 }
 
-// TestInvalidRecoveryConfigRejected checks that Serve validates Retry
-// and Health whether or not the run schedules a crash.
+// TestInvalidRecoveryConfigRejected checks that Serve validates Health
+// whether or not the run schedules a crash.
 func TestInvalidRecoveryConfigRejected(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		for _, tc := range []struct {
 			name string
 			mut  func(*Config)
 		}{
-			{"negative backoff", func(c *Config) { c.Retry = &RetryPolicy{Backoff: -1} }},
-			{"NaN backoff", func(c *Config) { c.Retry = &RetryPolicy{Backoff: math.NaN()} }},
 			{"infinite probe", func(c *Config) { c.Health = &HealthConfig{ProbeAfter: math.Inf(1)} }},
 		} {
 			cfg := homogeneousFleet(2, RoundRobin)
@@ -377,77 +375,59 @@ func TestCrashRetryRecoverProperties(t *testing.T) {
 // TestSessionAffinityRePinsBySurvivingWarmthAfterCrash covers recovery
 // routing: when a session's pinned replica crashes, its sticky pin is
 // displaced immediately (no stale-pin leak), and the re-pin consults
-// what survived the wipe — with persistent host DRAM the session returns
-// to its old replica for a host-tier restore; after a full wipe the
-// replica is as cold as any other.
+// what survived the wipe — nothing, not even a history demoted to the
+// host tier, so the replica is as cold as any other.
 func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
-	for _, keepHost := range []bool{true, false} {
-		tl := &timeline{
-			fx:       engine.FaultInjection{Crashes: []float64{5100}, KeepHost: keepHost},
-			restarts: []float64{5105},
-			deadAt:   math.Inf(1),
-		}
-		tl.compile()
-		crashed, err := newReplica(ReplicaConfig{
-			Name: "crashed", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts(), tl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		other, err := newReplica(ReplicaConfig{
-			Name: "other", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(1), tieredOpts(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		histA := sessHist(1<<40, 2048)
-		histB := sessHist(1<<41, 2048)
-		histC := sessHist(1<<42, 2048)
-		// Session A's history lands on "crashed", then pressure from B and
-		// C demotes it entirely to the host tier — the crash-survivable
-		// state.
-		for i, hist := range [][]uint64{histA, histB, histC} {
-			serveTurn(t, crashed, sessTurn(fmt.Sprintf("w%d", i), fmt.Sprintf("s%d", i), float64(i)*1000, hist, 512, 256))
-		}
-		turn := sessTurn("a1", "s0", 5000, histA, 512+256+128, 64)
-		if dev, host := crashed.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
-			t.Fatalf("setup: peek = (%d, %d), want (0, >0) — history fully demoted", dev, host)
-		}
+	tl := &timeline{
+		fx:       engine.FaultInjection{Crashes: []float64{5100}},
+		restarts: []float64{5105},
+		deadAt:   math.Inf(1),
+	}
+	tl.compile()
+	crashed, err := newReplica(ReplicaConfig{
+		Name: "crashed", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
+	}.withDefaults(0), tieredOpts(), tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := newReplica(ReplicaConfig{
+		Name: "other", Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
+	}.withDefaults(1), tieredOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	histA := sessHist(1<<40, 2048)
+	histB := sessHist(1<<41, 2048)
+	histC := sessHist(1<<42, 2048)
+	// Session A's history lands on "crashed", then pressure from B and C
+	// demotes it entirely to the host tier.
+	for i, hist := range [][]uint64{histA, histB, histC} {
+		serveTurn(t, crashed, sessTurn(fmt.Sprintf("w%d", i), fmt.Sprintf("s%d", i), float64(i)*1000, hist, 512, 256))
+	}
+	turn := sessTurn("a1", "s0", 5000, histA, 512+256+128, 64)
+	if dev, host := crashed.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
+		t.Fatalf("setup: peek = (%d, %d), want (0, >0) — history fully demoted", dev, host)
+	}
 
-		ro := &router{replicas: []*replica{crashed, other}, policy: SessionAffinity, tiered: true}
-		if got := ro.choose([]int{0, 1}, turn, 5000); got != 0 {
-			t.Fatalf("pinned to %d, want 0 (least-pinned, first candidate)", got)
-		}
+	ro := &router{replicas: []*replica{crashed, other}, policy: SessionAffinity, tiered: true}
+	if got := ro.choose([]int{0, 1}, turn, 5000); got != 0 {
+		t.Fatalf("pinned to %d, want 0 (least-pinned, first candidate)", got)
+	}
 
-		// The pinned replica crashes mid-session.
-		var out Metrics
-		cx := &chaos{ro: ro, out: &out}
-		cx.crash(0)
-		if p := ro.sticky["s0"]; p != -1 {
-			t.Fatalf("crash must displace the session's sticky pin, got %d", p)
-		}
-		if ro.pinned[0] != 0 {
-			t.Fatalf("stale pin count %d on the crashed replica", ro.pinned[0])
-		}
-		turn2 := sessTurn("a2", "s0", 5200, histA, 512+256+128+64, 32)
-		dev, host := crashed.eng.PeekPrefix(turn2.PromptSyms)
-		if !keepHost {
-			// Without persistent DRAM the wipe leaves nothing to return to.
-			if dev+host != 0 || ro.warmth(0, turn2, 5200, true) != 0 {
-				t.Fatalf("peek (%d, %d) after full wipe, want cold", dev, host)
-			}
-			continue
-		}
-		// Re-pin after the restart: the surviving host tier beats cold.
-		if dev != 0 || host == 0 {
-			t.Fatalf("post-crash peek (%d, %d), want host-resident survivor", dev, host)
-		}
-		if got := ro.choose([]int{1, 0}, turn2, 5200); got != 0 {
-			t.Fatalf("re-pinned to %d, want 0 (host-warm survivor)", got)
-		}
-		if ro.pinned[0] != 1 || len(ro.sticky) != 1 {
-			t.Fatalf("re-pin bookkeeping: pinned %v sticky %d entries", ro.pinned, len(ro.sticky))
-		}
+	// The pinned replica crashes mid-session.
+	var out Metrics
+	cx := &chaos{ro: ro, out: &out}
+	cx.crash(0)
+	if p := ro.sticky["s0"]; p != -1 {
+		t.Fatalf("crash must displace the session's sticky pin, got %d", p)
+	}
+	if ro.pinned[0] != 0 {
+		t.Fatalf("stale pin count %d on the crashed replica", ro.pinned[0])
+	}
+	// The wipe leaves nothing to return to.
+	turn2 := sessTurn("a2", "s0", 5200, histA, 512+256+128+64, 32)
+	if dev, host := crashed.eng.PeekPrefix(turn2.PromptSyms); dev+host != 0 || ro.warmth(0, turn2, 5200, true) != 0 {
+		t.Fatalf("peek (%d, %d) after full wipe, want cold", dev, host)
 	}
 }
 
@@ -483,12 +463,12 @@ func TestTakeKeepsFinishesSorted(t *testing.T) {
 		for k := 0; k < 60; k++ {
 			now += rng.ExpFloat64() * 0.5
 			cx.processUpTo(now)
-			if r.routableAt(now) && r.outstanding(now) < r.cfg.Capacity {
+			if r.routableAt(now) && r.outstanding(now) < r.cfg.capacity {
 				r.take(timed(fmt.Sprintf("t%d-%d", trial, k), now, 16+rng.IntN(512), 1+rng.IntN(200), 0), now)
 				takes++
 			}
-			if !sort.Float64sAreSorted(r.finishes) || len(r.finishes) > r.cfg.Capacity {
-				t.Fatalf("trial %d step %d: finishes out of order or over capacity %d: %v", trial, k, r.cfg.Capacity, r.finishes)
+			if !sort.Float64sAreSorted(r.finishes) || len(r.finishes) > r.cfg.capacity {
+				t.Fatalf("trial %d step %d: finishes out of order or over capacity %d: %v", trial, k, r.cfg.capacity, r.finishes)
 			}
 		}
 		crashes += out.Crashes

@@ -21,7 +21,7 @@ import (
 func nextFreeRef(ro *router, t float64) (float64, bool) {
 	for {
 		for _, r := range ro.replicas {
-			if r.routableAt(t) && r.outstanding(t) < r.cfg.Capacity {
+			if r.routableAt(t) && r.outstanding(t) < r.cfg.capacity {
 				return t, true
 			}
 		}
@@ -58,7 +58,7 @@ func nextFreeRef(ro *router, t float64) (float64, bool) {
 func bestServiceRef(ro *router, tr engine.TimedRequest, t float64) float64 {
 	best := math.Inf(1)
 	for _, r := range ro.replicas {
-		if r.routableAt(t) && r.outstanding(t) < r.cfg.Capacity {
+		if r.routableAt(t) && r.outstanding(t) < r.cfg.capacity {
 			if s := r.finishEstimate(tr, t) - t; s < best {
 				best = s
 			}
@@ -70,7 +70,7 @@ func bestServiceRef(ro *router, tr engine.TimedRequest, t float64) float64 {
 func chooseAtRef(ro *router, tr engine.TimedRequest, t float64) *replica {
 	ro.scratch = ro.scratch[:0]
 	for i, r := range ro.replicas {
-		if r.routableAt(t) && r.outstanding(t) < r.cfg.Capacity {
+		if r.routableAt(t) && r.outstanding(t) < r.cfg.capacity {
 			ro.scratch = append(ro.scratch, i)
 		}
 	}
@@ -88,10 +88,10 @@ func randomRouter(rng *rand.Rand) (*router, []float64) {
 	var bounds []float64
 	for n := 1 + rng.IntN(4); n > 0; n-- {
 		r, b := randomAvailReplica(rng)
-		r.cfg.Capacity = 1 + rng.IntN(4)
+		r.cfg.capacity = 1 + rng.IntN(4)
 		r.prefillPerTok = 0.001 * float64(1+rng.IntN(3))
 		r.decodePerTok = 0.01 * float64(1+rng.IntN(3))
-		for k := rng.IntN(r.cfg.Capacity + 1); k > 0; k-- {
+		for k := rng.IntN(r.cfg.capacity + 1); k > 0; k-- {
 			r.finishes = append(r.finishes, float64(rng.IntN(70))/2)
 		}
 		sort.Float64s(r.finishes)
@@ -284,7 +284,7 @@ func TestRouterReadsArePure(t *testing.T) {
 func TestCrashBeforePlannedDispatchKeepsBacklog(t *testing.T) {
 	cfg := homogeneousFleet(2, RoundRobin)
 	for i := range cfg.Replicas {
-		cfg.Replicas[i].Capacity = 1
+		cfg.Replicas[i].capacity = 1
 	}
 	reqs := []engine.TimedRequest{
 		timed("short", 0, 64, 40, 0),

@@ -300,10 +300,9 @@ func (l *lockstep) step() {
 		op = "free " + s.id
 		l.sameErr(op, l.c.Free(s.h), l.rc.Free(s.rh))
 	default: // device crash; live sequences stay and release later
-		keep := l.pick(2) == 1
-		op = fmt.Sprintf("crash-reset keepHost=%v", keep)
-		l.ix.CrashReset(keep)
-		l.rx.CrashReset(keep)
+		op = "crash-reset"
+		l.ix.CrashReset()
+		l.rx.CrashReset()
 	}
 	l.compare(op)
 }

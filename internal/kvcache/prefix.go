@@ -434,33 +434,17 @@ func (ix *PrefixIndex) evictOne() bool {
 	return true
 }
 
-// CrashReset models a device power loss: every device-resident entry is
-// dropped — HBM contents do not survive a crash — and its block
-// reference released. With keepHost (and a host tier attached), host
-// entries whose entire hash chain is host-resident survive, modeling
-// persistent host DRAM; a host tail whose upper chain lived on the
-// device is orphaned by the wipe (its chained hashes can no longer be
-// reached from the chain root) and is dropped with it. Without keepHost
-// the host tier is cleared too. Live sequences are untouched: the
-// serving layer aborts them separately, and their blocks free when they
-// do. Index invariants hold afterwards.
-func (ix *PrefixIndex) CrashReset(keepHost bool) {
+// CrashReset models a power loss: every entry is dropped — neither HBM
+// nor host DRAM contents survive a crash — and its block reference
+// released. Live sequences are untouched: the serving layer aborts them
+// separately, and their blocks free when they do. Index invariants hold
+// afterwards.
+func (ix *PrefixIndex) CrashReset() {
 	ix.m.CrashWipes++
 	if len(ix.entries) == 0 {
 		return
 	}
-	survives := func(e *prefixEntry) bool {
-		if !keepHost || !e.onHost {
-			return false
-		}
-		for p := e; p != nil; p = p.parent {
-			if !p.onHost {
-				return false
-			}
-		}
-		return true
-	}
-	// Visit entries in ascending lastUse (ticks are unique), not map
+	// Drop entries in ascending lastUse (ticks are unique), not map
 	// order: the order dropped blocks return to the free list decides
 	// which blocks later grabs get, and the order recycled shells reach
 	// the pool, so it must not vary run to run.
@@ -469,12 +453,7 @@ func (ix *PrefixIndex) CrashReset(keepHost bool) {
 		all = append(all, e)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].lastUse < all[j].lastUse })
-	kept := all[:0]
 	for _, e := range all {
-		if survives(e) {
-			kept = append(kept, e)
-			continue
-		}
 		if e.onHost {
 			ix.m.HostRetained--
 			ix.host.resident--
@@ -487,25 +466,10 @@ func (ix *PrefixIndex) CrashReset(keepHost bool) {
 		e.gen++
 		ix.pool = append(ix.pool, e)
 	}
-	// Rebuild wholesale. Survivors keep their exact counters: a
-	// surviving host entry's parent is host and surviving (the whole
-	// chain is), every host child of a survivor survives with it, and
-	// host entries never have device children — so children and
-	// hostChildren are already right. Only the map and the LRU lists
-	// need reconstructing, in the survivors' ascending lastUse order.
-	ix.entries = make(map[uint64]*prefixEntry, len(kept))
+	ix.entries = make(map[uint64]*prefixEntry)
 	ix.lru = lruList{}
 	if ix.host != nil {
 		ix.host.lru = lruList{}
-	}
-	for _, e := range kept {
-		e.prev, e.next, e.inLRU = nil, nil, false
-		ix.entries[e.hash] = e
-	}
-	for _, e := range kept {
-		if e.hostChildren == 0 {
-			ix.host.lru.push(e) // ascending lastUse: push keeps it sorted
-		}
 	}
 	ix.mut++
 }

@@ -61,18 +61,19 @@ func TestTrackRingOverflow(t *testing.T) {
 }
 
 func TestSeriesThinningAndCounter(t *testing.T) {
-	tra := New(Config{SeriesCap: 8})
+	tra := New(Config{})
 	g := tra.GaugeSeries("depth", "")
-	for i := 0; i < 100; i++ {
+	const n = 3*seriesCap + 7
+	for i := 0; i < n; i++ {
 		g.Sample(float64(i), float64(i))
 	}
 	pts := g.Points()
-	if len(pts) > 8 {
-		t.Fatalf("series kept %d points, cap 8", len(pts))
+	if len(pts) > seriesCap {
+		t.Fatalf("series kept %d points, cap %d", len(pts), seriesCap)
 	}
 	last, ok := g.Last()
-	if !ok || last.V != 99 {
-		t.Fatalf("last = %+v, want V=99", last)
+	if !ok || last.V != n-1 {
+		t.Fatalf("last = %+v, want V=%d", last, n-1)
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].T <= pts[i-1].T {

@@ -28,20 +28,17 @@ type Config struct {
 	// SpanCap bounds spans retained per track; older spans are
 	// overwritten ring-style and counted as dropped. Default 32768.
 	SpanCap int
-	// SeriesCap bounds points per series; overflow thins uniformly in
-	// time. Default 4096.
-	SeriesCap int
 }
 
 func (c Config) withDefaults() Config {
 	if c.SpanCap <= 0 {
 		c.SpanCap = 32768
 	}
-	if c.SeriesCap <= 0 {
-		c.SeriesCap = 4096
-	}
 	return c
 }
+
+// seriesCap bounds points per series; overflow thins uniformly in time.
+const seriesCap = 4096
 
 // Trace owns a run's telemetry: the track registry, the series and
 // histogram registries, and the flow-ID counter. Track registration and
@@ -127,7 +124,7 @@ func (t *Trace) seriesFor(name, label string, kind SeriesKind) *Series {
 	}
 	s := &Series{
 		Name: name, Label: label, Kind: kind,
-		pts: make([]Point, 0, t.cfg.SeriesCap),
+		pts: make([]Point, 0, seriesCap),
 	}
 	t.byKey[key] = s
 	t.series = append(t.series, s)
