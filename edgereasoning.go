@@ -19,7 +19,6 @@
 package edgereasoning
 
 import (
-	"fmt"
 	"time"
 
 	"edgereasoning/internal/control"
@@ -30,6 +29,7 @@ import (
 	"edgereasoning/internal/experiments"
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
@@ -202,7 +202,7 @@ func (g GenerationResult) TotalTime() float64 { return g.PrefillTime + g.DecodeT
 
 // Generate runs one request through the serving engine.
 func (d *Deployment) Generate(promptTokens, outputTokens int) (GenerationResult, error) {
-	m, err := d.engine.Generate(engine.Request{ID: "api", PromptTokens: promptTokens, OutputTokens: outputTokens})
+	m, err := d.engine.Generate(engine.Request{ID: label.API(), PromptTokens: promptTokens, OutputTokens: outputTokens})
 	if err != nil {
 		return GenerationResult{}, err
 	}
@@ -232,7 +232,7 @@ func (d *Deployment) ServeBatch(n, promptTokens, outputTokens, maxBatch int) (Ba
 	reqs := make([]engine.Request, n)
 	for i := range reqs {
 		reqs[i] = engine.Request{
-			ID:           fmt.Sprintf("batch-%d", i),
+			ID:           label.Batch(i),
 			PromptTokens: promptTokens,
 			OutputTokens: outputTokens,
 		}

@@ -1,17 +1,17 @@
 package edgereasoning
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 )
 
 // engineRequest builds a small indexed request for serving tests.
 func engineRequest(i int) engine.Request {
-	return engine.Request{ID: fmt.Sprintf("r%d", i), PromptTokens: 128, OutputTokens: 40}
+	return engine.Request{ID: label.Question(i), PromptTokens: 128, OutputTokens: 40}
 }
 
 func TestDeployAndPredict(t *testing.T) {

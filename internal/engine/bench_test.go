@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -27,7 +27,7 @@ func benchStream() []TimedRequest {
 	for i := range reqs {
 		reqs[i] = TimedRequest{
 			Request: Request{
-				ID:           fmt.Sprintf("r%d", i),
+				ID:           label.Question(i),
 				PromptTokens: 256,
 				OutputTokens: 2048 + 64*i,
 			},

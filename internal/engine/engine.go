@@ -14,6 +14,7 @@ import (
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
 	"edgereasoning/internal/kvcache"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
 	"edgereasoning/internal/queue"
@@ -89,18 +90,19 @@ type Config struct {
 // execution by the model twin (the engine transports tokens; it does not
 // decide how many the model emits).
 type Request struct {
-	// ID labels the request's Metrics, trace spans and errors; neither
-	// the engine nor a fleet looks a request up by it, so IDs need not be
-	// unique for serving. telemetry.Breakdown groups spans by ID, so a traced run
-	// that is broken down needs them unique within the run.
-	ID           string
+	// ID labels the request's Metrics, trace spans and errors. It is a
+	// value, rendered to text only where text is printed; neither the
+	// engine nor a fleet looks a request up by it, so IDs need not be
+	// unique for serving. telemetry.Breakdown groups spans by ID, so a
+	// traced run that is broken down needs them unique within the run.
+	ID           label.Label
 	PromptTokens int
 	OutputTokens int
 }
 
 // Metrics reports one completed request.
 type Metrics struct {
-	ID           string
+	ID           label.Label
 	PromptTokens int
 	OutputTokens int
 	// QueueTime is latency minus service time (restore + prefill +
@@ -384,7 +386,7 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 	res := e.prefill(promptTokens)
 	if s.tra != nil {
 		// The shared prefill sits on branch 0's lane, which owns its cost.
-		s.tra.Record(telemetry.Span{ID: "par-0", Kind: telemetry.KindPrefill,
+		s.tra.Record(telemetry.Span{ID: label.Par(0), Kind: telemetry.KindPrefill,
 			Start: e.clock, End: e.clock + res.Time, Tokens: promptTokens})
 		s.ttftHist.Observe(res.Time)
 	}
@@ -401,7 +403,7 @@ func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, err
 				return s.out.BatchMetrics, err
 			}
 		}
-		id := fmt.Sprintf("par-%d", i)
+		id := label.Par(i)
 		req := Request{ID: id, PromptTokens: promptTokens, OutputTokens: o}
 		*s.vacant() = activeSeq{tr: TimedRequest{Request: req, Arrival: s.start}, at: s.start,
 			handle: h, ctx: promptTokens, remaining: o, admitAt: s.start,

@@ -1,11 +1,11 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -20,7 +20,7 @@ func newOrinEngine(t *testing.T, id model.ID) *Engine {
 
 func TestGenerateSingleRequest(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Llama8B)
-	m, err := e.Generate(Request{ID: "q1", PromptTokens: 256, OutputTokens: 811})
+	m, err := e.Generate(Request{ID: label.Question(1), PromptTokens: 256, OutputTokens: 811})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestGenerateTPSMatchesPaperOrder(t *testing.T) {
 	var tps []float64
 	for _, id := range []model.ID{model.DSR1Qwen1_5B, model.DSR1Llama8B, model.DSR1Qwen14B} {
 		e := newOrinEngine(t, id)
-		m, err := e.Generate(Request{ID: "q", PromptTokens: 128, OutputTokens: 512})
+		m, err := e.Generate(Request{ID: label.Question(0), PromptTokens: 128, OutputTokens: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestRunContinuousBatching(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	var reqs []Request
 	for i := 0; i < 8; i++ {
-		reqs = append(reqs, Request{ID: fmt.Sprintf("q%d", i), PromptTokens: 64, OutputTokens: 100 + 20*i})
+		reqs = append(reqs, Request{ID: label.Question(i), PromptTokens: 64, OutputTokens: 100 + 20*i})
 	}
 	b, err := e.Run(reqs, 4)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestBatchingSpeedsUpThroughput(t *testing.T) {
 	mkReqs := func() []Request {
 		var reqs []Request
 		for i := 0; i < 30; i++ {
-			reqs = append(reqs, Request{ID: fmt.Sprintf("q%d", i), PromptTokens: 100, OutputTokens: 800})
+			reqs = append(reqs, Request{ID: label.Question(i), PromptTokens: 100, OutputTokens: 800})
 		}
 		return reqs
 	}
@@ -199,7 +199,7 @@ func TestRunParallelZeroOutputBranch(t *testing.T) {
 
 func TestRunRejectsEmptyPrompt(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
-	if _, err := e.Run([]Request{{ID: "bad", PromptTokens: 0, OutputTokens: 5}}, 1); err == nil {
+	if _, err := e.Run([]Request{{ID: label.Question(0), PromptTokens: 0, OutputTokens: 5}}, 1); err == nil {
 		t.Error("empty prompt must error")
 	}
 }
@@ -216,7 +216,7 @@ func TestFrameworkOverheadSlowsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{ID: "q", PromptTokens: 64, OutputTokens: 128}
+	req := Request{ID: label.Question(0), PromptTokens: 64, OutputTokens: 128}
 	mb, err := base.Generate(req)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestEnergyConservation(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	var reqs []Request
 	for i := 0; i < 6; i++ {
-		reqs = append(reqs, Request{ID: fmt.Sprintf("q%d", i), PromptTokens: 64, OutputTokens: 80 + 30*i})
+		reqs = append(reqs, Request{ID: label.Question(i), PromptTokens: 64, OutputTokens: 80 + 30*i})
 	}
 	b, err := e.Run(reqs, 3)
 	if err != nil {
@@ -270,8 +270,8 @@ func TestWallTimeAccounting(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Llama8B)
 	before := e.Clock()
 	b, err := e.Run([]Request{
-		{ID: "a", PromptTokens: 100, OutputTokens: 50},
-		{ID: "b", PromptTokens: 100, OutputTokens: 70},
+		{ID: label.Question(0), PromptTokens: 100, OutputTokens: 50},
+		{ID: label.Question(1), PromptTokens: 100, OutputTokens: 70},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -286,15 +286,15 @@ func TestWallTimeAccounting(t *testing.T) {
 func TestQueueTimeFCFS(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	b, err := e.Run([]Request{
-		{ID: "first", PromptTokens: 64, OutputTokens: 100},
-		{ID: "second", PromptTokens: 64, OutputTokens: 100},
+		{ID: label.Question(0), PromptTokens: 64, OutputTokens: 100},
+		{ID: label.Question(1), PromptTokens: 64, OutputTokens: 100},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first, second Metrics
 	for _, m := range b.Requests {
-		if m.ID == "first" {
+		if m.ID == label.Question(0) {
 			first = m
 		} else {
 			second = m
@@ -315,7 +315,7 @@ func TestKVPressureDefersAdmission(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen14B) // biggest KV footprint
 	var reqs []Request
 	for i := 0; i < 40; i++ {
-		reqs = append(reqs, Request{ID: fmt.Sprintf("long%d", i), PromptTokens: 4096, OutputTokens: 2048})
+		reqs = append(reqs, Request{ID: label.Question(i), PromptTokens: 4096, OutputTokens: 2048})
 	}
 	b, err := e.Run(reqs, 40)
 	if err != nil {
@@ -337,7 +337,7 @@ func TestKVPressureDefersAdmission(t *testing.T) {
 func TestOversizedRequestRejected(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen14B)
 	total := e.CacheStats().TotalBlocks * 16 // tokens the cache can hold
-	_, err := e.Run([]Request{{ID: "huge", PromptTokens: total, OutputTokens: total}}, 1)
+	_, err := e.Run([]Request{{ID: label.Question(0), PromptTokens: total, OutputTokens: total}}, 1)
 	if err == nil {
 		t.Fatal("impossible request must be rejected")
 	}
@@ -368,7 +368,7 @@ func TestEngineClockAdvances(t *testing.T) {
 	if e.Clock() != 0 {
 		t.Error("clock must start at 0")
 	}
-	_, err := e.Generate(Request{ID: "a", PromptTokens: 32, OutputTokens: 32})
+	_, err := e.Generate(Request{ID: label.Question(0), PromptTokens: 32, OutputTokens: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -98,9 +98,9 @@ func TestFinishAfterIntegratesWindows(t *testing.T) {
 // identical to an undisturbed serve.
 func TestServeFaultsOutsideRunAreInert(t *testing.T) {
 	stream := []TimedRequest{
-		timed("a", 0, 128, 60, 0),
-		timed("b", 0.5, 96, 40, 0),
-		timed("c", 2, 64, 80, 0),
+		timed(0, 0, 128, 60, 0),
+		timed(1, 0.5, 96, 40, 0),
+		timed(2, 2, 64, 80, 0),
 	}
 	base := newOrinEngine(t, model.DSR1Qwen1_5B)
 	want, err := base.Serve(stream, 2, FCFS)
@@ -127,7 +127,7 @@ func TestServeFaultsOutsideRunAreInert(t *testing.T) {
 // inside the window starts at its end, and the wait lands in the
 // stalled request's latency.
 func TestServeStallDelaysStart(t *testing.T) {
-	stream := []TimedRequest{timed("a", 0, 64, 50, 0)}
+	stream := []TimedRequest{timed(0, 0, 64, 50, 0)}
 	base := newOrinEngine(t, model.DSR1Qwen1_5B)
 	want, err := base.Serve(stream, 1, FCFS)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestServeStallDelaysStart(t *testing.T) {
 // factor-2 window covering the run doubles decode time while prefill
 // time and total energy stay exactly as measured unthrottled.
 func TestServeThrottleStretchesDecodeNotEnergy(t *testing.T) {
-	stream := []TimedRequest{timed("a", 0, 64, 80, 0)}
+	stream := []TimedRequest{timed(0, 0, 64, 80, 0)}
 	base := newOrinEngine(t, model.DSR1Qwen1_5B)
 	want, err := base.Serve(stream, 1, FCFS)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestServeCrashWipesPrefixAtCrashInstant(t *testing.T) {
 	for i := range history {
 		history[i] = uint64(1000 + i)
 	}
-	warm, err := e.Serve([]TimedRequest{sessTimed("t1", 0, history, 128, 64)}, 1, FCFS)
+	warm, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 1), 0, history, 128, 64)}, 1, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestServeCrashWipesPrefixAtCrashInstant(t *testing.T) {
 
 	// Same prefix again, arriving just after a crash on the idle engine.
 	crash := e.Clock() + 0.5
-	next := sessTimed("t2", e.Clock()+1, history, 192, 64)
+	next := sessTimed(label.Think(0, 2), e.Clock()+1, history, 192, 64)
 	fx := &FaultInjection{Crashes: []float64{crash}}
 	m, err := e.ServeSource(NewSliceSource([]TimedRequest{next}), 1, FCFS, ServeOpts{Faults: fx})
 	if err != nil {
@@ -211,7 +211,7 @@ func TestServeCrashWipesPrefixAtCrashInstant(t *testing.T) {
 	}
 
 	// The wiped cache rebuilds: the next turn over the same history hits.
-	again, err := e.Serve([]TimedRequest{sessTimed("t3", e.Clock()+1, history, 192, 32)}, 1, FCFS)
+	again, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 3), e.Clock()+1, history, 192, 32)}, 1, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,14 @@ func TestServeCrashWipesPrefixAtCrashInstant(t *testing.T) {
 func TestServingCrashAbortsWhatTheEngineHolds(t *testing.T) {
 	e := newOrinEngine(t, model.Qwen25_1_5Bit)
 	probe := newOrinEngine(t, model.Qwen25_1_5Bit)
-	one, err := probe.Generate(Request{ID: "p", PromptTokens: 128, OutputTokens: 256})
+	one, err := probe.Generate(Request{ID: label.Probe(), PromptTokens: 128, OutputTokens: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	crash := one.TotalTime() / 2 // mid-decode for the first request
 	sv := e.Open(1, FCFS, ServeOpts{Faults: &FaultInjection{Crashes: []float64{crash}}})
 	for i := 0; i < 3; i++ {
-		sv.Offer(TimedRequest{Request: Request{ID: fmt.Sprintf("r%d", i), PromptTokens: 128, OutputTokens: 256}}, 0)
+		sv.Offer(TimedRequest{Request: Request{ID: label.Question(i), PromptTokens: 128, OutputTokens: 256}}, 0)
 	}
 	if err := sv.AdvanceTo(crash / 2); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestServingCrashAbortsWhatTheEngineHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sv.Aborted()
-	if len(got) != 3 || got[0].ID != "r0" || got[1].ID != "r1" || got[2].ID != "r2" {
+	if len(got) != 3 || got[0].ID != label.Question(0) || got[1].ID != label.Question(1) || got[2].ID != label.Question(2) {
 		t.Fatalf("aborted %+v, want r0 (active) then r1, r2 (queued)", got)
 	}
 	if math.Abs(got[0].Lost-crash) > 1e-9 || got[1].Lost != 0 || got[2].Lost != 0 {
@@ -259,12 +259,12 @@ func TestServingCrashAbortsWhatTheEngineHolds(t *testing.T) {
 	if used := e.CacheStats().UsedBlocks; used != 0 {
 		t.Errorf("%d KV blocks still held after the crash", used)
 	}
-	sv.Offer(TimedRequest{Request: Request{ID: "late", PromptTokens: 128, OutputTokens: 256}, Arrival: 1}, crash+1)
+	sv.Offer(TimedRequest{Request: Request{ID: label.Question(3), PromptTokens: 128, OutputTokens: 256}, Arrival: 1}, crash+1)
 	m, err := sv.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Served != 1 || m.Requests[0].ID != "late" {
+	if m.Served != 1 || m.Requests[0].ID != label.Question(3) {
 		t.Fatalf("served %d %+v, want only the post-crash offer", m.Served, m.Requests)
 	}
 	if want := e.Clock() - 1; math.Abs(m.Latencies[0]-want) > 1e-9 {

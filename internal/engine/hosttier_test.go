@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -28,12 +29,12 @@ func TestServeHostTierRestoreAccounting(t *testing.T) {
 	histB := historyAt(1<<41, 2048)
 
 	// Session A's first turn retains 48 of the 64 device blocks.
-	if _, err := e.Serve([]TimedRequest{sessTimed("a0", 0, histA, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 0), 0, histA, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
 	// Session B's first turn needs 48 blocks with only 16 free: admission
 	// demotes A's cold chain to the host tier instead of destroying it.
-	if _, err := e.Serve([]TimedRequest{sessTimed("b0", 1000, histB, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(1, 0), 1000, histB, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
 	if pm := e.PrefixMetrics(); pm.Demotions == 0 || pm.HostRetained == 0 {
@@ -42,7 +43,7 @@ func TestServeHostTierRestoreAccounting(t *testing.T) {
 
 	// Session A's second turn walks onto its host-resident history: the
 	// promotion is a prefix hit that charges restore time into TTFT.
-	sm, err := e.Serve([]TimedRequest{sessTimed("a1", 2000, histA, 512+256+128, 64)}, 4, FCFS)
+	sm, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 1), 2000, histA, 512+256+128, 64)}, 4, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +97,10 @@ func TestResetRebuildsTier(t *testing.T) {
 	}
 	histA := historyAt(1<<40, 2048)
 	histB := historyAt(1<<41, 2048)
-	if _, err := e.Serve([]TimedRequest{sessTimed("a0", 0, histA, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 0), 0, histA, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Serve([]TimedRequest{sessTimed("b0", 1000, histB, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(1, 0), 1000, histB, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Reset(); err != nil {
@@ -110,10 +111,10 @@ func TestResetRebuildsTier(t *testing.T) {
 	}
 	// The tier is re-attached, not dropped: pressure after reset demotes
 	// again instead of evicting.
-	if _, err := e.Serve([]TimedRequest{sessTimed("a0", 3000, histA, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 0), 3000, histA, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Serve([]TimedRequest{sessTimed("b0", 4000, histB, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(1, 0), 4000, histB, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
 	if pm := e.PrefixMetrics(); pm.Demotions == 0 {

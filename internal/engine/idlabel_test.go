@@ -8,14 +8,15 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/session"
 )
 
 // TestRequestIDsAreLabels serves one session stream twice at batch 8,
-// once as generated and once with every request ID set to "x", so
-// requests sharing an ID are admitted side by side. IDs only label
-// metrics, so the two runs must agree on everything but
+// once as generated and once with every request ID set to one shared
+// label, so requests sharing an ID are admitted side by side. IDs only
+// label metrics, so the two runs must agree on everything but
 // Requests[i].ID, without a prefix cache and with a starved tiered one.
 func TestRequestIDsAreLabels(t *testing.T) {
 	reqs, err := session.Generate(session.AgentLoop(8, 4, 2), 7)
@@ -25,7 +26,7 @@ func TestRequestIDsAreLabels(t *testing.T) {
 	same := make([]engine.TimedRequest, len(reqs))
 	copy(same, reqs)
 	for i := range same {
-		same[i].ID = "x"
+		same[i].ID = label.Probe()
 	}
 	spec := model.MustLookup(model.DSR1Qwen1_5B)
 	for _, tc := range []struct {
@@ -57,8 +58,8 @@ func TestRequestIDsAreLabels(t *testing.T) {
 				t.Fatal("tiered run never restored from the host tier")
 			}
 			for i := range got.Requests {
-				if got.Requests[i].ID != "x" {
-					t.Fatalf("request %d labelled %q, want x", i, got.Requests[i].ID)
+				if got.Requests[i].ID != label.Probe() {
+					t.Fatalf("request %d labelled %q, want %q", i, got.Requests[i].ID, label.Probe())
 				}
 				got.Requests[i].ID = want.Requests[i].ID
 			}

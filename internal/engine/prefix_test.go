@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -18,7 +19,7 @@ func newPrefixEngine(t *testing.T, id model.ID) *Engine {
 
 // sessTimed builds a timed request with token identities derived from a
 // shared history slice, the way internal/session emits them.
-func sessTimed(id string, arrival float64, history []uint64, prompt, output int) TimedRequest {
+func sessTimed(id label.Label, arrival float64, history []uint64, prompt, output int) TimedRequest {
 	tr := TimedRequest{
 		Request:    Request{ID: id, PromptTokens: prompt, OutputTokens: output},
 		Arrival:    arrival,
@@ -43,8 +44,8 @@ func TestServeWarmTurnReusesPrefix(t *testing.T) {
 	history := growingHistory(2048)
 	// Turn 0: 512-token prompt, 256-token output. Turn 1: the prompt is
 	// the full turn-0 history plus 128 new tokens.
-	turn0 := sessTimed("t0", 0, history, 512, 256)
-	turn1 := sessTimed("t1", 200, history, 512+256+128, 64)
+	turn0 := sessTimed(label.Think(0, 0), 0, history, 512, 256)
+	turn1 := sessTimed(label.Think(0, 1), 200, history, 512+256+128, 64)
 
 	warm := newPrefixEngine(t, model.DSR1Qwen1_5B)
 	wm, err := warm.Serve([]TimedRequest{turn0, turn1}, 4, FCFS)
@@ -91,9 +92,9 @@ func TestServePrefixDisabledMatchesBaseline(t *testing.T) {
 	// A prefix-enabled engine serving requests WITHOUT syms must behave
 	// exactly like the baseline engine.
 	reqs := []TimedRequest{
-		timed("a", 0, 64, 100, 0),
-		timed("b", 1, 128, 50, 20),
-		timed("c", 2, 64, 100, 0),
+		timed(0, 0, 64, 100, 0),
+		timed(1, 1, 128, 50, 20),
+		timed(2, 2, 64, 100, 0),
 	}
 	base := newOrinEngine(t, model.DSR1Qwen1_5B)
 	bm, err := base.Serve(reqs, 2, FCFS)
@@ -118,13 +119,13 @@ func TestServeBranchesShareOneHistory(t *testing.T) {
 	history := growingHistory(1024)
 	e := newPrefixEngine(t, model.DSR1Qwen1_5B)
 	// Seed the index with one completed turn.
-	if _, err := e.Serve([]TimedRequest{sessTimed("t0", 0, history, 512, 256)}, 4, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 0), 0, history, 512, 256)}, 4, FCFS); err != nil {
 		t.Fatal(err)
 	}
 	// Three parallel branches off the same 768-token history.
 	branches := make([]TimedRequest, 3)
 	for i := range branches {
-		branches[i] = sessTimed("b"+string(rune('0'+i)), 1000, history, 768, 64)
+		branches[i] = sessTimed(label.Branch(0, 1, i), 1000, history, 768, 64)
 		branches[i].OutputSyms = nil // dead-end samples
 	}
 	bm, err := e.Serve(branches, 4, FCFS)
@@ -150,10 +151,10 @@ func TestServeBranchesShareOneHistory(t *testing.T) {
 func TestServePrefixMetricsAccumulate(t *testing.T) {
 	history := growingHistory(512)
 	e := newPrefixEngine(t, model.DSR1Qwen1_5B)
-	if _, err := e.Serve([]TimedRequest{sessTimed("t0", 0, history, 256, 128)}, 1, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 0), 0, history, 256, 128)}, 1, FCFS); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Serve([]TimedRequest{sessTimed("t1", 500, history, 448, 32)}, 1, FCFS); err != nil {
+	if _, err := e.Serve([]TimedRequest{sessTimed(label.Think(0, 1), 500, history, 448, 32)}, 1, FCFS); err != nil {
 		t.Fatal(err)
 	}
 	pm := e.PrefixMetrics()

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"edgereasoning/internal/kvcache"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/queue"
 	"edgereasoning/internal/stats"
 	"edgereasoning/internal/telemetry"
@@ -24,7 +25,7 @@ const admitGrain = 16
 // seqError names the operation and request behind a KV-cache failure.
 // Formatting allocates, so it stays outside the annotated hot path; it
 // ends the run.
-func seqError(op, id string, err error) error {
+func seqError(op string, id label.Label, err error) error {
 	return fmt.Errorf("engine: %s %q: %w", op, id, err)
 }
 

@@ -7,12 +7,13 @@ import (
 	"reflect"
 	"testing"
 
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
-func timed(id string, arrival float64, prompt, output int, deadline float64) TimedRequest {
+func timed(i int, arrival float64, prompt, output int, deadline float64) TimedRequest {
 	return TimedRequest{
-		Request:  Request{ID: id, PromptTokens: prompt, OutputTokens: output},
+		Request:  Request{ID: label.Question(i), PromptTokens: prompt, OutputTokens: output},
 		Arrival:  arrival,
 		Deadline: deadline,
 	}
@@ -20,7 +21,7 @@ func timed(id string, arrival float64, prompt, output int, deadline float64) Tim
 
 func TestServeSingleRequest(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
-	m, err := e.Serve([]TimedRequest{timed("a", 5, 64, 100, 0)}, 1, FCFS)
+	m, err := e.Serve([]TimedRequest{timed(0, 5, 64, 100, 0)}, 1, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +43,10 @@ func TestServeSingleRequest(t *testing.T) {
 
 func TestServeRejectsPastArrivals(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
-	if _, err := e.Generate(Request{ID: "warm", PromptTokens: 32, OutputTokens: 32}); err != nil {
+	if _, err := e.Generate(Request{ID: label.Probe(), PromptTokens: 32, OutputTokens: 32}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Serve([]TimedRequest{timed("late", 0, 32, 32, 0)}, 1, FCFS); err == nil {
+	if _, err := e.Serve([]TimedRequest{timed(0, 0, 32, 32, 0)}, 1, FCFS); err == nil {
 		t.Error("arrival before the engine clock must be rejected")
 	}
 }
@@ -54,8 +55,8 @@ func TestServeLatencyIncludesQueueing(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Llama8B)
 	// Two requests arriving together, served at batch 1: the second waits.
 	m, err := e.Serve([]TimedRequest{
-		timed("a", 0, 64, 200, 0),
-		timed("b", 0, 64, 200, 0),
+		timed(0, 0, 64, 200, 0),
+		timed(1, 0, 64, 200, 0),
 	}, 1, FCFS)
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +72,8 @@ func TestServeLatencyIncludesQueueing(t *testing.T) {
 func TestServeDeadlineAccounting(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	m, err := e.Serve([]TimedRequest{
-		timed("fits", 0, 64, 50, 60),     // generous deadline
-		timed("misses", 0, 64, 2000, 10), // 2000 tokens cannot fit 10s
+		timed(0, 0, 64, 50, 60),   // generous deadline
+		timed(1, 0, 64, 2000, 10), // 2000 tokens cannot fit 10s
 	}, 2, FCFS)
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +94,9 @@ func TestServeEDFPrioritizesUrgent(t *testing.T) {
 	// EDF must serve it first at batch 1; FCFS must not.
 	build := func() []TimedRequest {
 		return []TimedRequest{
-			timed("loose1", 0, 64, 400, 500),
-			timed("loose2", 0, 64, 400, 500),
-			timed("urgent", 0, 64, 100, 18),
+			timed(0, 0, 64, 400, 500),
+			timed(1, 0, 64, 400, 500),
+			timed(2, 0, 64, 100, 18),
 		}
 	}
 	run := func(pol SchedPolicy) ServeMetrics {
@@ -111,9 +112,9 @@ func TestServeEDFPrioritizesUrgent(t *testing.T) {
 	if edf.DeadlinesMet <= fcfs.DeadlinesMet {
 		t.Errorf("EDF met %d deadlines, FCFS %d; EDF should win", edf.DeadlinesMet, fcfs.DeadlinesMet)
 	}
-	// EDF completes "urgent" first.
-	if edf.Requests[0].ID != "urgent" {
-		t.Errorf("EDF first completion = %s, want urgent", edf.Requests[0].ID)
+	// EDF completes the urgent q2 first.
+	if edf.Requests[0].ID != label.Question(2) {
+		t.Errorf("EDF first completion = %s, want q2", edf.Requests[0].ID)
 	}
 }
 
@@ -121,8 +122,8 @@ func TestServeIdleGapsDoNotBill(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	// Two requests separated by a long idle gap.
 	m, err := e.Serve([]TimedRequest{
-		timed("a", 0, 64, 50, 0),
-		timed("b", 1000, 64, 50, 0),
+		timed(0, 0, 64, 50, 0),
+		timed(1, 1000, 64, 50, 0),
 	}, 1, FCFS)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +143,7 @@ func TestServeEnergyConservation(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	var reqs []TimedRequest
 	for i := 0; i < 10; i++ {
-		reqs = append(reqs, timed(fmt.Sprintf("q%d", i), float64(i)*2, 64, 60+10*i, 0))
+		reqs = append(reqs, timed(i, float64(i)*2, 64, 60+10*i, 0))
 	}
 	m, err := e.Serve(reqs, 4, FCFS)
 	if err != nil {
@@ -164,7 +165,7 @@ func TestServePercentilesOrdered(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	var reqs []TimedRequest
 	for i := 0; i < 30; i++ {
-		reqs = append(reqs, timed(fmt.Sprintf("q%d", i), float64(i), 64, 40+5*i, 0))
+		reqs = append(reqs, timed(i, float64(i), 64, 40+5*i, 0))
 	}
 	m, err := e.Serve(reqs, 4, FCFS)
 	if err != nil {
@@ -185,7 +186,7 @@ func TestServeEdgeCases(t *testing.T) {
 	together := func(deadlines ...float64) []TimedRequest {
 		reqs := make([]TimedRequest, len(deadlines))
 		for i, d := range deadlines {
-			reqs[i] = timed(fmt.Sprintf("q%d", i), 0, 64, 50, d)
+			reqs[i] = timed(i, 0, 64, 50, d)
 		}
 		return reqs
 	}
@@ -227,7 +228,7 @@ func TestServeEdgeCases(t *testing.T) {
 		{
 			name: "EDF ties on deadline keep arrival order", reqs: together(40, 40, 40), maxBatch: 1, policy: EDF,
 			check: func(t *testing.T, m ServeMetrics) {
-				for i, want := range []string{"q0", "q1", "q2"} {
+				for i, want := range []label.Label{label.Question(0), label.Question(1), label.Question(2)} {
 					if m.Requests[i].ID != want {
 						t.Errorf("completion %d = %s, want %s (stable sort on equal deadlines)", i, m.Requests[i].ID, want)
 					}
@@ -237,11 +238,11 @@ func TestServeEdgeCases(t *testing.T) {
 		{
 			name: "EDF parks deadline-less requests last", reqs: together(0, 40, 0), maxBatch: 1, policy: EDF,
 			check: func(t *testing.T, m ServeMetrics) {
-				if m.Requests[0].ID != "q1" {
+				if m.Requests[0].ID != label.Question(1) {
 					t.Errorf("first completion = %s, want the deadline-bearing q1", m.Requests[0].ID)
 				}
 				// The two deadline-less requests retain arrival order.
-				if m.Requests[1].ID != "q0" || m.Requests[2].ID != "q2" {
+				if m.Requests[1].ID != label.Question(0) || m.Requests[2].ID != label.Question(2) {
 					t.Errorf("deadline-less tail order %s, %s, want q0, q2", m.Requests[1].ID, m.Requests[2].ID)
 				}
 			},
@@ -249,7 +250,7 @@ func TestServeEdgeCases(t *testing.T) {
 		{
 			name: "FCFS ties on arrival keep input order", reqs: together(30, 0, 30), maxBatch: 1, policy: FCFS,
 			check: func(t *testing.T, m ServeMetrics) {
-				for i, want := range []string{"q0", "q1", "q2"} {
+				for i, want := range []label.Label{label.Question(0), label.Question(1), label.Question(2)} {
 					if m.Requests[i].ID != want {
 						t.Errorf("completion %d = %s, want %s", i, m.Requests[i].ID, want)
 					}
@@ -301,7 +302,7 @@ func TestServeAdmissionGrain(t *testing.T) {
 			// 3 prefills + 3 whole-request decodes.
 			name: "closed batch at batch 1 decodes to completion",
 			reqs: []TimedRequest{
-				timed("a", 0, 64, 100, 0), timed("b", 0, 64, 60, 0), timed("c", 0, 64, 40, 0),
+				timed(0, 0, 64, 100, 0), timed(1, 0, 64, 60, 0), timed(2, 0, 64, 40, 0),
 			},
 			maxBatch: 1, want: 6,
 		},
@@ -309,7 +310,7 @@ func TestServeAdmissionGrain(t *testing.T) {
 			// 3 prefills; decode 40 (a completes), then 60 (b and c).
 			name: "backlog behind a full batch decodes to the next completion",
 			reqs: []TimedRequest{
-				timed("a", 0, 64, 40, 0), timed("b", 0, 64, 100, 0), timed("c", 0, 64, 60, 0),
+				timed(0, 0, 64, 40, 0), timed(1, 0, 64, 100, 0), timed(2, 0, 64, 60, 0),
 			},
 			maxBatch: 2, want: 5,
 		},
@@ -318,7 +319,7 @@ func TestServeAdmissionGrain(t *testing.T) {
 			// pending; b: prefill + one uncapped 20-step chunk.
 			name: "pending arrival caps chunks at the grain",
 			reqs: []TimedRequest{
-				timed("a", 0, 64, 100, 0), timed("b", 1000, 64, 20, 0),
+				timed(0, 0, 64, 100, 0), timed(1, 1000, 64, 20, 0),
 			},
 			maxBatch: 1, want: 10,
 		},
@@ -351,7 +352,7 @@ func TestRunMatchesServeAtClock(t *testing.T) {
 		var reqs []Request
 		var timedReqs []TimedRequest
 		for i := 1 + rng.IntN(24); i > 0; i-- {
-			r := Request{ID: fmt.Sprintf("q%d", len(reqs)), PromptTokens: 1 + rng.IntN(1024), OutputTokens: 1 + rng.IntN(1024)}
+			r := Request{ID: label.Question(len(reqs)), PromptTokens: 1 + rng.IntN(1024), OutputTokens: 1 + rng.IntN(1024)}
 			reqs = append(reqs, r)
 			timedReqs = append(timedReqs, TimedRequest{Request: r})
 		}
@@ -379,9 +380,9 @@ func TestRunMatchesServeAtClock(t *testing.T) {
 func TestOversizedErrorCarriesTokens(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen14B)
 	total := e.CacheStats().TotalBlocks * 16
-	want := fmt.Sprintf(`engine: request "huge" (%d tokens) exceeds KV capacity even alone`, 2*total)
-	_, errServe := e.Serve([]TimedRequest{timed("huge", 0, total, total, 0)}, 1, FCFS)
-	_, errRun := e.Run([]Request{{ID: "huge", PromptTokens: total, OutputTokens: total}}, 1)
+	want := fmt.Sprintf(`engine: request "q0" (%d tokens) exceeds KV capacity even alone`, 2*total)
+	_, errServe := e.Serve([]TimedRequest{timed(0, 0, total, total, 0)}, 1, FCFS)
+	_, errRun := e.Run([]Request{{ID: label.Question(0), PromptTokens: total, OutputTokens: total}}, 1)
 	for _, err := range []error{errServe, errRun} {
 		if err == nil || err.Error() != want {
 			t.Errorf("error = %v, want %q", err, want)
@@ -394,8 +395,8 @@ func TestOversizedErrorCarriesTokens(t *testing.T) {
 func TestServeMaxBatchZeroClampsToOne(t *testing.T) {
 	build := func() []TimedRequest {
 		return []TimedRequest{
-			timed("a", 0, 64, 60, 0),
-			timed("b", 0, 64, 60, 0),
+			timed(0, 0, 64, 60, 0),
+			timed(1, 0, 64, 60, 0),
 		}
 	}
 	e0 := newOrinEngine(t, model.DSR1Qwen1_5B)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -183,7 +184,7 @@ func randomStream(rng *rand.Rand, n int, syms bool) []TimedRequest {
 		if rng.IntN(10) == 0 {
 			output = 0
 		}
-		tr := TimedRequest{Request: Request{ID: fmt.Sprintf("q%d", i), PromptTokens: prompt, OutputTokens: output}, Arrival: at}
+		tr := TimedRequest{Request: Request{ID: label.Question(i), PromptTokens: prompt, OutputTokens: output}, Arrival: at}
 		if rng.IntN(2) == 0 {
 			tr.Deadline = at + 1 + rng.Float64()*20
 		}

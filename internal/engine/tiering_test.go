@@ -8,6 +8,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/session"
 )
@@ -45,8 +46,8 @@ func TestTieredServeTokensUnchanged(t *testing.T) {
 		t.Fatalf("served %d (off) / %d (on) of %d", off.Served, on.Served, len(reqs))
 	}
 	type tokens struct{ prompt, output int }
-	byID := func(sm engine.ServeMetrics) map[string]tokens {
-		out := make(map[string]tokens, len(sm.Requests))
+	byID := func(sm engine.ServeMetrics) map[label.Label]tokens {
+		out := make(map[label.Label]tokens, len(sm.Requests))
 		for _, m := range sm.Requests {
 			out[m.ID] = tokens{m.PromptTokens, m.OutputTokens}
 		}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/telemetry"
 )
@@ -15,10 +16,10 @@ import (
 // spans nest cleanly and stay within the run's clock span.
 func TestServeTraceTransparency(t *testing.T) {
 	stream := []TimedRequest{
-		timed("a", 0, 128, 160, 0),
-		timed("b", 0.5, 96, 140, 0),
-		timed("c", 1, 200, 80, 0),
-		timed("d", 4, 64, 120, 0),
+		timed(0, 0, 128, 160, 0),
+		timed(1, 0.5, 96, 140, 0),
+		timed(2, 1, 200, 80, 0),
+		timed(3, 4, 64, 120, 0),
 	}
 	fx := &FaultInjection{
 		Stalls:    []StallWindow{{From: 2, To: 3}},
@@ -112,9 +113,9 @@ func benchTracedServe(b *testing.B, on bool) {
 // branch plus one prefill span per prefill (RunParallel prefills once).
 func TestClosedRunTraceTransparency(t *testing.T) {
 	batch := []Request{
-		{ID: "a", PromptTokens: 128, OutputTokens: 160},
-		{ID: "b", PromptTokens: 96, OutputTokens: 40},
-		{ID: "c", PromptTokens: 200, OutputTokens: 80},
+		{ID: label.Question(0), PromptTokens: 128, OutputTokens: 160},
+		{ID: label.Question(1), PromptTokens: 96, OutputTokens: 40},
+		{ID: label.Question(2), PromptTokens: 200, OutputTokens: 80},
 	}
 	branches := []int{120, 64, 200, 90}
 	cases := []struct {

@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-
 	"edgereasoning/internal/control"
 	"edgereasoning/internal/cost"
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
@@ -104,11 +103,11 @@ func ablationBatchSweep(opts Options) ([]Table, error) {
 	for _, q := range bank.Questions {
 		g := cell.Generate(q)
 		reqs = append(reqs, engine.Request{
-			ID: fmt.Sprintf("q%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
+			ID: label.Question(q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 		})
 		// Duplicate the bank to give large batches enough work.
 		reqs = append(reqs, engine.Request{
-			ID: fmt.Sprintf("q%db", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
+			ID: label.QuestionBatch(q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 		})
 	}
 	t := Table{

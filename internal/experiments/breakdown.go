@@ -8,6 +8,7 @@ import (
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
 	"edgereasoning/internal/fleet"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/telemetry"
 	"edgereasoning/internal/workload"
@@ -76,7 +77,7 @@ func breakdownStudy(opts Options) ([]Table, error) {
 	rows := trace.Breakdown()
 	// Measured per-request latency (global queue wait folded in), for
 	// the tiling check against the trace's own decomposition.
-	measured := make(map[string]float64, traced.Served)
+	measured := make(map[label.Label]float64, traced.Served)
 	for _, rm := range traced.Replicas {
 		for j := range rm.Requests {
 			measured[rm.Requests[j].ID] = rm.Latencies[j]
@@ -128,7 +129,7 @@ func breakdownStudy(opts Options) ([]Table, error) {
 		if lat, ok := measured[r.ID]; ok {
 			tile = tile && math.Abs(r.E2E()-lat) <= 1e-9
 		}
-		head.Claim(tile, r.ID, r.Track, di(r.Attempts), f3(r.Ingress), f3(r.RetryWait),
+		head.Claim(tile, r.ID.String(), r.Track, di(r.Attempts), f3(r.Ingress), f3(r.RetryWait),
 			f3(r.AbortedWall), f3(r.ReplicaWait), f3(r.Stall), f3(r.Restore),
 			f3(r.Prefill), f3(r.Decode), f3(r.Gap), f3(r.E2E()))
 	}

@@ -5,6 +5,7 @@ import (
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 )
@@ -18,7 +19,7 @@ func engineWithProfile(o engine.Overhead) (*engine.Engine, error) {
 }
 
 func engineRequest(in, out int) engine.Request {
-	return engine.Request{ID: "bench", PromptTokens: in, OutputTokens: out}
+	return engine.Request{ID: label.Bench(), PromptTokens: in, OutputTokens: out}
 }
 
 // evalCell runs a twin over a bank and returns (accuracy, mean tokens).
@@ -117,7 +118,7 @@ func naturalPlan(opts Options) ([]Table, error) {
 					return err
 				}
 				prompt := meanPrompt(sub)
-				m, err := eng.Generate(engine.Request{ID: "np", PromptTokens: prompt, OutputTokens: int(toks + 0.5)})
+				m, err := eng.Generate(engine.Request{ID: label.NaturalPlan(), PromptTokens: prompt, OutputTokens: int(toks + 0.5)})
 				if err != nil {
 					return err
 				}

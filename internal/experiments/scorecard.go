@@ -11,6 +11,7 @@ import (
 	"edgereasoning/internal/frameworks"
 	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
@@ -131,7 +132,7 @@ func Scorecard(opts Options) ([]Anchor, error) {
 	var reqs []engine.Request
 	for _, q := range aime.Questions {
 		g := cellA.Generate(q)
-		reqs = append(reqs, engine.Request{ID: fmt.Sprintf("q%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens})
+		reqs = append(reqs, engine.Request{ID: label.Question(q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens})
 	}
 	runBatch := func(batch int) (cost.Breakdown, error) {
 		eng, err := engine.New(engine.Config{Spec: spec, Device: hw.JetsonAGXOrin64GB()})
@@ -167,11 +168,11 @@ func Scorecard(opts Options) ([]Anchor, error) {
 	if err != nil {
 		return nil, err
 	}
-	mh, err := hft.Generate(engine.Request{ID: "x", PromptTokens: 64, OutputTokens: 128})
+	mh, err := hft.Generate(engine.Request{ID: label.Probe(), PromptTokens: 64, OutputTokens: 128})
 	if err != nil {
 		return nil, err
 	}
-	mv, err := vllm.Generate(engine.Request{ID: "x", PromptTokens: 64, OutputTokens: 128})
+	mv, err := vllm.Generate(engine.Request{ID: label.Probe(), PromptTokens: 64, OutputTokens: 128})
 	if err != nil {
 		return nil, err
 	}

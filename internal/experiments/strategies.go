@@ -9,6 +9,7 @@ import (
 	"edgereasoning/internal/data"
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
 )
@@ -77,7 +78,7 @@ func table2ModelComparison(opts Options) ([]Table, error) {
 		for _, q := range bank.Questions {
 			g := cell.Generate(q)
 			m, err := eng.Generate(engine.Request{
-				ID: fmt.Sprintf("q%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
+				ID: label.Question(q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 			})
 			if err != nil {
 				return nil, err
@@ -113,7 +114,7 @@ func table3EdgeVsCloud(opts Options) ([]Table, error) {
 	for _, q := range bank.Questions {
 		g := cell.Generate(q)
 		reqs = append(reqs, engine.Request{
-			ID: fmt.Sprintf("aime%d", q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
+			ID: label.AIME(q.Index), PromptTokens: q.PromptTokens, OutputTokens: g.OutputTokens,
 		})
 		totalOut += g.OutputTokens
 	}

@@ -8,6 +8,7 @@ import (
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
 	"edgereasoning/internal/kvcache"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/session"
 	"edgereasoning/internal/stats"
@@ -180,7 +181,7 @@ func sameTokens(a, b engine.ServeMetrics) bool {
 		return false
 	}
 	type shape struct{ prompt, output int }
-	want := make(map[string]shape, len(a.Requests))
+	want := make(map[label.Label]shape, len(a.Requests))
 	for _, r := range a.Requests {
 		want[r.ID] = shape{r.PromptTokens, r.OutputTokens}
 	}

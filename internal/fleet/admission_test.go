@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/workload"
 )
 
@@ -36,10 +37,10 @@ func TestAdmissionLocalDiscipline(t *testing.T) {
 
 func TestIngressPickOrder(t *testing.T) {
 	reqs := []engine.TimedRequest{
-		{Request: engine.Request{ID: "a", PromptTokens: 300}, Arrival: 0},
-		{Request: engine.Request{ID: "b", PromptTokens: 50}, Arrival: 1, Deadline: 90},
-		{Request: engine.Request{ID: "c", PromptTokens: 50}, Arrival: 2, Deadline: 40},
-		{Request: engine.Request{ID: "d", PromptTokens: 120}, Arrival: 3},
+		{Request: engine.Request{ID: label.Question(0), PromptTokens: 300}, Arrival: 0},
+		{Request: engine.Request{ID: label.Question(1), PromptTokens: 50}, Arrival: 1, Deadline: 90},
+		{Request: engine.Request{ID: label.Question(2), PromptTokens: 50}, Arrival: 2, Deadline: 40},
+		{Request: engine.Request{ID: label.Question(3), PromptTokens: 120}, Arrival: 3},
 	}
 	fill := func(d Admission) *ingress {
 		q := newIngress(d)
@@ -48,29 +49,29 @@ func TestIngressPickOrder(t *testing.T) {
 		}
 		return q
 	}
-	if q := fill(FIFO); q.Live()[q.pick()].ID != "a" {
+	if q := fill(FIFO); q.Live()[q.pick()].ID != label.Question(0) {
 		t.Error("FIFO must pick the earliest arrival")
 	}
-	if q := fill(EDF); q.Live()[q.pick()].ID != "c" {
+	if q := fill(EDF); q.Live()[q.pick()].ID != label.Question(2) {
 		t.Error("EDF must pick the earliest deadline")
 	}
 	// Deadline-less requests go last under EDF.
 	q := fill(EDF)
 	q.take(q.pick()) // c
-	if got := q.Live()[q.pick()].ID; got != "b" {
+	if got := q.Live()[q.pick()].ID; got != label.Question(1) {
 		t.Errorf("EDF picked %q after c, want b (deadline-less last)", got)
 	}
-	if q := fill(SJF); q.Live()[q.pick()].ID != "b" {
+	if q := fill(SJF); q.Live()[q.pick()].ID != label.Question(1) {
 		t.Error("SJF must pick the shortest prompt (earliest arrival on ties)")
 	}
 	// Shed dispatches FIFO order; dropLate purges only expired deadlines.
 	q = fill(Shed)
-	var dropped []string
+	var dropped []label.Label
 	q.dropLate(50, func(tr engine.TimedRequest) { dropped = append(dropped, tr.ID) })
-	if len(dropped) != 1 || dropped[0] != "c" {
+	if len(dropped) != 1 || dropped[0] != label.Question(2) {
 		t.Errorf("dropLate(50) removed %v, want [c]", dropped)
 	}
-	if q.Len() != 3 || q.Live()[q.pick()].ID != "a" {
+	if q.Len() != 3 || q.Live()[q.pick()].ID != label.Question(0) {
 		t.Errorf("shed queue after purge: len %d, head %q", q.Len(), q.Live()[q.pick()].ID)
 	}
 }
@@ -78,13 +79,13 @@ func TestIngressPickOrder(t *testing.T) {
 // blockedStream is one long deadline-less request that hogs the sole
 // replica, with two short requests queued behind it at the ingress.
 func blockedStream(second, third engine.TimedRequest) []engine.TimedRequest {
-	long := timed("long", 0, 512, 200, 0)
+	long := timed(label.Question(0), 0, 512, 200, 0)
 	return []engine.TimedRequest{long, second, third}
 }
 
 // completionOrder runs a capacity-1 single replica so dispatch order is
 // completion order, and returns the request IDs in that order.
-func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedRequest) []string {
+func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedRequest) []label.Label {
 	t.Helper()
 	cfg := homogeneousFleet(1, RoundRobin)
 	cfg.Replicas[0].capacity = 1
@@ -93,7 +94,7 @@ func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedReque
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []string
+	var ids []label.Label
 	for _, rm := range m.Replicas {
 		for _, r := range rm.Requests {
 			ids = append(ids, r.ID)
@@ -103,31 +104,33 @@ func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedReque
 }
 
 func TestEDFAdmissionReordersBlockedQueue(t *testing.T) {
+	loose, tight := label.Question(1), label.Question(2)
 	reqs := blockedStream(
-		timed("loose", 0.1, 64, 20, 200),
-		timed("tight", 0.2, 64, 20, 60),
+		timed(loose, 0.1, 64, 20, 200),
+		timed(tight, 0.2, 64, 20, 60),
 	)
 	fifo := completionOrder(t, FIFO, reqs)
 	edf := completionOrder(t, EDF, reqs)
-	if fifo[1] != "loose" || fifo[2] != "tight" {
+	if fifo[1] != loose || fifo[2] != tight {
 		t.Errorf("FIFO order %v, want arrival order", fifo)
 	}
-	if edf[1] != "tight" || edf[2] != "loose" {
+	if edf[1] != tight || edf[2] != loose {
 		t.Errorf("EDF order %v, want the tight deadline overtaking", edf)
 	}
 }
 
 func TestSJFAdmissionReordersBlockedQueue(t *testing.T) {
+	big, small := label.Question(1), label.Question(2)
 	reqs := blockedStream(
-		timed("big", 0.1, 400, 20, 0),
-		timed("small", 0.2, 32, 20, 0),
+		timed(big, 0.1, 400, 20, 0),
+		timed(small, 0.2, 32, 20, 0),
 	)
 	fifo := completionOrder(t, FIFO, reqs)
 	sjf := completionOrder(t, SJF, reqs)
-	if fifo[1] != "big" || fifo[2] != "small" {
+	if fifo[1] != big || fifo[2] != small {
 		t.Errorf("FIFO order %v, want arrival order", fifo)
 	}
-	if sjf[1] != "small" || sjf[2] != "big" {
+	if sjf[1] != small || sjf[2] != big {
 		t.Errorf("SJF order %v, want the short prompt overtaking", sjf)
 	}
 }
@@ -208,7 +211,7 @@ func TestShedConsultsFastestReplica(t *testing.T) {
 	// A deadline between the fast and slow service times: feasible on
 	// the fast replica only.
 	deadline := 1.5 * fastService
-	reqs := []engine.TimedRequest{timed("edge", 0, 64, 40, deadline)}
+	reqs := []engine.TimedRequest{timed(label.Question(0), 0, 64, 40, deadline)}
 	m, err := Serve(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)

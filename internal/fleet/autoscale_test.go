@@ -6,6 +6,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/workload"
 )
 
@@ -273,7 +274,7 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := func(id, sid string, at float64) engine.TimedRequest {
+	sess := func(id label.Label, sid string, at float64) engine.TimedRequest {
 		tr := timed(id, at, 64, 20, 0)
 		tr.SessionID = sid
 		return tr
@@ -281,8 +282,8 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 	// Two sessions spread across both replicas, then a lull far longer
 	// than the idle window, then one session returns.
 	stream := []engine.TimedRequest{
-		sess("a1", "sa", 0), sess("b1", "sb", 0.01),
-		sess("a2", "sa", 100),
+		sess(label.Think(0, 1), "sa", 0), sess(label.Think(1, 1), "sb", 0.01),
+		sess(label.Think(0, 2), "sa", 100),
 	}
 	var out Metrics
 	cx := &chaos{ro: ro, out: &out}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 )
 
 // TestDeadAtBirthNeverCountsLive locks the autoscaler's side of the
@@ -155,8 +156,8 @@ func TestOutageDropPreservesFIFOSemantics(t *testing.T) {
 	cfg.Replicas[0].capacity = 1
 	permanentCrash(&cfg, 0, 2)
 	reqs := []engine.TimedRequest{
-		timed("first", 0, 1024, 600, 0), // dispatched at t=0, still running at the crash
-		timed("second", 0.5, 64, 10, 0),
+		timed(label.Question(0), 0, 1024, 600, 0), // dispatched at t=0, still running at the crash
+		timed(label.Question(1), 0.5, 64, 10, 0),
 	}
 	m, err := Serve(cfg, reqs)
 	if err != nil {

@@ -1,18 +1,18 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/workload"
 )
 
-func timed(id string, arrival float64, prompt, output int, deadline float64) engine.TimedRequest {
+func timed(id label.Label, arrival float64, prompt, output int, deadline float64) engine.TimedRequest {
 	return engine.TimedRequest{
 		Request:  engine.Request{ID: id, PromptTokens: prompt, OutputTokens: output},
 		Arrival:  arrival,
@@ -39,7 +39,7 @@ func burst(n int, gap float64, deadline float64) []engine.TimedRequest {
 		if deadline > 0 {
 			d = arrival + deadline
 		}
-		reqs[i] = timed(fmt.Sprintf("q%d", i), arrival, 64, 40, d)
+		reqs[i] = timed(label.Question(i), arrival, 64, 40, d)
 	}
 	return reqs
 }
@@ -124,7 +124,7 @@ func TestServeNoReplicas(t *testing.T) {
 }
 
 func TestServeNegativeArrivalRejected(t *testing.T) {
-	if _, err := Serve(homogeneousFleet(1, RoundRobin), []engine.TimedRequest{timed("a", -1, 64, 10, 0)}); err == nil {
+	if _, err := Serve(homogeneousFleet(1, RoundRobin), []engine.TimedRequest{timed(label.Question(0), -1, 64, 10, 0)}); err == nil {
 		t.Error("negative arrival must be rejected")
 	}
 }
@@ -210,7 +210,7 @@ func TestLeastQueueTracksBacklog(t *testing.T) {
 func TestWarmupKeepsReplicaColdThenRoutable(t *testing.T) {
 	cfg := homogeneousFleet(2, RoundRobin)
 	cfg.Replicas[1].warmupDelay = 50
-	reqs := append(burst(6, 2, 0), timed("late", 100, 64, 40, 0))
+	reqs := append(burst(6, 2, 0), timed(label.Question(6), 100, 64, 40, 0))
 	m, err := Serve(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +227,9 @@ func TestAllReplicasDeadDropsWithDeadlineAccounting(t *testing.T) {
 	cfg := homogeneousFleet(1, DeadlineAware)
 	permanentCrash(&cfg, 0, 0.5) // dead before anything arrives
 	reqs := []engine.TimedRequest{
-		timed("a", 1, 64, 40, 31),
-		timed("b", 2, 64, 40, 32),
-		timed("c", 3, 64, 40, 33),
+		timed(label.Question(0), 1, 64, 40, 31),
+		timed(label.Question(1), 2, 64, 40, 32),
+		timed(label.Question(2), 3, 64, 40, 33),
 	}
 	m, err := Serve(cfg, reqs)
 	if err != nil {

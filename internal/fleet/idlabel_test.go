@@ -7,12 +7,13 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/session"
 )
 
 // TestFleetRequestIDsAreLabels is the fleet's counterpart of the
 // engine's TestRequestIDsAreLabels: each stream is served once as
-// generated and once with every request ID set to "x", and the two
+// generated and once with every request ID set to one shared label, and the two
 // Metrics must be equal apart from the served requests' ID labels. It
 // covers the property grid under generated crashes, stalls and throttles
 // with retry and health-aware routing, where each retry must keep its
@@ -25,7 +26,7 @@ func TestFleetRequestIDsAreLabels(t *testing.T) {
 		t.Helper()
 		same := slices.Clone(reqs)
 		for i := range same {
-			same[i].ID = "x"
+			same[i].ID = label.Probe()
 		}
 		want, err := Serve(cfg, reqs)
 		if err != nil {
@@ -38,8 +39,8 @@ func TestFleetRequestIDsAreLabels(t *testing.T) {
 		for i := range got.Replicas {
 			for j := range got.Replicas[i].Requests {
 				q := &got.Replicas[i].Requests[j]
-				if q.ID != "x" {
-					t.Fatalf("%s: replica %d request %d labelled %q, want x", name, i, j, q.ID)
+				if q.ID != label.Probe() {
+					t.Fatalf("%s: replica %d request %d labelled %q, want %q", name, i, j, q.ID, label.Probe())
 				}
 				if i < len(want.Replicas) && j < len(want.Replicas[i].Requests) {
 					q.ID = want.Replicas[i].Requests[j].ID

@@ -8,6 +8,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/stats"
 	"edgereasoning/internal/telemetry"
@@ -15,13 +16,13 @@ import (
 )
 
 // finishes maps each served request ID to its completion instant.
-func finishes(t *testing.T, m Metrics, reqs []engine.TimedRequest) map[string]float64 {
+func finishes(t *testing.T, m Metrics, reqs []engine.TimedRequest) map[label.Label]float64 {
 	t.Helper()
-	arrival := make(map[string]float64, len(reqs))
+	arrival := make(map[label.Label]float64, len(reqs))
 	for _, tr := range reqs {
 		arrival[tr.ID] = tr.Arrival
 	}
-	out := make(map[string]float64)
+	out := make(map[label.Label]float64)
 	for _, rm := range m.Replicas {
 		for _, q := range rm.Requests {
 			out[q.ID] = arrival[q.ID] + q.Latency()
@@ -50,11 +51,11 @@ func TestDisplacedSessionRePinsToLiveHistory(t *testing.T) {
 	}}
 	histS := sessHist(1<<40, 4096)
 	reqs := []engine.TimedRequest{
-		sessTurn("s1", "s", 0, histS, 256, 64),
-		sessTurn("a1", "a", 0.1, sessHist(1<<41, 512), 256, 64),
-		sessTurn("b1", "b", 0.2, sessHist(1<<42, 512), 256, 64),
-		sessTurn("s2", "s", 41, histS, 352, 64),
-		sessTurn("s3", "s", 61, histS, 448, 64),
+		sessTurn(label.Think(0, 1), "s", 0, histS, 256, 64),
+		sessTurn(label.Think(1, 1), "a", 0.1, sessHist(1<<41, 512), 256, 64),
+		sessTurn(label.Think(2, 1), "b", 0.2, sessHist(1<<42, 512), 256, 64),
+		sessTurn(label.Think(0, 2), "s", 41, histS, 352, 64),
+		sessTurn(label.Think(0, 3), "s", 61, histS, 448, 64),
 	}
 	m, err := Serve(cfg, reqs)
 	if err != nil {
@@ -93,7 +94,7 @@ func TestCrashAbortsWhatTheEngineHolds(t *testing.T) {
 	const restart = 5
 	reqs := append([]engine.TimedRequest(nil), burstReqs...)
 	for i := 0; i < 4; i++ {
-		reqs = append(reqs, timed(fmt.Sprintf("late%d", i), crash+restart+1+float64(i), 64, 40, 0))
+		reqs = append(reqs, timed(label.Stream(i), crash+restart+1+float64(i), 64, 40, 0))
 	}
 	cfg := homogeneousFleet(1, LeastQueue)
 	cfg.Faults = crashSchedule(0, crash, restart)
@@ -293,7 +294,7 @@ func TestFleetTotalsAreReplicaSums(t *testing.T) {
 		var sum engine.ServeCounters
 		var wall, energy float64
 		crashes := 0
-		served := map[string]bool{}
+		served := map[label.Label]bool{}
 		for _, rm := range m.Replicas {
 			sum.Add(rm.ServeCounters)
 			wall = max(wall, rm.WallTime)
@@ -371,11 +372,11 @@ func tracedServe(t *testing.T, cfg Config, reqs []engine.TimedRequest) (Metrics,
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := make(map[string]engine.TimedRequest, len(reqs))
+	byID := make(map[label.Label]engine.TimedRequest, len(reqs))
 	for _, tr := range reqs {
 		byID[tr.ID] = tr
 	}
-	replicaOf := map[string]string{}
+	replicaOf := map[label.Label]string{}
 	var queued []telemetry.Span
 	for _, tk := range tra.Tracks() {
 		if tk.Dropped() > 0 {
@@ -432,7 +433,7 @@ func TestReplicasMatchStandaloneServe(t *testing.T) {
 				t.Fatal(err)
 			}
 			var stream []engine.TimedRequest
-			wait := map[string]float64{}
+			wait := map[label.Label]float64{}
 			for _, o := range sub[rm.Name] {
 				wait[o.tr.ID] = o.at - o.tr.Arrival
 				o.tr.Arrival = o.at
@@ -484,9 +485,9 @@ func TestWarmthReadCommitsTheReadReplica(t *testing.T) {
 	hist := sessHist(1<<40, 2048)
 	const repin = 2.0
 	reqs := []engine.TimedRequest{
-		sessTurn("s1", "s", 0, hist, 256, 512),
-		sessTurn("x1", "x", 0.01, sessHist(1<<41, 2048), 256, 512),
-		sessTurn("s2", "s", repin, hist, 256, 64),
+		sessTurn(label.Think(0, 1), "s", 0, hist, 256, 512),
+		sessTurn(label.Think(8, 1), "x", 0.01, sessHist(1<<41, 2048), 256, 512),
+		sessTurn(label.Think(0, 2), "s", repin, hist, 256, 64),
 	}
 	m, sub := tracedServe(t, cfg, reqs)
 	if got := assignments(m); !reflect.DeepEqual(got, []int{1, 1, 1}) {

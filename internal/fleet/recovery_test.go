@@ -10,6 +10,7 @@ import (
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	// retry carried it, so the retry's own Attempt, not its ID, counts
 	// the aborts.
 	cx, out := mk(RetryPolicy{})
-	tr := timed("r1", 0, 64, 40, 0)
+	tr := timed(label.Question(1), 0, 64, 40, 0)
 	cx.requeue(tr, 10, 7) // first abort: attempt 2 allowed at 10.5
 	first := cx.pending.Live()[0]
 	if first.since != 10.5 || first.Attempt != 1 || first.flow != 7 {
@@ -85,7 +86,7 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 
 	// Deadline budget: a re-admission at or past the deadline is dropped.
 	cx, out = mk(RetryPolicy{})
-	dl := timed("d1", 0, 64, 40, 10.4)
+	dl := timed(label.Question(2), 0, 64, 40, 10.4)
 	cx.requeue(dl, 10, 0) // re-admit at 10.5 >= deadline 10.4
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("deadline-budget abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
@@ -213,7 +214,7 @@ func TestRetryRecoversCrashedWork(t *testing.T) {
 	// A second wave after the t=6 restart: the healthy replica is still
 	// digesting the retried burst, so the restarted one takes new work.
 	for i := 0; i < 6; i++ {
-		reqs = append(reqs, timed(fmt.Sprintf("w%d", i), 7+0.1*float64(i), 64, 40, 0))
+		reqs = append(reqs, timed(label.Stream(i), 7+0.1*float64(i), 64, 40, 0))
 	}
 	m, err := Serve(cfg, reqs)
 	if err != nil {
@@ -402,9 +403,9 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 	// Session A's history lands on "crashed", then pressure from B and C
 	// demotes it entirely to the host tier.
 	for i, hist := range [][]uint64{histA, histB, histC} {
-		serveTurn(t, crashed, sessTurn(fmt.Sprintf("w%d", i), fmt.Sprintf("s%d", i), float64(i)*1000, hist, 512, 256))
+		serveTurn(t, crashed, sessTurn(label.Think(i, 0), fmt.Sprintf("s%d", i), float64(i)*1000, hist, 512, 256))
 	}
-	turn := sessTurn("a1", "s0", 5000, histA, 512+256+128, 64)
+	turn := sessTurn(label.Think(0, 1), "s0", 5000, histA, 512+256+128, 64)
 	if dev, host := crashed.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
 		t.Fatalf("setup: peek = (%d, %d), want (0, >0) — history fully demoted", dev, host)
 	}
@@ -425,7 +426,7 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 		t.Fatalf("stale pin count %d on the crashed replica", ro.pinned[0])
 	}
 	// The wipe leaves nothing to return to.
-	turn2 := sessTurn("a2", "s0", 5200, histA, 512+256+128+64, 32)
+	turn2 := sessTurn(label.Think(1, 2), "s0", 5200, histA, 512+256+128+64, 32)
 	if dev, host := crashed.eng.PeekPrefix(turn2.PromptSyms); dev+host != 0 || ro.warmth(0, turn2, 5200, true) != 0 {
 		t.Fatalf("peek (%d, %d) after full wipe, want cold", dev, host)
 	}
@@ -464,7 +465,7 @@ func TestTakeKeepsFinishesSorted(t *testing.T) {
 			now += rng.ExpFloat64() * 0.5
 			cx.processUpTo(now)
 			if r.routableAt(now) && r.outstanding(now) < r.cfg.capacity {
-				r.take(timed(fmt.Sprintf("t%d-%d", trial, k), now, 16+rng.IntN(512), 1+rng.IntN(200), 0), now)
+				r.take(timed(label.Think(trial, k), now, 16+rng.IntN(512), 1+rng.IntN(200), 0), now)
 				takes++
 			}
 			if !sort.Float64sAreSorted(r.finishes) || len(r.finishes) > r.cfg.capacity {

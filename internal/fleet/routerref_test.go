@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 )
 
 // nextFreeRef, bestServiceRef and chooseAtRef are the router's dispatch
@@ -189,7 +190,7 @@ func TestRouterMatchesReference(t *testing.T) {
 					continue
 				}
 			}
-			tr := timed(fmt.Sprintf("q%d-%d", trial, step), now, 16+rng.IntN(512), 1+rng.IntN(200), 0)
+			tr := timed(label.Think(trial, step), now, 16+rng.IntN(512), 1+rng.IntN(200), 0)
 			tr.SessionID = fmt.Sprintf("s%d", rng.IntN(3))
 			if gb, wb := ro.bestService(tr, got), bestServiceRef(ref, tr, got); math.Float64bits(gb) != math.Float64bits(wb) {
 				t.Fatalf("trial %d step %d: bestService at %v = %v, reference %v", trial, step, got, gb, wb)
@@ -263,7 +264,7 @@ func TestRouterReadsArePure(t *testing.T) {
 			}
 		}
 		if at, ok := ro.nextFree(late); ok {
-			ro.chooseAt(timed(fmt.Sprintf("p%d", trial), late, 64, 40, 0), at)
+			ro.chooseAt(timed(label.Question(trial), late, 64, 40, 0), at)
 		}
 		ro.idleReplicas(late)
 		if after := read(ro, early); !reflect.DeepEqual(after, before) {
@@ -287,9 +288,9 @@ func TestCrashBeforePlannedDispatchKeepsBacklog(t *testing.T) {
 		cfg.Replicas[i].capacity = 1
 	}
 	reqs := []engine.TimedRequest{
-		timed("short", 0, 64, 40, 0),
-		timed("long", 0, 64, 400, 0),
-		timed("third", 0, 64, 40, 0),
+		timed(label.Question(0), 0, 64, 40, 0),
+		timed(label.Question(1), 0, 64, 400, 0),
+		timed(label.Question(2), 0, 64, 40, 0),
 	}
 	clean, err := Serve(cfg, reqs)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/session"
 )
 
@@ -20,7 +21,7 @@ func sessHist(base uint64, n int) []uint64 {
 	return h
 }
 
-func sessTurn(id, sid string, arrival float64, hist []uint64, prompt, output int) engine.TimedRequest {
+func sessTurn(id label.Label, sid string, arrival float64, hist []uint64, prompt, output int) engine.TimedRequest {
 	tr := timed(id, arrival, prompt, output, 0)
 	tr.SessionID = sid
 	tr.PromptSyms = hist[:prompt]
@@ -67,13 +68,13 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	// demotes A's history to its host tier entirely (demotion is
 	// leaf-first, so one pressure round leaves the chain head on device).
 	histC := sessHist(1<<42, 2048)
-	serveTurn(t, hostWarm, sessTurn("a0", "sA", 0, histA, 512, 256))
-	serveTurn(t, hostWarm, sessTurn("b0", "sB", 1000, histB, 512, 256))
-	serveTurn(t, hostWarm, sessTurn("c0", "sC", 2000, histC, 512, 256))
+	serveTurn(t, hostWarm, sessTurn(label.Think(1, 0), "sA", 0, histA, 512, 256))
+	serveTurn(t, hostWarm, sessTurn(label.Think(2, 0), "sB", 1000, histB, 512, 256))
+	serveTurn(t, hostWarm, sessTurn(label.Think(3, 0), "sC", 2000, histC, 512, 256))
 	// devWarm serves session A with no pressure: history stays on device.
-	serveTurn(t, devWarm, sessTurn("a0", "sA", 0, histA, 512, 256))
+	serveTurn(t, devWarm, sessTurn(label.Think(1, 0), "sA", 0, histA, 512, 256))
 
-	turn := sessTurn("a1", "sA", 3000, histA, 512+256+128, 64)
+	turn := sessTurn(label.Think(1, 1), "sA", 3000, histA, 512+256+128, 64)
 	if dev, host := hostWarm.eng.PeekPrefix(turn.PromptSyms); dev != 0 || host == 0 {
 		t.Fatalf("setup: hostWarm peek = (%d, %d), want (0, >0)", dev, host)
 	}
@@ -95,7 +96,7 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	}
 
 	// A new session ignores warmth: least-pinned, first candidate on ties.
-	fresh := sessTurn("n0", "sN", 3000, histA, 512, 64)
+	fresh := sessTurn(label.Think(9, 0), "sN", 3000, histA, 512, 64)
 	if got := ro.choose([]int{0, 2}, fresh, 3000); got != 0 {
 		t.Fatalf("new session pinned to %d, want 0 (least-pinned, warmth ignored)", got)
 	}
@@ -117,11 +118,11 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	}
 	holder, sharer := mk("holder"), mk("sharer")
 	histS := withSystem(1 << 44)
-	serveTurn(t, holder, sessTurn("s0", "sS", 0, histS, 512, 256))
-	serveTurn(t, holder, sessTurn("d0", "sD", 1000, sessHist(1<<45, 2048), 512, 256))
-	serveTurn(t, holder, sessTurn("e0", "sE", 2000, sessHist(1<<46, 2048), 512, 256))
-	serveTurn(t, sharer, sessTurn("t0", "sT", 0, withSystem(1<<47), 512, 256))
-	turnS := sessTurn("s1", "sS", 3000, histS, 512+256+128, 64)
+	serveTurn(t, holder, sessTurn(label.Think(0, 0), "sS", 0, histS, 512, 256))
+	serveTurn(t, holder, sessTurn(label.Think(4, 0), "sD", 1000, sessHist(1<<45, 2048), 512, 256))
+	serveTurn(t, holder, sessTurn(label.Think(5, 0), "sE", 2000, sessHist(1<<46, 2048), 512, 256))
+	serveTurn(t, sharer, sessTurn(label.Think(6, 0), "sT", 0, withSystem(1<<47), 512, 256))
+	turnS := sessTurn(label.Think(0, 1), "sS", 3000, histS, 512+256+128, 64)
 	hd, hh := holder.eng.PeekPrefix(turnS.PromptSyms)
 	sd, sh := sharer.eng.PeekPrefix(turnS.PromptSyms)
 	if hh == 0 || hd+hh <= sd+sh || sd <= hd {
@@ -137,7 +138,7 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	}
 	// A new session sharing only the system prompt goes least-pinned.
 	shared.pinned[0] = 1
-	fresh2 := sessTurn("u0", "sU", 3000, withSystem(1<<48), 512, 64)
+	fresh2 := sessTurn(label.Think(7, 0), "sU", 3000, withSystem(1<<48), 512, 64)
 	if got := shared.choose([]int{0, 2}, fresh2, 3000); got != 2 {
 		t.Fatalf("new session pinned to %d, want 2 (least-pinned, not the shared prompt's holder)", got)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/telemetry"
 	"edgereasoning/internal/workload"
@@ -84,7 +85,7 @@ func TestTracingTransparencyProperties(t *testing.T) {
 		}
 		requestSpans, abortSpans, retrySpans := 0, 0, 0
 		opened := map[uint64]telemetry.Span{} // abort spans by the flow they open
-		waits := map[string][]telemetry.Span{}
+		waits := map[label.Label][]telemetry.Span{}
 		var queues []telemetry.Span // retries' ingress queue spans
 		for _, tr := range trace.Tracks() {
 			if tr.Dropped() > 0 {

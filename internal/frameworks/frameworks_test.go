@@ -5,6 +5,7 @@ import (
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/hw"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/model"
 )
 
@@ -18,7 +19,7 @@ func runWith(t *testing.T, o engine.Overhead, in, out int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := e.Generate(engine.Request{ID: "q", PromptTokens: in, OutputTokens: out})
+	m, err := e.Generate(engine.Request{ID: label.Question(0), PromptTokens: in, OutputTokens: out})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/stats"
 )
 
@@ -92,6 +93,9 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("session: gap means must be finite and non-negative")
 	case p.Branch < 0 || p.BranchEvery < 0:
 		return fmt.Errorf("session: Branch and BranchEvery must be non-negative")
+	case p.Sessions > math.MaxInt32 || p.Turns > math.MaxInt32 || p.Branch > math.MaxInt32:
+		// Request labels hold the session, turn and branch as int32s.
+		return fmt.Errorf("session: Sessions, Turns and Branch must be at most %d", math.MaxInt32)
 	case !nonneg(p.ThinkSlack) || !nonneg(p.ActSlack):
 		return fmt.Errorf("session: deadline slacks must be finite and non-negative")
 	}
@@ -184,7 +188,7 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 	}
 	// emit issues a request whose prompt is the history's first prompt
 	// identities; the identities are attached once the session is drawn.
-	emit := func(id string, prompt, output int, slack float64) engine.TimedRequest {
+	emit := func(id label.Label, prompt, output int, slack float64) engine.TimedRequest {
 		tr := engine.TimedRequest{
 			Request: engine.Request{
 				ID:           id,
@@ -211,13 +215,13 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		prompt := len(history)
 		appendSyms(thinkLen)
 		for b := 0; b < branches; b++ {
-			id := fmt.Sprintf("%st%d", sid, turn)
+			id := label.Think(si, turn)
 			outLen := thinkLen
 			at := -1 // branch 0's trace is the history's next thinkLen syms
 			if b > 0 {
 				// Extra samples share the prompt but generate their own
 				// traces, which are discarded (best-of-N dead ends).
-				id = fmt.Sprintf("%sb%d", id, b)
+				id = label.Branch(si, turn, b)
 				outLen = sampleLen(p.ThinkMean, p.ThinkSigma, 8)
 				at = len(traces)
 				for i := 0; i < outLen; i++ {
@@ -233,7 +237,7 @@ func generateSession(p Profile, si int, start float64, system []uint64, rng *sta
 		actLen := sampleLen(p.ActMean, p.ActSigma, 2)
 		prompt = len(history)
 		appendSyms(actLen)
-		reqs = append(reqs, emit(fmt.Sprintf("%st%da", sid, turn), prompt, actLen, p.ActSlack))
+		reqs = append(reqs, emit(label.Act(si, turn), prompt, actLen, p.ActSlack))
 		traceAt = append(traceAt, -1)
 		clock += expSample(rng, p.TurnGapMean)
 	}

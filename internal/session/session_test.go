@@ -178,3 +178,29 @@ func TestSessionsServeWarmBeatsCold(t *testing.T) {
 		t.Errorf("warm p99 %.3fs not better than cold %.3fs", warm.P99Latency, cold.P99Latency)
 	}
 }
+
+// TestValidateBoundsLabelFields rejects session, turn and branch counts
+// past the int32s a request label holds them in, and accepts the largest
+// that fit.
+func TestValidateBoundsLabelFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(p *Profile, n int)
+	}{
+		{"Sessions", func(p *Profile, n int) { p.Sessions = n }},
+		{"Turns", func(p *Profile, n int) { p.Turns = n }},
+		{"Branch", func(p *Profile, n int) { p.Branch = n }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := AgentLoop(1, 1, 2)
+			tc.set(&p, math.MaxInt32+1)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %d accepted", tc.name, math.MaxInt32+1)
+			}
+			tc.set(&p, math.MaxInt32)
+			if err := p.Validate(); err != nil {
+				t.Errorf("%s = %d rejected: %v", tc.name, math.MaxInt32, err)
+			}
+		})
+	}
+}

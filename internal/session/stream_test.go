@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/stats"
 )
 
@@ -115,7 +116,7 @@ func growingHistorySession(p Profile, si int, start float64, system []uint64, rn
 	}
 	// emit issues a request whose prompt is the history's first prompt
 	// identities.
-	emit := func(id string, prompt, output int, slack float64) engine.TimedRequest {
+	emit := func(id label.Label, prompt, output int, slack float64) engine.TimedRequest {
 		tr := engine.TimedRequest{
 			Request: engine.Request{
 				ID:           id,
@@ -144,13 +145,13 @@ func growingHistorySession(p Profile, si int, start float64, system []uint64, rn
 		appendSyms(thinkLen)
 		canonical := history[prompt:len(history):len(history)]
 		for b := 0; b < branches; b++ {
-			id := fmt.Sprintf("%st%d", sid, turn)
+			id := label.Think(si, turn)
 			outSyms := canonical
 			outLen := thinkLen
 			if b > 0 {
 				// Extra samples share the prompt but generate their own
 				// traces, which are discarded (best-of-N dead ends).
-				id = fmt.Sprintf("%sb%d", id, b)
+				id = label.Branch(si, turn, b)
 				outLen = sampleLen(p.ThinkMean, p.ThinkSigma, 8)
 				outSyms = make([]uint64, outLen)
 				for i := range outSyms {
@@ -167,7 +168,7 @@ func growingHistorySession(p Profile, si int, start float64, system []uint64, rn
 		actLen := sampleLen(p.ActMean, p.ActSigma, 2)
 		prompt = len(history)
 		appendSyms(actLen)
-		tr := emit(fmt.Sprintf("%st%da", sid, turn), prompt, actLen, p.ActSlack)
+		tr := emit(label.Act(si, turn), prompt, actLen, p.ActSlack)
 		tr.OutputSyms = history[prompt:len(history):len(history)]
 		reqs = append(reqs, tr)
 		clock += expSample(rng, p.TurnGapMean)

@@ -1,6 +1,6 @@
 package session
 
-import "strings"
+import "edgereasoning/internal/label"
 
 // WarmTurn reports whether the request ID names a turn that can find
 // earlier history in a prefix cache. Session request IDs follow the
@@ -9,23 +9,13 @@ import "strings"
 // and only the bare turn-0 think ("s<N>t0") runs against a history no
 // prior request of its session has written; every other ID re-reads
 // prompt content an earlier request already produced. IDs from other
-// generators (no "s<N>t..." shape) are conservatively reported cold.
+// generators are conservatively reported cold.
 //
 // Per-request engine metrics carry only the ID, so experiment drivers
 // use this to split tail latencies into cold first-turns (which must
 // prefill either way) and warm turns (where prefix retention, and the
 // host tier's restore-vs-recompute trade, actually shows up).
-func WarmTurn(id string) bool {
-	rest, ok := strings.CutPrefix(id, "s")
-	if !ok {
-		return false
-	}
-	i := 0
-	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-		i++
-	}
-	if i == 0 || i == len(rest) || rest[i] != 't' {
-		return false
-	}
-	return rest[i:] != "t0"
+func WarmTurn(id label.Label) bool {
+	s, _, ok := id.Session()
+	return ok && id != label.Think(s, 0)
 }

@@ -1,27 +1,28 @@
 package session
 
 import (
-	"fmt"
 	"testing"
+
+	"edgereasoning/internal/label"
 )
 
 func TestWarmTurnTable(t *testing.T) {
 	cases := []struct {
-		id   string
+		id   label.Label
 		warm bool
 	}{
-		{"s0t0", false},  // turn-0 canonical think: nothing written yet
-		{"s12t0", false}, // multi-digit session index, still cold
-		{"s0t0a", true},  // turn-0 act reads the think's output
-		{"s0t0b1", true}, // turn-0 branch shares the admitted prompt
-		{"s0t1", true},
-		{"s3t10", true}, // multi-digit turn must not parse as turn 0
-		{"s7t2b2", true},
-		{"s7t2a", true},
-		{"req3", false}, // non-session generators: conservatively cold
-		{"st0", false},  // no session index
-		{"s5", false},   // no turn marker
-		{"", false},
+		{label.Think(0, 0), false},    // turn-0 canonical think: nothing written yet
+		{label.Think(12, 0), false},   // any session's turn-0 think is cold
+		{label.Act(0, 0), true},       // turn-0 act reads the think's output
+		{label.Branch(0, 0, 1), true}, // turn-0 branch shares the admitted prompt
+		{label.Think(0, 1), true},
+		{label.Think(3, 10), true}, // "s3t10" must not read as turn 0
+		{label.Branch(7, 2, 2), true},
+		{label.Act(7, 2), true},
+		{label.Question(3), false}, // non-session generators: conservatively cold
+		{label.Steady(0), false},   // "sw0" starts like a session but is not one
+		{label.Stream(0), false},
+		{label.Label{}, false},
 	}
 	for _, tc := range cases {
 		if got := WarmTurn(tc.id); got != tc.warm {
@@ -39,7 +40,7 @@ func TestWarmTurnMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := map[string]bool{}
+	cold := map[label.Label]bool{}
 	for _, r := range reqs {
 		if !WarmTurn(r.ID) {
 			if cold[r.ID] {
@@ -52,7 +53,7 @@ func TestWarmTurnMatchesGenerator(t *testing.T) {
 		t.Fatalf("%d cold IDs, want exactly one per session (%d): %v", len(cold), p.Sessions, cold)
 	}
 	for i := 0; i < p.Sessions; i++ {
-		if id := fmt.Sprintf("s%dt0", i); !cold[id] {
+		if id := label.Think(i, 0); !cold[id] {
 			t.Errorf("session %d's first think %q not classified cold", i, id)
 		}
 	}

@@ -1,6 +1,10 @@
 package telemetry
 
-import "sort"
+import (
+	"sort"
+
+	"edgereasoning/internal/label"
+)
 
 // RequestPhases is one served request's end-to-end latency decomposed
 // from its trace spans. The phases tile [Arrival, Finish] exactly:
@@ -13,7 +17,7 @@ import "sort"
 // own phases — batchmate prefills and admission work interleaved by
 // continuous batching.
 type RequestPhases struct {
-	ID       string
+	ID       label.Label
 	Track    string  // replica that served the final attempt
 	Arrival  float64 // original arrival (first queue span start)
 	Finish   float64 // final attempt completion
@@ -47,8 +51,8 @@ func (r RequestPhases) Residual() float64 {
 // span), sorted by (arrival, ID). Requests that were dropped — never
 // served — are not included.
 func (t *Trace) Breakdown() []RequestPhases {
-	byID := map[string]*RequestPhases{}
-	get := func(id string) *RequestPhases {
+	byID := map[label.Label]*RequestPhases{}
+	get := func(id label.Label) *RequestPhases {
 		rp, ok := byID[id]
 		if !ok {
 			rp = &RequestPhases{ID: id, Arrival: -1}
@@ -59,7 +63,7 @@ func (t *Trace) Breakdown() []RequestPhases {
 	// The served attempt's window opens at its request span's start; a
 	// crash-aborted attempt's replica phases all end before it, and are
 	// already covered by the attempt's abort span.
-	served := map[string]float64{}
+	served := map[label.Label]float64{}
 	for _, tr := range t.Tracks() {
 		for _, s := range tr.Spans() {
 			if s.Kind == KindRequest {
@@ -69,7 +73,7 @@ func (t *Trace) Breakdown() []RequestPhases {
 	}
 	for _, tr := range t.Tracks() {
 		for _, s := range tr.Spans() {
-			if s.ID == "" {
+			if s.ID.IsZero() {
 				continue
 			}
 			if start, ok := served[s.ID]; ok && s.Start < start {
@@ -130,7 +134,7 @@ func (t *Trace) Breakdown() []RequestPhases {
 		if out[i].Arrival != out[j].Arrival {
 			return out[i].Arrival < out[j].Arrival
 		}
-		return out[i].ID < out[j].ID
+		return out[i].ID.String() < out[j].ID.String()
 	})
 	return out
 }

@@ -98,12 +98,13 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 // ("i") when zero-duration — plus its flow endpoints.
 func spanEvents(s Span, pid int) []chromeEvent {
 	name := s.Kind
-	if s.Kind == KindRequest && s.ID != "" {
-		name = s.ID
-	}
 	args := map[string]any{}
-	if s.ID != "" {
-		args["req"] = s.ID
+	if !s.ID.IsZero() {
+		id := s.ID.String()
+		if s.Kind == KindRequest {
+			name = id
+		}
+		args["req"] = id
 	}
 	if s.Session != "" {
 		args["session"] = s.Session

@@ -14,6 +14,8 @@
 // shared registry is only touched at registration time, under a mutex.
 package telemetry
 
+import "edgereasoning/internal/label"
+
 // Span kinds. A served request's life renders as one enclosing
 // KindRequest span for the served attempt, with phase children inside
 // it, plus ingress/fault spans on the shared tracks; a crash-aborted
@@ -58,8 +60,8 @@ const (
 // preallocated ring, no allocation. Zero-valued attribute fields are
 // omitted at export.
 type Span struct {
-	ID   string // request ID; "" for scheduled fault windows
-	Kind string // one of the Kind constants
+	ID   label.Label // request ID; zero for scheduled fault windows
+	Kind string      // one of the Kind constants
 	// Lane is the sub-track: the engine arena slot on replica tracks, an
 	// allocator-assigned lane on shared tracks. Spans on one lane of one
 	// track never overlap.

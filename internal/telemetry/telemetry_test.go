@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"edgereasoning/internal/label"
 )
 
 func TestLaneAllocatorNeverOverlaps(t *testing.T) {
@@ -43,7 +45,7 @@ func TestLaneAllocatorNeverOverlaps(t *testing.T) {
 func TestTrackRingOverflow(t *testing.T) {
 	tr := New(Config{SpanCap: 4}).Track("r0")
 	for i := 0; i < 7; i++ {
-		tr.Record(Span{ID: string(rune('a' + i)), Start: float64(i), End: float64(i) + 0.5})
+		tr.Record(Span{ID: label.Question(i), Start: float64(i), End: float64(i) + 0.5})
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
@@ -98,30 +100,31 @@ func buildTrace() *Trace {
 	fl := tra.Track("faults")
 	r0 := tra.Track("r0")
 	r1 := tra.Track("r1")
+	reqA, reqB := label.Question(0), label.Question(1)
 
 	// Request A: arrives 0, dispatched 0, served on r0 over [0, 3].
-	ing.Record(Span{ID: "A", Kind: KindQueue, Lane: 0, Start: 0, End: 0})
-	r0.Record(Span{ID: "A", Kind: KindRequest, Lane: 0, Start: 0, End: 3, Wait: 0, Tokens: 300, Cached: 0})
-	r0.Record(Span{ID: "A", Kind: KindPrefill, Lane: 0, Start: 0, End: 1, Tokens: 200})
-	r0.Record(Span{ID: "A", Kind: KindDecode, Lane: 0, Start: 1, End: 3, Tokens: 100})
+	ing.Record(Span{ID: reqA, Kind: KindQueue, Lane: 0, Start: 0, End: 0})
+	r0.Record(Span{ID: reqA, Kind: KindRequest, Lane: 0, Start: 0, End: 3, Wait: 0, Tokens: 300, Cached: 0})
+	r0.Record(Span{ID: reqA, Kind: KindPrefill, Lane: 0, Start: 0, End: 1, Tokens: 200})
+	r0.Record(Span{ID: reqA, Kind: KindDecode, Lane: 0, Start: 1, End: 3, Tokens: 100})
 
 	// Request B: arrives 1, dispatched 2 (queue 1s) to r1, where the
 	// attempt prefills and decodes for 1.5s before r1 crashes at 4; retry
 	// waits [4, 5], re-dispatched at 6 (queue 1s), admitted 6.5 (replica
 	// wait 0.5), restored+prefilled, finishes at 10.
 	flow := tra.NextFlow()
-	ing.Record(Span{ID: "B", Kind: KindQueue, Lane: 0, Start: 1, End: 2})
-	r1.Record(Span{ID: "B", Kind: KindPrefill, Lane: 0, Start: 2, End: 2.5, Tokens: 260})
-	r1.Record(Span{ID: "B", Kind: KindDecode, Lane: 0, Start: 2.5, End: 3.5, Tokens: 16})
-	fl.Record(Span{ID: "B", Kind: KindAborted, Lane: 0, Start: 2, End: 4, Cause: "r1", Lost: 1.5, Flow: flow, FlowStart: true})
+	ing.Record(Span{ID: reqB, Kind: KindQueue, Lane: 0, Start: 1, End: 2})
+	r1.Record(Span{ID: reqB, Kind: KindPrefill, Lane: 0, Start: 2, End: 2.5, Tokens: 260})
+	r1.Record(Span{ID: reqB, Kind: KindDecode, Lane: 0, Start: 2.5, End: 3.5, Tokens: 16})
+	fl.Record(Span{ID: reqB, Kind: KindAborted, Lane: 0, Start: 2, End: 4, Cause: "r1", Lost: 1.5, Flow: flow, FlowStart: true})
 	fl.Record(Span{Kind: KindCrash, Cause: "r1", Lane: 1, Start: 4, End: 4})
-	ing.Record(Span{ID: "B", Kind: KindRetryWait, Lane: 1, Start: 4, End: 5, Attempt: 1})
-	ing.Record(Span{ID: "B", Kind: KindQueue, Lane: 0, Start: 5, End: 6, Attempt: 1, Flow: flow})
-	r1.Record(Span{ID: "B", Kind: KindRequest, Lane: 0, Start: 6.5, End: 10, Wait: 0.5, Tokens: 260, Cached: 64})
-	r1.Record(Span{ID: "B", Kind: KindStall, Lane: 0, Start: 6.5, End: 7})
-	r1.Record(Span{ID: "B", Kind: KindRestore, Lane: 0, Start: 7, End: 7.25})
-	r1.Record(Span{ID: "B", Kind: KindPrefill, Lane: 0, Start: 7.25, End: 8, Tokens: 196, Cached: 64})
-	r1.Record(Span{ID: "B", Kind: KindDecode, Lane: 0, Start: 8, End: 10, Tokens: 60})
+	ing.Record(Span{ID: reqB, Kind: KindRetryWait, Lane: 1, Start: 4, End: 5, Attempt: 1})
+	ing.Record(Span{ID: reqB, Kind: KindQueue, Lane: 0, Start: 5, End: 6, Attempt: 1, Flow: flow})
+	r1.Record(Span{ID: reqB, Kind: KindRequest, Lane: 0, Start: 6.5, End: 10, Wait: 0.5, Tokens: 260, Cached: 64})
+	r1.Record(Span{ID: reqB, Kind: KindStall, Lane: 0, Start: 6.5, End: 7})
+	r1.Record(Span{ID: reqB, Kind: KindRestore, Lane: 0, Start: 7, End: 7.25})
+	r1.Record(Span{ID: reqB, Kind: KindPrefill, Lane: 0, Start: 7.25, End: 8, Tokens: 196, Cached: 64})
+	r1.Record(Span{ID: reqB, Kind: KindDecode, Lane: 0, Start: 8, End: 10, Tokens: 60})
 
 	tra.GaugeSeries("kv_used_blocks", "r0").Sample(1, 12)
 	tra.GaugeSeries("kv_used_blocks", "r1").Sample(8, 20)
@@ -140,13 +143,13 @@ func TestValidateSpansAcceptsWellFormed(t *testing.T) {
 func TestValidateSpansRejectsOverlapAndInversion(t *testing.T) {
 	tra := New(Config{})
 	tr := tra.Track("r0")
-	tr.Record(Span{ID: "x", Kind: KindRequest, Lane: 0, Start: 0, End: 2})
-	tr.Record(Span{ID: "y", Kind: KindRequest, Lane: 0, Start: 1, End: 3})
+	tr.Record(Span{ID: label.Question(0), Kind: KindRequest, Lane: 0, Start: 0, End: 2})
+	tr.Record(Span{ID: label.Question(1), Kind: KindRequest, Lane: 0, Start: 1, End: 3})
 	if err := ValidateSpans(tra); err == nil {
 		t.Fatal("overlapping siblings on one lane not rejected")
 	}
 	tra2 := New(Config{})
-	tra2.Track("r0").Record(Span{ID: "z", Kind: KindDecode, Start: 5, End: 4})
+	tra2.Track("r0").Record(Span{ID: label.Question(2), Kind: KindDecode, Start: 5, End: 4})
 	if err := ValidateSpans(tra2); err == nil {
 		t.Fatal("span ending before its start not rejected")
 	}
@@ -168,8 +171,18 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	counts := map[string]int{}
+	labelled := map[string]int{} // spans per rendered request label
 	for _, ev := range doc.TraceEvents {
 		counts[ev.Ph]++
+		if req, ok := ev.Args["req"].(string); ok {
+			labelled[req]++
+			if ev.Cat == KindRequest && ev.Name != req {
+				t.Errorf("request span named %q, want its label %q", ev.Name, req)
+			}
+		}
+	}
+	if len(labelled) != 2 || labelled["q0"] != 4 || labelled["q1"] != 11 {
+		t.Fatalf("spans per request label %v, want q0:4 q1:11", labelled)
 	}
 	if counts["s"] != 1 || counts["f"] != 1 {
 		t.Fatalf("flow events s=%d f=%d, want one of each", counts["s"], counts["f"])
@@ -248,7 +261,7 @@ func TestBreakdownTilesE2E(t *testing.T) {
 		t.Fatalf("breakdown has %d rows, want 2", len(rows))
 	}
 	a, b := rows[0], rows[1]
-	if a.ID != "A" || b.ID != "B" {
+	if a.ID != label.Question(0) || b.ID != label.Question(1) {
 		t.Fatalf("rows not sorted by arrival: %s, %s", a.ID, b.ID)
 	}
 	if a.E2E() != 3 || a.Prefill != 1 || a.Decode != 2 || a.Attempts != 0 {

@@ -3,9 +3,9 @@ package workload
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/stats"
 )
 
@@ -20,6 +20,9 @@ type Source struct {
 	rng   *stats.RNG
 	clock float64
 	i     int
+	// name labels request i: label.Stream, or a bursty merge's
+	// label.Steady or label.Burst.
+	name func(i int) label.Label
 }
 
 // NewSource validates the profile and positions a source at its first
@@ -29,10 +32,12 @@ func NewSource(p Profile, seed uint64) (*Source, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(seed, fmt.Sprintf("workload/qps%.3f/n%d", p.QPS, p.N))
-	return &Source{p: p, rng: rng}, nil
+	return &Source{p: p, rng: rng, name: label.Stream}, nil
 }
 
 // Next synthesizes the next request, or returns false after N requests.
+//
+//edgereasoning:hotpath bench=BenchmarkSoakServe
 func (s *Source) Next() (engine.TimedRequest, bool) {
 	if s.i >= s.p.N {
 		return engine.TimedRequest{}, false
@@ -51,10 +56,9 @@ func (s *Source) Next() (engine.TimedRequest, bool) {
 	if output < 1 {
 		output = 1
 	}
-	var id [24]byte
 	tr := engine.TimedRequest{
 		Request: engine.Request{
-			ID:           string(strconv.AppendInt(append(id[:0], 'w'), int64(s.i), 10)),
+			ID:           s.name(s.i),
 			PromptTokens: prompt,
 			OutputTokens: output,
 		},
@@ -96,28 +100,23 @@ func NewBurstySource(background, burst Profile, burstStart float64, seed uint64)
 	if err != nil {
 		return nil, fmt.Errorf("workload: burst: %w", err)
 	}
+	steady.name, spike.name = label.Steady, label.Burst
 	b := &BurstySource{steady: steady, burst: spike, burstStart: burstStart}
 	b.advanceSteady()
 	b.advanceBurst()
 	return b, nil
 }
 
-// advanceSteady pulls the next steady request into the merge head,
-// applying the "s" ID prefix.
+// advanceSteady pulls the next steady request into the merge head.
 func (b *BurstySource) advanceSteady() {
-	tr, ok := b.steady.Next()
-	if ok {
-		tr.ID = "s" + tr.ID
-	}
-	b.sHead, b.sOK = tr, ok
+	b.sHead, b.sOK = b.steady.Next()
 }
 
 // advanceBurst pulls the next burst request into the merge head, applying
-// the "b" ID prefix and the burst-start time shift.
+// the burst-start time shift.
 func (b *BurstySource) advanceBurst() {
 	tr, ok := b.burst.Next()
 	if ok {
-		tr.ID = "b" + tr.ID
 		tr.Arrival += b.burstStart
 		if tr.Deadline > 0 {
 			tr.Deadline += b.burstStart
@@ -127,6 +126,8 @@ func (b *BurstySource) advanceBurst() {
 }
 
 // Next yields the earlier merge head (steady on ties).
+//
+//edgereasoning:hotpath bench=BenchmarkSoakServe
 func (b *BurstySource) Next() (engine.TimedRequest, bool) {
 	switch {
 	case !b.sOK && !b.bOK:

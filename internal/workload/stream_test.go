@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/label"
 	"edgereasoning/internal/stats"
 )
 
@@ -37,7 +38,7 @@ func legacyGenerate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 		}
 		tr := engine.TimedRequest{
 			Request: engine.Request{
-				ID:           fmt.Sprintf("w%d", i),
+				ID:           label.Stream(i),
 				PromptTokens: prompt,
 				OutputTokens: output,
 			},
@@ -56,7 +57,7 @@ func legacyGenerate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 }
 
 // legacyBursty is the frozen pre-streaming Bursty implementation:
-// concatenate prefixed steady and shifted burst streams, then stable
+// concatenate relabelled steady and shifted burst streams, then stable
 // sort by arrival.
 func legacyBursty(background, burst Profile, burstStart float64, seed uint64) ([]engine.TimedRequest, error) {
 	steady, err := legacyGenerate(background, seed)
@@ -68,12 +69,12 @@ func legacyBursty(background, burst Profile, burstStart float64, seed uint64) ([
 		return nil, err
 	}
 	out := make([]engine.TimedRequest, 0, len(steady)+len(spike))
-	for _, tr := range steady {
-		tr.ID = "s" + tr.ID
+	for i, tr := range steady {
+		tr.ID = label.Steady(i)
 		out = append(out, tr)
 	}
-	for _, tr := range spike {
-		tr.ID = "b" + tr.ID
+	for i, tr := range spike {
+		tr.ID = label.Burst(i)
 		tr.Arrival += burstStart
 		if tr.Deadline > 0 {
 			tr.Deadline += burstStart
@@ -151,10 +152,11 @@ func TestBurstySourceMatchesLegacy(t *testing.T) {
 	}
 }
 
-// Request IDs are "w<index>", built without fmt; they must be the
-// strings fmt.Sprintf("w%d") builds, at every digit count.
+// Request IDs render as "w<index>", built without fmt; they must be the
+// strings fmt.Sprintf("w%d") builds, at every digit count up to the
+// last index a valid profile reaches.
 func TestSourceRequestIDs(t *testing.T) {
-	p := InteractiveAssistant(4, math.MaxInt)
+	p := InteractiveAssistant(4, math.MaxInt32)
 	src, err := NewSource(p, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -163,18 +165,38 @@ func TestSourceRequestIDs(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		idx = append(idx, i)
 	}
-	for pow := 10_000; pow > 0 && pow < math.MaxInt/10; pow *= 10 {
+	for pow := 10_000; pow < math.MaxInt32; pow *= 10 {
 		idx = append(idx, pow-1, pow, pow+1)
 	}
-	idx = append(idx, math.MaxInt-1)
+	idx = append(idx, math.MaxInt32-1)
 	for _, i := range idx {
 		src.i = i
 		tr, ok := src.Next()
 		if !ok {
 			t.Fatalf("index %d: stream ended", i)
 		}
-		if want := fmt.Sprintf("w%d", i); tr.ID != want {
+		if want := fmt.Sprintf("w%d", i); tr.ID.String() != want {
 			t.Fatalf("index %d: ID %q, want %q", i, tr.ID, want)
 		}
+	}
+}
+
+// TestNextDoesNotAllocate guards the per-request path of both streams: a
+// request, label included, is a plain value, so pulling one allocates
+// nothing.
+func TestNextDoesNotAllocate(t *testing.T) {
+	src, err := NewSource(InteractiveAssistant(4, 1<<20), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { src.Next() }); n != 0 {
+		t.Errorf("Source.Next allocates %v times per request, want 0", n)
+	}
+	b, err := NewBurstySource(InteractiveAssistant(1, 1<<20), InteractiveAssistant(8, 1<<20), 30, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { b.Next() }); n != 0 {
+		t.Errorf("BurstySource.Next allocates %v times per request, want 0", n)
 	}
 }

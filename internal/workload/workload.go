@@ -44,6 +44,9 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("workload: QPS must be positive and finite")
 	case p.N <= 0:
 		return fmt.Errorf("workload: N must be positive")
+	case p.N > math.MaxInt32:
+		// Request labels hold the stream position as an int32.
+		return fmt.Errorf("workload: N must be at most %d", math.MaxInt32)
 	case !(p.PromptMean > 0) || !finite(p.PromptMean) || !(p.OutputMean > 0) || !finite(p.OutputMean):
 		return fmt.Errorf("workload: length means must be positive and finite")
 	case math.IsNaN(p.PromptSigma) || p.PromptSigma < 0 || math.IsInf(p.PromptSigma, 0):
@@ -72,7 +75,7 @@ func Generate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 // Bursty synthesizes a steady background stream with a traffic spike
 // riding on top: the background profile runs from t=0 while the burst
 // profile's requests (arrivals and deadlines both) are shifted to start
-// at burstStart. IDs are prefixed "s" (steady) and "b" (burst) so the
+// at burstStart. IDs read "sw<i>" (steady) and "bw<i>" (burst) so the
 // merged stream stays collision-free, and the result is sorted by
 // arrival. This is the elastic-pool stress shape: a fixed fleet sized
 // for the background drowns in the burst, one sized for the burst idles

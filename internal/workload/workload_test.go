@@ -107,3 +107,16 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateBoundsN rejects stream lengths past the int32 a request
+// label holds its stream position in, and accepts the last one that fits.
+func TestValidateBoundsN(t *testing.T) {
+	p := InteractiveAssistant(4, math.MaxInt32+1)
+	if err := p.Validate(); err == nil {
+		t.Errorf("N = %d accepted", p.N)
+	}
+	p.N = math.MaxInt32
+	if err := p.Validate(); err != nil {
+		t.Errorf("N = %d rejected: %v", p.N, err)
+	}
+}
