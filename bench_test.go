@@ -322,20 +322,18 @@ func BenchmarkSuiteQuickParallel(b *testing.B)   { benchSuite(b, runtime.GOMAXPR
 // --------------------------------------------------- substrate micro-benches
 
 func BenchmarkSimPrefill512(b *testing.B) {
-	sim := gpusim.New(hw.JetsonAGXOrin64GB())
-	a := model.MustLookup(model.DSR1Llama8B).Arch
+	m := gpusim.New(hw.JetsonAGXOrin64GB()).Resolve(model.MustLookup(model.DSR1Llama8B).Arch, model.FP16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.Prefill(a, model.FP16, 512, 1)
+		m.Prefill(512)
 	}
 }
 
 func BenchmarkSimDecodeRun(b *testing.B) {
-	sim := gpusim.New(hw.JetsonAGXOrin64GB())
-	a := model.MustLookup(model.DSR1Llama8B).Arch
+	m := gpusim.New(hw.JetsonAGXOrin64GB()).Resolve(model.MustLookup(model.DSR1Llama8B).Arch, model.FP16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.DecodeRun(a, model.FP16, 512, 1024, 1)
+		m.DecodeRun(512, 1024, 1)
 	}
 }
 

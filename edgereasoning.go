@@ -32,7 +32,6 @@ import (
 	"edgereasoning/internal/label"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
-	"edgereasoning/internal/power"
 	"edgereasoning/internal/tts"
 )
 
@@ -88,11 +87,9 @@ func Direct() Policy      { return control.DirectAnswer() }
 // DefaultSeed drives all randomness unless a platform overrides it.
 const DefaultSeed uint64 = 7
 
-// Platform is a simulated edge device with its power meter.
+// Platform is a simulated edge device and the seed its runs draw from.
 type Platform struct {
 	device *hw.Device
-	sim    *gpusim.Sim
-	meter  *power.Meter
 	seed   uint64
 }
 
@@ -100,14 +97,14 @@ type Platform struct {
 // MAXN mode.
 func NewOrinPlatform() *Platform {
 	d := hw.JetsonAGXOrin64GB()
-	return &Platform{device: d, sim: gpusim.New(d), meter: power.NewMeter(d), seed: DefaultSeed}
+	return &Platform{device: d, seed: DefaultSeed}
 }
 
 // NewOrinCPUPlatform returns the Appendix C alternative: Orin's 12-core
 // ARM Cortex-A78AE complex.
 func NewOrinCPUPlatform() *Platform {
 	d := hw.OrinCortexA78AE()
-	return &Platform{device: d, sim: gpusim.New(d), meter: power.NewMeter(d), seed: DefaultSeed}
+	return &Platform{device: d, seed: DefaultSeed}
 }
 
 // WithSeed returns a copy of the platform using a different random seed.
@@ -160,7 +157,7 @@ func (p *Platform) Deploy(id ModelID) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	lm, err := core.FitLatencyModel(p.sim, spec)
+	lm, err := core.FitLatencyModel(gpusim.New(p.device).Resolve(spec.Arch, spec.DType), spec.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +335,7 @@ func (d *Deployment) Evaluate(bench Benchmark, pol Policy, sf int) (BenchmarkRes
 	if sf == 1 {
 		out.MeanLatency = d.latency.Total(prompt, int(perBranch+0.5))
 	} else {
-		dres := d.platform.sim.DecodeRun(d.spec.Arch, d.spec.DType, prompt, int(res.MeanMaxTokens+0.5), sf)
+		dres := d.engine.SimDecodeProbe(prompt, int(res.MeanMaxTokens+0.5), sf)
 		out.MeanLatency = d.latency.Prefill.Predict(prompt) + dres.Time
 	}
 	return out, nil

@@ -5,7 +5,6 @@ import (
 
 	"edgereasoning/internal/fit"
 	"edgereasoning/internal/gpusim"
-	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
 	"edgereasoning/internal/stats"
 )
@@ -32,10 +31,10 @@ func (e EnergyModel) PredictPerToken(n int) float64 { return e.Curve.Eval(float6
 
 // FitPrefillPower sweeps prefill power over input lengths and fits the
 // piecewise constant/log form of Eqn 4.
-func FitPrefillPower(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType) (PowerModel, error) {
+func FitPrefillPower(m *gpusim.CostModel, meter *power.Meter) (PowerModel, error) {
 	var xs, ys []float64
 	for _, i := range sweepLengths(128, 4096) {
-		res := sim.Prefill(a, dt, i, 1)
+		res := m.Prefill(i)
 		xs = append(xs, float64(i))
 		ys = append(ys, meter.ObservedPower(res))
 	}
@@ -48,10 +47,10 @@ func FitPrefillPower(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model
 
 // FitDecodePower sweeps decode power over output lengths at a fixed
 // 512-token input (the paper's protocol, Fig 5a) and fits Eqn 6.
-func FitDecodePower(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType) (PowerModel, error) {
+func FitDecodePower(m *gpusim.CostModel, meter *power.Meter) (PowerModel, error) {
 	var xs, ys []float64
 	for _, o := range sweepLengths(16, 2048) {
-		res := sim.DecodeRun(a, dt, 512, o, 1)
+		res := m.DecodeRun(512, o, 1)
 		xs = append(xs, float64(o))
 		ys = append(ys, meter.Power(res))
 	}
@@ -64,10 +63,10 @@ func FitDecodePower(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.
 
 // FitPrefillEnergy fits the per-token prefill energy model of Eqn 5
 // (exponential decay then log growth, Table XX).
-func FitPrefillEnergy(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType) (EnergyModel, error) {
+func FitPrefillEnergy(m *gpusim.CostModel, meter *power.Meter) (EnergyModel, error) {
 	var xs, ys []float64
 	for _, i := range sweepLengths(16, 4096) {
-		res := sim.Prefill(a, dt, i, 1)
+		res := m.Prefill(i)
 		xs = append(xs, float64(i))
 		ys = append(ys, meter.EnergyPerToken(res))
 	}
@@ -80,10 +79,10 @@ func FitPrefillEnergy(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt mode
 
 // FitDecodeEnergy fits decode energy per token over output length at
 // 512-token input (Table XXI's log form).
-func FitDecodeEnergy(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType) (EnergyModel, error) {
+func FitDecodeEnergy(m *gpusim.CostModel, meter *power.Meter) (EnergyModel, error) {
 	var xs, ys []float64
 	for _, o := range sweepLengths(64, 2048) {
-		res := sim.DecodeRun(a, dt, 512, o, 1)
+		res := m.DecodeRun(512, o, 1)
 		xs = append(xs, float64(o))
 		ys = append(ys, meter.EnergyPerToken(res))
 	}
@@ -97,13 +96,12 @@ func FitDecodeEnergy(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model
 // ValidateEnergyModel replays held-out (I, O) workloads and reports the
 // MAPE of total-energy prediction (Table VIII protocol). The model's total
 // energy is per-token decode energy × O plus per-token prefill energy × I.
-func ValidateEnergyModel(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType,
-	prefillE, decodeE EnergyModel, workload [][2]int) float64 {
+func ValidateEnergyModel(m *gpusim.CostModel, meter *power.Meter, prefillE, decodeE EnergyModel, workload [][2]int) float64 {
 	var pred, act []float64
 	for _, w := range workload {
 		i, o := w[0], w[1]
-		pres := sim.Prefill(a, dt, i, 1)
-		dres := sim.DecodeRun(a, dt, i, o, 1)
+		pres := m.Prefill(i)
+		dres := m.DecodeRun(i, o, 1)
 		actual := meter.Energy(pres) + meter.Energy(dres)
 		modeled := prefillE.PredictPerToken(i)*float64(i) + decodeE.PredictPerToken(o)*float64(o)
 		pred = append(pred, modeled)

@@ -3,15 +3,15 @@ package core
 import (
 	"testing"
 
+	"edgereasoning/internal/hw"
 	"edgereasoning/internal/model"
 	"edgereasoning/internal/power"
 )
 
 func TestFitDecodePowerShape(t *testing.T) {
-	sim := orinSim()
-	meter := power.NewMeter(sim.Device)
+	meter := power.NewMeter(hw.JetsonAGXOrin64GB())
 	for _, spec := range model.DSR1Family() {
-		pm, err := FitDecodePower(sim, meter, spec.Arch, spec.DType)
+		pm, err := FitDecodePower(orinCost(spec.ID), meter)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.ID, err)
 		}
@@ -20,20 +20,19 @@ func TestFitDecodePowerShape(t *testing.T) {
 		if p2048 <= p128 {
 			t.Errorf("%s: decode power model not increasing: %.1f @128 vs %.1f @2048", spec.ID, p128, p2048)
 		}
-		if p128 < 5 || p2048 > sim.Device.MaxPower {
+		if p128 < 5 || p2048 > meter.Device.MaxPower {
 			t.Errorf("%s: power range [%.1f, %.1f] implausible", spec.ID, p128, p2048)
 		}
 	}
 }
 
 func TestFitPrefillPowerOrdering(t *testing.T) {
-	sim := orinSim()
-	meter := power.NewMeter(sim.Device)
-	small, err := FitPrefillPower(sim, meter, model.MustLookup(model.DSR1Qwen1_5B).Arch, model.FP16)
+	meter := power.NewMeter(hw.JetsonAGXOrin64GB())
+	small, err := FitPrefillPower(orinCost(model.DSR1Qwen1_5B), meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := FitPrefillPower(sim, meter, model.MustLookup(model.DSR1Qwen14B).Arch, model.FP16)
+	large, err := FitPrefillPower(orinCost(model.DSR1Qwen14B), meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +44,8 @@ func TestFitPrefillPowerOrdering(t *testing.T) {
 }
 
 func TestFitPrefillEnergyDecayThenFlat(t *testing.T) {
-	sim := orinSim()
-	meter := power.NewMeter(sim.Device)
-	spec := model.MustLookup(model.DSR1Llama8B)
-	em, err := FitPrefillEnergy(sim, meter, spec.Arch, spec.DType)
+	meter := power.NewMeter(hw.JetsonAGXOrin64GB())
+	em, err := FitPrefillEnergy(orinCost(model.DSR1Llama8B), meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +62,12 @@ func TestFitPrefillEnergyDecayThenFlat(t *testing.T) {
 }
 
 func TestFitDecodeEnergyPerTokenOrdering(t *testing.T) {
-	sim := orinSim()
-	meter := power.NewMeter(sim.Device)
-	small, err := FitDecodeEnergy(sim, meter, model.MustLookup(model.DSR1Qwen1_5B).Arch, model.FP16)
+	meter := power.NewMeter(hw.JetsonAGXOrin64GB())
+	small, err := FitDecodeEnergy(orinCost(model.DSR1Qwen1_5B), meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := FitDecodeEnergy(sim, meter, model.MustLookup(model.DSR1Qwen14B).Arch, model.FP16)
+	large, err := FitDecodeEnergy(orinCost(model.DSR1Qwen14B), meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +80,18 @@ func TestFitDecodeEnergyPerTokenOrdering(t *testing.T) {
 
 // Table VIII: the energy model validates with single-digit MAPE.
 func TestValidateEnergyModelMAPE(t *testing.T) {
-	sim := orinSim()
-	meter := power.NewMeter(sim.Device)
-	spec := model.MustLookup(model.DSR1Llama8B)
-	pe, err := FitPrefillEnergy(sim, meter, spec.Arch, spec.DType)
+	meter := power.NewMeter(hw.JetsonAGXOrin64GB())
+	m := orinCost(model.DSR1Llama8B)
+	pe, err := FitPrefillEnergy(m, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de, err := FitDecodeEnergy(sim, meter, spec.Arch, spec.DType)
+	de, err := FitDecodeEnergy(m, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	workload := [][2]int{{100, 300}, {250, 600}, {400, 1000}, {600, 1500}, {180, 120}}
-	mape := ValidateEnergyModel(sim, meter, spec.Arch, spec.DType, pe, de, workload)
+	mape := ValidateEnergyModel(m, meter, pe, de, workload)
 	if mape > 0.15 {
 		t.Errorf("total energy MAPE = %.3f, paper reports ~6%%", mape)
 	}

@@ -108,26 +108,24 @@ type FitReport struct {
 	R2      float64
 }
 
-// FitPrefillModel sweeps prefill latency on the simulator at multiples of
-// 64 tokens (the paper's protocol: fit only at 64-multiples to step around
-// tensor-core padding) and fits Eqn 1.
-func FitPrefillModel(sim *gpusim.Sim, a model.Arch, dt model.DType, maxLen int) (PrefillModel, FitReport, error) {
-	tile := sim.Device.TileM
+// FitPrefillModel sweeps prefill latency on the cost model at multiples
+// of 64 tokens (the paper's protocol: fit only at 64-multiples to step
+// around tensor-core padding) and fits Eqn 1.
+func FitPrefillModel(m *gpusim.CostModel, maxLen int) (PrefillModel, FitReport, error) {
+	pm := PrefillModel{Tile: m.TileM()}
 	if maxLen < 8*64 {
 		maxLen = 8 * 64
 	}
 	var xs, ys []float64
 	for i := 64; i <= maxLen; i += 64 {
-		res := sim.Prefill(a, dt, i, 1)
-		ipad := float64(sim.Device.PadM(i))
-		xs = append(xs, ipad)
-		ys = append(ys, res.Time)
+		xs = append(xs, pm.Pad(i))
+		ys = append(ys, m.Prefill(i).Time)
 	}
 	poly, err := fit.PolyFit(xs, ys, 2)
 	if err != nil {
 		return PrefillModel{}, FitReport{}, fmt.Errorf("core: prefill fit: %w", err)
 	}
-	pm := PrefillModel{A: poly.Coeffs[2], B: poly.Coeffs[1], C: poly.Coeffs[0], Tile: tile}
+	pm.A, pm.B, pm.C = poly.Coeffs[2], poly.Coeffs[1], poly.Coeffs[0]
 	pred := make([]float64, len(xs))
 	for i, x := range xs {
 		pred[i] = pm.A*x*x + pm.B*x + pm.C
@@ -140,12 +138,12 @@ func FitPrefillModel(sim *gpusim.Sim, a model.Arch, dt model.DType, maxLen int) 
 // paper fits on 100 MMLU-Redux points with varied lengths) and solves
 // Eqn 2's coefficients by least squares over the basis
 // {O, I·O + O(O−1)/2} with no intercept.
-func FitDecodeModel(sim *gpusim.Sim, a model.Arch, dt model.DType) (DecodeModel, FitReport, error) {
+func FitDecodeModel(m *gpusim.CostModel) (DecodeModel, FitReport, error) {
 	var design [][]float64
 	var ys []float64
 	for _, i := range []int{1, 128, 512, 1024, 2048, 4096} {
 		for _, o := range []int{16, 64, 128, 256, 512, 1024, 2048, 4096} {
-			res := sim.DecodeRun(a, dt, i, o, 1)
+			res := m.DecodeRun(i, o, 1)
 			of := float64(o)
 			design = append(design, []float64{of, float64(i)*of + of*(of-1)/2})
 			ys = append(ys, res.Time)
@@ -164,28 +162,28 @@ func FitDecodeModel(sim *gpusim.Sim, a model.Arch, dt model.DType) (DecodeModel,
 	return dm, rep, nil
 }
 
-// FitLatencyModel fits both phases.
-func FitLatencyModel(sim *gpusim.Sim, spec model.Spec) (LatencyModel, error) {
-	pm, _, err := FitPrefillModel(sim, spec.Arch, spec.DType, 2048)
+// FitLatencyModel fits both phases of a model's cost model.
+func FitLatencyModel(m *gpusim.CostModel, id model.ID) (LatencyModel, error) {
+	pm, _, err := FitPrefillModel(m, 2048)
 	if err != nil {
 		return LatencyModel{}, err
 	}
-	dm, _, err := FitDecodeModel(sim, spec.Arch, spec.DType)
+	dm, _, err := FitDecodeModel(m)
 	if err != nil {
 		return LatencyModel{}, err
 	}
-	return LatencyModel{Model: spec.ID, Prefill: pm, Decode: dm}, nil
+	return LatencyModel{Model: id, Prefill: pm, Decode: dm}, nil
 }
 
 // ValidateLatencyModel replays a held-out workload (I, O pairs) through
-// both the simulator and the model, returning prefill/decode/total MAPE —
-// the Table VI protocol.
-func ValidateLatencyModel(sim *gpusim.Sim, a model.Arch, dt model.DType, lm LatencyModel, workload [][2]int) (prefillMAPE, decodeMAPE, totalMAPE float64) {
+// both the cost model and the fitted model, returning prefill/decode/total
+// MAPE — the Table VI protocol.
+func ValidateLatencyModel(m *gpusim.CostModel, lm LatencyModel, workload [][2]int) (prefillMAPE, decodeMAPE, totalMAPE float64) {
 	var pPred, pAct, dPred, dAct, tPred, tAct []float64
 	for _, w := range workload {
 		i, o := w[0], w[1]
-		pres := sim.Prefill(a, dt, i, 1)
-		dres := sim.DecodeRun(a, dt, i, o, 1)
+		pres := m.Prefill(i)
+		dres := m.DecodeRun(i, o, 1)
 		pPred = append(pPred, lm.Prefill.Predict(i))
 		pAct = append(pAct, pres.Time)
 		dPred = append(dPred, lm.Decode.Predict(i, o))

@@ -10,7 +10,11 @@ import (
 	"edgereasoning/internal/model"
 )
 
-func orinSim() *gpusim.Sim { return gpusim.New(hw.JetsonAGXOrin64GB()) }
+// orinCost resolves a catalog model's cost model on the Orin.
+func orinCost(id model.ID) *gpusim.CostModel {
+	spec := model.MustLookup(id)
+	return gpusim.New(hw.JetsonAGXOrin64GB()).Resolve(spec.Arch, spec.DType)
+}
 
 func TestPrefillModelPredictAndPad(t *testing.T) {
 	pm := PrefillModel{A: 1e-7, B: 1e-4, C: 0.1, Tile: 128}
@@ -44,10 +48,9 @@ func TestDecodeModelMatchesEqn2(t *testing.T) {
 // The fitted coefficients must land near the paper's Table IV/V values:
 // the simulator and the fitting pipeline together reproduce §IV-A.
 func TestFittedDecodeCoefficientsNearPaper(t *testing.T) {
-	sim := orinSim()
 	paper := PaperDecodeModels()
 	for _, spec := range model.DSR1Family() {
-		dm, rep, err := FitDecodeModel(sim, spec.Arch, spec.DType)
+		dm, rep, err := FitDecodeModel(orinCost(spec.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,10 +72,9 @@ func TestFittedDecodeCoefficientsNearPaper(t *testing.T) {
 }
 
 func TestFittedPrefillConstantNearPaper(t *testing.T) {
-	sim := orinSim()
 	paper := PaperPrefillModels()
 	for _, spec := range model.DSR1Family() {
-		pm, rep, err := FitPrefillModel(sim, spec.Arch, spec.DType, 2048)
+		pm, rep, err := FitPrefillModel(orinCost(spec.ID), 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,15 +93,14 @@ func TestFittedPrefillConstantNearPaper(t *testing.T) {
 // Table VI: the analytic model tracks held-out workloads with total MAPE
 // under a few percent.
 func TestLatencyModelValidationMAPE(t *testing.T) {
-	sim := orinSim()
-	spec := model.MustLookup(model.DSR1Llama8B)
-	lm, err := FitLatencyModel(sim, spec)
+	m := orinCost(model.DSR1Llama8B)
+	lm, err := FitLatencyModel(m, model.DSR1Llama8B)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Held-out workload: (I, O) pairs the fits never saw.
 	workload := [][2]int{{96, 300}, {200, 700}, {333, 950}, {700, 1500}, {150, 90}, {1500, 2500}}
-	pMAPE, dMAPE, tMAPE := ValidateLatencyModel(sim, spec.Arch, spec.DType, lm, workload)
+	pMAPE, dMAPE, tMAPE := ValidateLatencyModel(m, lm, workload)
 	if dMAPE > 0.03 {
 		t.Errorf("decode MAPE = %.4f, paper reports < 0.6%%", dMAPE)
 	}
@@ -113,9 +114,7 @@ func TestLatencyModelValidationMAPE(t *testing.T) {
 }
 
 func TestMaxTokensWithinInvertsTotal(t *testing.T) {
-	sim := orinSim()
-	spec := model.MustLookup(model.DSR1Qwen14B)
-	lm, err := FitLatencyModel(sim, spec)
+	lm, err := FitLatencyModel(orinCost(model.DSR1Qwen14B), model.DSR1Qwen14B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +140,7 @@ func TestMaxTokensWithinInvertsTotal(t *testing.T) {
 // preferable beyond ~21s. Our inversion should place ~100-130 tokens
 // within a 21s budget for the 14B.
 func TestFig7CrossoverTokenBudget(t *testing.T) {
-	sim := orinSim()
-	spec := model.MustLookup(model.DSR1Qwen14B)
-	lm, err := FitLatencyModel(sim, spec)
+	lm, err := FitLatencyModel(orinCost(model.DSR1Qwen14B), model.DSR1Qwen14B)
 	if err != nil {
 		t.Fatal(err)
 	}

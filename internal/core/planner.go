@@ -60,10 +60,17 @@ type Planner struct {
 	// Rates prices the recipes (default PaperRates).
 	Rates cost.Rates
 
-	sim      *gpusim.Sim
-	meter    *power.Meter
-	bank     *data.Bank
-	latCache map[model.ID]LatencyModel
+	sim    *gpusim.Sim
+	meter  *power.Meter
+	bank   *data.Bank
+	priced map[model.ID]pricedSpec
+}
+
+// pricedSpec is a spec's resolved cost model with the latency model
+// fitted on it.
+type pricedSpec struct {
+	cost    *gpusim.CostModel
+	latency LatencyModel
 }
 
 // NewPlanner builds a planner for a benchmark on a device.
@@ -85,7 +92,7 @@ func NewPlanner(device *hw.Device, bench data.Benchmark, seed uint64) (*Planner,
 		sim:             gpusim.New(device),
 		meter:           power.NewMeter(device),
 		bank:            bank,
-		latCache:        map[model.ID]LatencyModel{},
+		priced:          map[model.ID]pricedSpec{},
 	}, nil
 }
 
@@ -101,18 +108,20 @@ func (p *Planner) meanPromptTokens() int {
 	return sum / p.bank.Size()
 }
 
-// latencyModel returns (fitting on first use) the analytic model for a
-// spec.
-func (p *Planner) latencyModel(spec model.Spec) (LatencyModel, error) {
-	if lm, ok := p.latCache[spec.ID]; ok {
-		return lm, nil
+// resolved returns (resolving and fitting on first use) a spec's cost
+// model and analytic latency model.
+func (p *Planner) resolved(spec model.Spec) (pricedSpec, error) {
+	if ps, ok := p.priced[spec.ID]; ok {
+		return ps, nil
 	}
-	lm, err := FitLatencyModel(p.sim, spec)
+	m := p.sim.Resolve(spec.Arch, spec.DType)
+	lm, err := FitLatencyModel(m, spec.ID)
 	if err != nil {
-		return LatencyModel{}, err
+		return pricedSpec{}, err
 	}
-	p.latCache[spec.ID] = lm
-	return lm, nil
+	ps := pricedSpec{cost: m, latency: lm}
+	p.priced[spec.ID] = ps
+	return ps, nil
 }
 
 // specsToConsider returns every catalog spec (and its quantized variant)
@@ -134,7 +143,7 @@ func (p *Planner) specsToConsider() []model.Spec {
 // price fills a candidate's latency, energy, and cost from the analytic
 // models and simulator.
 func (p *Planner) price(spec model.Spec, c *Candidate) error {
-	lm, err := p.latencyModel(spec)
+	ps, err := p.resolved(spec)
 	if err != nil {
 		return err
 	}
@@ -144,14 +153,14 @@ func (p *Planner) price(spec model.Spec, c *Candidate) error {
 		out = 1
 	}
 	if c.SF <= 1 {
-		c.Latency = lm.Total(prompt, out)
+		c.Latency = ps.latency.Total(prompt, out)
 	} else {
 		// Parallel scaling: one prefill plus a batched decode run.
-		dres := p.sim.DecodeRun(spec.Arch, spec.DType, prompt, out, c.SF)
-		c.Latency = lm.Prefill.Predict(prompt) + dres.Time
+		dres := ps.cost.DecodeRun(prompt, out, c.SF)
+		c.Latency = ps.latency.Prefill.Predict(prompt) + dres.Time
 	}
-	pres := p.sim.Prefill(spec.Arch, spec.DType, prompt, 1)
-	dres := p.sim.DecodeRun(spec.Arch, spec.DType, prompt, out, c.SF)
+	pres := ps.cost.Prefill(prompt)
+	dres := ps.cost.DecodeRun(prompt, out, c.SF)
 	c.EnergyPerQ = p.meter.Energy(pres) + p.meter.Energy(dres)
 	tokens := prompt + out*c.SF
 	// Figs 6-8 / Tables X-XI price recipes from energy measurements alone
@@ -276,9 +285,9 @@ func (p *Planner) PlanWithEnergy(latencyBudget, energyBudget float64) (Candidate
 // prompt length. Combined with a budget-aware model like L1 this is
 // Takeaway #6's deployment recipe.
 func (p *Planner) MaxTokensWithin(spec model.Spec, latencyBudget float64) (int, error) {
-	lm, err := p.latencyModel(spec)
+	ps, err := p.resolved(spec)
 	if err != nil {
 		return 0, err
 	}
-	return lm.MaxTokensWithin(p.meanPromptTokens(), latencyBudget), nil
+	return ps.latency.MaxTokensWithin(p.meanPromptTokens(), latencyBudget), nil
 }

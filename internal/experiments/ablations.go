@@ -26,13 +26,14 @@ func ablationSpeculative(opts Options) ([]Table, error) {
 	}
 	for _, targetID := range []model.ID{model.DSR1Llama8B, model.DSR1Qwen14B} {
 		target := model.MustLookup(targetID)
+		m := sim.Resolve(target.Arch, target.DType)
 		for _, gamma := range []int{2, 4, 8} {
 			for _, alpha := range []float64{0.5, 0.7, 0.9} {
 				cfg := gpusim.SpeculativeConfig{
 					Draft: draft.Arch, DraftDType: draft.DType,
 					Gamma: gamma, AcceptRate: alpha,
 				}
-				res, speedup := sim.DecodeRunSpeculative(target.Arch, target.DType, cfg, 512, 1024)
+				res, speedup := m.DecodeRunSpeculative(cfg, 512, 1024)
 				t.AddRow(string(targetID), di(gamma), f2(alpha),
 					f2(cfg.ExpectedTokensPerIteration()),
 					f1(res.Time/float64(res.Tokens)*1000), f2(speedup))
@@ -56,7 +57,7 @@ func ablationHostOffload(opts Options) ([]Table, error) {
 		for _, overlap := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 			sim := gpusim.New(hw.JetsonAGXOrin64GB())
 			sim.HostOverlap = overlap
-			tbt := sim.TBT(spec.Arch, spec.DType, 512)
+			tbt := sim.Resolve(spec.Arch, spec.DType).TBT(512)
 			if overlap == 0 {
 				base = tbt
 			}
@@ -78,9 +79,8 @@ func ablationPowerModes(opts Options) ([]Table, error) {
 	for _, spec := range model.DSR1Family() {
 		for _, mode := range hw.OrinPowerModes() {
 			dev := hw.ApplyPowerMode(base, mode)
-			sim := gpusim.New(dev)
 			meter := power.NewMeter(dev)
-			res := sim.DecodeRun(spec.Arch, spec.DType, 512, 512, 1)
+			res := gpusim.New(dev).Resolve(spec.Arch, spec.DType).DecodeRun(512, 512, 1)
 			t.AddRow(string(spec.ID), mode.Name,
 				f1(res.Time/float64(res.Tokens)*1000), f1(res.Time),
 				f1(meter.Power(res)), f3(meter.EnergyPerToken(res)))

@@ -28,11 +28,11 @@ func fig2PrefillLatency(opts Options) ([]Table, error) {
 	}
 	paper := core.PaperPrefillModels()
 	for _, spec := range model.DSR1Family() {
+		m := sim.Resolve(spec.Arch, spec.DType)
 		for i := 16; i <= 640; i += 16 {
-			res := sim.Prefill(spec.Arch, spec.DType, i, 1)
-			series.AddRow(string(spec.ID), di(i), f4(res.Time))
+			series.AddRow(string(spec.ID), di(i), f4(m.Prefill(i).Time))
 		}
-		pm, rep, err := core.FitPrefillModel(sim, spec.Arch, spec.DType, 2048)
+		pm, rep, err := core.FitPrefillModel(m, 2048)
 		if err != nil {
 			return nil, err
 		}
@@ -62,14 +62,14 @@ func fig3DecodeLatency(opts Options) ([]Table, error) {
 	}
 	paper := core.PaperDecodeModels()
 	for _, spec := range model.DSR1Family() {
+		m := sim.Resolve(spec.Arch, spec.DType)
 		for _, o := range []int{64, 256, 512, 1024, 2048, 3072, 4096} {
-			res := sim.DecodeRun(spec.Arch, spec.DType, 512, o, 1)
-			latSeries.AddRow(string(spec.ID), di(o), f2(res.Time))
+			latSeries.AddRow(string(spec.ID), di(o), f2(m.DecodeRun(512, o, 1).Time))
 		}
 		for _, i := range []int{1, 256, 512, 1024, 2048, 4096} {
-			tbtSeries.AddRow(string(spec.ID), di(i), f4(sim.TBT(spec.Arch, spec.DType, i)))
+			tbtSeries.AddRow(string(spec.ID), di(i), f4(m.TBT(i)))
 		}
-		dm, rep, err := core.FitDecodeModel(sim, spec.Arch, spec.DType)
+		dm, rep, err := core.FitDecodeModel(m)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,8 @@ func table6LatencyMAPE(opts Options) ([]Table, error) {
 		Columns: []string{"model", "prefill_pct", "decode_pct", "total_pct"},
 	}
 	for _, spec := range model.DSR1Family() {
-		lm, err := core.FitLatencyModel(sim, spec)
+		m := sim.Resolve(spec.Arch, spec.DType)
+		lm, err := core.FitLatencyModel(m, spec.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,7 @@ func table6LatencyMAPE(opts Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, d, tot := core.ValidateLatencyModel(sim, spec.Arch, spec.DType, lm, workload)
+		p, d, tot := core.ValidateLatencyModel(m, lm, workload)
 		t.AddRow(string(spec.ID), f2(p*100), f2(d*100), f2(tot*100))
 	}
 	return []Table{t}, nil
@@ -134,14 +135,15 @@ func table7PrefillDecodeRatios(opts Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		m := sim.Resolve(spec.Arch, spec.DType)
 		var pTok, dTok int
 		var pLat, dLat float64
 		for _, q := range sub.Questions {
 			g := cell.Generate(q)
 			pTok += q.PromptTokens
 			dTok += g.OutputTokens
-			pLat += sim.Prefill(spec.Arch, spec.DType, q.PromptTokens, 1).Time
-			dLat += sim.DecodeRun(spec.Arch, spec.DType, q.PromptTokens, g.OutputTokens, 1).Time
+			pLat += m.Prefill(q.PromptTokens).Time
+			dLat += m.DecodeRun(q.PromptTokens, g.OutputTokens, 1).Time
 		}
 		t.AddRow(string(spec.ID), di(pTok), di(dTok),
 			fmt.Sprintf("1:%.1f", float64(dTok)/float64(pTok)),
@@ -162,8 +164,9 @@ func fig4PrefillPowerEnergy(opts Options) ([]Table, error) {
 		Columns: []string{"model", "input_len", "power_w", "energy_j_per_tok"},
 	}
 	for _, spec := range model.DSR1Family() {
+		m := sim.Resolve(spec.Arch, spec.DType)
 		for _, i := range []int{128, 256, 512, 1024, 2048, 3072, 4096} {
-			res := sim.Prefill(spec.Arch, spec.DType, i, 1)
+			res := m.Prefill(i)
 			t.AddRow(string(spec.ID), di(i), f1(meter.ObservedPower(res)), f4(meter.EnergyPerToken(res)))
 		}
 	}
@@ -181,8 +184,9 @@ func fig5DecodePowerEnergy(opts Options) ([]Table, error) {
 		Columns: []string{"model", "output_len", "power_w", "energy_j_per_tok"},
 	}
 	for _, spec := range model.DSR1Family() {
+		m := sim.Resolve(spec.Arch, spec.DType)
 		for _, o := range []int{128, 256, 512, 1024, 1536, 2048} {
-			res := sim.DecodeRun(spec.Arch, spec.DType, 512, o, 1)
+			res := m.DecodeRun(512, o, 1)
 			t.AddRow(string(spec.ID), di(o), f1(meter.Power(res)), f3(meter.EnergyPerToken(res)))
 		}
 	}
@@ -204,11 +208,12 @@ func table8EnergyMAPE(opts Options) ([]Table, error) {
 		Columns: []string{"model", "power_alpha", "power_beta", "energy_alpha", "energy_beta"},
 	}
 	for _, spec := range model.DSR1Family() {
-		pe, err := core.FitPrefillEnergy(sim, meter, spec.Arch, spec.DType)
+		m := sim.Resolve(spec.Arch, spec.DType)
+		pe, err := core.FitPrefillEnergy(m, meter)
 		if err != nil {
 			return nil, err
 		}
-		de, err := core.FitDecodeEnergy(sim, meter, spec.Arch, spec.DType)
+		de, err := core.FitDecodeEnergy(m, meter)
 		if err != nil {
 			return nil, err
 		}
@@ -216,10 +221,9 @@ func table8EnergyMAPE(opts Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := core.ValidateEnergyModel(sim, meter, spec.Arch, spec.DType, pe, de, workload)
-		mape.AddRow(string(spec.ID), f1(m*100))
+		mape.AddRow(string(spec.ID), f1(core.ValidateEnergyModel(m, meter, pe, de, workload)*100))
 
-		dp, err := core.FitDecodePower(sim, meter, spec.Arch, spec.DType)
+		dp, err := core.FitDecodePower(m, meter)
 		if err != nil {
 			return nil, err
 		}
@@ -242,16 +246,20 @@ func logLinearTerms(c fit.Curve) (alpha, beta float64) {
 // cpuVsGPU reproduces Tables XVI and XVII: the ARM Cortex-A78AE complex
 // as an alternative inference engine.
 func cpuVsGPU(opts Options) ([]Table, error) {
-	gpu := gpusim.New(hw.JetsonAGXOrin64GB())
-	cpu := gpusim.New(hw.OrinCortexA78AE())
+	family := model.DSR1Family()
+	gpu, cpu := make([]*gpusim.CostModel, len(family)), make([]*gpusim.CostModel, len(family))
+	gpuSim, cpuSim := gpusim.New(hw.JetsonAGXOrin64GB()), gpusim.New(hw.OrinCortexA78AE())
+	for k, spec := range family {
+		gpu[k], cpu[k] = gpuSim.Resolve(spec.Arch, spec.DType), cpuSim.Resolve(spec.Arch, spec.DType)
+	}
 	prefill := Table{
 		ID: "table16", Title: "Prefill latency: CPU vs GPU (s)",
 		Columns: []string{"input_len", "model", "cpu_s", "gpu_s", "gpu_speedup"},
 	}
 	for _, n := range []int{128, 256, 512, 1024} {
-		for _, spec := range model.DSR1Family() {
-			tc := cpu.Prefill(spec.Arch, spec.DType, n, 1).Time
-			tg := gpu.Prefill(spec.Arch, spec.DType, n, 1).Time
+		for k, spec := range family {
+			tc := cpu[k].Prefill(n).Time
+			tg := gpu[k].Prefill(n).Time
 			prefill.AddRow(di(n), string(spec.ID), f2(tc), f3(tg), f1(tc/tg))
 		}
 	}
@@ -261,9 +269,10 @@ func cpuVsGPU(opts Options) ([]Table, error) {
 		Notes:   []string{"the paper's 64-token row is anomalous (0.81 s/token vs 0.10 at all other lengths); we report consistent sweeps"},
 	}
 	for _, o := range []int{64, 128, 256, 1024} {
-		for _, spec := range model.DSR1Family()[1:] { // 8B and 14B, as in the paper
-			tc := cpu.DecodeRun(spec.Arch, spec.DType, 512, o, 1).Time
-			tg := gpu.DecodeRun(spec.Arch, spec.DType, 512, o, 1).Time
+		for k := 1; k < len(family); k++ { // 8B and 14B, as in the paper
+			spec := family[k]
+			tc := cpu[k].DecodeRun(512, o, 1).Time
+			tg := gpu[k].DecodeRun(512, o, 1).Time
 			decode.AddRow(di(o), string(spec.ID), f1(tc), f1(tg), f1(tc/tg))
 		}
 	}

@@ -47,18 +47,19 @@ func quantSuite(opts Options) ([]Table, error) {
 
 	for _, spec := range model.DSR1Family() {
 		q := spec.Quantized()
+		base, w4 := sim.Resolve(spec.Arch, spec.DType), sim.Resolve(q.Arch, q.DType)
 		for _, n := range []int{512, 1024, 2048, 4096} {
-			res := sim.Prefill(q.Arch, q.DType, n, 1)
+			res := w4.Prefill(n)
 			fig11.AddRow(string(q.ID), "prefill", di(n), f3(res.Time))
 			fig1213.AddRow(string(q.ID), "prefill", di(n), f1(meter.ObservedPower(res)), f4(meter.EnergyPerToken(res)))
 		}
 		for _, o := range []int{128, 512, 1024, 2048} {
-			res := sim.DecodeRun(q.Arch, q.DType, 512, o, 1)
+			res := w4.DecodeRun(512, o, 1)
 			fig11.AddRow(string(q.ID), "decode", di(o), f2(res.Time))
 			fig1213.AddRow(string(q.ID), "decode", di(o), f1(meter.Power(res)), f3(meter.EnergyPerToken(res)))
 		}
 
-		cmp, err := quant.Compare(sim, meter, spec, data.MMLURedux)
+		cmp, err := quant.Compare(base, w4, meter, spec, data.MMLURedux)
 		if err != nil {
 			return nil, err
 		}
@@ -68,19 +69,17 @@ func quantSuite(opts Options) ([]Table, error) {
 		t19.AddRow(string(spec.ID), "awq-w4", f2(cmp.QuantDecode.MeanTime), f1(cmp.QuantDecode.TokPerSec), f1(cmp.QuantDecode.MeanPower))
 
 		if cmp.HaveAccuracy {
-			baseLat := sim.Prefill(spec.Arch, spec.DType, 180, 1).Time +
-				sim.DecodeRun(spec.Arch, spec.DType, 180, int(cmp.BaseTokens), 1).Time
-			quantLat := sim.Prefill(q.Arch, q.DType, 180, 1).Time +
-				sim.DecodeRun(q.Arch, q.DType, 180, int(cmp.QuantTokens), 1).Time
+			baseLat := base.Prefill(180).Time + base.DecodeRun(180, int(cmp.BaseTokens), 1).Time
+			quantLat := w4.Prefill(180).Time + w4.DecodeRun(180, int(cmp.QuantTokens), 1).Time
 			fig14.AddRow(string(spec.ID), "fp16", pct(cmp.BaseAccuracy), f1(cmp.BaseTokens), f2(baseLat), "1.0")
 			fig14.AddRow(string(spec.ID), "w4", pct(cmp.QuantAccuracy), f1(cmp.QuantTokens), f2(quantLat), f2(cmp.DecodeSpeedup()))
 		}
 
-		dp, err := core.FitDecodePower(sim, meter, q.Arch, q.DType)
+		dp, err := core.FitDecodePower(w4, meter)
 		if err != nil {
 			return nil, err
 		}
-		de, err := core.FitDecodeEnergy(sim, meter, q.Arch, q.DType)
+		de, err := core.FitDecodeEnergy(w4, meter)
 		if err != nil {
 			return nil, err
 		}

@@ -36,11 +36,12 @@ func rooflineAnalysis(opts Options) ([]Table, error) {
 		return "bandwidth"
 	}
 	for _, spec := range model.DSR1Family() {
-		pre := sim.Prefill(spec.Arch, spec.DType, 2048, 1)
+		m := sim.Resolve(spec.Arch, spec.DType)
+		pre := m.Prefill(2048)
 		aiPre := pre.FLOPs / pre.Bytes
 		phases.AddRow(string(spec.ID), "prefill@2048", "1", f1(aiPre), classify(aiPre))
 		for _, batch := range []int{1, 8, 64} {
-			dec := sim.DecodeRun(spec.Arch, spec.DType, 512, 256, batch)
+			dec := m.DecodeRun(512, 256, batch)
 			ai := dec.FLOPs / dec.Bytes
 			phases.AddRow(string(spec.ID), "decode@512ctx", di(batch), f1(ai), classify(ai))
 		}

@@ -51,14 +51,23 @@ func Scorecard(opts Options) ([]Anchor, error) {
 		anchors = append(anchors, Anchor{Name: name, Paper: paper, Measured: measured, TolFrac: tol})
 	}
 
+	// The DSR1 trio (1.5B, 8B, 14B) in its own FP16 weights and in W4A16.
+	family := model.DSR1Family()
+	fp16, w4 := make([]*gpusim.CostModel, len(family)), make([]*gpusim.CostModel, len(family))
+	for k, spec := range family {
+		fp16[k] = sim.Resolve(spec.Arch, spec.DType)
+		w4[k] = sim.Resolve(spec.Arch, model.W4A16)
+	}
+
 	// §IV-A: decode TBT for the DSR1 trio.
 	tbtPaper := map[model.ID]float64{model.DSR1Qwen1_5B: 0.024, model.DSR1Llama8B: 0.096, model.DSR1Qwen14B: 0.187}
-	for _, spec := range model.DSR1Family() {
-		add("tbt_"+string(spec.ID), tbtPaper[spec.ID], sim.TBT(spec.Arch, spec.DType, 512), 0.15)
+	for k, spec := range family {
+		add("tbt_"+string(spec.ID), tbtPaper[spec.ID], fp16[k].TBT(512), 0.15)
 	}
 
 	// Table IV: prefill constant c for the 8B.
-	pm, _, err := core.FitPrefillModel(sim, model.MustLookup(model.DSR1Llama8B).Arch, model.FP16, 2048)
+	m8 := fp16[1]
+	pm, _, err := core.FitPrefillModel(m8, 2048)
 	if err != nil {
 		return nil, err
 	}
@@ -66,24 +75,22 @@ func Scorecard(opts Options) ([]Anchor, error) {
 
 	// Table VII: decode dominates >99.5% of reasoning latency (8B, base
 	// lengths).
-	a8 := model.MustLookup(model.DSR1Llama8B).Arch
-	pre := sim.Prefill(a8, model.FP16, 180, 1)
-	dec := sim.DecodeRun(a8, model.FP16, 180, 811, 1)
+	pre := m8.Prefill(180)
+	dec := m8.DecodeRun(180, 811, 1)
 	add("decode_share_8b", 0.995, dec.Time/(pre.Time+dec.Time), 0.01)
 
 	// Table XIX: decode power for the trio.
 	powPaper := map[model.ID]float64{model.DSR1Qwen1_5B: 19.6, model.DSR1Llama8B: 24.4, model.DSR1Qwen14B: 26.5}
-	for _, spec := range model.DSR1Family() {
-		res := sim.DecodeRun(spec.Arch, spec.DType, 512, 1024, 1)
+	for k, spec := range family {
+		res := fp16[k].DecodeRun(512, 1024, 1)
 		add("decode_power_"+string(spec.ID), powPaper[spec.ID], meter.Power(res), 0.20)
 	}
 
 	// Table XIX: W4 decode speedups.
 	spdPaper := map[model.ID]float64{model.DSR1Qwen1_5B: 2.0, model.DSR1Llama8B: 2.9, model.DSR1Qwen14B: 3.1}
-	for _, spec := range model.DSR1Family() {
-		base := sim.DecodeRun(spec.Arch, model.FP16, 512, 1024, 1).Time
-		w4 := sim.DecodeRun(spec.Arch, model.W4A16, 512, 1024, 1).Time
-		add("w4_decode_speedup_"+string(spec.ID), spdPaper[spec.ID], base/w4, 0.20)
+	for k, spec := range family {
+		speedup := fp16[k].DecodeRun(512, 1024, 1).Time / w4[k].DecodeRun(512, 1024, 1).Time
+		add("w4_decode_speedup_"+string(spec.ID), spdPaper[spec.ID], speedup, 0.20)
 	}
 
 	// Table X: Base accuracy of the strategy grid (twin sampling). An

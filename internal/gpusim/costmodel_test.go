@@ -97,14 +97,49 @@ func costModelSims() []namedSim {
 	}
 }
 
-// The resolved cost model must price every call exactly as the per-call
-// Sim methods do, and those exactly as the unresolved walk and closed
-// form: every catalog architecture in each weight format on each
-// simulator, prompt lengths within, at the edges of and past the tile
-// table in random order (so a tile is reused across the lengths it
-// pads), and decode chunks and runs at batch 1..32 over random contexts.
-func TestCostModelMatchesSim(t *testing.T) {
+// refSpeculative is the reference speculative decode: the plain run, the
+// draft step and the verify step each priced by derivedDecode.
+func refSpeculative(s *Sim, a model.Arch, dt model.DType, cfg SpeculativeConfig, start, n int) (Result, float64) {
+	if n <= 0 {
+		return Result{Phase: PhaseDecode}, 1
+	}
+	plain := derivedDecode(s, a, dt, 1, n, runContext(start, n, 1))
+	if cfg.Gamma <= 0 {
+		return plain, 1
+	}
+	iters := int(math.Ceil(float64(n) / cfg.ExpectedTokensPerIteration()))
+	mid := float64(max(start+n/2, 0))
+	draft := derivedDecode(s, cfg.Draft, cfg.DraftDType, 1, 1, mid)
+	verify := derivedDecode(s, a, dt, 1, 1, mid)
+	g := float64(cfg.Gamma)
+	iter := g*draft.Time + verify.Time + g*float64(a.KVBytesPerToken())/s.Device.EffectiveBandwidth()
+	res := Result{
+		Phase:     PhaseDecode,
+		Time:      float64(iters) * iter,
+		FLOPs:     plain.FLOPs + float64(iters)*g*draft.FLOPs,
+		Bytes:     float64(iters) * (g*draft.Bytes + verify.Bytes),
+		Kernels:   iters * (cfg.Gamma*draft.Kernels + verify.Kernels),
+		Tokens:    n,
+		Occupancy: plain.Occupancy,
+	}
+	if res.Time > 0 {
+		res.ComputeUtil = res.FLOPs / res.Time / s.Device.PeakFP16FLOPS
+		res.BWUtil = res.Bytes / res.Time / s.Device.MemBandwidth
+	}
+	return res, plain.Time / res.Time
+}
+
+// The resolved cost model must price every call exactly as the unresolved
+// kernel walk and decode closed form do: every catalog architecture in
+// each weight format on each simulator, prompt lengths within, at the
+// edges of and past the tile table in random order (so a tile is reused
+// across the lengths it pads), batched prefills, decode chunks and runs
+// at batch 1..32 over random contexts, TBT, and speculative runs with a
+// random draft.
+func TestCostModelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 20))
+	dtypes := []model.DType{model.FP16, model.W4A16, model.FP32}
+	specs := model.All()
 	for _, ns := range costModelSims() {
 		name, s := ns.name, ns.s
 		tileM := max(s.Device.TileM, 1)
@@ -116,22 +151,18 @@ func TestCostModelMatchesSim(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			lengths = append(lengths, 1+rng.IntN(limit))
 		}
-		for _, spec := range model.All() {
-			for _, dt := range []model.DType{model.FP16, model.W4A16, model.FP32} {
+		for _, spec := range specs {
+			for _, dt := range dtypes {
 				a := spec.Arch
 				m := s.Resolve(a, dt)
 				where := fmt.Sprintf("%s %s %s", name, spec.ID, dt)
 				rng.Shuffle(len(lengths), func(i, j int) { lengths[i], lengths[j] = lengths[j], lengths[i] })
 				for _, n := range lengths {
-					got, want := m.Prefill(n), s.Prefill(a, dt, n, 1)
-					if !sameBits(got, want) {
-						t.Fatalf("%s: prefill %d: model %+v, sim %+v", where, n, got, want)
-					}
-					if ref := walkPrefill(s, a, dt, n, 1); !sameBits(want, ref) {
-						t.Fatalf("%s: prefill %d: sim %+v, kernel walk %+v", where, n, want, ref)
+					if got, ref := m.Prefill(n), walkPrefill(s, a, dt, n, 1); !sameBits(got, ref) {
+						t.Fatalf("%s: prefill %d: model %+v, kernel walk %+v", where, n, got, ref)
 					}
 				}
-				if b := 1 + rng.IntN(8); !sameBits(s.Prefill(a, dt, 100, b), walkPrefill(s, a, dt, 100, b)) {
+				if b := 1 + rng.IntN(8); !sameBits(m.Prefill(100*b), walkPrefill(s, a, dt, 100, b)) {
 					t.Fatalf("%s: batched prefill at %d differs from the kernel walk", where, b)
 				}
 				for i := 0; i < 60; i++ {
@@ -140,24 +171,42 @@ func TestCostModelMatchesSim(t *testing.T) {
 					for j := range ctxs {
 						ctxs[j] = rng.IntN(20_000) - 10 // a few negative: read as empty
 					}
-					got, want := m.DecodeChunk(ctxs, n), s.DecodeChunk(a, dt, ctxs, n)
-					if ref := derivedDecode(s, a, dt, batch, n, chunkContext(ctxs, n)); !sameBits(got, want) || !sameBits(want, ref) {
-						t.Fatalf("%s: chunk %v×%d: model %+v, sim %+v, derived %+v", where, ctxs, n, got, want, ref)
+					if got, ref := m.DecodeChunk(ctxs, n), derivedDecode(s, a, dt, batch, n, chunkContext(ctxs, n)); !sameBits(got, ref) {
+						t.Fatalf("%s: chunk %v×%d: model %+v, derived %+v", where, ctxs, n, got, ref)
 					}
-					got, want = m.DecodeRun(start, n, batch), s.DecodeRun(a, dt, start, n, batch)
-					if ref := derivedDecode(s, a, dt, batch, n, runContext(start, n, batch)); !sameBits(got, want) || !sameBits(want, ref) {
-						t.Fatalf("%s: run %d+%d at %d: model %+v, sim %+v, derived %+v", where, start, n, batch, got, want, ref)
+					if got, ref := m.DecodeRun(start, n, batch), derivedDecode(s, a, dt, batch, n, runContext(start, n, batch)); !sameBits(got, ref) {
+						t.Fatalf("%s: run %d+%d at %d: model %+v, derived %+v", where, start, n, batch, got, ref)
+					}
+					ctx := ctxs[0]
+					ref := derivedDecode(s, a, dt, 1, 1, float64(max(ctx, 0)))
+					if got := m.TBT(ctx); math.Float64bits(got) != math.Float64bits(ref.Time) {
+						t.Fatalf("%s: TBT at %d: model %v, derived %v", where, ctx, got, ref.Time)
+					}
+				}
+				for i := 0; i < 8; i++ {
+					draft := specs[rng.IntN(len(specs))]
+					cfg := SpeculativeConfig{
+						Draft: draft.Arch, DraftDType: dtypes[rng.IntN(len(dtypes))],
+						Gamma: rng.IntN(9), AcceptRate: rng.Float64(),
+					}
+					start, n := rng.IntN(8000), rng.IntN(2000)
+					got, gotUp := m.DecodeRunSpeculative(cfg, start, n)
+					ref, refUp := refSpeculative(s, a, dt, cfg, start, n)
+					if !sameBits(got, ref) || math.Float64bits(gotUp) != math.Float64bits(refUp) {
+						t.Fatalf("%s: speculative %+v from %d for %d: model %+v ×%v, reference %+v ×%v",
+							where, cfg, start, n, got, gotUp, ref, refUp)
 					}
 				}
 				for _, n := range []int{0, -3} {
-					if got, want := m.Prefill(n), s.Prefill(a, dt, n, 1); !sameBits(got, want) {
-						t.Fatalf("%s: prefill %d: model %+v, sim %+v", where, n, got, want)
+					empty := Result{Phase: PhaseDecode}
+					if got := m.Prefill(n); !sameBits(got, Result{Phase: PhasePrefill}) {
+						t.Fatalf("%s: prefill %d: model %+v, want empty", where, n, got)
 					}
-					if got, want := m.DecodeChunk([]int{5}, n), s.DecodeChunk(a, dt, []int{5}, n); !sameBits(got, want) {
-						t.Fatalf("%s: chunk of %d steps: model %+v, sim %+v", where, n, got, want)
+					if got := m.DecodeChunk([]int{5}, n); !sameBits(got, empty) {
+						t.Fatalf("%s: chunk of %d steps: model %+v, want empty", where, n, got)
 					}
-					if got, want := m.DecodeRun(5, n, 2), s.DecodeRun(a, dt, 5, n, 2); !sameBits(got, want) {
-						t.Fatalf("%s: run of %d steps: model %+v, sim %+v", where, n, got, want)
+					if got := m.DecodeRun(5, n, 2); !sameBits(got, empty) {
+						t.Fatalf("%s: run of %d steps: model %+v, want empty", where, n, got)
 					}
 				}
 			}
@@ -171,9 +220,12 @@ func TestCostModelSnapshotsDevice(t *testing.T) {
 	s := orinSim()
 	a := model.MustLookup(model.DSR1Llama8B).Arch
 	m := s.Resolve(a, model.FP16)
-	want := s.Prefill(a, model.FP16, 700, 1)
+	want := s.Resolve(a, model.FP16).Prefill(700)
 	s.Device.MemBandwidth /= 2
 	s.JitterFrac = 0
+	if sameBits(s.Resolve(a, model.FP16).Prefill(700), want) {
+		t.Fatal("changing the simulator does not change the price; the test shows nothing")
+	}
 	if got := m.Prefill(700); !sameBits(got, want) {
 		t.Fatalf("prefill after changing the simulator: %+v, resolved %+v", got, want)
 	}
@@ -193,7 +245,7 @@ func TestAttentionSlot(t *testing.T) {
 	}
 }
 
-// A tile hit, a prompt past the table and a decode chunk allocate
+// A tile hit, a prompt past the table, a decode chunk and a TBT allocate
 // nothing.
 func TestCostModelAllocs(t *testing.T) {
 	m := orinSim().Resolve(model.MustLookup(model.DSR1Llama8B).Arch, model.FP16)
@@ -204,6 +256,7 @@ func TestCostModelAllocs(t *testing.T) {
 		"tile hit":       func() { sink = m.Prefill(260) },
 		"past the table": func() { sink = m.Prefill(maxTiles*128 + 500) },
 		"decode chunk":   func() { sink = m.DecodeChunk(ctxs, 16) },
+		"tbt":            func() { sink.Time = m.TBT(1200) },
 	} {
 		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, allocs)

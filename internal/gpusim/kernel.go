@@ -4,6 +4,11 @@
 // launch overhead, applies tensor-core tile padding (the source of the
 // paper's 128-token stepped prefill latency, Fig 2), and reports the
 // utilization signals the power model consumes.
+//
+// A Sim holds only the device and its noise and overlap settings. Every
+// caller prices through the CostModel that Sim.Resolve returns for one
+// architecture and weight format: resolve once per (device, model,
+// dtype), then price each prefill, decode run, chunk or TBT on it.
 package gpusim
 
 import (

@@ -248,65 +248,11 @@ func (s *Sim) prefillFrom(tl *prefillTile, a *model.Arch, dt model.DType, mPad, 
 	return res
 }
 
-// Prefill times prompt processing for n tokens at the given batch size
-// (the paper prefills at batch 1; batched prefill concatenates prompts).
-func (s *Sim) Prefill(a model.Arch, dt model.DType, n, batch int) Result {
-	if n <= 0 || batch <= 0 {
-		return Result{Phase: PhasePrefill}
-	}
-	total := n * batch
-	mPad := s.Device.PadM(total)
-	tl := s.tile(a, dt, mPad)
-	return s.prefillFrom(&tl, &a, dt, mPad, total)
-}
-
 // decodeKernelsPerStep is the launch count charged per decode iteration
 // per layer (QKV, attention, O, up/gate, down, norms, plus amortized
 // head/sampling). This fixed cost is what separates the measured TBT from
 // the pure bandwidth bound — on Orin it is the dominant non-memory term.
 const decodeKernelsPerStep = 7
-
-// DecodeStep times one decode iteration for a batch of sequences with the
-// given context lengths (prompt + generated so far, per sequence).
-func (s *Sim) DecodeStep(a model.Arch, dt model.DType, ctxs []int) Result {
-	if len(ctxs) == 0 {
-		return Result{Phase: PhaseDecode}
-	}
-	batch := len(ctxs)
-	sumCtx := 0
-	for _, c := range ctxs {
-		if c < 0 {
-			c = 0
-		}
-		sumCtx += c
-	}
-	c := s.decodeCost(a, dt)
-	return c.aggregate(batch, 1, float64(sumCtx))
-}
-
-// DecodeRun times n consecutive decode steps for a batch whose members all
-// start at startCtx and grow by one token per step. It is the closed-form
-// equivalent of calling DecodeStep n times (the sum over the arithmetic
-// context series), used by the engine for long generations.
-func (s *Sim) DecodeRun(a model.Arch, dt model.DType, startCtx, n, batch int) Result {
-	if n <= 0 || batch <= 0 {
-		return Result{Phase: PhaseDecode}
-	}
-	c := s.decodeCost(a, dt)
-	return c.aggregate(batch, n, runContext(startCtx, n, batch))
-}
-
-// DecodeChunk times n consecutive decode steps for a batch whose members
-// start at the given (possibly unequal) context lengths, each growing by
-// one token per step. The engine uses it to advance a continuous batch
-// between admission/completion events in one closed form.
-func (s *Sim) DecodeChunk(a model.Arch, dt model.DType, ctxs []int, n int) Result {
-	if n <= 0 || len(ctxs) == 0 {
-		return Result{Phase: PhaseDecode}
-	}
-	c := s.decodeCost(a, dt)
-	return c.aggregate(len(ctxs), n, chunkContext(ctxs, n))
-}
 
 // runContext is DecodeRun's total context-token count:
 // Σ_{t=0}^{n-1} Σ_batch (startCtx + t) = batch · (n·startCtx + n(n−1)/2).
@@ -432,16 +378,24 @@ func (c *decodeCost) aggregate(batch, n int, sumCtx float64) Result {
 	return res
 }
 
+// step is one batch-1 decode step at a context length, a negative one
+// read as empty: aggregate over chunkContext([]int{ctx}, 1).
+func (c *decodeCost) step(ctx int) Result {
+	return c.aggregate(1, 1, float64(max(ctx, 0)))
+}
+
 // maxTiles bounds a CostModel's prefill table: 64 tiles cover prompts of
 // up to 8192 tokens at Orin's 128-token tile.
 const maxTiles = 64
 
-// CostModel is a Sim resolved for one architecture and weight format.
-// Decode's constants are computed once. Prefill latency moves in steps
-// of the padded token count (I_pad in Eqn 1), so the seven kernels whose
-// cost depends only on it are priced once per padded size, in a table of
-// up to maxTiles tiles; attention reads the KV of the unpadded prompt, so
-// it is priced per call. Results are bit-identical to the Sim's methods.
+// CostModel prices the phases of one architecture in one weight format
+// on a resolved Sim; it is the simulator's only pricing API. Decode's
+// constants are computed once. Prefill latency moves in steps of the
+// padded token count (I_pad in Eqn 1), so the seven kernels whose cost
+// depends only on it are priced once per padded size, in a table of up
+// to maxTiles tiles; attention reads the KV of the unpadded prompt, so
+// it is priced per call. Every result is bit-identical to the unresolved
+// kernel walk and decode closed form.
 //
 // The model snapshots the simulator and its device when resolved: later
 // changes to either do not reach it. It fills its table as it goes, so
@@ -467,9 +421,13 @@ func (s *Sim) Resolve(a model.Arch, dt model.DType) *CostModel {
 	return m
 }
 
-// Prefill times prompt processing for tokens tokens at batch 1 (a
-// batched prefill concatenates its prompts): Sim.Prefill(a, dt, tokens,
-// 1).
+// TileM is the padding granularity of the model's device: the tile a
+// prompt is padded up to before prefill (I_pad in Eqn 1).
+func (m *CostModel) TileM() int { return m.dev.TileM }
+
+// Prefill times prompt processing for tokens tokens at batch 1. A
+// batched prefill concatenates its prompts, so b prompts of n tokens
+// cost Prefill(n·b).
 //
 //edgereasoning:hotpath bench=BenchmarkCostModel
 func (m *CostModel) Prefill(tokens int) Result {
@@ -479,7 +437,8 @@ func (m *CostModel) Prefill(tokens int) Result {
 	mPad := m.dev.PadM(tokens)
 	i := mPad/max(m.dev.TileM, 1) - 1
 	if i >= maxTiles {
-		return m.sim.Prefill(m.arch, m.dt, tokens, 1)
+		tl := m.sim.tile(m.arch, m.dt, mPad)
+		return m.sim.prefillFrom(&tl, &m.arch, m.dt, mPad, tokens)
 	}
 	if i >= len(m.tiles) || m.tiles[i].kernels == 0 {
 		m.fill(i, mPad)
@@ -495,8 +454,10 @@ func (m *CostModel) fill(i, mPad int) {
 	m.tiles[i] = m.sim.tile(m.arch, m.dt, mPad)
 }
 
-// DecodeChunk is Sim.DecodeChunk for the model's architecture and
-// weight format.
+// DecodeChunk times n consecutive decode steps for a batch whose members
+// start at the given (possibly unequal) context lengths, each growing by
+// one token per step. The engine uses it to advance a continuous batch
+// between admission/completion events in one closed form.
 //
 //edgereasoning:hotpath bench=BenchmarkCostModel
 func (m *CostModel) DecodeChunk(ctxs []int, n int) Result {
@@ -506,8 +467,9 @@ func (m *CostModel) DecodeChunk(ctxs []int, n int) Result {
 	return m.decode.aggregate(len(ctxs), n, chunkContext(ctxs, n))
 }
 
-// DecodeRun is Sim.DecodeRun for the model's architecture and weight
-// format.
+// DecodeRun times n consecutive decode steps for a batch whose members
+// all start at startCtx and grow by one token per step: DecodeChunk over
+// batch equal contexts, summed over the arithmetic context series.
 func (m *CostModel) DecodeRun(startCtx, n, batch int) Result {
 	if n <= 0 || batch <= 0 {
 		return Result{Phase: PhaseDecode}
@@ -516,10 +478,9 @@ func (m *CostModel) DecodeRun(startCtx, n, batch int) Result {
 }
 
 // TBT returns the marginal time-between-tokens at a context length for
-// batch-1 decoding — the quantity Fig 3b plots.
-func (s *Sim) TBT(a model.Arch, dt model.DType, ctx int) float64 {
-	return s.DecodeStep(a, dt, []int{ctx}).Time
-}
+// batch-1 decoding — the quantity Fig 3b plots: the time of
+// DecodeChunk([]int{ctx}, 1).
+func (m *CostModel) TBT(ctx int) float64 { return m.decode.step(ctx).Time }
 
 func log2(x float64) float64 {
 	if x <= 1 {

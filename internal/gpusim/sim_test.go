@@ -11,6 +11,12 @@ import (
 
 func orinSim() *Sim { return New(hw.JetsonAGXOrin64GB()) }
 
+// resolve is the cost model of a catalog model's architecture in a
+// weight format on a simulator.
+func resolve(s *Sim, id model.ID, dt model.DType) *CostModel {
+	return s.Resolve(model.MustLookup(id).Arch, dt)
+}
+
 func withinFrac(got, want, frac float64) bool {
 	if want == 0 {
 		return got == 0
@@ -32,8 +38,7 @@ func TestDecodeTBTMatchesPaper(t *testing.T) {
 		{model.DSR1Qwen14B, 0.187},
 	}
 	for _, c := range cases {
-		spec := model.MustLookup(c.id)
-		got := s.TBT(spec.Arch, model.FP16, 512)
+		got := resolve(s, c.id, model.FP16).TBT(512)
 		if !withinFrac(got, c.want, 0.15) {
 			t.Errorf("%s: TBT = %.4fs, want %.3fs ±15%%", c.id, got, c.want)
 		}
@@ -43,10 +48,9 @@ func TestDecodeTBTMatchesPaper(t *testing.T) {
 // Fig 3b: TBT grows only slightly with context (the paper measures +3.1%
 // from 1 to 4k on the 8B model).
 func TestTBTNearlyFlatInContext(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Llama8B).Arch
-	t1 := s.TBT(a, model.FP16, 1)
-	t4k := s.TBT(a, model.FP16, 4096)
+	m := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	t1 := m.TBT(1)
+	t4k := m.TBT(4096)
 	growth := (t4k - t1) / t1
 	if growth <= 0 {
 		t.Errorf("TBT must grow with context, got %.4f", growth)
@@ -59,11 +63,10 @@ func TestTBTNearlyFlatInContext(t *testing.T) {
 // Fig 2: prefill latency is stepped — constant within a 128-token tile,
 // jumping at tile boundaries.
 func TestPrefillSteppedPattern(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Llama8B).Arch
-	inTile1 := s.Prefill(a, model.FP16, 129, 1).Time
-	inTile2 := s.Prefill(a, model.FP16, 255, 1).Time
-	nextTile := s.Prefill(a, model.FP16, 257, 1).Time
+	m := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	inTile1 := m.Prefill(129).Time
+	inTile2 := m.Prefill(255).Time
+	nextTile := m.Prefill(257).Time
 	if math.Abs(inTile1-inTile2) > 1e-4 {
 		t.Errorf("within-tile latencies differ: %.4f vs %.4f", inTile1, inTile2)
 	}
@@ -86,8 +89,7 @@ func TestPrefillLatencyBallpark(t *testing.T) {
 		{model.DSR1Qwen14B, 0.764},
 	}
 	for _, c := range cases {
-		a := model.MustLookup(c.id).Arch
-		got := s.Prefill(a, model.FP16, 512, 1).Time
+		got := resolve(s, c.id, model.FP16).Prefill(512).Time
 		if !withinFrac(got, c.want, 0.40) {
 			t.Errorf("%s prefill@512 = %.3fs, want %.3fs ±40%%", c.id, got, c.want)
 		}
@@ -96,31 +98,30 @@ func TestPrefillLatencyBallpark(t *testing.T) {
 
 // Table VII: with reasoning workloads, decode dominates >99% of latency.
 func TestDecodeDominatesReasoningWorkload(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Llama8B).Arch
-	prefill := s.Prefill(a, model.FP16, 256, 1)
-	decode := s.DecodeRun(a, model.FP16, 256, 811, 1)
+	m := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	prefill := m.Prefill(256)
+	decode := m.DecodeRun(256, 811, 1)
 	share := decode.Time / (decode.Time + prefill.Time)
 	if share < 0.98 {
 		t.Errorf("decode share = %.3f, paper reports >0.995", share)
 	}
 }
 
-// DecodeRun must equal the sum of individual DecodeSteps (closed form vs
-// step loop).
+// DecodeRun must equal the sum of single-step DecodeChunks (closed form
+// vs step loop).
 func TestDecodeRunEqualsStepSum(t *testing.T) {
 	s := orinSim()
 	s.JitterFrac = 0
-	a := model.MustLookup(model.DSR1Qwen1_5B).Arch
+	m := resolve(s, model.DSR1Qwen1_5B, model.FP16)
 	const start, n, batch = 100, 50, 4
-	run := s.DecodeRun(a, model.FP16, start, n, batch)
+	run := m.DecodeRun(start, n, batch)
 	var total float64
 	ctxs := make([]int, batch)
 	for step := 0; step < n; step++ {
 		for b := range ctxs {
 			ctxs[b] = start + step
 		}
-		total += s.DecodeStep(a, model.FP16, ctxs).Time
+		total += m.DecodeChunk(ctxs, 1).Time
 	}
 	if !withinFrac(run.Time, total, 1e-9) {
 		t.Errorf("DecodeRun = %.6fs, step sum = %.6fs", run.Time, total)
@@ -130,10 +131,9 @@ func TestDecodeRunEqualsStepSum(t *testing.T) {
 // Parallel scaling (Fig 10a): decode latency grows sublinearly in batch —
 // roughly 2× from SF=1 to SF=64.
 func TestDecodeBatchSublinear(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Llama8B).Arch
-	t1 := s.DecodeRun(a, model.FP16, 512, 128, 1).Time
-	t64 := s.DecodeRun(a, model.FP16, 512, 128, 64).Time
+	m := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	t1 := m.DecodeRun(512, 128, 1).Time
+	t64 := m.DecodeRun(512, 128, 64).Time
 	ratio := t64 / t1
 	if ratio < 1.05 {
 		t.Errorf("batch-64 decode should cost more than batch-1 (ratio %.2f)", ratio)
@@ -157,9 +157,8 @@ func TestQuantizedDecodeSpeedup(t *testing.T) {
 		{model.DSR1Qwen14B, 2.4, 4.0},
 	}
 	for _, c := range cases {
-		a := model.MustLookup(c.id).Arch
-		base := s.DecodeRun(a, model.FP16, 512, 256, 1).Time
-		w4 := s.DecodeRun(a, model.W4A16, 512, 256, 1).Time
+		base := resolve(s, c.id, model.FP16).DecodeRun(512, 256, 1).Time
+		w4 := resolve(s, c.id, model.W4A16).DecodeRun(512, 256, 1).Time
 		speedup := base / w4
 		if speedup < c.minWant || speedup > c.maxWant {
 			t.Errorf("%s: W4 decode speedup = %.2fx, want in [%.1f, %.1f]", c.id, speedup, c.minWant, c.maxWant)
@@ -169,11 +168,10 @@ func TestQuantizedDecodeSpeedup(t *testing.T) {
 
 // CPU substrate: Table XVII implies GPU decode is ~4–6× faster than CPU.
 func TestCPUDecodeSlower(t *testing.T) {
-	gpu := orinSim()
-	cpu := New(hw.OrinCortexA78AE())
-	a := model.MustLookup(model.DSR1Llama8B).Arch
-	tg := gpu.DecodeRun(a, model.FP16, 512, 128, 1).Time
-	tc := cpu.DecodeRun(a, model.FP16, 512, 128, 1).Time
+	gpu := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	cpu := resolve(New(hw.OrinCortexA78AE()), model.DSR1Llama8B, model.FP16)
+	tg := gpu.DecodeRun(512, 128, 1).Time
+	tc := cpu.DecodeRun(512, 128, 1).Time
 	ratio := tc / tg
 	if ratio < 3 || ratio > 8 {
 		t.Errorf("CPU/GPU decode ratio = %.1f, Table XVII implies ~5x", ratio)
@@ -181,25 +179,23 @@ func TestCPUDecodeSlower(t *testing.T) {
 }
 
 func TestPrefillZeroAndNegative(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Qwen1_5B).Arch
-	if s.Prefill(a, model.FP16, 0, 1).Time != 0 {
+	m := resolve(orinSim(), model.DSR1Qwen1_5B, model.FP16)
+	if m.Prefill(0).Time != 0 {
 		t.Error("zero-token prefill must cost nothing")
 	}
-	if s.DecodeRun(a, model.FP16, 10, 0, 1).Time != 0 {
+	if m.DecodeRun(10, 0, 1).Time != 0 {
 		t.Error("zero-step decode must cost nothing")
 	}
-	if s.DecodeStep(a, model.FP16, nil).Time != 0 {
+	if m.DecodeChunk(nil, 1).Time != 0 {
 		t.Error("empty-batch step must cost nothing")
 	}
 }
 
 func TestUtilizationSignalsBounded(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Qwen14B).Arch
+	m := resolve(orinSim(), model.DSR1Qwen14B, model.FP16)
 	for _, res := range []Result{
-		s.Prefill(a, model.FP16, 1024, 1),
-		s.DecodeRun(a, model.FP16, 512, 64, 8),
+		m.Prefill(1024),
+		m.DecodeRun(512, 64, 8),
 	} {
 		if res.BWUtil < 0 || res.BWUtil > 1.001 {
 			t.Errorf("BWUtil out of range: %v", res.BWUtil)
@@ -217,13 +213,13 @@ func TestUtilizationSignalsBounded(t *testing.T) {
 func TestPrefillMonotoneProperty(t *testing.T) {
 	s := orinSim()
 	s.JitterFrac = 0
-	a := model.MustLookup(model.DSR1Llama8B).Arch
+	m := resolve(s, model.DSR1Llama8B, model.FP16)
 	f := func(x, y uint16) bool {
 		i, j := int(x%4096)+1, int(y%4096)+1
 		if i > j {
 			i, j = j, i
 		}
-		return s.Prefill(a, model.FP16, i, 1).Time <= s.Prefill(a, model.FP16, j, 1).Time+1e-12
+		return m.Prefill(i).Time <= m.Prefill(j).Time+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -232,15 +228,14 @@ func TestPrefillMonotoneProperty(t *testing.T) {
 
 // Property: decode time is additive-monotone in steps and batch.
 func TestDecodeMonotoneProperty(t *testing.T) {
-	s := orinSim()
-	a := model.MustLookup(model.DSR1Qwen1_5B).Arch
+	m := resolve(orinSim(), model.DSR1Qwen1_5B, model.FP16)
 	f := func(n1, n2, b uint8) bool {
 		steps1 := int(n1%100) + 1
 		steps2 := steps1 + int(n2%100)
 		batch := int(b%16) + 1
-		t1 := s.DecodeRun(a, model.FP16, 64, steps1, batch).Time
-		t2 := s.DecodeRun(a, model.FP16, 64, steps2, batch).Time
-		tb := s.DecodeRun(a, model.FP16, 64, steps1, batch+1).Time
+		t1 := m.DecodeRun(64, steps1, batch).Time
+		t2 := m.DecodeRun(64, steps2, batch).Time
+		tb := m.DecodeRun(64, steps1, batch+1).Time
 		return t2 >= t1 && tb >= t1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

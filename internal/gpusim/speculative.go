@@ -37,14 +37,14 @@ func (c SpeculativeConfig) ExpectedTokensPerIteration() float64 {
 	return (1 - math.Pow(a, g+1)) / (1 - a)
 }
 
-// DecodeRunSpeculative times generating n tokens with the target
-// architecture assisted by the draft model. Each iteration costs Gamma
-// sequential draft steps plus one target verification pass over Gamma+1
-// positions (tile-padded, so its cost is one target decode step on the
-// memory side — the weights stream once either way). Returns the phase
-// result and the realized speedup over plain decoding.
-func (s *Sim) DecodeRunSpeculative(target model.Arch, dt model.DType, cfg SpeculativeConfig, startCtx, n int) (Result, float64) {
-	plain := s.DecodeRun(target, dt, startCtx, n, 1)
+// DecodeRunSpeculative times generating n tokens with the model's
+// architecture as the target, assisted by the draft model. Each iteration
+// costs Gamma sequential draft steps plus one target verification pass
+// over Gamma+1 positions (tile-padded, so its cost is one target decode
+// step on the memory side — the weights stream once either way). Returns
+// the phase result and the realized speedup over plain decoding.
+func (m *CostModel) DecodeRunSpeculative(cfg SpeculativeConfig, startCtx, n int) (Result, float64) {
+	plain := m.DecodeRun(startCtx, n, 1)
 	if n <= 0 || cfg.Gamma <= 0 {
 		return plain, 1
 	}
@@ -54,13 +54,14 @@ func (s *Sim) DecodeRunSpeculative(target model.Arch, dt model.DType, cfg Specul
 	midCtx := startCtx + n/2
 
 	// Draft cost: Gamma sequential small-model steps per iteration.
-	draftStep := s.DecodeStep(cfg.Draft, cfg.DraftDType, []int{midCtx})
+	draft := m.sim.decodeCost(cfg.Draft, cfg.DraftDType)
+	draftStep := draft.step(midCtx)
 	// Verify cost: one target pass over Gamma+1 positions. Memory-bound
 	// decode reads the weights once regardless of the (tiny) token count,
 	// so a verify step costs one plain target step plus the extra KV/
 	// activation traffic of the additional positions.
-	verifyStep := s.DecodeStep(target, dt, []int{midCtx})
-	extraKV := float64(cfg.Gamma) * float64(target.KVBytesPerToken()) / s.Device.EffectiveBandwidth()
+	verifyStep := m.decode.step(midCtx)
+	extraKV := float64(cfg.Gamma) * float64(m.arch.KVBytesPerToken()) / m.dev.EffectiveBandwidth()
 	iterTime := float64(cfg.Gamma)*draftStep.Time + verifyStep.Time + extraKV
 
 	res := Result{
@@ -72,8 +73,8 @@ func (s *Sim) DecodeRunSpeculative(target model.Arch, dt model.DType, cfg Specul
 		Tokens:  n,
 	}
 	if res.Time > 0 {
-		res.ComputeUtil = res.FLOPs / res.Time / s.Device.PeakFP16FLOPS
-		res.BWUtil = res.Bytes / res.Time / s.Device.MemBandwidth
+		res.ComputeUtil = res.FLOPs / res.Time / m.dev.PeakFP16FLOPS
+		res.BWUtil = res.Bytes / res.Time / m.dev.MemBandwidth
 	}
 	res.Occupancy = plain.Occupancy
 	speedup := plain.Time / res.Time

@@ -34,9 +34,8 @@ func TestExpectedTokensPerIteration(t *testing.T) {
 }
 
 func TestSpeculativeSpeedsUpLargeTargets(t *testing.T) {
-	s := New(hw.JetsonAGXOrin64GB())
-	target := model.MustLookup(model.DSR1Qwen14B)
-	_, speedup := s.DecodeRunSpeculative(target.Arch, target.DType, specCfg(4, 0.8), 512, 1024)
+	m := resolve(orinSim(), model.DSR1Qwen14B, model.FP16)
+	_, speedup := m.DecodeRunSpeculative(specCfg(4, 0.8), 512, 1024)
 	if speedup < 1.3 {
 		t.Errorf("14B with a good draft should speed up >1.3x, got %.2f", speedup)
 	}
@@ -46,28 +45,25 @@ func TestSpeculativeSpeedsUpLargeTargets(t *testing.T) {
 }
 
 func TestSpeculativeLowAcceptanceHurts(t *testing.T) {
-	s := New(hw.JetsonAGXOrin64GB())
-	target := model.MustLookup(model.DSR1Llama8B)
-	_, speedup := s.DecodeRunSpeculative(target.Arch, target.DType, specCfg(8, 0.3), 512, 1024)
+	m := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	_, speedup := m.DecodeRunSpeculative(specCfg(8, 0.3), 512, 1024)
 	if speedup >= 1 {
 		t.Errorf("long drafts at 30%% acceptance should lose, got %.2fx", speedup)
 	}
 }
 
 func TestSpeculativeZeroGammaIsPlain(t *testing.T) {
-	s := New(hw.JetsonAGXOrin64GB())
-	target := model.MustLookup(model.DSR1Llama8B)
-	res, speedup := s.DecodeRunSpeculative(target.Arch, target.DType, specCfg(0, 0.9), 512, 256)
-	plain := s.DecodeRun(target.Arch, target.DType, 512, 256, 1)
+	m := resolve(orinSim(), model.DSR1Llama8B, model.FP16)
+	res, speedup := m.DecodeRunSpeculative(specCfg(0, 0.9), 512, 256)
+	plain := m.DecodeRun(512, 256, 1)
 	if speedup != 1 || res.Time != plain.Time {
 		t.Error("γ=0 must degenerate to plain decoding")
 	}
 }
 
 func TestSpeculativeTokenConservation(t *testing.T) {
-	s := New(hw.JetsonAGXOrin64GB())
-	target := model.MustLookup(model.DSR1Qwen14B)
-	res, _ := s.DecodeRunSpeculative(target.Arch, target.DType, specCfg(4, 0.7), 512, 777)
+	m := resolve(orinSim(), model.DSR1Qwen14B, model.FP16)
+	res, _ := m.DecodeRunSpeculative(specCfg(4, 0.7), 512, 777)
 	if res.Tokens != 777 {
 		t.Errorf("committed tokens = %d, want 777", res.Tokens)
 	}
@@ -78,11 +74,10 @@ func TestSpeculativeTokenConservation(t *testing.T) {
 
 // Speedup grows with acceptance rate at fixed gamma.
 func TestSpeculativeMonotoneInAcceptance(t *testing.T) {
-	s := New(hw.JetsonAGXOrin64GB())
-	target := model.MustLookup(model.DSR1Qwen14B)
+	m := resolve(orinSim(), model.DSR1Qwen14B, model.FP16)
 	prev := 0.0
 	for _, alpha := range []float64{0.3, 0.5, 0.7, 0.9} {
-		_, speedup := s.DecodeRunSpeculative(target.Arch, target.DType, specCfg(4, alpha), 512, 1024)
+		_, speedup := m.DecodeRunSpeculative(specCfg(4, alpha), 512, 1024)
 		if speedup < prev {
 			t.Errorf("speedup must grow with α: %.2f after %.2f", speedup, prev)
 		}
@@ -91,12 +86,10 @@ func TestSpeculativeMonotoneInAcceptance(t *testing.T) {
 }
 
 func TestHostOverlapReducesTBT(t *testing.T) {
-	a := model.MustLookup(model.DSR1Llama8B).Arch
-	base := New(hw.JetsonAGXOrin64GB())
 	overlapped := New(hw.JetsonAGXOrin64GB())
 	overlapped.HostOverlap = 1.0
-	t0 := base.TBT(a, model.FP16, 512)
-	t1 := overlapped.TBT(a, model.FP16, 512)
+	t0 := resolve(orinSim(), model.DSR1Llama8B, model.FP16).TBT(512)
+	t1 := resolve(overlapped, model.DSR1Llama8B, model.FP16).TBT(512)
 	if t1 >= t0 {
 		t.Errorf("full overlap must reduce TBT: %.4f -> %.4f", t0, t1)
 	}
@@ -108,19 +101,19 @@ func TestHostOverlapReducesTBT(t *testing.T) {
 }
 
 func TestHostOverlapClamped(t *testing.T) {
-	a := model.MustLookup(model.DSR1Qwen1_5B).Arch
 	s := New(hw.JetsonAGXOrin64GB())
+	tbt := func() float64 { return resolve(s, model.DSR1Qwen1_5B, model.FP16).TBT(512) }
 	s.HostOverlap = 5 // clamps to 1
-	over := s.TBT(a, model.FP16, 512)
+	over := tbt()
 	s.HostOverlap = 1
-	exact := s.TBT(a, model.FP16, 512)
+	exact := tbt()
 	if over != exact {
 		t.Error("HostOverlap must clamp to [0,1]")
 	}
 	s.HostOverlap = -3 // clamps to 0
-	under := s.TBT(a, model.FP16, 512)
+	under := tbt()
 	s.HostOverlap = 0
-	if under != s.TBT(a, model.FP16, 512) {
+	if under != tbt() {
 		t.Error("negative HostOverlap must clamp to 0")
 	}
 }

@@ -28,22 +28,22 @@ type SweepStats struct {
 
 // PrefillSweep averages prefill behaviour over input lengths
 // [128, 4096] (Table XVIII's protocol).
-func PrefillSweep(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType) SweepStats {
+func PrefillSweep(m *gpusim.CostModel, meter *power.Meter) SweepStats {
 	lengths := []int{128, 256, 512, 1024, 2048, 4096}
 	return aggregate(meter, func(yield func(gpusim.Result)) {
 		for _, n := range lengths {
-			yield(sim.Prefill(a, dt, n, 1))
+			yield(m.Prefill(n))
 		}
 	})
 }
 
 // DecodeSweep averages decode behaviour at 512-token input over output
 // lengths [128, 2048] (Table XIX's protocol).
-func DecodeSweep(sim *gpusim.Sim, meter *power.Meter, a model.Arch, dt model.DType) SweepStats {
+func DecodeSweep(m *gpusim.CostModel, meter *power.Meter) SweepStats {
 	lengths := []int{128, 256, 512, 1024, 2048}
 	return aggregate(meter, func(yield func(gpusim.Result)) {
 		for _, n := range lengths {
-			yield(sim.DecodeRun(a, dt, 512, n, 1))
+			yield(m.DecodeRun(512, n, 1))
 		}
 	})
 }
@@ -106,19 +106,20 @@ func (c Comparison) AccuracyDropPct() float64 {
 	return (c.BaseAccuracy - c.QuantAccuracy) / c.BaseAccuracy * 100
 }
 
-// Compare builds the full base-vs-W4 comparison for a spec, pulling
-// accuracy from the benchmark's calibration cells when available.
-func Compare(sim *gpusim.Sim, meter *power.Meter, spec model.Spec, bench data.Benchmark) (Comparison, error) {
+// Compare builds the full base-vs-W4 comparison for a spec from the cost
+// models of the spec and of its quantized variant, pulling accuracy from
+// the benchmark's calibration cells when available.
+func Compare(baseCost, quantCost *gpusim.CostModel, meter *power.Meter, spec model.Spec, bench data.Benchmark) (Comparison, error) {
 	if spec.IsQuantized() {
 		return Comparison{}, fmt.Errorf("quant: pass the base spec, not %s", spec.ID)
 	}
 	q := spec.Quantized()
 	c := Comparison{
 		Model:        spec.ID,
-		BasePrefill:  PrefillSweep(sim, meter, spec.Arch, spec.DType),
-		QuantPrefill: PrefillSweep(sim, meter, q.Arch, q.DType),
-		BaseDecode:   DecodeSweep(sim, meter, spec.Arch, spec.DType),
-		QuantDecode:  DecodeSweep(sim, meter, q.Arch, q.DType),
+		BasePrefill:  PrefillSweep(baseCost, meter),
+		QuantPrefill: PrefillSweep(quantCost, meter),
+		BaseDecode:   DecodeSweep(baseCost, meter),
+		QuantDecode:  DecodeSweep(quantCost, meter),
 	}
 	if base, ok := llm.Calibrated(spec.ID, bench, "base"); ok {
 		if quant, ok2 := llm.Calibrated(q.ID, bench, "base"); ok2 {

@@ -10,18 +10,20 @@ import (
 	"edgereasoning/internal/power"
 )
 
-func setup() (*gpusim.Sim, *power.Meter) {
+// compare runs Compare on the Orin for a catalog spec, resolving the
+// cost models of the spec and of its quantized variant.
+func compare(spec model.Spec) (Comparison, error) {
 	d := hw.JetsonAGXOrin64GB()
-	return gpusim.New(d), power.NewMeter(d)
+	sim, q := gpusim.New(d), spec.Quantized()
+	return Compare(sim.Resolve(spec.Arch, spec.DType), sim.Resolve(q.Arch, q.DType), power.NewMeter(d), spec, data.MMLURedux)
 }
 
 // Tables XVIII/XIX: quantization speeds up both phases, more for larger
 // models (Takeaway #11: decode gains of 2.0x / 2.9x / 3.1x).
 func TestCompareSpeedups(t *testing.T) {
-	sim, meter := setup()
 	var prevDecode float64
 	for _, id := range []model.ID{model.DSR1Qwen1_5B, model.DSR1Llama8B, model.DSR1Qwen14B} {
-		c, err := Compare(sim, meter, model.MustLookup(id), data.MMLURedux)
+		c, err := compare(model.MustLookup(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +43,6 @@ func TestCompareSpeedups(t *testing.T) {
 // Fig 14: accuracy deltas are small — 1.04% (1.5B), 6.16% (8B), 0.62%
 // (14B) relative loss.
 func TestCompareAccuracyDeltas(t *testing.T) {
-	sim, meter := setup()
 	cases := []struct {
 		id   model.ID
 		want float64 // percent relative loss
@@ -52,7 +53,7 @@ func TestCompareAccuracyDeltas(t *testing.T) {
 		{model.DSR1Qwen14B, 0.62, 0.5},
 	}
 	for _, cse := range cases {
-		c, err := Compare(sim, meter, model.MustLookup(cse.id), data.MMLURedux)
+		c, err := compare(model.MustLookup(cse.id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,9 +69,8 @@ func TestCompareAccuracyDeltas(t *testing.T) {
 
 // Fig 14a: quantized models emit fewer tokens than FP16.
 func TestQuantizedGeneratesFewerTokens(t *testing.T) {
-	sim, meter := setup()
 	for _, id := range []model.ID{model.DSR1Qwen1_5B, model.DSR1Llama8B, model.DSR1Qwen14B} {
-		c, err := Compare(sim, meter, model.MustLookup(id), data.MMLURedux)
+		c, err := compare(model.MustLookup(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,8 +82,7 @@ func TestQuantizedGeneratesFewerTokens(t *testing.T) {
 
 // Figs 12/13: quantized models use less energy per token.
 func TestQuantizedEnergyPerTokenLower(t *testing.T) {
-	sim, meter := setup()
-	c, err := Compare(sim, meter, model.MustLookup(model.DSR1Qwen14B), data.MMLURedux)
+	c, err := compare(model.MustLookup(model.DSR1Qwen14B))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,17 +93,16 @@ func TestQuantizedEnergyPerTokenLower(t *testing.T) {
 }
 
 func TestCompareRejectsQuantizedInput(t *testing.T) {
-	sim, meter := setup()
 	q := model.MustLookup(model.DSR1Llama8B).Quantized()
-	if _, err := Compare(sim, meter, q, data.MMLURedux); err == nil {
+	if _, err := compare(q); err == nil {
 		t.Error("Compare must reject already-quantized specs")
 	}
 }
 
 func TestSweepStatsSanity(t *testing.T) {
-	sim, meter := setup()
+	d := hw.JetsonAGXOrin64GB()
 	a := model.MustLookup(model.DSR1Llama8B).Arch
-	s := DecodeSweep(sim, meter, a, model.FP16)
+	s := DecodeSweep(gpusim.New(d).Resolve(a, model.FP16), power.NewMeter(d))
 	if s.MeanTime <= 0 || s.TokPerSec <= 0 || s.MeanPower <= 0 || s.MeanEnergy <= 0 {
 		t.Errorf("sweep stats must be positive: %+v", s)
 	}

@@ -19,6 +19,7 @@ package session
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/label"
@@ -153,7 +154,9 @@ type scratch struct {
 // generateSession emits one session's think/act requests against its
 // growing history, drawing through sc.
 func generateSession(p Profile, si int, start float64, system []uint64, rng *stats.RNG, sc *scratch) []engine.TimedRequest {
-	sid := fmt.Sprintf("s%d", si)
+	// "s<si>", built in one allocation: fmt would box si as well.
+	var buf [24]byte
+	sid := string(strconv.AppendInt(append(buf[:0], 's'), int64(si), 10))
 	if sc.history == nil {
 		// Sized a quarter above the mean length, the scratch rarely
 		// regrows.

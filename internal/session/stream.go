@@ -26,8 +26,16 @@ type Source struct {
 	nextSI    int
 	nextStart float64
 	cursors   cursorHeap
-	scratch   scratch
+	// free holds drained cursors for later sessions to reuse.
+	free []*cursor
+	// rng is reseeded to each session's stream as the session activates.
+	rng     *stats.RNG
+	scratch scratch
 }
+
+// sessionStream is the stream-name prefix of every session's RNG: session
+// si draws from the stream "session/<si>".
+var sessionStream = stats.NameOf("session/")
 
 // cursor walks one activated session's request list.
 type cursor struct {
@@ -71,7 +79,7 @@ func NewSource(p Profile, seed uint64) (*Source, error) {
 	for i := range system {
 		system[i] = symOf(shared)
 	}
-	s := &Source{p: p, seed: seed, shared: shared, system: system}
+	s := &Source{p: p, seed: seed, shared: shared, system: system, rng: stats.NewRNG(seed, "session/0")}
 	// Session starts follow a Poisson process on the shared stream; the
 	// first start is drawn eagerly so activation can compare against it.
 	s.nextStart = expSample(shared, 1/p.StartRate)
@@ -83,16 +91,29 @@ func NewSource(p Profile, seed uint64) (*Source, error) {
 func (s *Source) activate() {
 	for s.nextSI < s.p.Sessions &&
 		(len(s.cursors) == 0 || s.nextStart <= s.cursors[0].reqs[s.cursors[0].pos].Arrival) {
-		rng := stats.NewRNG(s.seed, fmt.Sprintf("session/%d", s.nextSI))
-		reqs := generateSession(s.p, s.nextSI, s.nextStart, s.system, rng, &s.scratch)
+		s.rng.Reseed(s.seed, sessionStream.AddInt(s.nextSI))
+		reqs := generateSession(s.p, s.nextSI, s.nextStart, s.system, s.rng, &s.scratch)
 		if len(reqs) > 0 {
-			heap.Push(&s.cursors, &cursor{reqs: reqs, si: s.nextSI})
+			heap.Push(&s.cursors, s.cursor(reqs, s.nextSI))
 		}
 		s.nextSI++
 		if s.nextSI < s.p.Sessions {
 			s.nextStart += expSample(s.shared, 1/s.p.StartRate)
 		}
 	}
+}
+
+// cursor returns a cursor at the start of session si's requests, reusing
+// a drained one when there is one.
+func (s *Source) cursor(reqs []engine.TimedRequest, si int) *cursor {
+	n := len(s.free)
+	if n == 0 {
+		return &cursor{reqs: reqs, si: si}
+	}
+	c := s.free[n-1]
+	s.free = s.free[:n-1]
+	*c = cursor{reqs: reqs, si: si}
+	return c
 }
 
 // Next yields the globally next request across all sessions.
@@ -105,7 +126,9 @@ func (s *Source) Next() (engine.TimedRequest, bool) {
 	tr := c.reqs[c.pos]
 	c.pos++
 	if c.pos >= len(c.reqs) {
-		heap.Pop(&s.cursors) // session drained; release its requests
+		heap.Pop(&s.cursors)
+		c.reqs = nil // session drained; release its requests
+		s.free = append(s.free, c)
 	} else {
 		heap.Fix(&s.cursors, 0)
 	}

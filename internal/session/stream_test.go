@@ -220,3 +220,33 @@ func TestGenerateSessionMatchesGrowingHistory(t *testing.T) {
 		}
 	}
 }
+
+// Draining a Source allocates, per session, only what the session hands
+// out: its SessionID string, its request slice and its token-identity
+// array. Each session's RNG is the Source's one RNG reseeded, and its
+// cursor a drained one reused. The fixed cost of a Source (its shared
+// stream and system prompt) cancels in the difference between draining n
+// and 2n sessions; what is left over 3 is the few regrowths of the
+// scratch, heap and free list, which the longer run's longest or most
+// overlapped sessions may need, and which the 0.05 margin covers.
+func TestSourceAllocsPerSession(t *testing.T) {
+	drain := func(sessions int) float64 {
+		p := AgentLoop(sessions, 3, 2)
+		return testing.AllocsPerRun(3, func() {
+			src, err := NewSource(p, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, ok := src.Next(); !ok {
+					break
+				}
+			}
+		})
+	}
+	const n = 500
+	small, large := drain(n), drain(2*n)
+	if per := (large - small) / n; per > 3.05 {
+		t.Errorf("%.3f allocs per session, want at most 3 (SessionID, requests, syms)", per)
+	}
+}
