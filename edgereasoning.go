@@ -279,7 +279,7 @@ func (d *Deployment) Serve(reqs []TimedRequest, maxBatch int, policy engine.Sche
 		return ServeResult{}, err
 	}
 	return ServeResult{
-		Requests:    len(m.Requests),
+		Requests:    m.Served,
 		WallTime:    m.WallTime,
 		Energy:      m.TotalEnergy,
 		P50Latency:  m.P50Latency,

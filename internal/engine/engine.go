@@ -148,6 +148,8 @@ func (m Metrics) TPS() float64 {
 
 // BatchMetrics reports a whole workload run.
 type BatchMetrics struct {
+	// Requests holds one record per completed request, in completion
+	// order; it is nil under ServeOpts.LeanMetrics.
 	Requests    []Metrics
 	WallTime    float64 // seconds from first admission to last completion
 	TotalEnergy float64 // joules

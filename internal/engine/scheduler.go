@@ -647,6 +647,7 @@ func (s *scheduler) finish(slot int) error {
 		s.out.Latencies = append(s.out.Latencies, local+wait)
 	}
 	s.out.Served++
+	s.out.BusyTime += a.metrics.TotalTime()
 	if a.tr.Deadline > 0 {
 		s.out.DeadlinesTotal++
 		if e.clock <= a.tr.Deadline {

@@ -55,9 +55,15 @@ func (p SchedPolicy) String() string {
 // replicas' runs.
 type ServeCounters struct {
 	// Served counts completed requests. In one engine's run it equals
-	// len(Latencies) and — in full-metrics mode — len(Requests), but
-	// survives LeanMetrics.
+	// len(Latencies) and, when Requests is kept, len(Requests); it is
+	// the count to read when Requests is nil.
 	Served int
+	// BusyTime sums each completed request's service time (restore +
+	// prefill + decode), added in completion order as requests finish,
+	// so it needs no retained Requests. Batched decode counts overlap
+	// once per request, so compare it across replicas, not against wall
+	// time.
+	BusyTime float64
 	// Events counts clock-advancing simulation events (prefills and
 	// decode chunks) — the unit soak throughput is reported in.
 	Events int
@@ -86,6 +92,7 @@ type ServeCounters struct {
 // Add adds one run's counters into the total c.
 func (c *ServeCounters) Add(o ServeCounters) {
 	c.Served += o.Served
+	c.BusyTime += o.BusyTime
 	c.Events += o.Events
 	c.DeadlinesMet += o.DeadlinesMet
 	c.DeadlinesTotal += o.DeadlinesTotal
@@ -134,7 +141,10 @@ type ServeMetrics struct {
 type ServeOpts struct {
 	// LeanMetrics drops per-request Metrics retention (ServeMetrics.
 	// Requests stays nil) so a million-request soak holds O(active)
-	// request state; latencies are still recorded for percentiles.
+	// request state plus one latency per finished request. Served and
+	// BusyTime are counted either way; latencies are still recorded for
+	// percentiles. Fleet replicas run lean unless fleet.Config.
+	// KeepRequests is set.
 	LeanMetrics bool
 	// SizeHint, when positive, pre-sizes the result slices for an
 	// expected request count (the slice-API wrapper passes len(reqs)).

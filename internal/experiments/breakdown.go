@@ -60,6 +60,9 @@ func breakdownStudy(opts Options) ([]Table, error) {
 			Retry:    &fleet.RetryPolicy{Hedge: true},
 			Health:   &fleet.HealthConfig{FailureThreshold: 2, ProbeAfter: 1},
 			Trace:    trace,
+			// The tiling check pairs Requests with Latencies, and the
+			// transparency check compares the records too.
+			KeepRequests: true,
 		}
 	}
 	// Untraced leg first: the baseline the traced run must reproduce

@@ -89,6 +89,8 @@ func sessionStudy(opts Options) ([]Table, error) {
 			Replicas:    fleet.HeterogeneousReplicas(3, fleet.DefaultDevices(), spec),
 			Policy:      p,
 			PrefixCache: true,
+			// fleetTTFTP99 reads each request's TTFT from its record.
+			KeepRequests: true,
 		}
 		m, err := fleet.ServeSource(cfg, engine.NewSliceSource(reqs))
 		if err != nil {

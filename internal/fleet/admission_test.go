@@ -90,6 +90,7 @@ func completionOrder(t *testing.T, admission Admission, reqs []engine.TimedReque
 	cfg := homogeneousFleet(1, RoundRobin)
 	cfg.Replicas[0].capacity = 1
 	cfg.Admission = admission
+	cfg.KeepRequests = true
 	m, err := Serve(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)

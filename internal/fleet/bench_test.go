@@ -107,34 +107,43 @@ func BenchmarkChaosServe(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultedFleetSoak streams the perfbench fleet-chaos
-// configuration — three replicas, least-queue routing, shed admission,
+// faultedSoak is the perfbench fleet-chaos configuration at a stream of
+// size requests: three replicas, least-queue routing, shed admission,
 // retry and health, 4 QPS with 2–6 s deadline slack, and fault rates
-// scaled to the stream's horizon — at 1e4 and 1e5 requests, and
-// reports ns per request. With every fault query indexed, the cost per
-// request should not grow with the stream. Not gated in
-// BENCH_serve.json.
+// scaled to the stream's horizon.
+func faultedSoak(size int) (Config, workload.Profile, error) {
+	profile := workload.InteractiveAssistant(4, size)
+	profile.DeadlineSlack = 2
+	profile.DeadlineSlackMax = 6
+	scale := float64(size) / 100_000
+	sched, err := faults.Generate(faults.GenConfig{
+		Replicas: 3, Horizon: 20_000 * scale,
+		CrashRate: 20 * scale, RestartDelay: 10,
+		StallRate: 40 * scale, StallDuration: 3,
+		ThrottleRate: 20 * scale, ThrottleDuration: 30, ThrottleFactor: 2,
+	}, 7)
+	if err != nil {
+		return Config{}, profile, err
+	}
+	cfg := homogeneousFleet(3, LeastQueue)
+	cfg.Admission = Shed
+	cfg.Faults = &sched
+	cfg.Retry = &RetryPolicy{}
+	cfg.Health = &HealthConfig{}
+	return cfg, profile, nil
+}
+
+// BenchmarkFaultedFleetSoak streams faultedSoak at 1e4 and 1e5 requests
+// and reports ns per request. With every fault query indexed and no
+// per-request records kept, neither the cost nor the bytes per request
+// should grow with the stream. Not gated in BENCH_serve.json.
 func BenchmarkFaultedFleetSoak(b *testing.B) {
 	for _, size := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("requests=%d", size), func(b *testing.B) {
-			profile := workload.InteractiveAssistant(4, size)
-			profile.DeadlineSlack = 2
-			profile.DeadlineSlackMax = 6
-			scale := float64(size) / 100_000
-			sched, err := faults.Generate(faults.GenConfig{
-				Replicas: 3, Horizon: 20_000 * scale,
-				CrashRate: 20 * scale, RestartDelay: 10,
-				StallRate: 40 * scale, StallDuration: 3,
-				ThrottleRate: 20 * scale, ThrottleDuration: 30, ThrottleFactor: 2,
-			}, 7)
+			cfg, profile, err := faultedSoak(size)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := homogeneousFleet(3, LeastQueue)
-			cfg.Admission = Shed
-			cfg.Faults = &sched
-			cfg.Retry = &RetryPolicy{}
-			cfg.Health = &HealthConfig{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -125,6 +125,11 @@ type Config struct {
 	// and faults tracks from the dispatch loop, and sampled fleet series.
 	// Nil is the default and keeps the run byte-identical to untraced.
 	Trace *telemetry.Trace
+	// KeepRequests retains each replica's per-request engine.Metrics
+	// records in ReplicaMetrics.Requests. Off by default: a replica then
+	// holds its in-flight requests plus one latency per finished request,
+	// and Requests is nil. Every other result is the same either way.
+	KeepRequests bool
 }
 
 // ReplicaMetrics reports one replica's share of the run.
@@ -133,12 +138,10 @@ type ReplicaMetrics struct {
 	Device string
 	Model  string
 	// ServeMetrics is the replica's engine run; its Served counts the
-	// requests routed to the replica and not aborted there by a crash.
+	// requests routed to the replica and not aborted there by a crash,
+	// and its BusyTime their summed service time. Requests is nil unless
+	// Config.KeepRequests is set.
 	engine.ServeMetrics
-	// BusyTime sums per-request service time (prefill + decode); batched
-	// decode double-counts overlap, so compare it across replicas, not
-	// against wall time.
-	BusyTime float64
 	// Crashes counts crash events that struck this replica.
 	Crashes int
 	// ProvisionedAt is when the replica joined the pool (0 for the
@@ -153,8 +156,8 @@ type Metrics struct {
 	Policy   Policy
 	Replicas []ReplicaMetrics
 	// ServeCounters is the sum of the replicas' counters (Served,
-	// Events, deadline and prefix-cache accounting), in replica order,
-	// except that DeadlinesTotal also counts each dropped
+	// BusyTime, Events, deadline and prefix-cache accounting), in replica
+	// order, except that DeadlinesTotal also counts each dropped
 	// deadline-bearing request, as a missed deadline.
 	engine.ServeCounters
 	// Offered counts every request that entered the fleet's ingress;
@@ -273,7 +276,7 @@ func newReplica(rc ReplicaConfig, fc Config, tl *timeline) (*replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", rc.Name, err)
 	}
-	var opts engine.ServeOpts
+	opts := engine.ServeOpts{LeanMetrics: !fc.KeepRequests}
 	if tl != nil {
 		opts.Faults = &tl.fx
 	}
@@ -521,9 +524,6 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 			Crashes:       r.crashes,
 			ProvisionedAt: r.provisionedAt,
 			RetiredAt:     r.retiredAt,
-		}
-		for _, m := range sm.Requests {
-			rm.BusyTime += m.TotalTime()
 		}
 		out.Replicas = append(out.Replicas, rm)
 		out.Add(sm.ServeCounters)

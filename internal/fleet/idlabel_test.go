@@ -24,6 +24,7 @@ import (
 func TestFleetRequestIDsAreLabels(t *testing.T) {
 	serveBoth := func(name string, cfg Config, reqs []engine.TimedRequest) Metrics {
 		t.Helper()
+		cfg.KeepRequests = true
 		same := slices.Clone(reqs)
 		for i := range same {
 			same[i].ID = label.Probe()

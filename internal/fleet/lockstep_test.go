@@ -80,7 +80,9 @@ func TestDisplacedSessionRePinsToLiveHistory(t *testing.T) {
 // and traffic after the restart is served normally.
 func TestCrashAbortsWhatTheEngineHolds(t *testing.T) {
 	burstReqs := burst(12, 0, 0)
-	clean, err := Serve(homogeneousFleet(1, LeastQueue), burstReqs)
+	cfg := homogeneousFleet(1, LeastQueue)
+	cfg.KeepRequests = true
+	clean, err := Serve(cfg, burstReqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,6 @@ func TestCrashAbortsWhatTheEngineHolds(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		reqs = append(reqs, timed(label.Stream(i), crash+restart+1+float64(i), 64, 40, 0))
 	}
-	cfg := homogeneousFleet(1, LeastQueue)
 	cfg.Faults = crashSchedule(0, crash, restart)
 	m, err := Serve(cfg, reqs)
 	if err != nil {
@@ -283,6 +284,7 @@ func TestFleetTotalsAreReplicaSums(t *testing.T) {
 		}
 		cfg := base()
 		cfg.Faults = &sched
+		cfg.KeepRequests = true
 		m, err := Serve(cfg, reqs)
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +326,8 @@ func TestFleetTotalsAreReplicaSums(t *testing.T) {
 // TestServeCountersAddCoversEveryField gives each counter a distinct
 // value and adds the struct to itself: every field must double, so a
 // counter added to engine.ServeCounters cannot miss the fleet total. No
-// field of Metrics may shadow a promoted counter either.
+// field of Metrics or ReplicaMetrics may shadow a promoted counter
+// either, so a replica's BusyTime is the engine's running sum.
 func TestServeCountersAddCoversEveryField(t *testing.T) {
 	var c engine.ServeCounters
 	v := reflect.ValueOf(&c).Elem()
@@ -341,7 +344,7 @@ func TestServeCountersAddCoversEveryField(t *testing.T) {
 	want := c
 	c.Add(c)
 	got := reflect.ValueOf(c)
-	mt := reflect.TypeOf(Metrics{})
+	mt, rt := reflect.TypeOf(Metrics{}), reflect.TypeOf(ReplicaMetrics{})
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
 		w, g := reflect.ValueOf(want).Field(i), got.Field(i)
@@ -350,6 +353,9 @@ func TestServeCountersAddCoversEveryField(t *testing.T) {
 		}
 		if f, ok := mt.FieldByName(name); !ok || len(f.Index) != 2 {
 			t.Errorf("Metrics.%s is not the embedded engine counter", name)
+		}
+		if f, ok := rt.FieldByName(name); !ok || len(f.Index) != 3 {
+			t.Errorf("ReplicaMetrics.%s is not the embedded engine counter", name)
 		}
 	}
 }
@@ -420,7 +426,8 @@ func TestReplicasMatchStandaloneServe(t *testing.T) {
 		policy    Policy
 		admission Admission
 	}{{LeastQueue, FIFO}, {DeadlineAware, EDF}, {RoundRobin, SJF}} {
-		cfg := Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), spec), Policy: tc.policy, Admission: tc.admission}
+		cfg := Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), spec), Policy: tc.policy, Admission: tc.admission,
+			KeepRequests: true}
 		for i := range cfg.Replicas {
 			cfg.Replicas[i].capacity = 2 // deep ingress waits
 		}
@@ -481,6 +488,7 @@ func TestWarmthReadCommitsTheReadReplica(t *testing.T) {
 	cfg := homogeneousFleet(3, SessionAffinity)
 	cfg.PrefixCache = true
 	cfg.HostTierBlocks = 256
+	cfg.KeepRequests = true
 	cfg.Replicas[0].capacity = 1
 	hist := sessHist(1<<40, 2048)
 	const repin = 2.0

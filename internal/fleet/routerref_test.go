@@ -284,6 +284,7 @@ func TestRouterReadsArePure(t *testing.T) {
 // wait for r0's estimate, so r0's run equals the one without the crash.
 func TestCrashBeforePlannedDispatchKeepsBacklog(t *testing.T) {
 	cfg := homogeneousFleet(2, RoundRobin)
+	cfg.KeepRequests = true
 	for i := range cfg.Replicas {
 		cfg.Replicas[i].capacity = 1
 	}
