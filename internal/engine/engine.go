@@ -168,7 +168,9 @@ func (b BatchMetrics) AvgPower() float64 {
 	return b.TotalEnergy / b.WallTime
 }
 
-// OutputTokens sums generated tokens.
+// OutputTokens sums generated tokens over the kept Requests, so it
+// returns 0 when records were not kept (ServeOpts.LeanMetrics, or a fleet
+// replica run without fleet.Config.KeepRequests).
 func (b BatchMetrics) OutputTokens() int {
 	n := 0
 	for _, m := range b.Requests {
@@ -178,7 +180,9 @@ func (b BatchMetrics) OutputTokens() int {
 }
 
 // UserTPS is the mean per-request decode throughput (the "User TPS" row
-// of Table III).
+// of Table III) over the kept Requests, so it returns 0 when records were
+// not kept (ServeOpts.LeanMetrics, or a fleet replica run without
+// fleet.Config.KeepRequests).
 func (b BatchMetrics) UserTPS() float64 {
 	if len(b.Requests) == 0 {
 		return 0

@@ -302,7 +302,7 @@ func TestServeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range Policies() {
-		cfg := Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), smallSpec()), Policy: p}
+		cfg := Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), smallSpec()), Policy: p, KeepRequests: true}
 		a, err := Serve(cfg, reqs)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)

@@ -47,9 +47,10 @@ func FuzzFleetServe(f *testing.F) {
 		horizon := 1 + float64(n)/rate
 
 		cfg := Config{
-			Replicas:  HeterogeneousReplicas(replicas, DefaultDevices(), smallSpec()),
-			Policy:    Policies()[int(policy)%len(Policies())],
-			Admission: Admissions()[int(admission)%len(Admissions())],
+			Replicas:     HeterogeneousReplicas(replicas, DefaultDevices(), smallSpec()),
+			Policy:       Policies()[int(policy)%len(Policies())],
+			Admission:    Admissions()[int(admission)%len(Admissions())],
+			KeepRequests: true,
 		}
 		if extra := int(scale % 4); extra > 0 {
 			cfg.Autoscale = &AutoscaleConfig{

@@ -13,57 +13,55 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-// TestFleetKeepRequestsIsTransparent: keeping per-request records only
-// records, so over the property grid with generated crashes, stalls and
-// throttles, retry and health-aware routing, on a fixed pool and under
-// an autoscaler, and on a tiered session stream, a run with KeepRequests
-// deep-equals the run without it apart from Replicas[i].Requests. That
-// field is nil without KeepRequests and holds Served records with it,
-// and each replica's BusyTime is bit-equal to the sum of its records'
-// TotalTime in completion order.
-func TestFleetKeepRequestsIsTransparent(t *testing.T) {
-	kept := 0
-	check := func(name string, cfg Config, reqs []engine.TimedRequest) Metrics {
-		t.Helper()
-		cfg.KeepRequests = false
-		lean, err := Serve(cfg, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.KeepRequests = true
-		full, err := Serve(cfg, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full.Replicas) != len(lean.Replicas) {
-			t.Fatalf("%s: %d replicas with records kept, %d without", name, len(full.Replicas), len(lean.Replicas))
-		}
-		for i := range full.Replicas {
-			rm := &full.Replicas[i]
-			if lean.Replicas[i].Requests != nil {
-				t.Fatalf("%s: replica %s kept %d records without KeepRequests", name, rm.Name, len(lean.Replicas[i].Requests))
-			}
-			if len(rm.Requests) != rm.Served {
-				t.Fatalf("%s: replica %s kept %d records of %d served", name, rm.Name, len(rm.Requests), rm.Served)
-			}
-			busy := 0.0
-			for _, q := range rm.Requests {
-				busy += q.TotalTime()
-			}
-			if math.Float64bits(busy) != math.Float64bits(rm.BusyTime) {
-				t.Fatalf("%s: replica %s BusyTime %v, its records sum to %v", name, rm.Name, rm.BusyTime, busy)
-			}
-			kept += len(rm.Requests)
-			rm.Requests = nil
-		}
-		if !reflect.DeepEqual(full, lean) {
-			t.Fatalf("%s: keeping records perturbed the run:\n kept %+v\n lean %+v", name, full, lean)
-		}
-		return lean
+// matchesLean serves cfg without KeepRequests and checks the run against
+// kept, the same config's run with it. Keeping records only records:
+// Replicas[i].Requests is nil without the flag and holds Served records
+// with it, each replica's BusyTime is bit-equal to the sum of its
+// records' TotalTime in completion order, and apart from Requests the
+// two runs' Metrics deep-equal. It returns the lean run.
+func matchesLean(t *testing.T, name string, cfg Config, reqs []engine.TimedRequest, kept Metrics) Metrics {
+	t.Helper()
+	cfg.KeepRequests = false
+	lean, err := Serve(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(kept.Replicas) != len(lean.Replicas) {
+		t.Fatalf("%s: %d replicas with records kept, %d without", name, len(kept.Replicas), len(lean.Replicas))
+	}
+	kept.Replicas = append([]ReplicaMetrics(nil), kept.Replicas...)
+	for i := range kept.Replicas {
+		rm := &kept.Replicas[i]
+		if lean.Replicas[i].Requests != nil {
+			t.Fatalf("%s: replica %s kept %d records without KeepRequests", name, rm.Name, len(lean.Replicas[i].Requests))
+		}
+		if len(rm.Requests) != rm.Served {
+			t.Fatalf("%s: replica %s kept %d records of %d served", name, rm.Name, len(rm.Requests), rm.Served)
+		}
+		busy := 0.0
+		for _, q := range rm.Requests {
+			busy += q.TotalTime()
+		}
+		if math.Float64bits(busy) != math.Float64bits(rm.BusyTime) {
+			t.Fatalf("%s: replica %s BusyTime %v, its records sum to %v", name, rm.Name, rm.BusyTime, busy)
+		}
+		rm.Requests = nil
+	}
+	if !reflect.DeepEqual(kept, lean) {
+		t.Fatalf("%s: keeping records perturbed the run:\n kept %+v\n lean %+v", name, kept, lean)
+	}
+	return lean
+}
 
+// TestFleetKeepRequestsIsTransparent extends TestTracedMatchesUntraced's
+// kept-versus-lean leg to the runs that grid does not reach: over the
+// property grid with generated crashes, stalls and throttles and
+// health-aware routing under an autoscaler that provisions and retires
+// replicas, and on a tiered session stream with crashes and retry, a run
+// with KeepRequests matches the run without it (see matchesLean).
+func TestFleetKeepRequestsIsTransparent(t *testing.T) {
 	spec := smallSpec()
-	retried, scaled := 0, 0
+	scaled := 0
 	propertyGrid(t, func(seed uint64, base func() Config, reqs []engine.TimedRequest) {
 		sched, err := faults.Generate(faults.GenConfig{
 			Replicas: 3, Horizon: reqs[len(reqs)-1].Arrival,
@@ -77,14 +75,17 @@ func TestFleetKeepRequestsIsTransparent(t *testing.T) {
 		cfg := base()
 		cfg.Faults = &sched
 		cfg.Health = &HealthConfig{}
-		name := fmt.Sprintf("seed %d %s/%s", seed, cfg.Policy, cfg.Admission)
-		retried += check(name, cfg, reqs).Retried
 		cfg.Autoscale = &AutoscaleConfig{Min: 3, Max: 5, Spec: spec,
 			ColdStart: 2, DepthPerReplica: 2, IdleRetire: 10, Cooldown: 1}
-		scaled += check(name+" autoscaled", cfg, reqs).ScaleUps
+		kept, err := Serve(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("seed %d %s/%s autoscaled", seed, cfg.Policy, cfg.Admission)
+		scaled += matchesLean(t, name, cfg, reqs, kept).ScaleUps
 	})
-	if retried == 0 || scaled == 0 {
-		t.Fatalf("degenerate grid: %d retries, %d scale-ups", retried, scaled)
+	if scaled == 0 {
+		t.Fatal("degenerate grid: no run scaled up")
 	}
 
 	reqs, err := session.Generate(session.AgentLoop(8, 4, 2), 7)
@@ -99,12 +100,13 @@ func TestFleetKeepRequestsIsTransparent(t *testing.T) {
 	}
 	cfg := homogeneousFleet(2, SessionAffinity)
 	cfg.PrefixCache, cfg.DeviceBlocks, cfg.HostTierBlocks = true, 192, 1024
-	cfg.Faults, cfg.Retry = &sched, &RetryPolicy{}
-	if m := check("tiered sessions", cfg, reqs); m.HostHits == 0 || m.Retried == 0 {
-		t.Fatalf("degenerate session run: %d host-tier hits, %d retries", m.HostHits, m.Retried)
+	cfg.Faults, cfg.Retry, cfg.KeepRequests = &sched, &RetryPolicy{}, true
+	kept, err := Serve(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if kept == 0 {
-		t.Fatal("degenerate grid: no record was kept")
+	if m := matchesLean(t, "tiered sessions", cfg, reqs, kept); m.HostHits == 0 || m.Retried == 0 {
+		t.Fatalf("degenerate session run: %d host-tier hits, %d retries", m.HostHits, m.Retried)
 	}
 }
 

@@ -128,7 +128,8 @@ func TestCrashAbortsWhatTheEngineHolds(t *testing.T) {
 
 // propertyGrid calls check for seeds 1–8 × every routing policy × every
 // admission discipline, with a config of 3 heterogeneous replicas (retry
-// on) and that seed's 120-request interactive stream at 6 QPS with 3–9 s
+// on, per-request records kept so that deep-equal checks compare them)
+// and that seed's 120-request interactive stream at 6 QPS with 3–9 s
 // of deadline slack: enough load that most runs miss deadlines and the
 // Shed discipline sheds.
 func propertyGrid(t *testing.T, check func(seed uint64, cfg func() Config, reqs []engine.TimedRequest)) {
@@ -146,7 +147,7 @@ func propertyGrid(t *testing.T, check func(seed uint64, cfg func() Config, reqs 
 			for _, a := range Admissions() {
 				check(seed, func() Config {
 					return Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), spec),
-						Policy: p, Admission: a, Retry: &RetryPolicy{}}
+						Policy: p, Admission: a, Retry: &RetryPolicy{}, KeepRequests: true}
 				}, reqs)
 			}
 		}
@@ -187,7 +188,9 @@ func TestZeroRateFaultsMatchFaultsOff(t *testing.T) {
 // TestTracedMatchesUntraced: tracing only records, so over the property
 // grid with generated crashes, stalls and throttles, with health-aware
 // routing on and off, a traced run's Metrics deep-equal the untraced
-// run's, its spans are well formed and no track drops a span.
+// run's, its spans are well formed and no track drops a span. Keeping
+// per-request records only records too: the untraced run also matches
+// the run without KeepRequests apart from the records (matchesLean).
 func TestTracedMatchesUntraced(t *testing.T) {
 	retried := 0
 	propertyGrid(t, func(seed uint64, base func() Config, reqs []engine.TimedRequest) {
@@ -211,6 +214,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			matchesLean(t, name, cfg, reqs, plain)
 			tra := telemetry.New(telemetry.Config{})
 			cfg.Trace = tra
 			traced, err := Serve(cfg, reqs)
@@ -284,7 +288,6 @@ func TestFleetTotalsAreReplicaSums(t *testing.T) {
 		}
 		cfg := base()
 		cfg.Faults = &sched
-		cfg.KeepRequests = true
 		m, err := Serve(cfg, reqs)
 		if err != nil {
 			t.Fatal(err)

@@ -50,12 +50,13 @@ func TestTracingTransparencyProperties(t *testing.T) {
 		}
 		cfgFor := func(trace *telemetry.Trace) Config {
 			cfg := Config{
-				Replicas: HeterogeneousReplicas(replicas, devices, spec),
-				Policy:   DeadlineAware,
-				Faults:   &sched,
-				Retry:    &RetryPolicy{Hedge: true},
-				Health:   &HealthConfig{FailureThreshold: 2, ProbeAfter: 1},
-				Trace:    trace,
+				Replicas:     HeterogeneousReplicas(replicas, devices, spec),
+				Policy:       DeadlineAware,
+				Faults:       &sched,
+				Retry:        &RetryPolicy{Hedge: true},
+				Health:       &HealthConfig{FailureThreshold: 2, ProbeAfter: 1},
+				Trace:        trace,
+				KeepRequests: true,
 			}
 			if seed%2 == 0 {
 				cfg.Autoscale = &AutoscaleConfig{
